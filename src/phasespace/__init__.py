@@ -9,7 +9,6 @@ states with nonnegative Wigner function are exactly the stabilizer states.
 __version__ = "0.1.0"
 
 from .zmod import (
-    Generator,
     ModScalar,
     PhasePoint,
     PrimeDim,
@@ -17,20 +16,16 @@ from .zmod import (
     half,
     mod_inv,
     sl2_apply,
-    sl2_decompose,
     sl2_enumerate,
     symplectic_form,
-    word_product,
 )
 from .qudit import (
     DenseOperator,
-    RootOfUnity,
     StateVector,
     boost_op,
     haar_random_state,
     omega_table,
     projector,
-    root_of_unity,
     shift_op,
     weyl,
     weyl_adjoint,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -126,6 +127,9 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
     two_point = getattr(args, "two_point", 100)
     if samples < 0 or two_point < 0:
         raise CliError("sample counts must be nonnegative")
+    tol = getattr(args, "tol", 1e-9)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise CliError(f"--tol must be a finite nonnegative number, got {tol!r}")
 
     return CliConfig(
         command=args.command,
@@ -138,7 +142,7 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
         matrix=matrix,
         samples=samples,
         seed=_resolve_seed(getattr(args, "seed", None)),
-        tol=getattr(args, "tol", 1e-9),
+        tol=tol,
         two_point=two_point,
     )
 

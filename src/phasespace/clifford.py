@@ -5,15 +5,19 @@ identity
 
     mu(S) w(v) mu(S)^dagger = w(S v)   for every phase point v,
 
-built as a product over a short generator word for S. Each generator image
-is chosen so that the identity holds with global phase exactly 1:
+where S = [[a, b], [c, e]] acts as (p, q) -> (a p + b q, c p + e q). Its
+entries are written down in closed form, with h = 2^-1 = (d+1)/2 and every
+exponent reduced as an exact integer residue before the root-of-unity
+lookup:
 
-    fourier [[0,-1],[1,0]]  ->  inverse DFT, entries d^(-1/2) omega^(-jk)
-    chirp   [[1,0],[c,1]]   ->  DFT diag(omega^(-2^-1 c k^2)) DFT^dagger
-    scale   [[a,0],[0,a^-1]] -> permutation |k> -> |a^-1 k>
+    c != 0:  mu(S)[j, k] = d^(-1/2) omega^(h c^-1 (a j^2 - 2 j k + e k^2))
+    c == 0:  mu(S)|k> = omega^(h b e k^2) |e k>   (e = a^-1 here)
 
-The overall phase of the product is then fixed deterministically by making
-the first nonzero entry (row-major scan) real and positive, so mu is a
+By Schur's lemma the conjugation identity fixes mu(S) up to a global phase.
+The convention picks the phase that makes the first nonzero entry in
+row-major order real and positive, and both branches meet it as written:
+for c != 0 the entry [0, 0] has exponent 0 and equals d^(-1/2); for c == 0
+row 0 holds a single 1 at column 0. No rescale is needed. mu is a
 projective representation: mu(S) mu(T) equals mu(S T) up to a phase.
 
 Stabilizer states of a single qudit of odd prime dimension are the d
@@ -28,68 +32,31 @@ suite certifies this by brute-force orbit closure).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .qudit import DenseOperator, StateVector, omega_table, weyl
-from .zmod import (
-    Generator,
-    ModScalar,
-    PhasePoint,
-    PrimeDim,
-    SymplecticMatrix,
-    half,
-    sl2_apply,
-    sl2_decompose,
-)
-
-
-def _forward_dft(d: int) -> np.ndarray:
-    """Entries d^(-1/2) omega^(jk)."""
-    jk = np.outer(np.arange(d), np.arange(d))
-    return omega_table(d)[jk % d] / np.sqrt(d)
-
-
-def _generator_unitary(g: Generator) -> np.ndarray:
-    d = g.dim.d
-    if g.kind == "fourier":
-        return _forward_dft(d).conj()
-    if g.kind == "chirp":
-        h = half(g.dim).value
-        k = np.arange(d)
-        diag = np.diag(omega_table(d)[(-h * g.param * k * k) % d])
-        dft = _forward_dft(d)
-        return dft @ diag @ dft.conj().T
-    # scale: |k> -> |a^-1 k>
-    ainv = pow(g.param, -1, d)
-    mat = np.zeros((d, d), dtype=complex)
-    k = np.arange(d)
-    mat[(ainv * k) % d, k] = 1.0
-    return mat
-
-
-def _fix_phase(mat: np.ndarray) -> np.ndarray:
-    """Rescale so the first nonzero entry in row-major order is real positive."""
-    flat = mat.ravel()
-    idx = int(np.argmax(np.abs(flat) > 1e-9))
-    pivot = flat[idx]
-    return mat * (abs(pivot) / pivot)
-
-
-@lru_cache(maxsize=None)
-def _metaplectic_mat(S: SymplecticMatrix) -> np.ndarray:
-    d = S.dim.d
-    word = sl2_decompose(S)
-    mat = reduce(lambda m, g: m @ _generator_unitary(g), word, np.eye(d, dtype=complex))
-    mat = _fix_phase(mat)
-    mat.setflags(write=False)
-    return mat
+from .zmod import ModScalar, PhasePoint, PrimeDim, SymplecticMatrix, half, sl2_apply
 
 
 def metaplectic(S: SymplecticMatrix) -> DenseOperator:
     """The unitary mu(S) with mu(S) w(v) mu(S)^dagger = w(S v)."""
-    return DenseOperator(S.dim, _metaplectic_mat(S))
+    d = S.dim.d
+    a, b, c, e = S.as_ints()
+    h = half(S.dim).value
+    omega = omega_table(d)
+    k = np.arange(d)
+    if c:
+        # h c^-1 (a j^2 - 2 j k + e k^2) with 2 h = 1, so the cross term is -c^-1 j k
+        ci = pow(c, -1, d)
+        j = k[:, None]
+        exps = (h * ci * a % d * (j * j) - ci * (j * k) + h * ci * e % d * (k * k)) % d
+        mat = omega[exps] / np.sqrt(d)
+    else:
+        mat = np.zeros((d, d), dtype=complex)
+        mat[e * k % d, k] = omega[h * b * e % d * (k * k) % d]
+    return DenseOperator(S.dim, mat)
 
 
 def projective_equal(u: DenseOperator, v: DenseOperator, tol: float = 1e-9) -> bool:

@@ -199,7 +199,13 @@ def verify_hudson(
     Stabilizer states must be nonnegative at the fixed 1e-12 tolerance;
     random and two-point states must dip below -tol. The report is a pure
     function of (dim, samples, seed, tol, two_point_samples).
+
+    tol must be finite and nonnegative: with a negative or NaN tol no sample
+    could fail the negativity check, so the report would certify nothing, and
+    with an infinite one every sample would fail.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     failures: list[str] = []
     d = dim.d
 

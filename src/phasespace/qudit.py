@@ -31,25 +31,6 @@ def omega_table(d: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """omega^power for omega = exp(2 pi i / d)."""
-
-    dim: PrimeDim
-    power: ModScalar
-
-    @property
-    def value(self) -> complex:
-        return complex(omega_table(self.dim.d)[self.power.value])
-
-    def __complex__(self) -> complex:
-        return self.value
-
-
-def root_of_unity(dim: PrimeDim, power: int) -> RootOfUnity:
-    return RootOfUnity(dim, dim.scalar(power))
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A normalized pure state; amp[k] is the amplitude on |k>."""

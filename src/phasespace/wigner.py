@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, omega_table, weyl, weyl_adjoint
+from .qudit import DenseOperator, StateVector, omega_table, weyl
 from .zmod import PhasePoint, PrimeDim, SymplecticMatrix, half, sl2_apply
 
 KIND_WIGNER = "wigner"

@@ -9,7 +9,6 @@ floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 
 def _is_odd_prime(n: int) -> bool:
@@ -236,71 +235,3 @@ def sl2_enumerate(dim: PrimeDim) -> list[SymplecticMatrix]:
             tuples.append((0, b, c, e))
     tuples.sort()
     return [SymplecticMatrix.from_ints(dim, *t) for t in tuples]
-
-
-@dataclass(frozen=True)
-class Generator:
-    """One letter of an SL(2, Z_d) word.
-
-    kind 'fourier' is the flip [[0,-1],[1,0]]; 'chirp' is the lower shear
-    [[1,0],[c,1]] with c = param; 'scale' is [[a,0],[0,a^-1]] with a = param.
-    """
-
-    dim: PrimeDim
-    kind: str
-    param: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fourier", "chirp", "scale"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        object.__setattr__(self, "param", self.param % self.dim.d)
-        if self.kind == "fourier" and self.param != 0:
-            raise ValueError("fourier generator takes no parameter")
-        if self.kind == "scale" and self.param == 0:
-            raise ValueError("scale parameter must be invertible")
-
-    def matrix(self) -> SymplecticMatrix:
-        if self.kind == "fourier":
-            return SymplecticMatrix.fourier(self.dim)
-        if self.kind == "chirp":
-            return SymplecticMatrix.chirp(self.dim, self.param)
-        return SymplecticMatrix.scaling(self.dim, self.param)
-
-
-def word_product(word: list[Generator], dim: PrimeDim) -> SymplecticMatrix:
-    return reduce(lambda m, g: m @ g.matrix(), word, SymplecticMatrix.identity(dim))
-
-
-def sl2_decompose(S: SymplecticMatrix) -> list[Generator]:
-    """Write S as a short word in {fourier, chirp, scale} generators.
-
-    The word multiplies out (left to right) to S exactly and has at most
-    four letters. Case split on the upper-right entry b:
-
-      b = 0:  S = scale(a) * chirp(a c)
-      b != 0: S = chirp(e b^-1) * fourier * chirp(a b) * scale(-b^-1)
-
-    Identity letters (chirp 0, scale 1) are dropped.
-    """
-    dim = S.dim
-    d = dim.d
-    a, b, c, e = S.as_ints()
-    word: list[Generator] = []
-    if b == 0:
-        if a != 1:
-            word.append(Generator(dim, "scale", a))
-        if c != 0:
-            word.append(Generator(dim, "chirp", a * c % d))
-    else:
-        binv = pow(b, -1, d)
-        x = e * binv % d
-        y = a * b % d
-        alpha = -binv % d
-        if x != 0:
-            word.append(Generator(dim, "chirp", x))
-        word.append(Generator(dim, "fourier"))
-        if y != 0:
-            word.append(Generator(dim, "chirp", y))
-        if alpha != 1:
-            word.append(Generator(dim, "scale", alpha))
-    return word

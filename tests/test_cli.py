@@ -221,6 +221,15 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--d", "3", "--samples", "-1")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_rejects_nonfinite_or_negative_tol(self, tol):
+        proc = run_cli(
+            "verify", "--d", "3", "--samples", "5", "--two-point", "5", "--tol", tol
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--tol" in proc.stderr
+
     def test_rejects_negative_seed(self):
         proc = run_cli("verify", "--d", "3", "--samples", "2", "--seed", "-3")
         assert proc.returncode == 2

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phasespace import (
     DenseOperator,
@@ -28,6 +30,7 @@ from phasespace import (
 )
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
+LARGE_PRIMES = [p for p in range(11, 102) if all(p % f for f in range(2, p))]
 
 
 class TestMetaplectic:
@@ -45,6 +48,8 @@ class TestMetaplectic:
     def test_fourier_image_is_flat(self, dim):
         u = metaplectic(SymplecticMatrix.fourier(dim)).mat
         assert np.allclose(np.abs(u), 1.0 / np.sqrt(dim.d), atol=1e-14)
+        # and it is the unitary DFT, entries d^(-1/2) omega^(-jk)
+        assert np.max(np.abs(u - np.fft.fft(np.eye(dim.d)) / np.sqrt(dim.d))) <= 1e-14
 
     def test_phase_convention(self):
         # First nonzero entry (row-major) is real and positive.
@@ -92,6 +97,33 @@ class TestMetaplectic:
             i, j = rng.integers(0, len(mats), size=2)
             S, T = mats[i], mats[j]
             assert projective_equal(metaplectic(S) @ metaplectic(T), metaplectic(S @ T))
+
+    @given(st.data())
+    def test_properties_at_large_primes(self, data):
+        d = data.draw(st.sampled_from(LARGE_PRIMES))
+        dim = PrimeDim(d)
+        unit = st.integers(min_value=1, max_value=d - 1)
+        residue = st.integers(min_value=0, max_value=d - 1)
+        a, b, c = data.draw(unit), data.draw(residue), data.draw(unit)
+        a2 = data.draw(residue)
+        if a2:
+            b2, e2 = b, pow(a2, -1, d) * (1 + b * c)
+        else:
+            b2, e2 = -pow(c, -1, d), data.draw(residue)
+        # one element from each branch of the closed form: c = 0 and c != 0
+        lower = SymplecticMatrix.from_ints(dim, a, b, 0, pow(a, -1, d))
+        dense = SymplecticMatrix.from_ints(dim, a2, b2, c, e2)
+        points = data.draw(st.lists(st.tuples(residue, residue), min_size=1, max_size=3))
+        for S in (lower, dense):
+            u = metaplectic(S).mat
+            assert np.allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
+            flat = u.ravel()
+            pivot = flat[np.argmax(np.abs(flat) > 1e-9)]
+            assert pivot.imag == 0.0 and pivot.real > 0
+            for p, q in points:
+                v = dim.point(p, q)
+                lhs = u @ weyl(v).mat @ u.conj().T
+                assert np.max(np.abs(lhs - weyl(sl2_apply(S, v)).mat)) <= 1e-10
 
 
 class TestProjectiveEqual:

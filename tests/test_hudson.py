@@ -221,6 +221,11 @@ class TestVerifyHudson:
         assert len(report.failures) > 0
         assert any("random sample" in msg for msg in report.failures)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_nonfinite_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify_hudson(PrimeDim(3), samples=5, seed=1, tol=tol, two_point_samples=5)
+
     def test_zero_samples_edge(self):
         report = verify_hudson(PrimeDim(3), samples=0, seed=1, two_point_samples=0)
         assert report.passed

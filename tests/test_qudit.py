@@ -17,7 +17,6 @@ from phasespace import (
     half,
     omega_table,
     projector,
-    root_of_unity,
     shift_op,
     symplectic_form,
     weyl,
@@ -51,9 +50,11 @@ class TestOmegaTable:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_root_of_unity_order(self, dim):
-        w = root_of_unity(dim, 1)
-        assert abs(w.value**dim.d - 1.0) < 1e-14
-        assert abs(complex(root_of_unity(dim, dim.d)) - 1.0) < 1e-15
+        table = omega_table(dim.d)
+        w = table[1]
+        assert abs(w**dim.d - 1.0) < 1e-14
+        assert all(abs(w**k - 1.0) > 1e-3 for k in range(1, dim.d))
+        assert abs(table[dim.d % dim.d] - 1.0) < 1e-15
 
 
 class TestStateVector:

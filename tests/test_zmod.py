@@ -7,17 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phasespace import (
-    Generator,
     ModScalar,
     PrimeDim,
     SymplecticMatrix,
     half,
     mod_inv,
     sl2_apply,
-    sl2_decompose,
     sl2_enumerate,
     symplectic_form,
-    word_product,
 )
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
@@ -142,6 +139,11 @@ class TestSymplecticMatrix:
         assert SymplecticMatrix.chirp(dim, 2).as_ints() == (1, 0, 2, 1)
         assert SymplecticMatrix.scaling(dim, 2).as_ints() == (2, 0, 0, 3)
 
+    def test_flip_squared_is_minus_identity(self):
+        dim = PrimeDim(3)
+        flip = SymplecticMatrix.fourier(dim)
+        assert (flip @ flip).as_ints() == (2, 0, 0, 2)
+
     def test_scaling_rejects_zero(self):
         with pytest.raises(ValueError):
             SymplecticMatrix.scaling(PrimeDim(5), 0)
@@ -238,50 +240,6 @@ class TestSl2Enumerate:
         sample = mats[:: max(1, len(mats) // 12)]
         for s, t in itertools.product(sample, repeat=2):
             assert (s @ t).as_ints() in keys
-
-
-class TestGenerators:
-    def test_kinds_and_matrices(self):
-        dim = PrimeDim(5)
-        assert Generator(dim, "fourier").matrix().as_ints() == (0, 4, 1, 0)
-        assert Generator(dim, "chirp", 3).matrix().as_ints() == (1, 0, 3, 1)
-        assert Generator(dim, "scale", 2).matrix().as_ints() == (2, 0, 0, 3)
-
-    def test_param_validation(self):
-        dim = PrimeDim(5)
-        with pytest.raises(ValueError):
-            Generator(dim, "scale", 0)
-        with pytest.raises(ValueError):
-            Generator(dim, "fourier", 2)
-        with pytest.raises(ValueError):
-            Generator(dim, "hadamard")
-
-    def test_word_product(self):
-        dim = PrimeDim(3)
-        word = [Generator(dim, "fourier"), Generator(dim, "fourier")]
-        # flip squared is -I mod d
-        assert word_product(word, dim).as_ints() == (2, 0, 0, 2)
-        assert word_product([], dim).as_ints() == (1, 0, 0, 1)
-
-
-class TestSl2Decompose:
-    def test_identity_gives_empty_word(self):
-        dim = PrimeDim(5)
-        assert sl2_decompose(SymplecticMatrix.identity(dim)) == []
-
-    def test_lower_triangular_case(self):
-        dim = PrimeDim(7)
-        s = SymplecticMatrix.chirp(dim, 4)
-        word = sl2_decompose(s)
-        assert word_product(word, dim).as_ints() == s.as_ints()
-        assert len(word) <= 2
-
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_round_trip_exhaustive(self, dim):
-        for s in sl2_enumerate(dim):
-            word = sl2_decompose(s)
-            assert len(word) <= 4
-            assert word_product(word, dim).as_ints() == s.as_ints()
 
 
 class TestPhasePoint:
