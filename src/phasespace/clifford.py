@@ -26,17 +26,28 @@ position basis states together with the d^2 quadratic-phase states
     psi(q) = d^(-1/2) omega^(theta q^2 + x q),
 
 d(d+1) states in total (an orbit of |0> under the Clifford group; the test
-suite certifies this by brute-force orbit closure).
+suite certifies this by brute-force orbit closure). stabilizer_blocks yields
+them as d + 1 blocks of d amplitude rows, so no caller has to hold all of
+them at once.
+
+is_stabilizer never builds that family. The largest overlap of psi with a
+stabilizer state is
+
+    max( max_k |psi(k)|,  max_{theta, x} d^(-1/2) |sum_q omega^(-theta q^2 - x q) psi(q)| ),
+
+and for each theta the inner sums over x are one DFT of the chirped row
+omega^(-theta q^2) psi(q); stabilizer_overlaps evaluates them for a block of
+states with the same DFT matrix product as the Wigner kernels.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, omega_table, weyl
+from .qudit import DenseOperator, StateVector, dft_matrix, omega_table, row_chunks, weyl
 from .zmod import ModScalar, PhasePoint, PrimeDim, SymplecticMatrix, half, sl2_apply
 
 
@@ -118,22 +129,30 @@ class QuadraticStabilizer:
         return self.theta.dim
 
 
-def stabilizer_from_quadratic(s: QuadraticStabilizer) -> StateVector:
-    d = s.dim.d
+def _quadratic_amps(d: int, theta: int, x) -> np.ndarray:
+    """d^(-1/2) omega^(theta q^2 + x q) over q; an (m, 1) array x gives m rows."""
     q = np.arange(d)
-    exps = (s.theta.value * q * q + s.x.value * q) % d
-    return StateVector(s.dim, omega_table(d)[exps] / np.sqrt(d))
+    return omega_table(d)[(theta * q * q + x * q) % d] / np.sqrt(d)
+
+
+def stabilizer_from_quadratic(s: QuadraticStabilizer) -> StateVector:
+    return StateVector(s.dim, _quadratic_amps(s.dim.d, s.theta.value, s.x.value))
+
+
+def stabilizer_blocks(d: int) -> Iterator[np.ndarray]:
+    """The d(d+1) stabilizer states as d + 1 (d, d) amplitude blocks, in the
+    order of enumerate_stabilizers: the basis states, then for each theta the
+    quadratic-phase states x = 0, ..., d-1."""
+    yield np.eye(d, dtype=complex)
+    x = np.arange(d)[:, None]
+    for theta in range(d):
+        yield _quadratic_amps(d, theta, x)
 
 
 def enumerate_stabilizers(dim: PrimeDim) -> list[StateVector]:
     """All d(d+1) stabilizer states: basis states, then quadratic-phase states
     in lexicographic (theta, x) order."""
-    states = [StateVector.basis(dim, k) for k in range(dim.d)]
-    for theta in range(dim.d):
-        for x in range(dim.d):
-            s = QuadraticStabilizer(dim.scalar(theta), dim.scalar(x))
-            states.append(stabilizer_from_quadratic(s))
-    return states
+    return [StateVector(dim, amp) for block in stabilizer_blocks(dim.d) for amp in block]
 
 
 def stabilizer_descriptors(dim: PrimeDim) -> list[dict]:
@@ -145,14 +164,26 @@ def stabilizer_descriptors(dim: PrimeDim) -> list[dict]:
     return descs
 
 
-@lru_cache(maxsize=None)
-def _stabilizer_stack(d: int) -> np.ndarray:
-    stack = np.stack([s.amp for s in enumerate_stabilizers(PrimeDim(d))])
-    stack.setflags(write=False)
-    return stack
+def stabilizer_overlaps(amps: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Largest |<s|psi>| over the d(d+1) stabilizer states s, for each row psi
+    of an (n, d) block; F is dft_matrix(d).
+
+    For each theta the overlaps with the quadratic states are sqrt(d) times
+    the DFT (through F) of the chirped row omega^(-theta q^2) psi(q).
+    """
+    n, d = amps.shape
+    q = np.arange(d)
+    chirps = omega_table(d)[np.outer(q, -(q * q)) % d]  # [theta, q]
+    best = np.abs(amps).max(axis=1)
+    for rows in row_chunks(n, d):
+        c = rows.stop - rows.start
+        chirped = amps[rows, None, :] * chirps  # [c, theta, q]
+        sums = np.abs(chirped.reshape(c * d, d) @ F).reshape(c, d * d)
+        best[rows] = np.maximum(best[rows], sums.max(axis=1) * np.sqrt(d))
+    return best
 
 
 def is_stabilizer(psi: StateVector, tol: float = 1e-9) -> bool:
     """True iff psi matches some stabilizer state up to phase within tol."""
-    overlaps = np.abs(_stabilizer_stack(psi.dim.d).conj() @ psi.amp)
-    return bool(overlaps.max() >= 1.0 - tol)
+    overlap = stabilizer_overlaps(psi.amp[None], dft_matrix(psi.dim.d))[0]
+    return bool(overlap >= 1.0 - tol)

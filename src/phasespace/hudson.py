@@ -13,26 +13,36 @@ verify_hudson runs, for one dimension d, the full battery:
     is 1 or d, and full-support states have constant modulus d^(-1/2).
 
 Sample i is drawn from a substream keyed by (seed, stream, i), so reports
-are reproducible and independent of evaluation order. Any sub-check failure
-is recorded in the report's failures list; a report passes iff that list is
-empty.
+are reproducible and independent of evaluation order. Every sub-check
+failure is counted in the report's failures_total, and the first
+MAX_FAILURE_MESSAGES of them are kept as messages in index order; a report
+passes iff the count is zero.
+
+The battery runs on (n, d) amplitude blocks, one state per row: the
+stabilizer family block by block, the samples in row chunks drawn from their
+per-index substreams. The single-state functions below (check_positivity,
+check_modulus_inequality, support, haar_sample, two_point_sample) are the
+n = 1 case of the same kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import enumerate_stabilizers, is_stabilizer
-from .qudit import StateVector, haar_random_state
-from .wigner import KIND_WIGNER, PhaseGrid, char_from_wigner, operator_from_char, wigner_pure
+from .clifford import stabilizer_blocks, stabilizer_overlaps
+from .qudit import StateVector, dft_matrix, haar_block, normalize_rows, row_chunks
+from .wigner import KIND_WIGNER, PhaseGrid, char_from_wigner, lag_products, operator_from_char, wigner_minima
 from .zmod import PhasePoint, PrimeDim
 
 SUPPORT_THRESHOLD = 1e-8
 STABILIZER_NONNEG_TOL = 1e-12
 LEMMA_TOL = 1e-12
+STABILIZER_MATCH_TOL = 1e-9  # the is_stabilizer default
+MAX_FAILURE_MESSAGES = 20
 
 
 @dataclass(frozen=True)
@@ -64,30 +74,39 @@ class SupportSet:
 
 def check_positivity(psi: StateVector, tol: float = 1e-9) -> PositivityResult:
     """Minimum Wigner entry of psi; nonnegative means min >= -tol."""
-    w = wigner_pure(psi).real_values()
-    flat_idx = int(np.argmin(w))
-    p, q = divmod(flat_idx, psi.dim.d)
-    min_value = float(w[p, q])
+    minima, argmins = wigner_minima(psi.amp[None], dft_matrix(psi.dim.d))
+    min_value = float(minima[0])
+    p, q = divmod(int(argmins[0]), psi.dim.d)
     return PositivityResult(min_value, psi.dim.point(p, q), min_value >= -tol, tol)
+
+
+def modulus_violations(moduli: np.ndarray, tol: float = LEMMA_TOL) -> np.ndarray:
+    """For each row m of an (n, d) block of moduli, the number of pairs
+    (q, x) with m(q)^2 < m(q - x) m(q + x) - tol."""
+    n, d = moduli.shape
+    counts = np.empty(n, dtype=np.intp)
+    for rows in row_chunks(n, d):
+        pairs = lag_products(moduli[rows])  # [c, q, x] -> m(q + x) m(q - x); x = 0 gives m(q)^2
+        counts[rows] = np.count_nonzero(pairs[:, :, :1] < pairs - tol, axis=(1, 2))
+    return counts
+
+
+def support_rows(moduli: np.ndarray, threshold: float = SUPPORT_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
+    """Membership mask moduli > threshold, and per row whether the
+    classification is stable: no modulus within a factor 10 of the threshold."""
+    near = (moduli >= threshold / 10) & (moduli <= threshold * 10)
+    return moduli > threshold, ~near.any(axis=1)
 
 
 def check_modulus_inequality(psi: StateVector, tol: float = LEMMA_TOL) -> int:
     """Count pairs (q, x) violating |psi(q)|^2 >= |psi(q-x)| |psi(q+x)| - tol."""
-    d = psi.dim.d
-    m = np.abs(psi.amp)
-    q = np.arange(d)[:, None]
-    x = np.arange(d)[None, :]
-    lhs = m[q] ** 2
-    rhs = m[(q - x) % d] * m[(q + x) % d]
-    return int(np.count_nonzero(lhs < rhs - tol))
+    return int(modulus_violations(np.abs(psi.amp)[None], tol)[0])
 
 
 def support(psi: StateVector, threshold: float = SUPPORT_THRESHOLD) -> SupportSet:
     """Indices with |psi(q)| > threshold, with a factor-10 stability guard."""
-    m = np.abs(psi.amp)
-    points = tuple(int(q) for q in np.nonzero(m > threshold)[0])
-    near = (m >= threshold / 10) & (m <= threshold * 10)
-    return SupportSet(points, threshold, not bool(near.any()))
+    inside, stable = support_rows(np.abs(psi.amp)[None], threshold)
+    return SupportSet(tuple(int(q) for q in np.nonzero(inside[0])[0]), threshold, bool(stable[0]))
 
 
 def check_support_dichotomy(psi: StateVector, threshold: float = SUPPORT_THRESHOLD) -> bool:
@@ -111,20 +130,33 @@ _HAAR_STREAM = 0
 _TWO_POINT_STREAM = 1
 
 
+def _substreams(seed: int, stream: int, indices) -> list[np.random.SeedSequence]:
+    return [np.random.SeedSequence([seed, stream, int(i)]) for i in indices]
+
+
+def _haar_rows(d: int, seed: int, indices) -> np.ndarray:
+    return haar_block(d, _substreams(seed, _HAAR_STREAM, indices))
+
+
+def _two_point_rows(d: int, seed: int, indices) -> np.ndarray:
+    seeds = _substreams(seed, _TWO_POINT_STREAM, indices)
+    amps = np.zeros((len(seeds), d), dtype=complex)
+    for k, ss in enumerate(seeds):
+        rng = np.random.default_rng(ss)
+        pos = rng.choice(d, size=2, replace=False)
+        amps[k, pos] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return normalize_rows(amps)
+
+
 def haar_sample(dim: PrimeDim, seed: int, index: int) -> StateVector:
     """Haar-random state i of the run; depends only on (seed, index)."""
-    return haar_random_state(dim, np.random.SeedSequence([seed, _HAAR_STREAM, index]))
+    return StateVector(dim, _haar_rows(dim.d, seed, [index])[0])
 
 
 def two_point_sample(dim: PrimeDim, seed: int, index: int) -> StateVector:
     """State supported on two uniformly chosen positions, amplitudes uniform
     on the unit sphere of the two-dimensional subspace."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _TWO_POINT_STREAM, index]))
-    pos = rng.choice(dim.d, size=2, replace=False)
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    amp = np.zeros(dim.d, dtype=complex)
-    amp[pos] = z
-    return StateVector.normalized(dim, amp)
+    return StateVector(dim, _two_point_rows(dim.d, seed, [index])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +166,11 @@ def two_point_sample(dim: PrimeDim, seed: int, index: int) -> StateVector:
 
 @dataclass
 class VerificationReport:
-    """Outcome of one verify_hudson run; passes iff failures is empty."""
+    """Outcome of one verify_hudson run; passes iff failures_total is zero.
+
+    failures holds the first MAX_FAILURE_MESSAGES failure messages in index
+    order; failures_total counts all of them.
+    """
 
     dim: int
     seed: int
@@ -155,11 +191,12 @@ class VerificationReport:
     lemma6_max_modulus_spread: float
     lemma6_max_modulus_offset: float
     support_guard_stable: bool
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
+    failures_total: int
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.failures_total == 0
 
     def to_dict(self) -> dict:
         return {
@@ -183,8 +220,22 @@ class VerificationReport:
             "lemma6_max_modulus_offset": self.lemma6_max_modulus_offset,
             "support_guard_stable": self.support_guard_stable,
             "failures": list(self.failures),
+            "failures_total": self.failures_total,
             "passed": self.passed,
         }
+
+
+class _Failures:
+    """Failure count plus the first MAX_FAILURE_MESSAGES messages."""
+
+    def __init__(self) -> None:
+        self.messages: list[str] = []
+        self.total = 0
+
+    def add(self, message: str) -> None:
+        self.total += 1
+        if len(self.messages) < MAX_FAILURE_MESSAGES:
+            self.messages.append(message)
 
 
 def verify_hudson(
@@ -206,97 +257,112 @@ def verify_hudson(
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    failures: list[str] = []
+    failures = _Failures()
     d = dim.d
+    F = dft_matrix(d)
 
-    stabilizers = enumerate_stabilizers(dim)
     stab_min = math.inf
-    sizes: dict[int, int] = {}
+    sizes: Counter[int] = Counter()
     lemma4_violations = 0
     max_spread = 0.0
     max_offset = 0.0
     guard_stable = True
     target_modulus = 1.0 / math.sqrt(d)
 
-    for idx, state in enumerate(stabilizers):
-        result = check_positivity(state, STABILIZER_NONNEG_TOL)
-        stab_min = min(stab_min, result.min_value)
-        if not result.is_nonnegative:
-            failures.append(
-                f"stabilizer {idx} has Wigner minimum {result.min_value!r} "
-                f"at {result.argmin.as_ints()}"
-            )
-            continue
+    base = 0
+    for block in stabilizer_blocks(d):
+        minima, argmins = wigner_minima(block, F)
+        stab_min = min(stab_min, float(minima.min()))
+        m = np.abs(block)
+        violations = modulus_violations(m, LEMMA_TOL)
+        inside, stable = support_rows(m)
+        size = inside.sum(axis=1)
+        full = size == d
+        spread = m.max(axis=1) - m.min(axis=1)
+        offset = np.abs(m - target_modulus).max(axis=1)
+
         # the remaining checks apply to states that passed positivity
-        violations = check_modulus_inequality(state, LEMMA_TOL)
-        if violations:
-            failures.append(f"stabilizer {idx} violates the modulus inequality {violations} times")
-        lemma4_violations += violations
+        positive = minima >= -STABILIZER_NONNEG_TOL
+        lemma4_violations += int(violations[positive].sum())
+        sizes.update(size[positive].tolist())
+        guard_stable = guard_stable and bool(stable[positive].all())
+        spread_checked = full & positive
+        if spread_checked.any():
+            max_spread = max(max_spread, float(spread[spread_checked].max()))
+            max_offset = max(max_offset, float(offset[spread_checked].max()))
 
-        sup = support(state)
-        if not sup.stable:
-            guard_stable = False
-            failures.append(f"support threshold guard tripped on stabilizer {idx}; run inconclusive")
-        sizes[sup.size] = sizes.get(sup.size, 0) + 1
-        if sup.size not in (1, d):
-            failures.append(f"stabilizer {idx} has support size {sup.size}, expected 1 or {d}")
-        elif sup.size == d:
-            spread = check_constant_modulus(state)
-            offset = float(np.max(np.abs(np.abs(state.amp) - target_modulus)))
-            max_spread = max(max_spread, spread)
-            max_offset = max(max_offset, offset)
-            if spread > LEMMA_TOL:
-                failures.append(f"stabilizer {idx} has modulus spread {spread!r}")
-            if offset > LEMMA_TOL:
-                failures.append(f"stabilizer {idx} modulus is off d^-1/2 by {offset!r}")
-
-    stabilizers_all_nonneg = stab_min >= -STABILIZER_NONNEG_TOL
+        lemma_failed = ((violations > 0) | ~stable | ((size != 1) & ~full)
+                        | (full & ((spread > LEMMA_TOL) | (offset > LEMMA_TOL))))
+        for i in np.nonzero(~positive | lemma_failed)[0].tolist():
+            idx = base + i
+            if not positive[i]:
+                p, q = divmod(int(argmins[i]), d)
+                failures.add(f"stabilizer {idx} has Wigner minimum {float(minima[i])!r} at {(p, q)}")
+                continue
+            if violations[i]:
+                failures.add(f"stabilizer {idx} violates the modulus inequality {int(violations[i])} times")
+            if not stable[i]:
+                failures.add(f"support threshold guard tripped on stabilizer {idx}; run inconclusive")
+            if not (size[i] == 1 or full[i]):
+                failures.add(f"stabilizer {idx} has support size {int(size[i])}, expected 1 or {d}")
+            elif full[i]:
+                if spread[i] > LEMMA_TOL:
+                    failures.add(f"stabilizer {idx} has modulus spread {float(spread[i])!r}")
+                if offset[i] > LEMMA_TOL:
+                    failures.add(f"stabilizer {idx} modulus is off d^-1/2 by {float(offset[i])!r}")
+        base += len(block)
 
     random_all_negative = True
     random_all_nonstabilizer = True
     random_max_min = -math.inf
-    for i in range(samples):
-        psi = haar_sample(dim, seed, i)
-        result = check_positivity(psi, tol)
-        random_max_min = max(random_max_min, result.min_value)
-        if result.is_nonnegative:
-            random_all_negative = False
-            failures.append(f"random sample {i} has Wigner minimum {result.min_value!r} >= -{tol!r}")
-        if is_stabilizer(psi):
-            random_all_nonstabilizer = False
-            failures.append(f"random sample {i} matches a stabilizer state")
+    for rows in row_chunks(samples, d):
+        indices = range(rows.start, rows.stop)
+        amps = _haar_rows(d, seed, indices)
+        minima, _ = wigner_minima(amps, F)
+        nonneg = minima >= -tol
+        matched = stabilizer_overlaps(amps, F) >= 1.0 - STABILIZER_MATCH_TOL
+        random_max_min = max(random_max_min, float(minima.max()))
+        random_all_negative = random_all_negative and not nonneg.any()
+        random_all_nonstabilizer = random_all_nonstabilizer and not matched.any()
+        for k in np.nonzero(nonneg | matched)[0].tolist():
+            if nonneg[k]:
+                failures.add(f"random sample {indices[k]} has Wigner minimum {float(minima[k])!r} >= -{tol!r}")
+            if matched[k]:
+                failures.add(f"random sample {indices[k]} matches a stabilizer state")
 
     two_point_all_negative = True
     two_point_max_min = -math.inf
-    for i in range(two_point_samples):
-        psi = two_point_sample(dim, seed, i)
-        result = check_positivity(psi, tol)
-        two_point_max_min = max(two_point_max_min, result.min_value)
-        if result.is_nonnegative:
-            two_point_all_negative = False
-            failures.append(f"two-point sample {i} has Wigner minimum {result.min_value!r} >= -{tol!r}")
+    for rows in row_chunks(two_point_samples, d):
+        indices = range(rows.start, rows.stop)
+        minima, _ = wigner_minima(_two_point_rows(d, seed, indices), F)
+        nonneg = minima >= -tol
+        two_point_max_min = max(two_point_max_min, float(minima.max()))
+        two_point_all_negative = two_point_all_negative and not nonneg.any()
+        for k in np.nonzero(nonneg)[0].tolist():
+            failures.add(f"two-point sample {indices[k]} has Wigner minimum {float(minima[k])!r} >= -{tol!r}")
 
     return VerificationReport(
         dim=d,
         seed=seed,
         tol=tol,
         stabilizer_tol=STABILIZER_NONNEG_TOL,
-        stabilizer_count=len(stabilizers),
-        stabilizers_all_nonneg=stabilizers_all_nonneg,
-        stabilizer_min_wigner=float(stab_min),
+        stabilizer_count=d * (d + 1),
+        stabilizers_all_nonneg=stab_min >= -STABILIZER_NONNEG_TOL,
+        stabilizer_min_wigner=stab_min,
         random_samples=samples,
         random_all_negative=random_all_negative,
         random_all_nonstabilizer=random_all_nonstabilizer,
-        random_max_min_wigner=float(random_max_min) if samples else 0.0,
+        random_max_min_wigner=random_max_min if samples else 0.0,
         two_point_samples=two_point_samples,
         two_point_all_negative=two_point_all_negative,
-        two_point_max_min_wigner=float(two_point_max_min) if two_point_samples else 0.0,
+        two_point_max_min_wigner=two_point_max_min if two_point_samples else 0.0,
         lemma4_violations=lemma4_violations,
-        lemma5_support_sizes=sizes,
+        lemma5_support_sizes=dict(sizes),
         lemma6_max_modulus_spread=max_spread,
         lemma6_max_modulus_offset=max_offset,
         support_guard_stable=guard_stable,
-        failures=failures,
+        failures=failures.messages,
+        failures_total=failures.total,
     )
 
 

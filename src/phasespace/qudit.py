@@ -21,6 +21,11 @@ import numpy as np
 from .zmod import ModScalar, PhasePoint, PrimeDim, half
 
 NORM_TOL = 1e-12
+# The block kernels process amplitude blocks in chunks of c consecutive rows,
+# with c chosen so that each (c, d, d) temporary holds at most this many
+# complex entries (1 MiB): peak memory stays flat however many states a block
+# holds, and small-d blocks of a thousand states still take one chunk.
+CHUNK_ELEMENTS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +142,48 @@ def projector(psi: StateVector) -> DenseOperator:
 
 def haar_random_state(dim: PrimeDim, seed: int) -> StateVector:
     """Haar-distributed pure state from a seeded generator (deterministic)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(dim.d) + 1j * rng.standard_normal(dim.d)
-    return StateVector.normalized(dim, z)
+    return StateVector(dim, haar_block(dim.d, [seed])[0])
+
+
+# ---------------------------------------------------------------------------
+# Amplitude blocks: one state per row of an (n, d) array
+# ---------------------------------------------------------------------------
+
+
+def normalize_rows(amps: np.ndarray) -> np.ndarray:
+    """Each row of an (n, d) block scaled to unit norm: the block form of
+    StateVector.normalized followed by the StateVector norm check.
+
+    Raises ValueError on a zero row, and on a row whose squared norm still
+    misses 1 by more than NORM_TOL after scaling.
+    """
+    norms = np.linalg.norm(amps, axis=1)
+    if not norms.all():
+        raise ValueError("cannot normalize the zero vector")
+    rows = amps / norms[:, None]
+    if np.any(np.abs((rows.real**2 + rows.imag**2).sum(axis=1) - 1.0) > NORM_TOL):
+        raise ValueError("state vector is not normalized")
+    return rows
+
+
+def haar_block(d: int, seeds) -> np.ndarray:
+    """Haar-random unit rows; row k takes 2d standard normals (real parts,
+    then imaginary parts) from default_rng(seeds[k])."""
+    raw = np.empty((len(seeds), 2, d))
+    for k, seed in enumerate(seeds):
+        raw[k] = np.random.default_rng(seed).standard_normal((2, d))
+    return normalize_rows(raw[:, 0] + 1j * raw[:, 1])
+
+
+def dft_matrix(d: int) -> np.ndarray:
+    """F[x, p] = omega^(-p x) / d, gathered from the root table on exact
+    residues. Symmetric; callers build it once per call, it is not cached."""
+    k = np.arange(d)
+    return omega_table(d)[np.outer(k, -k) % d] / d
+
+
+def row_chunks(n: int, d: int) -> list[slice]:
+    """Consecutive row slices covering range(n), each at most
+    max(1, CHUNK_ELEMENTS // d^2) rows long."""
+    step = max(1, CHUNK_ELEMENTS // (d * d))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]

@@ -14,6 +14,13 @@ The two Wigner routes agree entrywise; for fixed q the row W(., q) is the
 Fourier transform of the self-correlation row K(q, .). Grids are indexed
 values[p][q].
 
+The pure-state route runs on (n, d) amplitude blocks, one state per row:
+wigner_block stacks the self-correlation rows of every state and applies the
+DFT matrix F[x, p] = omega^(-p x) / d (rows permuted to the lag order
+x = 2u of lag_products) in one matrix product, and
+wigner_minima reduces each grid to its minimum chunk by chunk. wigner_pure is
+the n = 1 case.
+
 Covariance conventions are fixed once by an exhaustive numerical probe at
 d = 3 (see probe_covariance_directions) and hard-coded:
 
@@ -27,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, omega_table, weyl
-from .zmod import PhasePoint, PrimeDim, SymplecticMatrix, half, sl2_apply
+from .qudit import DenseOperator, StateVector, dft_matrix, row_chunks, weyl
+from .zmod import PhasePoint, PrimeDim, SymplecticMatrix
 
 KIND_WIGNER = "wigner"
 KIND_CHARACTERISTIC = "characteristic"
@@ -59,10 +66,7 @@ class PhaseGrid:
 
     def real_values(self, tol: float = REALITY_TOL) -> np.ndarray:
         """The grid as a real array; fails if any imaginary residue exceeds tol."""
-        resid = float(np.max(np.abs(self.values.imag)))
-        if resid > tol:
-            raise ValueError(f"grid has imaginary residue {resid:.3e} above {tol:.1e}")
-        return self.values.real.copy()
+        return _real_part(self.values, tol).copy()
 
     def total(self) -> complex:
         return complex(self.values.sum())
@@ -107,10 +111,12 @@ class CorrelationTable:
         object.__setattr__(self, "values", values)
 
 
-def _phase_matrix(d: int, sign: int) -> np.ndarray:
-    """Matrix omega^(sign * j * k) for j, k in Z_d."""
-    jk = np.outer(np.arange(d), np.arange(d))
-    return omega_table(d)[(sign * jk) % d]
+def _real_part(values: np.ndarray, tol: float = REALITY_TOL) -> np.ndarray:
+    """A view of the real part; fails if any imaginary residue exceeds tol."""
+    resid = float(np.max(np.abs(values.imag)))
+    if resid > tol:
+        raise ValueError(f"grid has imaginary residue {resid:.3e} above {tol:.1e}")
+    return values.real
 
 
 def characteristic(rho: DenseOperator) -> PhaseGrid:
@@ -125,58 +131,100 @@ def characteristic(rho: DenseOperator) -> PhaseGrid:
     return PhaseGrid(dim, vals, KIND_CHARACTERISTIC)
 
 
+def _symplectic_fourier(values: np.ndarray) -> np.ndarray:
+    """d F G^T conj(F) for a grid G: both directions of the symplectic
+    Fourier transform take this form, as two d x d matrix products."""
+    d = values.shape[0]
+    f = dft_matrix(d)
+    return d * (f @ values.T @ f.conj())
+
+
 def wigner_from_char(xi: PhaseGrid) -> PhaseGrid:
     """Symplectic Fourier transform W(p,q) = (1/d) sum omega^(q xi - p x) Xi(xi, x)."""
     if xi.kind != KIND_CHARACTERISTIC:
         raise ValueError("input grid must be a characteristic function")
-    d = xi.dim.d
-    plus = _phase_matrix(d, +1)   # [q, xi] -> omega^(q xi)
-    minus = _phase_matrix(d, -1)  # [p, x]  -> omega^(-p x)
-    vals = np.einsum("qj,px,jx->pq", plus, minus, xi.values) / d
-    return PhaseGrid(xi.dim, vals, KIND_WIGNER)
+    return PhaseGrid(xi.dim, _symplectic_fourier(xi.values), KIND_WIGNER)
 
 
 def char_from_wigner(grid: PhaseGrid) -> PhaseGrid:
     """Inverse of wigner_from_char: Xi(xi, x) = (1/d) sum omega^(p x - q xi) W(p, q)."""
     if grid.kind != KIND_WIGNER:
         raise ValueError("input grid must be a Wigner function")
-    d = grid.dim.d
-    plus = _phase_matrix(d, +1)   # [p, x] -> omega^(p x)
-    minus = _phase_matrix(d, -1)  # [q, xi] -> omega^(-q xi)
-    vals = np.einsum("px,qj,pq->jx", plus, minus, grid.values) / d
-    return PhaseGrid(grid.dim, vals, KIND_CHARACTERISTIC)
+    return PhaseGrid(grid.dim, _symplectic_fourier(grid.values), KIND_CHARACTERISTIC)
 
 
 def operator_from_char(xi: PhaseGrid) -> DenseOperator:
-    """Reassemble the operator: rho = sum_{xi, x} Xi(xi, x) w(xi, x)."""
+    """Reassemble the operator: rho = sum_{xi, x} Xi(xi, x) w(xi, x).
+
+    w(a, x) is monomial, with its entry omega^(a (k + 2^-1 x)) at (k + x, k),
+    so rho[k + x, k] = D[x, k + 2^-1 x] with D[x, j] = sum_a Xi(a, x) omega^(a j),
+    a DFT over a for each x.
+    """
     if xi.kind != KIND_CHARACTERISTIC:
         raise ValueError("input grid must be a characteristic function")
-    dim = xi.dim
-    d = dim.d
-    mat = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        for x in range(d):
-            mat += xi.values[a, x] * weyl(dim.point(a, x)).mat
-    return DenseOperator(dim, mat)
+    d = xi.dim.d
+    h = (d + 1) // 2  # 2^-1 mod d
+    D = d * (xi.values.T @ dft_matrix(d).conj())
+    k = np.arange(d)[None, :]
+    x = np.arange(d)[:, None]
+    mat = np.empty((d, d), dtype=complex)
+    mat[(k + x) % d, k] = D[x, (k + h * x) % d]
+    return DenseOperator(xi.dim, mat)
+
+
+def lag_products(amps: np.ndarray) -> np.ndarray:
+    """L[n, q, u] = A[n, q + u] conj(A[n, q - u]) for an (n, d) block A.
+
+    For amplitudes this is the self-correlation K(q, x) at x = 2u. Both
+    factors are strided views into the rows repeated three times, so the
+    product is one pass over the (n, d, d) result with no gather.
+    """
+    n, d = amps.shape
+    tripled = np.concatenate([amps, amps, amps], axis=1)  # [n, d + j] -> A[n, j mod d]
+    row, col = tripled.strides
+    # both views start at column d; along u one steps forward, the other back
+    ahead = np.ndarray((n, d, d), tripled.dtype, tripled, d * col, (row, col, col))
+    behind = np.ndarray((n, d, d), tripled.dtype, np.conj(tripled), d * col, (row, col, -col))
+    return ahead * behind
+
+
+def wigner_block(amps: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Wigner grids of an (n, d) block, indexed [n, q, p] (transposed):
+    W(p, q) = (1/d) sum_u omega^(-2 p u) L(q, u), with L = lag_products and
+    F = dft_matrix(d), as one matrix product over the stacked rows (n, q)."""
+    n, d = amps.shape
+    return (lag_products(amps).reshape(n * d, d) @ F[2 * np.arange(d) % d]).reshape(n, d, d)
+
+
+def wigner_minima(amps: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of each row's Wigner grid, and its flat index p * d + q (the
+    first in row-major (p, q) order), over row_chunks of the block.
+
+    F is dft_matrix(d). Raises ValueError, like PhaseGrid.real_values, when a
+    grid has an imaginary residue above REALITY_TOL.
+    """
+    n, d = amps.shape
+    minima = np.empty(n)
+    argmins = np.empty(n, dtype=np.intp)
+    for rows in row_chunks(n, d):
+        grids = _real_part(wigner_block(amps[rows], F))
+        flat = grids.transpose(0, 2, 1).reshape(-1, d * d)  # [c, p * d + q]
+        argmins[rows] = flat.argmin(axis=1)
+        minima[rows] = flat[np.arange(len(flat)), argmins[rows]]
+    return minima, argmins
 
 
 def self_correlation(psi: StateVector) -> CorrelationTable:
     """K(q, x) = psi(q + 2^-1 x) conj(psi(q - 2^-1 x))."""
     d = psi.dim.d
-    h = half(psi.dim).value
-    q = np.arange(d)[:, None]
-    x = np.arange(d)[None, :]
-    vals = psi.amp[(q + h * x) % d] * np.conj(psi.amp[(q - h * x) % d])
-    return CorrelationTable(psi.dim, vals)
+    h = (d + 1) // 2  # 2^-1 mod d
+    return CorrelationTable(psi.dim, lag_products(psi.amp[None])[0][:, h * np.arange(d) % d])
 
 
 def wigner_pure(psi: StateVector) -> PhaseGrid:
     """W(p, q) = (1/d) sum_x omega^(-p x) K(q, x)."""
-    d = psi.dim.d
-    k = self_correlation(psi).values
-    minus = _phase_matrix(d, -1)  # [p, x] -> omega^(-p x)
-    vals = (minus @ k.T) / d      # [p, q]
-    return PhaseGrid(psi.dim, vals, KIND_WIGNER)
+    grid = wigner_block(psi.amp[None], dft_matrix(psi.dim.d))[0]
+    return PhaseGrid(psi.dim, grid.T, KIND_WIGNER)
 
 
 def position_marginal(grid: PhaseGrid) -> np.ndarray:

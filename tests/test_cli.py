@@ -179,6 +179,7 @@ class TestVerifyCommand:
         doc = json.loads(proc.stdout)
         assert doc["overall_passed"] is True
         assert doc["passed"] is True
+        assert doc["failures"] == [] and doc["failures_total"] == 0
         assert doc["point_mass_infeasible"] is True
         assert doc["stabilizer_count"] == 12
         assert doc["seed"] == 7
@@ -216,6 +217,7 @@ class TestVerifyCommand:
         doc = json.loads(proc.stdout)
         assert doc["overall_passed"] is False
         assert len(doc["failures"]) > 0
+        assert doc["failures_total"] == 10  # every random and two-point sample
 
     def test_rejects_negative_samples(self):
         proc = run_cli("verify", "--d", "3", "--samples", "-1")

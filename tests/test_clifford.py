@@ -28,6 +28,8 @@ from phasespace import (
     stabilizer_from_quadratic,
     weyl,
 )
+from phasespace.clifford import stabilizer_blocks, stabilizer_overlaps
+from phasespace.qudit import dft_matrix
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 LARGE_PRIMES = [p for p in range(11, 102) if all(p % f for f in range(2, p))]
@@ -324,3 +326,68 @@ class TestIsStabilizer:
         perturbed = StateVector.normalized(dim, base.amp + 1e-3 * noise)
         assert not is_stabilizer(perturbed, tol=1e-9)
         assert is_stabilizer(perturbed, tol=1e-4)
+
+
+def _stabilizer_stack(d):
+    """All d(d+1) stabilizer states as explicit rows: basis states, then
+    d^(-1/2) exp(2 pi i (theta q^2 + x q) / d) in (theta, x) order."""
+    q = np.arange(d)
+    rows = [np.eye(d)[k] for k in range(d)]
+    for theta in range(d):
+        for x in range(d):
+            rows.append(np.exp(2j * np.pi * (theta * q * q + x * q) / d) / np.sqrt(d))
+    return np.array(rows)
+
+
+def _stack_overlap(stack, amp):
+    return float(np.abs(stack.conj() @ amp).max())
+
+
+class TestStabilizerMatchAgainstStack:
+    """is_stabilizer (chirp + DFT) against the explicit d(d+1)-row stack."""
+
+    @staticmethod
+    def _cases(dim):
+        """Every stabilizer with its Weyl and Clifford images, Haar states,
+        and last a stabilizer perturbed by 1e-3."""
+        d = dim.d
+        states = [s.amp for s in enumerate_stabilizers(dim)]
+        gens = [metaplectic(SymplecticMatrix.fourier(dim)).mat,
+                metaplectic(SymplecticMatrix.chirp(dim, 1)).mat,
+                metaplectic(SymplecticMatrix.scaling(dim, 2)).mat]
+        cases = list(states)
+        for amp in states:
+            cases += [weyl(v).mat @ amp for v in dim.all_points()]
+            cases += [g @ amp for g in gens]
+        cases += [haar_random_state(dim, 5000 + s).amp for s in range(20)]
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        cases.append(states[-1] + 1e-3 * noise)
+        return [amp / np.linalg.norm(amp) for amp in cases]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_overlaps_and_predicate_match_stack(self, dim):
+        stack = _stabilizer_stack(dim.d)
+        cases = self._cases(dim)
+        overlaps = stabilizer_overlaps(np.array(cases), dft_matrix(dim.d))
+        for amp, got in zip(cases, overlaps):
+            want = _stack_overlap(stack, amp)
+            assert abs(got - want) <= 1e-12
+            psi = StateVector(dim, amp)
+            for tol in (1e-9, 1e-4):
+                assert is_stabilizer(psi, tol) == (want >= 1.0 - tol)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_perturbed_state_separates_the_tolerances(self, dim):
+        amp = self._cases(dim)[-1]
+        want = _stack_overlap(_stabilizer_stack(dim.d), amp)
+        assert 1.0 - 1e-4 <= want < 1.0 - 1e-9
+        psi = StateVector(dim, amp)
+        assert not is_stabilizer(psi, tol=1e-9)
+        assert is_stabilizer(psi, tol=1e-4)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_blocks_follow_the_enumeration(self, dim):
+        rows = np.concatenate(list(stabilizer_blocks(dim.d)))
+        assert np.array_equal(rows, np.array([s.amp for s in enumerate_stabilizers(dim)]))
+        assert np.max(np.abs(rows - _stabilizer_stack(dim.d))) < 1e-12

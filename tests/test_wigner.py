@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from phasespace import (
     KIND_CHARACTERISTIC,
@@ -32,8 +34,11 @@ from phasespace import (
     wigner_from_char,
     wigner_pure,
 )
+from phasespace.qudit import dft_matrix, row_chunks
+from phasespace.wigner import wigner_minima
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
+PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]
 
 
 def _random_hermitian(dim, seed):
@@ -185,6 +190,86 @@ class TestWignerTransforms:
         rho = _random_hermitian(dim, 13)
         back = operator_from_char(characteristic(rho))
         assert np.max(np.abs(back.mat - rho.mat)) < 1e-12
+
+
+def _einsum_transform(values, sign):
+    """sign=+1: wigner_from_char, W(p,q) = (1/d) sum omega^(q xi - p x) Xi(xi, x);
+    sign=-1: char_from_wigner, Xi(xi,x) = (1/d) sum omega^(p x - q xi) W(p, q)."""
+    d = values.shape[0]
+    jk = np.outer(np.arange(d), np.arange(d))
+    omega = np.exp(2j * np.pi * jk / d)
+    if sign > 0:
+        return np.einsum("qj,px,jx->pq", omega, omega.conj(), values) / d
+    return np.einsum("px,qj,pq->jx", omega, omega.conj(), values) / d
+
+
+def _weyl_sum(xi):
+    """rho = sum_{xi, x} Xi(xi, x) w(xi, x) from d^2 dense Weyl matrices."""
+    dim = xi.dim
+    mat = np.zeros((dim.d, dim.d), dtype=complex)
+    for a, x in itertools.product(range(dim.d), repeat=2):
+        mat += xi.values[a, x] * weyl(dim.point(a, x)).mat
+    return mat
+
+
+class TestTransformOracles:
+    @pytest.mark.parametrize("d", [3, 5, 7, 11])
+    def test_matrix_product_transforms_match_einsum(self, d):
+        dim = PrimeDim(d)
+        rng = np.random.default_rng(d)
+        vals = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        char = PhaseGrid(dim, vals, KIND_CHARACTERISTIC)
+        wig = PhaseGrid(dim, vals, KIND_WIGNER)
+        assert np.max(np.abs(wigner_from_char(char).values - _einsum_transform(vals, +1))) < 1e-12
+        assert np.max(np.abs(char_from_wigner(wig).values - _einsum_transform(vals, -1))) < 1e-12
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 11])
+    def test_monomial_reassembly_matches_weyl_sum(self, d):
+        dim = PrimeDim(d)
+        rng = np.random.default_rng(d + 1)
+        xi = PhaseGrid(dim, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
+                       KIND_CHARACTERISTIC)
+        assert np.max(np.abs(operator_from_char(xi).mat - _weyl_sum(xi))) < 1e-12
+
+
+def _fft_wigner(amp):
+    """W[p, q] = (1/d) sum_x omega^(-p x) psi(q + x/2) conj(psi(q - x/2)), by FFT."""
+    d = len(amp)
+    h = (d + 1) // 2
+    q = np.arange(d)[:, None]
+    x = np.arange(d)[None, :]
+    k = amp[(q + h * x) % d] * np.conj(amp[(q - h * x) % d])
+    return np.fft.fft(k, axis=1).T / d
+
+
+class TestWignerMinima:
+    @given(
+        d=st.sampled_from(PRIMES_TO_101),
+        n=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(d=61, n=40, seed=0)
+    @example(d=101, n=13, seed=1)
+    def test_block_minima_match_per_state_fft(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        minima, argmins = wigner_minima(amps, dft_matrix(d))
+        for i in range(n):
+            grid = _fft_wigner(amps[i])
+            assert abs(grid.imag).max() <= 1e-12
+            assert abs(minima[i] - grid.real.min()) <= 1e-12
+            p, q = divmod(int(argmins[i]), d)
+            assert grid.real[p, q] - grid.real.min() <= 1e-12
+
+    def test_large_d_blocks_span_several_chunks(self):
+        assert len(row_chunks(40, 61)) == 3
+        assert len(row_chunks(1000, 7)) == 1
+
+    def test_imaginary_residue_is_rejected(self):
+        amps = haar_random_state(PrimeDim(5), 1).amp[None]
+        with pytest.raises(ValueError, match="imaginary residue"):
+            wigner_minima(amps, 1j * dft_matrix(5))
 
 
 class TestSelfCorrelation:
