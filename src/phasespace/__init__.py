@@ -9,12 +9,10 @@ states with nonnegative Wigner function are exactly the stabilizer states.
 __version__ = "0.1.0"
 
 from .zmod import (
-    ModScalar,
     PhasePoint,
     PrimeDim,
     SymplecticMatrix,
     half,
-    mod_inv,
     sl2_apply,
     sl2_enumerate,
     symplectic_form,
@@ -52,7 +50,6 @@ from .wigner import (
 )
 from .clifford import (
     CliffordElement,
-    QuadraticStabilizer,
     clifford_apply,
     clifford_element,
     compose,

@@ -163,7 +163,12 @@ def parse_state(config: CliConfig) -> StateVector:
         ):
             raise CliError(f"--state entry {k} must be a [re, im] pair of numbers")
         amp[k] = complex(pair[0], pair[1])
-    norm = float(np.linalg.norm(amp))
+        if not np.isfinite(amp[k]):
+            raise CliError(f"--state entry {k} is not finite")
+    with np.errstate(over="ignore"):  # an overflow is reported as the error below
+        norm = float(np.linalg.norm(amp))
+    if not math.isfinite(norm):
+        raise CliError("--state norm overflows; scale the amplitudes down")
     if norm == 0.0:
         raise CliError("--state is the zero vector")
     if abs(norm - 1.0) > INPUT_NORM_TOL and not config.normalize:
@@ -206,7 +211,7 @@ def run_stabilizers(config: CliConfig) -> tuple[dict | list[str], int]:
 def run_metaplectic(config: CliConfig) -> tuple[dict | list[str], int]:
     a, b, c, e = config.matrix
     try:
-        S = SymplecticMatrix.from_ints(config.dim, a, b, c, e)
+        S = SymplecticMatrix(config.dim, a, b, c, e)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     mu = metaplectic(S)
@@ -226,7 +231,7 @@ def run_metaplectic(config: CliConfig) -> tuple[dict | list[str], int]:
         return rows, 0 if passed else 1
     artifact = {
         "d": config.dim.d,
-        "matrix": [[S.a.value, S.b.value], [S.c.value, S.e.value]],
+        "matrix": [[S.a, S.b], [S.c, S.e]],
         "unitary": _complex_pairs(mu.mat),
         "conjugation_max_error": err,
         "conjugation_check_passed": passed,

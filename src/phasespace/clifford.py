@@ -48,14 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qudit import DenseOperator, StateVector, dft_matrix, omega_table, row_chunks, weyl
-from .zmod import ModScalar, PhasePoint, PrimeDim, SymplecticMatrix, half, sl2_apply
+from .zmod import PhasePoint, PrimeDim, SymplecticMatrix, half, sl2_apply
 
 
 def metaplectic(S: SymplecticMatrix) -> DenseOperator:
     """The unitary mu(S) with mu(S) w(v) mu(S)^dagger = w(S v)."""
     d = S.dim.d
     a, b, c, e = S.as_ints()
-    h = half(S.dim).value
+    h = half(S.dim)
     omega = omega_table(d)
     k = np.arange(d)
     if c:
@@ -113,30 +113,15 @@ def clifford_apply(g: CliffordElement, psi: StateVector) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticStabilizer:
-    """Parameters (theta, x) of psi(q) = d^(-1/2) omega^(theta q^2 + x q)."""
-
-    theta: ModScalar
-    x: ModScalar
-
-    def __post_init__(self) -> None:
-        if self.theta.dim != self.x.dim:
-            raise ValueError("parameters live in different residue rings")
-
-    @property
-    def dim(self) -> PrimeDim:
-        return self.theta.dim
-
-
 def _quadratic_amps(d: int, theta: int, x) -> np.ndarray:
     """d^(-1/2) omega^(theta q^2 + x q) over q; an (m, 1) array x gives m rows."""
     q = np.arange(d)
     return omega_table(d)[(theta * q * q + x * q) % d] / np.sqrt(d)
 
 
-def stabilizer_from_quadratic(s: QuadraticStabilizer) -> StateVector:
-    return StateVector(s.dim, _quadratic_amps(s.dim.d, s.theta.value, s.x.value))
+def stabilizer_from_quadratic(dim: PrimeDim, theta: int, x: int) -> StateVector:
+    """The quadratic-phase state psi(q) = d^(-1/2) omega^(theta q^2 + x q)."""
+    return StateVector(dim, _quadratic_amps(dim.d, theta, x))
 
 
 def stabilizer_blocks(d: int) -> Iterator[np.ndarray]:

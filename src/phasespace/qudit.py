@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .zmod import ModScalar, PhasePoint, PrimeDim, half
+from .zmod import PhasePoint, PrimeDim, half
 
 NORM_TOL = 1e-12
 # The block kernels process amplitude blocks in chunks of c consecutive rows,
@@ -47,7 +47,8 @@ class StateVector:
         amp = np.array(self.amp, dtype=complex)
         if amp.shape != (self.dim.d,):
             raise ValueError(f"amplitude vector must have shape ({self.dim.d},)")
-        if abs(np.vdot(amp, amp).real - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails the check too
+        if not abs(np.vdot(amp, amp).real - 1.0) <= NORM_TOL:
             raise ValueError("state vector is not normalized")
         amp.setflags(write=False)
         object.__setattr__(self, "amp", amp)
@@ -99,28 +100,28 @@ class DenseOperator:
         return self.mat @ psi.amp
 
 
-def shift_op(q: ModScalar) -> DenseOperator:
+def shift_op(dim: PrimeDim, q: int) -> DenseOperator:
     """x(q)|k> = |k + q>."""
-    d = q.dim.d
+    d = dim.d
     mat = np.zeros((d, d), dtype=complex)
     k = np.arange(d)
-    mat[(k + q.value) % d, k] = 1.0
-    return DenseOperator(q.dim, mat)
+    mat[(k + q) % d, k] = 1.0
+    return DenseOperator(dim, mat)
 
 
-def boost_op(p: ModScalar) -> DenseOperator:
+def boost_op(dim: PrimeDim, p: int) -> DenseOperator:
     """z(p)|k> = omega^(p k) |k>."""
-    d = p.dim.d
+    d = dim.d
     k = np.arange(d)
-    return DenseOperator(p.dim, np.diag(omega_table(d)[(p.value * k) % d]))
+    return DenseOperator(dim, np.diag(omega_table(d)[(p * k) % d]))
 
 
 def weyl(v: PhasePoint) -> DenseOperator:
     """w(p, q) = omega^(-2^-1 p q) z(p) x(q), built entrywise from the root table."""
     dim = v.dim
     d = dim.d
-    p, q = v.as_ints()
-    h = half(dim).value
+    p, q = v.p, v.q
+    h = half(dim)
     k = np.arange(d)
     # nonzero entries sit at (k + q, k); exponent collects the global phase
     # -2^-1 p q with the boost phase p (k + q)
@@ -161,7 +162,7 @@ def normalize_rows(amps: np.ndarray) -> np.ndarray:
     if not norms.all():
         raise ValueError("cannot normalize the zero vector")
     rows = amps / norms[:, None]
-    if np.any(np.abs((rows.real**2 + rows.imag**2).sum(axis=1) - 1.0) > NORM_TOL):
+    if not np.all(np.abs((rows.real**2 + rows.imag**2).sum(axis=1) - 1.0) <= NORM_TOL):
         raise ValueError("state vector is not normalized")
     return rows
 

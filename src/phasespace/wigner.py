@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, dft_matrix, row_chunks, weyl
-from .zmod import PhasePoint, PrimeDim, SymplecticMatrix
+from .qudit import DenseOperator, StateVector, dft_matrix, row_chunks
+from .zmod import PhasePoint, PrimeDim, SymplecticMatrix, half
 
 KIND_WIGNER = "wigner"
 KIND_CHARACTERISTIC = "characteristic"
@@ -120,15 +120,19 @@ def _real_part(values: np.ndarray, tol: float = REALITY_TOL) -> np.ndarray:
 
 
 def characteristic(rho: DenseOperator) -> PhaseGrid:
-    """Xi(xi, x) = (1/d) tr( w(xi, x)^dagger rho )."""
-    dim = rho.dim
-    d = dim.d
-    vals = np.empty((d, d), dtype=complex)
-    for xi in range(d):
-        for x in range(d):
-            w = weyl(dim.point(xi, x))
-            vals[xi, x] = np.vdot(w.mat, rho.mat) / d
-    return PhaseGrid(dim, vals, KIND_CHARACTERISTIC)
+    """Xi(xi, x) = (1/d) tr( w(xi, x)^dagger rho ).
+
+    The mirror of operator_from_char: w(a, x) has its entry
+    omega^(a (k + 2^-1 x)) at (k + x, k), so with j = k + 2^-1 x
+    Xi(a, x) = (1/d) sum_j omega^(-a j) G[x, j], G[x, j] = rho[j + 2^-1 x, j - 2^-1 x],
+    a DFT over j of the gathered rows.
+    """
+    d = rho.dim.d
+    h = half(rho.dim)
+    j = np.arange(d)[None, :]
+    x = np.arange(d)[:, None]
+    G = rho.mat[(j + h * x) % d, (j - h * x) % d]
+    return PhaseGrid(rho.dim, (G @ dft_matrix(d)).T, KIND_CHARACTERISTIC)
 
 
 def _symplectic_fourier(values: np.ndarray) -> np.ndarray:
@@ -163,7 +167,7 @@ def operator_from_char(xi: PhaseGrid) -> DenseOperator:
     if xi.kind != KIND_CHARACTERISTIC:
         raise ValueError("input grid must be a characteristic function")
     d = xi.dim.d
-    h = (d + 1) // 2  # 2^-1 mod d
+    h = half(xi.dim)
     D = d * (xi.values.T @ dft_matrix(d).conj())
     k = np.arange(d)[None, :]
     x = np.arange(d)[:, None]
@@ -217,7 +221,7 @@ def wigner_minima(amps: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def self_correlation(psi: StateVector) -> CorrelationTable:
     """K(q, x) = psi(q + 2^-1 x) conj(psi(q - 2^-1 x))."""
     d = psi.dim.d
-    h = (d + 1) // 2  # 2^-1 mod d
+    h = half(psi.dim)
     return CorrelationTable(psi.dim, lag_products(psi.amp[None])[0][:, h * np.arange(d) % d])
 
 
@@ -240,7 +244,7 @@ def translate_grid(grid: PhaseGrid, v: PhasePoint) -> PhaseGrid:
         raise ValueError("translation acts on Wigner grids")
     if v.dim != grid.dim:
         raise ValueError("point and grid dimensions differ")
-    vals = np.roll(grid.values, shift=(-v.p.value, -v.q.value), axis=(0, 1))
+    vals = np.roll(grid.values, shift=(-v.p, -v.q), axis=(0, 1))
     return PhaseGrid(grid.dim, vals, KIND_WIGNER)
 
 
@@ -264,7 +268,7 @@ def symplectic_transform_grid(grid: PhaseGrid, S: SymplecticMatrix) -> PhaseGrid
 
 def weyl_translated_grid(grid: PhaseGrid, v: PhasePoint) -> PhaseGrid:
     """Wigner grid of w(v) rho w(v)^dagger, given the grid of rho."""
-    signed = grid.dim.point(TRANSLATION_SIGN * v.p.value, TRANSLATION_SIGN * v.q.value)
+    signed = grid.dim.point(TRANSLATION_SIGN * v.p, TRANSLATION_SIGN * v.q)
     return translate_grid(grid, signed)
 
 
@@ -289,7 +293,7 @@ def probe_covariance_directions(
     this probe in the test suite.
     """
     from .clifford import metaplectic
-    from .qudit import haar_random_state
+    from .qudit import haar_random_state, weyl
     from .zmod import sl2_enumerate
 
     states = [haar_random_state(dim, seed + i) for i in range(n_states)]
@@ -301,7 +305,7 @@ def probe_covariance_directions(
             shifted = StateVector.normalized(dim, weyl(v).apply(psi))
             target = wigner_pure(shifted)
             for s in list(signs):
-                moved = translate_grid(grid, dim.point(s * v.p.value, s * v.q.value))
+                moved = translate_grid(grid, dim.point(s * v.p, s * v.q))
                 if not _grids_equal(moved, target, tol):
                     signs.discard(s)
     if len(signs) != 1:

@@ -343,7 +343,7 @@ def test_criterion_12_weyl_order_and_composition_law():
     fit_consistent = True
     for dim in [PrimeDim(3), PrimeDim(5)]:
         d = dim.d
-        h = half(dim).value
+        h = half(dim)
         table = omega_table(d)
         mats = {v.as_ints(): weyl(v).mat for v in dim.all_points()}
         for v in dim.all_points():
@@ -353,7 +353,7 @@ def test_criterion_12_weyl_order_and_composition_law():
             prod = mats[v1.as_ints()] @ mats[v2.as_ints()]
             ratio = np.trace(mats[(v1 + v2).as_ints()].conj().T @ prod) / d
             k_fit = round(np.angle(ratio) / (2 * np.pi / d)) % d
-            k_law = (h * symplectic_form(v1, v2).value) % d
+            k_law = (h * symplectic_form(v1, v2)) % d
             fit_consistent &= k_fit == k_law
             gap = np.max(np.abs(prod - table[k_law] * mats[(v1 + v2).as_ints()]))
             worst_comp = max(worst_comp, float(gap))

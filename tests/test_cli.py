@@ -85,6 +85,22 @@ class TestWignerCommand:
         assert proc.returncode == 2
         assert "zero" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "state,extra,message",
+        [
+            ("[[NaN,0],[0,0],[0,0]]", (), "entry 0 is not finite"),
+            ("[[1,0],[0,NaN],[0,0]]", ("--normalize",), "entry 1 is not finite"),
+            ("[[Infinity,0],[0,0],[0,0]]", ("--normalize",), "entry 0 is not finite"),
+            ("[[1,0],[-Infinity,0],[0,0]]", (), "entry 1 is not finite"),
+            ("[[1e308,1e308],[1e308,0],[0,0]]", ("--normalize",), "norm overflows; scale the amplitudes down"),
+        ],
+    )
+    def test_rejects_non_finite_state(self, state, extra, message):
+        proc = run_cli("wigner", "--d", "3", "--state", state, *extra)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --state {message}\n"
+
     def test_norm_policy(self):
         off = "[[0.8,0],[0.7,0],[0,0]]"
         proc = run_cli("wigner", "--d", "3", "--state", off)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from phasespace import (
     DenseOperator,
     PrimeDim,
-    QuadraticStabilizer,
     StateVector,
     SymplecticMatrix,
     clifford_apply,
@@ -64,7 +63,7 @@ class TestMetaplectic:
 
     def test_deterministic(self):
         dim = PrimeDim(7)
-        S = SymplecticMatrix.from_ints(dim, 2, 3, 1, 2)
+        S = SymplecticMatrix(dim, 2, 3, 1, 2)
         assert np.array_equal(metaplectic(S).mat, metaplectic(S).mat)
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
@@ -113,8 +112,8 @@ class TestMetaplectic:
         else:
             b2, e2 = -pow(c, -1, d), data.draw(residue)
         # one element from each branch of the closed form: c = 0 and c != 0
-        lower = SymplecticMatrix.from_ints(dim, a, b, 0, pow(a, -1, d))
-        dense = SymplecticMatrix.from_ints(dim, a2, b2, c, e2)
+        lower = SymplecticMatrix(dim, a, b, 0, pow(a, -1, d))
+        dense = SymplecticMatrix(dim, a2, b2, c, e2)
         points = data.draw(st.lists(st.tuples(residue, residue), min_size=1, max_size=3))
         for S in (lower, dense):
             u = metaplectic(S).mat
@@ -201,14 +200,14 @@ class TestCliffordElement:
 class TestStabilizerStates:
     def test_uniform_state(self):
         dim = PrimeDim(5)
-        s = stabilizer_from_quadratic(QuadraticStabilizer(dim.scalar(0), dim.scalar(0)))
+        s = stabilizer_from_quadratic(dim, 0, 0)
         assert np.allclose(s.amp, np.full(5, 1 / np.sqrt(5)), atol=1e-15)
 
     def test_quadratic_example_d3(self):
         # theta = 1, x = 0: amplitudes (1, omega, omega) / sqrt(3).
         dim = PrimeDim(3)
         w = omega_table(3)
-        s = stabilizer_from_quadratic(QuadraticStabilizer(dim.scalar(1), dim.scalar(0)))
+        s = stabilizer_from_quadratic(dim, 1, 0)
         expected = np.array([1.0, w[1], w[1]]) / np.sqrt(3)
         assert np.allclose(s.amp, expected, atol=1e-15)
 
@@ -216,7 +215,7 @@ class TestStabilizerStates:
         # theta = 0, x = 1: amplitudes (1, omega, omega^2) / sqrt(3).
         dim = PrimeDim(3)
         w = omega_table(3)
-        s = stabilizer_from_quadratic(QuadraticStabilizer(dim.scalar(0), dim.scalar(1)))
+        s = stabilizer_from_quadratic(dim, 0, 1)
         expected = np.array([1.0, w[1], w[2]]) / np.sqrt(3)
         assert np.allclose(s.amp, expected, atol=1e-15)
 
@@ -237,9 +236,7 @@ class TestStabilizerStates:
             if desc["kind"] == "basis":
                 assert state.amp[desc["k"]] == 1.0
             else:
-                rebuilt = stabilizer_from_quadratic(
-                    QuadraticStabilizer(dim.scalar(desc["theta"]), dim.scalar(desc["x"]))
-                )
+                rebuilt = stabilizer_from_quadratic(dim, desc["theta"], desc["x"])
                 assert np.array_equal(state.amp, rebuilt.amp)
 
     @pytest.mark.parametrize("dim", DIMS)

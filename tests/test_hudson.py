@@ -40,7 +40,7 @@ class TestCheckPositivity:
         psi = haar_sample(dim, 3, 0)
         result = check_positivity(psi)
         grid = wigner_pure(psi).real_values()
-        assert grid[result.argmin.p.value, result.argmin.q.value] == result.min_value
+        assert grid[result.argmin.p, result.argmin.q] == result.min_value
         assert result.min_value == grid.min()
 
     @pytest.mark.parametrize("dim", DIMS)

@@ -74,6 +74,19 @@ class TestStateVector:
         with pytest.raises(ValueError, match="shape"):
             StateVector(PrimeDim(3), np.zeros(5, dtype=complex))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(PrimeDim(3), np.array([bad, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector.normalized(PrimeDim(3), np.array([1.0, bad, 0.0]))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_normalized_rejects_overflowing_norm(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector.normalized(PrimeDim(3), np.array([1e308 + 1e308j, 1e308, 0.0]))
+
     def test_normalized_constructor(self):
         dim = PrimeDim(3)
         psi = StateVector.normalized(dim, [3.0, 4.0, 0.0])
@@ -107,39 +120,39 @@ class TestStateVector:
 class TestShiftBoost:
     def test_shift_zero_is_identity(self):
         dim = PrimeDim(5)
-        assert np.array_equal(shift_op(dim.scalar(0)).mat, np.eye(5))
+        assert np.array_equal(shift_op(dim, 0).mat, np.eye(5))
 
     def test_shift_matrix_d3(self):
         dim = PrimeDim(3)
         expected = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-        assert np.array_equal(shift_op(dim.scalar(1)).mat, expected)
+        assert np.array_equal(shift_op(dim, 1).mat, expected)
 
     def test_shift_action_on_basis(self):
         dim = PrimeDim(7)
         for q, k in itertools.product(range(7), repeat=2):
-            out = shift_op(dim.scalar(q)).apply(StateVector.basis(dim, k))
+            out = shift_op(dim, q).apply(StateVector.basis(dim, k))
             assert out[(k + q) % 7] == 1.0
             assert np.count_nonzero(out) == 1
 
     def test_boost_diagonal(self):
         dim = PrimeDim(3)
         table = omega_table(3)
-        mat = boost_op(dim.scalar(2)).mat
+        mat = boost_op(dim, 2).mat
         assert np.array_equal(np.diag(mat), table[[0, 2, 1]])
         assert np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
     def test_shift_group_law(self, dim):
         for a, b in itertools.product(range(dim.d), repeat=2):
-            lhs = (shift_op(dim.scalar(a)) @ shift_op(dim.scalar(b))).mat
-            rhs = shift_op(dim.scalar(a + b)).mat
+            lhs = (shift_op(dim, a) @ shift_op(dim, b)).mat
+            rhs = shift_op(dim, a + b).mat
             assert np.allclose(lhs, rhs, atol=1e-15)
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
     def test_boost_group_law(self, dim):
         for a, b in itertools.product(range(dim.d), repeat=2):
-            lhs = (boost_op(dim.scalar(a)) @ boost_op(dim.scalar(b))).mat
-            rhs = boost_op(dim.scalar(a + b)).mat
+            lhs = (boost_op(dim, a) @ boost_op(dim, b)).mat
+            rhs = boost_op(dim, a + b).mat
             assert np.allclose(lhs, rhs, atol=1e-15)
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
@@ -148,16 +161,16 @@ class TestShiftBoost:
         d = dim.d
         table = omega_table(d)
         for p, q in itertools.product(range(d), repeat=2):
-            lhs = (boost_op(dim.scalar(p)) @ shift_op(dim.scalar(q))).mat
-            rhs = table[(p * q) % d] * (shift_op(dim.scalar(q)) @ boost_op(dim.scalar(p))).mat
+            lhs = (boost_op(dim, p) @ shift_op(dim, q)).mat
+            rhs = table[(p * q) % d] * (shift_op(dim, q) @ boost_op(dim, p)).mat
             assert np.allclose(lhs, rhs, atol=1e-14)
 
 
 def _weyl_oracle(dim, p, q):
     """Independent route: explicit scalar phase times the z @ x product."""
-    h = half(dim).value
+    h = half(dim)
     phase = cmath.exp(2j * cmath.pi * ((-h * p * q) % dim.d) / dim.d)
-    return phase * (boost_op(dim.scalar(p)) @ shift_op(dim.scalar(q))).mat
+    return phase * (boost_op(dim, p) @ shift_op(dim, q)).mat
 
 
 class TestWeyl:
@@ -168,9 +181,9 @@ class TestWeyl:
     def test_pure_shift_and_pure_boost(self):
         dim = PrimeDim(7)
         for q in range(7):
-            assert np.array_equal(weyl(dim.point(0, q)).mat, shift_op(dim.scalar(q)).mat)
+            assert np.array_equal(weyl(dim.point(0, q)).mat, shift_op(dim, q).mat)
         for p in range(7):
-            assert np.allclose(weyl(dim.point(p, 0)).mat, boost_op(dim.scalar(p)).mat, atol=1e-15)
+            assert np.allclose(weyl(dim.point(p, 0)).mat, boost_op(dim, p).mat, atol=1e-15)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_matches_phase_times_product_oracle(self, dim):
@@ -213,22 +226,22 @@ class TestWeyl:
         # Fit the integer exponent k in w(v1) w(v2) = omega^k w(v1 + v2) on
         # every pair at d = 3 and check it reproduces 2^-1 sigma(v1, v2).
         dim = PrimeDim(3)
-        d, h = 3, half(dim).value
+        d, h = 3, half(dim)
         for v1, v2 in itertools.product(dim.all_points(), repeat=2):
             prod = weyl(v1).mat @ weyl(v2).mat
             ratio = np.trace(weyl(v1 + v2).mat.conj().T @ prod) / d
             assert abs(abs(ratio) - 1.0) < 1e-12
             k_emp = round(cmath.phase(ratio) / (2 * cmath.pi / d)) % d
-            assert k_emp == (h * symplectic_form(v1, v2).value) % d
+            assert k_emp == (h * symplectic_form(v1, v2)) % d
 
     @pytest.mark.parametrize("dim", [PrimeDim(5), PrimeDim(7)])
     def test_composition_law(self, dim):
         d = dim.d
-        h = half(dim).value
+        h = half(dim)
         table = omega_table(d)
         for v1, v2 in itertools.product(dim.all_points(), repeat=2):
             lhs = weyl(v1).mat @ weyl(v2).mat
-            phase = table[(h * symplectic_form(v1, v2).value) % d]
+            phase = table[(h * symplectic_form(v1, v2)) % d]
             assert np.allclose(lhs, phase * weyl(v1 + v2).mat, atol=1e-12)
 
 

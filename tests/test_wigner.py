@@ -212,6 +212,15 @@ def _weyl_sum(xi):
     return mat
 
 
+def _weyl_traces(rho):
+    """Xi(xi, x) = (1/d) tr(w(xi, x)^dagger rho) from d^2 dense Weyl matrices."""
+    dim = rho.dim
+    vals = np.empty((dim.d, dim.d), dtype=complex)
+    for a, x in itertools.product(range(dim.d), repeat=2):
+        vals[a, x] = np.trace(weyl(dim.point(a, x)).mat.conj().T @ rho.mat) / dim.d
+    return vals
+
+
 class TestTransformOracles:
     @pytest.mark.parametrize("d", [3, 5, 7, 11])
     def test_matrix_product_transforms_match_einsum(self, d):
@@ -230,6 +239,13 @@ class TestTransformOracles:
         xi = PhaseGrid(dim, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
                        KIND_CHARACTERISTIC)
         assert np.max(np.abs(operator_from_char(xi).mat - _weyl_sum(xi))) < 1e-12
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 11])
+    def test_diagonal_gather_matches_weyl_traces(self, d):
+        dim = PrimeDim(d)
+        rng = np.random.default_rng(d + 2)
+        rho = DenseOperator(dim, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        assert np.max(np.abs(characteristic(rho).values - _weyl_traces(rho))) < 1e-12
 
 
 def _fft_wigner(amp):
@@ -333,8 +349,8 @@ class TestGridMotions:
 
         dim = PrimeDim(5)
         g = wigner_pure(haar_random_state(dim, 5))
-        s = SymplecticMatrix.from_ints(dim, 2, 1, 1, 1)
-        t = SymplecticMatrix.from_ints(dim, 0, 4, 1, 0)
+        s = SymplecticMatrix(dim, 2, 1, 1, 1)
+        t = SymplecticMatrix(dim, 0, 4, 1, 0)
         twice = symplectic_transform_grid(symplectic_transform_grid(g, s), t)
         once = symplectic_transform_grid(g, s @ t)
         assert np.array_equal(twice.values, once.values)
@@ -344,11 +360,11 @@ class TestGridMotions:
 
         dim = PrimeDim(3)
         g = wigner_pure(haar_random_state(dim, 6))
-        s = SymplecticMatrix.from_ints(dim, 1, 1, 1, 2)
+        s = SymplecticMatrix(dim, 1, 1, 1, 2)
         moved = symplectic_transform_grid(g, s)
         for v in dim.all_points():
             image = sl2_apply(s, v)
-            assert moved.values[v.p.value, v.q.value] == g.values[image.p.value, image.q.value]
+            assert moved.values[v.p, v.q] == g.values[image.p, image.q]
 
 
 class TestCovariance:

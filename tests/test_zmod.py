@@ -2,16 +2,16 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from phasespace import (
-    ModScalar,
+    PhasePoint,
     PrimeDim,
     SymplecticMatrix,
     half,
-    mod_inv,
     sl2_apply,
     sl2_enumerate,
     symplectic_form,
@@ -41,71 +41,47 @@ class TestPrimeDim:
         assert len(set(pt.as_ints() for pt in pts)) == 9
 
 
-class TestModScalar:
-    def test_canonical_residue(self):
-        dim = PrimeDim(3)
-        assert ModScalar(-1, dim).value == 2
-        assert ModScalar(7, dim).value == 1
-        assert dim.scalar(3).value == 0
-
-    def test_arithmetic(self):
-        dim = PrimeDim(5)
-        a, b = dim.scalar(3), dim.scalar(4)
-        assert (a + b).value == 2
-        assert (a - b).value == 4
-        assert (a * b).value == 2
-        assert (-a).value == 2
-        assert (a + 1).value == 4
-        assert (2 * a).value == 1
-
-    def test_int_coercion(self):
-        dim = PrimeDim(5)
-        assert int(dim.scalar(8)) == 3
-
-    def test_mixed_dims_rejected(self):
-        a = PrimeDim(3).scalar(1)
-        b = PrimeDim(5).scalar(1)
-        with pytest.raises(ValueError):
-            _ = a + b
-
-
 class TestModInv:
+    """The inverse in Z_d, as SymplecticMatrix.scaling(a) = [[a, 0], [0, a^-1]] computes it."""
+
     # Hand-checked table: x * inv(x) === 1 (mod d).
     @pytest.mark.parametrize(
         "x,d,expected",
         [(1, 3, 1), (2, 3, 2), (2, 5, 3), (3, 5, 2), (4, 5, 4), (3, 7, 5), (4, 7, 2)],
     )
     def test_known_inverses(self, x, d, expected):
-        assert mod_inv(PrimeDim(d).scalar(x)).value == expected
+        assert SymplecticMatrix.scaling(PrimeDim(d), x).as_ints() == (x, 0, 0, expected)
 
     def test_zero_not_invertible(self):
-        with pytest.raises(ZeroDivisionError):
-            mod_inv(PrimeDim(5).scalar(0))
-        with pytest.raises(ZeroDivisionError):
-            mod_inv(PrimeDim(5).scalar(10))
+        with pytest.raises(ValueError):
+            SymplecticMatrix.scaling(PrimeDim(5), 0)
+        with pytest.raises(ValueError):
+            SymplecticMatrix.scaling(PrimeDim(5), 10)
 
-    @given(st.sampled_from([3, 5, 7, 11]), st.integers(min_value=1, max_value=1000))
+    @given(st.sampled_from([3, 5, 7, 11]), st.integers(min_value=-1000, max_value=1000))
     def test_inverse_property(self, d, raw):
-        dim = PrimeDim(d)
-        x = raw % d
-        if x == 0:
-            x = 1
-        assert (x * mod_inv(dim.scalar(x)).value) % d == 1
+        if raw % d == 0:
+            raw += 1
+        a, _, _, ai = SymplecticMatrix.scaling(PrimeDim(d), raw).as_ints()
+        assert a == raw % d
+        assert (a * ai) % d == 1
 
     def test_scalar_inv_method(self):
+        # scaling is a homomorphism, so scaling(x) scaling(x^-1) is the identity
         dim = PrimeDim(7)
         for x in range(1, 7):
-            assert (dim.scalar(x).inv() * dim.scalar(x)).value == 1
+            scale = SymplecticMatrix.scaling(dim, x)
+            assert (scale @ SymplecticMatrix.scaling(dim, scale.e)).as_ints() == (1, 0, 0, 1)
 
 
 class TestHalf:
     @pytest.mark.parametrize("d,expected", [(3, 2), (5, 3), (7, 4)])
     def test_values(self, d, expected):
-        assert half(PrimeDim(d)).value == expected
+        assert half(PrimeDim(d)) == expected
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_doubling_gives_one(self, dim):
-        assert (half(dim) * 2).value == 1
+        assert (half(dim) * 2) % dim.d == 1
 
 
 class TestSymplecticForm:
@@ -114,23 +90,50 @@ class TestSymplecticForm:
         u = dim.point(1, 2)
         v = dim.point(3, 4)
         # p1*q2 - q1*p2 = 1*4 - 2*3 = -2 = 3 (mod 5)
-        assert symplectic_form(u, v).value == 3
-        assert symplectic_form(v, u).value == 2
+        assert symplectic_form(u, v) == 3
+        assert symplectic_form(v, u) == 2
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_antisymmetric_and_zero_on_diagonal(self, dim):
         for u in dim.all_points():
-            assert symplectic_form(u, u).value == 0
+            assert symplectic_form(u, u) == 0
         for u, v in itertools.product(dim.all_points(), repeat=2):
-            assert (symplectic_form(u, v) + symplectic_form(v, u)).value == 0
+            assert (symplectic_form(u, v) + symplectic_form(v, u)) % dim.d == 0
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(ValueError):
+            symplectic_form(PrimeDim(3).point(1, 0), PrimeDim(5).point(0, 1))
 
 
 class TestSymplecticMatrix:
     def test_determinant_validation(self):
         dim = PrimeDim(3)
         with pytest.raises(ValueError, match="determinant"):
-            SymplecticMatrix.from_ints(dim, 1, 1, 1, 1)
-        SymplecticMatrix.from_ints(dim, 1, 1, 1, 2)  # det = 2 - 1 = 1
+            SymplecticMatrix(dim, 1, 1, 1, 1)
+        SymplecticMatrix(dim, 1, 1, 1, 2)  # det = 2 - 1 = 1
+
+    def test_canonical_residues(self):
+        dim = PrimeDim(5)
+        S = SymplecticMatrix(dim, -4, 12, 6, -2)
+        assert S.as_ints() == (1, 2, 1, 3)
+        assert S == SymplecticMatrix(dim, 1, 2, 1, 3)
+
+    def test_as_ints_are_python_ints(self):
+        S = SymplecticMatrix(PrimeDim(7), np.int64(2), np.int32(3), np.int64(-6), 2)
+        assert S.as_ints() == (2, 3, 1, 2)
+        assert all(type(x) is int for x in S.as_ints())
+        assert all(type(x) is int for x in (S @ S.inverse()).as_ints())
+
+    @pytest.mark.parametrize("bad", [2.0, 2.7, np.float64(1.0)])
+    def test_float_entry_raises(self, bad):
+        with pytest.raises(TypeError):
+            SymplecticMatrix(PrimeDim(3), bad, 0, 0, 2)
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(ValueError):
+            _ = SymplecticMatrix.identity(PrimeDim(3)) @ SymplecticMatrix.identity(PrimeDim(5))
+        with pytest.raises(ValueError):
+            sl2_apply(SymplecticMatrix.identity(PrimeDim(3)), PrimeDim(5).point(1, 1))
 
     def test_constructors(self):
         dim = PrimeDim(5)
@@ -156,8 +159,8 @@ class TestSymplecticMatrix:
 
     def test_matmul_matches_integer_matrices(self):
         dim = PrimeDim(7)
-        s = SymplecticMatrix.from_ints(dim, 2, 3, 1, 2)
-        t = SymplecticMatrix.from_ints(dim, 0, 6, 1, 0)
+        s = SymplecticMatrix(dim, 2, 3, 1, 2)
+        t = SymplecticMatrix(dim, 0, 6, 1, 0)
         a, b, c, e = s.as_ints()
         aa, bb, cc, ee = t.as_ints()
         expected = (
@@ -179,7 +182,7 @@ class TestSl2Apply:
     def test_row_convention(self):
         # (p, q) -> (a p + b q, c p + e q)
         dim = PrimeDim(3)
-        s = SymplecticMatrix.from_ints(dim, 0, 2, 1, 0)
+        s = SymplecticMatrix(dim, 0, 2, 1, 0)
         assert sl2_apply(s, dim.point(1, 1)).as_ints() == (2, 1)
         assert sl2_apply(s, dim.point(1, 0)).as_ints() == (0, 1)
 
@@ -197,8 +200,8 @@ class TestSl2Apply:
         points = dim.all_points()
         for s in mats:
             for u, v in itertools.product(points[:4], repeat=2):
-                before = symplectic_form(u, v).value
-                after = symplectic_form(sl2_apply(s, u), sl2_apply(s, v)).value
+                before = symplectic_form(u, v)
+                after = symplectic_form(sl2_apply(s, u), sl2_apply(s, v))
                 assert before == after
 
     def test_inverse_round_trip(self):
@@ -243,6 +246,35 @@ class TestSl2Enumerate:
 
 
 class TestPhasePoint:
+    def test_canonical_residue(self):
+        dim = PrimeDim(3)
+        assert PhasePoint(dim, -1, 7).as_ints() == (2, 1)
+        assert dim.point(3, -3).as_ints() == (0, 0)
+        assert dim.point(10**30 + 2, -(10**30)).as_ints() == (0, 2)  # 10^30 = 1 mod 3
+
+    def test_arithmetic(self):
+        dim = PrimeDim(5)
+        v = dim.point(3, 4)
+        assert (v + v + v).as_ints() == (4, 2)
+        assert (v + -v).as_ints() == (0, 0)
+        assert (-(-v)) == v
+
+    def test_int_coercion(self):
+        dim = PrimeDim(5)
+        v = dim.point(np.int64(8), np.int32(-1))
+        assert v.as_ints() == (3, 4)
+        assert all(type(x) is int for x in v.as_ints())
+        assert all(type(x) is int for x in (v + v).as_ints())
+
+    @pytest.mark.parametrize("bad", [(2.7, 0), (0, 1.0), (np.float64(2.0), 1)])
+    def test_float_entry_raises(self, bad):
+        with pytest.raises(TypeError):
+            PrimeDim(3).point(*bad)
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(ValueError):
+            _ = PrimeDim(3).point(1, 0) + PrimeDim(5).point(1, 0)
+
     def test_add_neg(self):
         dim = PrimeDim(5)
         v = dim.point(3, 4)
