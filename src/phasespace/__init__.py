@@ -70,16 +70,9 @@ from .bochner import (
     inverse_fourier,
 )
 from .hudson import (
-    PositivityResult,
-    SupportSet,
     VerificationReport,
-    check_constant_modulus,
-    check_modulus_inequality,
-    check_positivity,
-    check_support_dichotomy,
     haar_sample,
     single_point_infeasibility,
-    support,
     two_point_sample,
     verify_hudson,
 )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import DenseOperator, omega_table
+from .qudit import DenseOperator, dft_matrix
 from .zmod import PrimeDim
 
 
@@ -43,18 +43,13 @@ class CyclicFunction:
 
 def fourier(f: CyclicFunction) -> CyclicFunction:
     """fhat(x) = (1/d) sum_q omega^(-q x) f(q)."""
-    d = f.dim.d
-    xq = np.outer(np.arange(d), np.arange(d))
-    kernel = omega_table(d)[(-xq) % d]
-    return CyclicFunction(f.dim, kernel @ f.values / d)
+    return CyclicFunction(f.dim, dft_matrix(f.dim.d) @ f.values)
 
 
 def inverse_fourier(g: CyclicFunction) -> CyclicFunction:
     """f(q) = sum_x omega^(q x) g(x); exact inverse of fourier."""
     d = g.dim.d
-    qx = np.outer(np.arange(d), np.arange(d))
-    kernel = omega_table(d)[qx % d]
-    return CyclicFunction(g.dim, kernel @ g.values)
+    return CyclicFunction(g.dim, d * (dft_matrix(d).conj() @ g.values))
 
 
 def circulant(f: CyclicFunction) -> DenseOperator:

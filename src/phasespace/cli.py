@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,24 +35,6 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 
 class CliError(Exception):
     """Invalid input; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved options for one invocation."""
-
-    command: str
-    dim: PrimeDim
-    fmt: str = "json"
-    output: str | None = None
-    state_json: str | None = None
-    normalize: bool = False
-    amplitudes: bool = False
-    matrix: tuple[int, int, int, int] | None = None
-    samples: int = 1000
-    seed: int = DEFAULT_SEED
-    tol: float = 1e-9
-    two_point: int = 100
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,53 +88,40 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return seed
 
 
-def resolve_config(args: argparse.Namespace) -> CliConfig:
+def _resolve_args(args: argparse.Namespace) -> None:
+    """Check the parsed arguments and resolve them in place: args.dim becomes
+    the PrimeDim, args.matrix a tuple of four ints and args.seed the verify
+    seed. Invalid input raises CliError."""
     try:
-        dim = PrimeDim(args.d)
+        args.dim = PrimeDim(args.d)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
-    matrix = None
-    if getattr(args, "matrix", None) is not None:
+    if args.command == "metaplectic":
         parts = args.matrix.split(",")
         if len(parts) != 4:
             raise CliError("--matrix expects four comma-separated integers a,b,c,e")
         try:
-            matrix = tuple(int(part) for part in parts)
+            args.matrix = tuple(int(part) for part in parts)
         except ValueError:
             raise CliError("--matrix entries must be integers") from None
 
-    samples = getattr(args, "samples", 1000)
-    two_point = getattr(args, "two_point", 100)
-    if samples < 0 or two_point < 0:
-        raise CliError("sample counts must be nonnegative")
-    tol = getattr(args, "tol", 1e-9)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise CliError(f"--tol must be a finite nonnegative number, got {tol!r}")
-
-    return CliConfig(
-        command=args.command,
-        dim=dim,
-        fmt=args.format,
-        output=args.output,
-        state_json=getattr(args, "state", None),
-        normalize=getattr(args, "normalize", False),
-        amplitudes=getattr(args, "amplitudes", False),
-        matrix=matrix,
-        samples=samples,
-        seed=_resolve_seed(getattr(args, "seed", None)),
-        tol=tol,
-        two_point=two_point,
-    )
+    if args.command == "verify":
+        if args.samples < 0 or args.two_point < 0:
+            raise CliError("sample counts must be nonnegative")
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise CliError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
+    # only verify has --seed, but every command rejects a malformed PHASESPACE_SEED
+    args.seed = _resolve_seed(getattr(args, "seed", None))
 
 
-def parse_state(config: CliConfig) -> StateVector:
+def parse_state(args: argparse.Namespace) -> StateVector:
     """Parse the --state JSON into a StateVector, applying the norm policy."""
     try:
-        raw = json.loads(config.state_json)
+        raw = json.loads(args.state)
     except json.JSONDecodeError as exc:
         raise CliError(f"--state is not valid JSON: {exc}") from None
-    d = config.dim.d
+    d = args.dim.d
     if not isinstance(raw, list) or len(raw) != d:
         raise CliError(f"--state must be a JSON array of {d} [re, im] pairs")
     amp = np.empty(d, dtype=complex)
@@ -171,28 +139,28 @@ def parse_state(config: CliConfig) -> StateVector:
         raise CliError("--state norm overflows; scale the amplitudes down")
     if norm == 0.0:
         raise CliError("--state is the zero vector")
-    if abs(norm - 1.0) > INPUT_NORM_TOL and not config.normalize:
+    if abs(norm - 1.0) > INPUT_NORM_TOL and not args.normalize:
         raise CliError(
             f"--state has norm {norm!r}, more than {INPUT_NORM_TOL:g} from 1; pass --normalize to rescale"
         )
-    return StateVector.normalized(config.dim, amp)
+    return StateVector.normalized(args.dim, amp)
 
 
 def _complex_pairs(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def run_wigner(config: CliConfig) -> tuple[dict | list[str], int]:
-    grid = wigner_pure(parse_state(config))
-    if config.fmt == "csv":
+def run_wigner(args: argparse.Namespace) -> tuple[dict | list[str], int]:
+    grid = wigner_pure(parse_state(args))
+    if args.format == "csv":
         return grid.to_csv_rows(), 0
     return grid.to_json_dict(), 0
 
 
-def run_stabilizers(config: CliConfig) -> tuple[dict | list[str], int]:
-    states = enumerate_stabilizers(config.dim)
-    descs = stabilizer_descriptors(config.dim)
-    if config.fmt == "csv":
+def run_stabilizers(args: argparse.Namespace) -> tuple[dict | list[str], int]:
+    states = enumerate_stabilizers(args.dim)
+    descs = stabilizer_descriptors(args.dim)
+    if args.format == "csv":
         rows = ["index,kind,k,theta,x"]
         for i, desc in enumerate(descs):
             rows.append(
@@ -202,35 +170,35 @@ def run_stabilizers(config: CliConfig) -> tuple[dict | list[str], int]:
     records = []
     for desc, state in zip(descs, states):
         rec = dict(desc)
-        if config.amplitudes:
+        if args.amplitudes:
             rec["amplitudes"] = [[float(z.real), float(z.imag)] for z in state.amp]
         records.append(rec)
-    return {"d": config.dim.d, "count": len(records), "states": records}, 0
+    return {"d": args.dim.d, "count": len(records), "states": records}, 0
 
 
-def run_metaplectic(config: CliConfig) -> tuple[dict | list[str], int]:
-    a, b, c, e = config.matrix
+def run_metaplectic(args: argparse.Namespace) -> tuple[dict | list[str], int]:
+    a, b, c, e = args.matrix
     try:
-        S = SymplecticMatrix(config.dim, a, b, c, e)
+        S = SymplecticMatrix(args.dim, a, b, c, e)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     mu = metaplectic(S)
     # self-check: conjugation identity at every phase point
     err = 0.0
-    for v in config.dim.all_points():
+    for v in args.dim.all_points():
         lhs = mu.mat @ weyl(v).mat @ mu.mat.conj().T
         rhs = weyl(sl2_apply(S, v)).mat
         err = max(err, float(np.max(np.abs(lhs - rhs))))
     passed = err <= 1e-10
-    if config.fmt == "csv":
+    if args.format == "csv":
         rows = ["row,col,re,im"]
-        for r in range(config.dim.d):
-            for col in range(config.dim.d):
+        for r in range(args.dim.d):
+            for col in range(args.dim.d):
                 z = mu.mat[r, col]
                 rows.append(f"{r},{col},{float(z.real)!r},{float(z.imag)!r}")
         return rows, 0 if passed else 1
     artifact = {
-        "d": config.dim.d,
+        "d": args.dim.d,
         "matrix": [[S.a, S.b], [S.c, S.e]],
         "unitary": _complex_pairs(mu.mat),
         "conjugation_max_error": err,
@@ -239,12 +207,12 @@ def run_metaplectic(config: CliConfig) -> tuple[dict | list[str], int]:
     return artifact, 0 if passed else 1
 
 
-def run_verify(config: CliConfig) -> tuple[dict | list[str], int]:
+def run_verify(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     start = time.perf_counter()
     report = verify_hudson(
-        config.dim, config.samples, config.seed, tol=config.tol, two_point_samples=config.two_point
+        args.dim, args.samples, args.seed, tol=args.tol, two_point_samples=args.two_point
     )
-    point_mass = single_point_infeasibility(config.dim)
+    point_mass = single_point_infeasibility(args.dim)
     duration = time.perf_counter() - start
     overall = report.passed and point_mass
     artifact = report.to_dict()
@@ -252,7 +220,7 @@ def run_verify(config: CliConfig) -> tuple[dict | list[str], int]:
     artifact["overall_passed"] = overall
     artifact["version"] = __version__
     artifact["duration_seconds"] = duration
-    if config.fmt == "csv":
+    if args.format == "csv":
         rows = ["key,value"]
         for key in sorted(artifact):
             rows.append(f"{key},{json.dumps(artifact[key], sort_keys=True)}")
@@ -260,13 +228,13 @@ def run_verify(config: CliConfig) -> tuple[dict | list[str], int]:
     return artifact, 0 if overall else 1
 
 
-def _emit(payload: dict | list[str], config: CliConfig) -> None:
+def _emit(payload: dict | list[str], args: argparse.Namespace) -> None:
     if isinstance(payload, dict):
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
         text = "\n".join(payload) + "\n"
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -287,9 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code) if exc.code is not None else 0
     try:
-        config = resolve_config(args)
-        payload, code = _RUNNERS[config.command](config)
-        _emit(payload, config)
+        _resolve_args(args)
+        payload, code = _RUNNERS[args.command](args)
+        _emit(payload, args)
         return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

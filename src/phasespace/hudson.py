@@ -20,64 +20,29 @@ passes iff the count is zero.
 
 The battery runs on (n, d) amplitude blocks, one state per row: the
 stabilizer family block by block, the samples in row chunks drawn from their
-per-index substreams. The single-state functions below (check_positivity,
-check_modulus_inequality, support, haar_sample, two_point_sample) are the
-n = 1 case of the same kernels.
+per-index substreams. The lemma kernels (wigner.wigner_minima,
+modulus_violations, support_rows) take such blocks only; haar_sample and
+two_point_sample replay one sample of a run as a StateVector.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .clifford import stabilizer_blocks, stabilizer_overlaps
 from .qudit import StateVector, dft_matrix, haar_block, normalize_rows, row_chunks
 from .wigner import KIND_WIGNER, PhaseGrid, char_from_wigner, lag_products, operator_from_char, wigner_minima
-from .zmod import PhasePoint, PrimeDim
+from .zmod import PrimeDim
 
 SUPPORT_THRESHOLD = 1e-8
 STABILIZER_NONNEG_TOL = 1e-12
 LEMMA_TOL = 1e-12
 STABILIZER_MATCH_TOL = 1e-9  # the is_stabilizer default
 MAX_FAILURE_MESSAGES = 20
-
-
-@dataclass(frozen=True)
-class PositivityResult:
-    """Minimum of a pure state's Wigner function and where it is attained."""
-
-    min_value: float
-    argmin: PhasePoint
-    is_nonnegative: bool
-    tol: float
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Positions where |psi(q)| exceeds the threshold.
-
-    stable is False when some modulus lies within a factor 10 of the
-    threshold, in which case membership is too fragile to classify.
-    """
-
-    points: tuple[int, ...]
-    threshold: float
-    stable: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-
-def check_positivity(psi: StateVector, tol: float = 1e-9) -> PositivityResult:
-    """Minimum Wigner entry of psi; nonnegative means min >= -tol."""
-    minima, argmins = wigner_minima(psi.amp[None], dft_matrix(psi.dim.d))
-    min_value = float(minima[0])
-    p, q = divmod(int(argmins[0]), psi.dim.d)
-    return PositivityResult(min_value, psi.dim.point(p, q), min_value >= -tol, tol)
 
 
 def modulus_violations(moduli: np.ndarray, tol: float = LEMMA_TOL) -> np.ndarray:
@@ -96,30 +61,6 @@ def support_rows(moduli: np.ndarray, threshold: float = SUPPORT_THRESHOLD) -> tu
     classification is stable: no modulus within a factor 10 of the threshold."""
     near = (moduli >= threshold / 10) & (moduli <= threshold * 10)
     return moduli > threshold, ~near.any(axis=1)
-
-
-def check_modulus_inequality(psi: StateVector, tol: float = LEMMA_TOL) -> int:
-    """Count pairs (q, x) violating |psi(q)|^2 >= |psi(q-x)| |psi(q+x)| - tol."""
-    return int(modulus_violations(np.abs(psi.amp)[None], tol)[0])
-
-
-def support(psi: StateVector, threshold: float = SUPPORT_THRESHOLD) -> SupportSet:
-    """Indices with |psi(q)| > threshold, with a factor-10 stability guard."""
-    inside, stable = support_rows(np.abs(psi.amp)[None], threshold)
-    return SupportSet(tuple(int(q) for q in np.nonzero(inside[0])[0]), threshold, bool(stable[0]))
-
-
-def check_support_dichotomy(psi: StateVector, threshold: float = SUPPORT_THRESHOLD) -> bool:
-    """True iff the support size is 1 or d."""
-    return support(psi, threshold).size in (1, psi.dim.d)
-
-
-def check_constant_modulus(psi: StateVector, threshold: float = SUPPORT_THRESHOLD) -> float:
-    """Spread max|psi| - min|psi| of a full-support state (else ValueError)."""
-    if support(psi, threshold).size != psi.dim.d:
-        raise ValueError("constant-modulus check requires full support")
-    m = np.abs(psi.amp)
-    return float(m.max() - m.min())
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +140,10 @@ class VerificationReport:
         return self.failures_total == 0
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "seed": self.seed,
-            "tol": self.tol,
-            "stabilizer_tol": self.stabilizer_tol,
-            "stabilizer_count": self.stabilizer_count,
-            "stabilizers_all_nonneg": self.stabilizers_all_nonneg,
-            "stabilizer_min_wigner": self.stabilizer_min_wigner,
-            "random_samples": self.random_samples,
-            "random_all_negative": self.random_all_negative,
-            "random_all_nonstabilizer": self.random_all_nonstabilizer,
-            "random_max_min_wigner": self.random_max_min_wigner,
-            "two_point_samples": self.two_point_samples,
-            "two_point_all_negative": self.two_point_all_negative,
-            "two_point_max_min_wigner": self.two_point_max_min_wigner,
-            "lemma4_violations": self.lemma4_violations,
-            "lemma5_support_sizes": {str(k): v for k, v in sorted(self.lemma5_support_sizes.items())},
-            "lemma6_max_modulus_spread": self.lemma6_max_modulus_spread,
-            "lemma6_max_modulus_offset": self.lemma6_max_modulus_offset,
-            "support_guard_stable": self.support_guard_stable,
-            "failures": list(self.failures),
-            "failures_total": self.failures_total,
-            "passed": self.passed,
-        }
+        doc = asdict(self)
+        doc["lemma5_support_sizes"] = {str(k): v for k, v in sorted(self.lemma5_support_sizes.items())}
+        doc["passed"] = self.passed
+        return doc
 
 
 class _Failures:
@@ -253,10 +174,13 @@ def verify_hudson(
 
     tol must be finite and nonnegative: with a negative or NaN tol no sample
     could fail the negativity check, so the report would certify nothing, and
-    with an infinite one every sample would fail.
+    with an infinite one every sample would fail. The sample counts must be
+    nonnegative.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    if samples < 0 or two_point_samples < 0:
+        raise ValueError(f"sample counts must be nonnegative, got {samples!r} and {two_point_samples!r}")
     failures = _Failures()
     d = dim.d
     F = dft_matrix(d)

@@ -21,17 +21,13 @@ from phasespace import (
     PrimeDim,
     StateVector,
     characteristic,
-    check_modulus_inequality,
-    check_positivity,
     circulant,
     enumerate_stabilizers,
     fourier,
     haar_random_state,
-    haar_sample,
     has_constant_modulus_fourier,
     has_nonneg_fourier,
     inverse_fourier,
-    is_stabilizer,
     metaplectic,
     metaplectic_image_grid,
     omega_table,
@@ -39,9 +35,7 @@ from phasespace import (
     projector,
     single_point_infeasibility,
     sl2_enumerate,
-    support,
     symplectic_form,
-    two_point_sample,
     verify_hudson,
     weyl,
     weyl_translated_grid,
@@ -49,6 +43,10 @@ from phasespace import (
     wigner_pure,
     half,
 )
+from phasespace.clifford import stabilizer_overlaps
+from phasespace.hudson import _haar_rows, _two_point_rows, modulus_violations, support_rows
+from phasespace.qudit import dft_matrix
+from phasespace.wigner import wigner_minima
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 
@@ -63,10 +61,10 @@ def test_criterion_01_stabilizer_nonnegativity():
     worst = math.inf
     counts = {}
     for dim in DIMS:
-        states = enumerate_stabilizers(dim)
-        counts[dim.d] = len(states)
-        for state in states:
-            worst = min(worst, check_positivity(state).min_value)
+        amps = np.array([state.amp for state in enumerate_stabilizers(dim)])
+        counts[dim.d] = len(amps)
+        minima, _ = wigner_minima(amps, dft_matrix(dim.d))
+        worst = min(worst, float(minima.min()))
     elapsed = time.perf_counter() - start
     ok = (
         counts == {3: 12, 5: 30, 7: 56}
@@ -88,17 +86,14 @@ def test_criterion_02_random_states_negative_and_nonstabilizer():
     details = []
     for dim in DIMS:
         start = time.perf_counter()
-        max_min = -math.inf
-        all_negative = True
-        none_stabilizer = True
-        for i in range(1000):
-            psi = haar_sample(dim, 42, i)
-            result = check_positivity(psi, tol=1e-9)
-            max_min = max(max_min, result.min_value)
-            all_negative &= not result.is_nonnegative
-            none_stabilizer &= not is_stabilizer(psi)
+        F = dft_matrix(dim.d)
+        amps = _haar_rows(dim.d, 42, range(1000))
+        minima, _ = wigner_minima(amps, F)
+        max_min = float(minima.max())
+        all_negative = bool(np.all(minima < -1e-9))
+        none_stabilizer = bool(np.all(stabilizer_overlaps(amps, F) < 1.0 - 1e-9))
         elapsed = time.perf_counter() - start
-        ok &= all_negative and none_stabilizer and elapsed < 5.0
+        ok &= len(amps) == 1000 and all_negative and none_stabilizer and elapsed < 5.0
         details.append(f"d={dim.d} max of minima {max_min:.3e}, {elapsed:.2f} s")
     _report(2, ok, "1000 seeded states per d all negative and non-stabilizer; " + "; ".join(details))
     assert ok
@@ -276,19 +271,17 @@ def test_criterion_09_positive_states_satisfy_the_structure_lemmas():
     details = []
     for dim in DIMS:
         d = dim.d
-        violations = 0
-        sizes = set()
-        spread = 0.0
-        offset = 0.0
-        for state in enumerate_stabilizers(dim):
-            assert check_positivity(state, tol=1e-12).is_nonnegative
-            violations += check_modulus_inequality(state)
-            sup = support(state)
-            sizes.add(sup.size)
-            if sup.size == d:
-                m = np.abs(state.amp)
-                spread = max(spread, float(m.max() - m.min()))
-                offset = max(offset, float(np.max(np.abs(m - 1 / math.sqrt(d)))))
+        amps = np.array([state.amp for state in enumerate_stabilizers(dim)])
+        minima, _ = wigner_minima(amps, dft_matrix(d))
+        assert np.all(minima >= -1e-12)
+        m = np.abs(amps)
+        violations = int(modulus_violations(m).sum())
+        inside, _ = support_rows(m)
+        size = inside.sum(axis=1)
+        sizes = set(size.tolist())
+        full = m[size == d]
+        spread = float((full.max(axis=1) - full.min(axis=1)).max())
+        offset = float(np.max(np.abs(full - 1 / math.sqrt(d))))
         report = verify_hudson(dim, samples=0, seed=42, two_point_samples=0)
         ok &= (
             violations == 0
@@ -314,11 +307,11 @@ def test_criterion_10_two_point_states_are_negative():
     ok = True
     details = []
     for dim in DIMS:
-        max_min = -math.inf
-        for i in range(100):
-            psi = two_point_sample(dim, 42, i)
-            assert support(psi).size == 2
-            max_min = max(max_min, check_positivity(psi).min_value)
+        amps = _two_point_rows(dim.d, 42, range(100))
+        inside, _ = support_rows(np.abs(amps))
+        assert inside.sum(axis=1).tolist() == [2] * 100
+        minima, _ = wigner_minima(amps, dft_matrix(dim.d))
+        max_min = float(minima.max())
         ok &= max_min < -1e-9
         details.append(f"d={dim.d} max of minima {max_min:.3e}")
     _report(10, ok, "100 two-point states per d all below -1e-9; " + "; ".join(details))

@@ -236,8 +236,11 @@ class TestVerifyCommand:
         assert doc["failures_total"] == 10  # every random and two-point sample
 
     def test_rejects_negative_samples(self):
-        proc = run_cli("verify", "--d", "3", "--samples", "-1")
-        assert proc.returncode == 2
+        for flag in ("--samples", "--two-point"):
+            proc = run_cli("verify", "--d", "3", flag, "-1")
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == "error: sample counts must be nonnegative\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_rejects_nonfinite_or_negative_tol(self, tol):

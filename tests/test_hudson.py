@@ -1,4 +1,4 @@
-"""Tests for the positivity checks, seeded sampling and the verification engine."""
+"""Tests for the lemma kernels, seeded sampling and the verification engine."""
 
 import functools
 import json
@@ -12,54 +12,56 @@ import pytest
 from phasespace import (
     PrimeDim,
     StateVector,
-    check_constant_modulus,
-    check_modulus_inequality,
-    check_positivity,
-    check_support_dichotomy,
     enumerate_stabilizers,
     haar_sample,
     single_point_infeasibility,
-    support,
     two_point_sample,
     verify_hudson,
     wigner_pure,
 )
-from phasespace.hudson import MAX_FAILURE_MESSAGES, _haar_rows, _two_point_rows
+from phasespace.hudson import (
+    MAX_FAILURE_MESSAGES,
+    _haar_rows,
+    _two_point_rows,
+    modulus_violations,
+    support_rows,
+)
+from phasespace.qudit import dft_matrix
+from phasespace.wigner import wigner_minima
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 
 
+def _block(states):
+    """The (n, d) amplitude block of a list of StateVectors, one per row."""
+    return np.array([state.amp for state in states])
+
+
 class TestCheckPositivity:
     def test_basis_state_is_nonnegative(self):
-        result = check_positivity(StateVector.basis(PrimeDim(3), 0))
-        assert result.is_nonnegative
-        assert result.min_value == 0.0
+        minima, _ = wigner_minima(StateVector.basis(PrimeDim(3), 0).amp[None], dft_matrix(3))
+        assert minima[0] == 0.0
 
     def test_argmin_is_consistent(self):
         dim = PrimeDim(5)
         psi = haar_sample(dim, 3, 0)
-        result = check_positivity(psi)
+        minima, argmins = wigner_minima(psi.amp[None], dft_matrix(5))
+        p, q = divmod(int(argmins[0]), 5)
         grid = wigner_pure(psi).real_values()
-        assert grid[result.argmin.p, result.argmin.q] == result.min_value
-        assert result.min_value == grid.min()
+        assert grid[p, q] == minima[0]
+        assert minima[0] == grid.min()
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_states_are_negative(self, dim):
-        for i in range(10):
-            result = check_positivity(haar_sample(dim, 5, i))
-            assert not result.is_nonnegative
-            assert result.min_value < -1e-9
-
-    def test_tolerance_is_honored(self):
-        psi = haar_sample(PrimeDim(3), 5, 0)
-        assert not check_positivity(psi, tol=1e-9).is_nonnegative
-        assert check_positivity(psi, tol=1.0).is_nonnegative
+        minima, _ = wigner_minima(_haar_rows(dim.d, 5, range(10)), dft_matrix(dim.d))
+        assert len(minima) == 10
+        assert np.all(minima < -1e-9)
 
 
-def _violations_oracle(psi, tol=1e-12):
+def _violations_oracle(amp, tol=1e-12):
     """Nested-loop recount of modulus-inequality violations."""
-    d = psi.dim.d
-    m = np.abs(psi.amp)
+    d = len(amp)
+    m = np.abs(amp)
     count = 0
     for q in range(d):
         for x in range(d):
@@ -71,86 +73,82 @@ def _violations_oracle(psi, tol=1e-12):
 class TestModulusInequality:
     @pytest.mark.parametrize("dim", DIMS)
     def test_stabilizers_have_no_violations(self, dim):
-        for state in enumerate_stabilizers(dim):
-            assert check_modulus_inequality(state) == 0
+        counts = modulus_violations(np.abs(_block(enumerate_stabilizers(dim))))
+        assert counts.shape == (dim.d * (dim.d + 1),)
+        assert not counts.any()
 
     def test_two_point_profile_violates(self):
-        dim = PrimeDim(3)
-        psi = StateVector(dim, np.array([np.sqrt(0.9), np.sqrt(0.1), 0.0]))
-        count = check_modulus_inequality(psi)
+        amp = np.array([np.sqrt(0.9), np.sqrt(0.1), 0.0])
+        count = modulus_violations(np.abs(amp)[None])[0]
         assert count > 0
-        assert count == _violations_oracle(psi)
+        assert count == _violations_oracle(amp)
 
     @pytest.mark.parametrize("dim", [PrimeDim(5), PrimeDim(7)])
     def test_matches_nested_loop_oracle(self, dim):
-        for i in range(5):
-            psi = haar_sample(dim, 8, i)
-            assert check_modulus_inequality(psi) == _violations_oracle(psi)
-        for i in range(5):
-            psi = two_point_sample(dim, 8, i)
-            assert check_modulus_inequality(psi) == _violations_oracle(psi)
+        amps = np.concatenate([_haar_rows(dim.d, 8, range(5)), _two_point_rows(dim.d, 8, range(5))])
+        counts = modulus_violations(np.abs(amps))
+        assert counts.tolist() == [_violations_oracle(amp) for amp in amps]
 
 
 class TestSupport:
     def test_uniform_has_full_support(self):
-        dim = PrimeDim(5)
-        sup = support(StateVector.normalized(dim, np.ones(5)))
-        assert sup.points == (0, 1, 2, 3, 4)
-        assert sup.size == 5
-        assert sup.stable
+        inside, stable = support_rows(np.abs(StateVector.normalized(PrimeDim(5), np.ones(5)).amp)[None])
+        assert np.nonzero(inside[0])[0].tolist() == [0, 1, 2, 3, 4]
+        assert stable[0]
 
     def test_basis_has_single_point(self):
-        sup = support(StateVector.basis(PrimeDim(7), 4))
-        assert sup.points == (4,)
-        assert sup.stable
+        inside, stable = support_rows(np.abs(StateVector.basis(PrimeDim(7), 4).amp)[None])
+        assert np.nonzero(inside[0])[0].tolist() == [4]
+        assert stable[0]
 
     def test_guard_trips_near_threshold(self):
         # a modulus within a factor 10 of the threshold is unclassifiable
         dim = PrimeDim(3)
-        psi = StateVector.normalized(dim, np.array([1.0, 3e-8, 0.0]))
-        assert not support(psi).stable
+        near = StateVector.normalized(dim, np.array([1.0, 3e-8, 0.0]))
         below = StateVector.normalized(dim, np.array([1.0, 5e-9, 0.0]))
-        assert not support(below).stable
+        inside, stable = support_rows(np.abs(_block([near, below])))
+        assert stable.tolist() == [False, False]
+        assert inside.sum(axis=1).tolist() == [2, 1]
 
     def test_guard_clear_far_from_threshold(self):
-        dim = PrimeDim(3)
-        psi = StateVector.normalized(dim, np.array([1.0, 1e-3, 0.0]))
-        sup = support(psi)
-        assert sup.stable
-        assert sup.size == 2
+        psi = StateVector.normalized(PrimeDim(3), np.array([1.0, 1e-3, 0.0]))
+        inside, stable = support_rows(np.abs(psi.amp)[None])
+        assert stable[0]
+        assert inside[0].sum() == 2
 
     def test_threshold_parameter(self):
-        dim = PrimeDim(3)
-        psi = StateVector.normalized(dim, np.array([1.0, 1e-3, 0.0]))
-        assert support(psi, threshold=1e-2).size == 1
+        psi = StateVector.normalized(PrimeDim(3), np.array([1.0, 1e-3, 0.0]))
+        inside, _ = support_rows(np.abs(psi.amp)[None], threshold=1e-2)
+        assert inside[0].sum() == 1
 
 
 class TestSupportDichotomy:
     def test_lines_and_points(self):
         dim = PrimeDim(5)
-        assert check_support_dichotomy(StateVector.basis(dim, 2))
-        assert check_support_dichotomy(StateVector.normalized(dim, np.ones(5)))
-        assert check_support_dichotomy(haar_sample(dim, 1, 0))  # full support
+        states = [StateVector.basis(dim, 2), StateVector.normalized(dim, np.ones(5)), haar_sample(dim, 1, 0)]
+        inside, _ = support_rows(np.abs(_block(states)))
+        assert inside.sum(axis=1).tolist() == [1, 5, 5]  # the Haar state has full support
 
     def test_two_point_states_fail(self):
-        dim = PrimeDim(5)
-        for i in range(5):
-            assert not check_support_dichotomy(two_point_sample(dim, 1, i))
+        inside, _ = support_rows(np.abs(_two_point_rows(5, 1, range(5))))
+        assert inside.sum(axis=1).tolist() == [2] * 5
 
 
 class TestConstantModulus:
     def test_uniform_spread_is_zero(self):
-        dim = PrimeDim(5)
-        assert check_constant_modulus(StateVector.normalized(dim, np.ones(5))) == 0.0
+        m = np.abs(StateVector.normalized(PrimeDim(5), np.ones(5)).amp)[None]
+        inside, _ = support_rows(m)
+        assert inside.all()
+        assert (m.max(axis=1) - m.min(axis=1))[0] == 0.0
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_quadratic_stabilizers_are_flat(self, dim):
-        for state in enumerate_stabilizers(dim)[dim.d :]:
-            assert check_constant_modulus(state) < 1e-15
-
-    def test_requires_full_support(self):
-        with pytest.raises(ValueError, match="full support"):
-            check_constant_modulus(StateVector.basis(PrimeDim(3), 0))
+        m = np.abs(_block(enumerate_stabilizers(dim)[dim.d :]))
+        inside, _ = support_rows(m)
+        assert inside.all()
+        assert np.all(m.max(axis=1) - m.min(axis=1) < 1e-15)
+        report = verify_hudson(dim, samples=0, seed=1, two_point_samples=0)
+        assert report.lemma6_max_modulus_spread < 1e-15
 
 
 class TestSampling:
@@ -276,6 +274,11 @@ class TestVerifyHudson:
     def test_rejects_nonfinite_or_negative_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             verify_hudson(PrimeDim(3), samples=5, seed=1, tol=tol, two_point_samples=5)
+
+    @pytest.mark.parametrize("samples,two_point", [(-5, 5), (5, -2), (-5, -2)])
+    def test_rejects_negative_sample_counts(self, samples, two_point):
+        with pytest.raises(ValueError, match="sample counts must be nonnegative"):
+            verify_hudson(PrimeDim(3), samples=samples, seed=1, two_point_samples=two_point)
 
     def test_zero_samples_edge(self):
         report = verify_hudson(PrimeDim(3), samples=0, seed=1, two_point_samples=0)
