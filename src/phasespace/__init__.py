@@ -15,59 +15,41 @@ from .zmod import (
     half,
     sl2_apply,
     sl2_enumerate,
-    symplectic_form,
 )
 from .qudit import (
     DenseOperator,
     StateVector,
-    boost_op,
     haar_random_state,
     omega_table,
     projector,
-    shift_op,
     weyl,
-    weyl_adjoint,
 )
 from .wigner import (
     CorrelationTable,
     KIND_CHARACTERISTIC,
     KIND_WIGNER,
     PhaseGrid,
-    SYMPLECTIC_INVERSE,
-    TRANSLATION_SIGN,
     char_from_wigner,
     characteristic,
     metaplectic_image_grid,
     operator_from_char,
-    position_marginal,
-    probe_covariance_directions,
     self_correlation,
-    symplectic_transform_grid,
-    translate_grid,
     weyl_translated_grid,
     wigner_from_char,
     wigner_pure,
 )
 from .clifford import (
-    CliffordElement,
-    clifford_apply,
-    clifford_element,
-    compose,
     enumerate_stabilizers,
     is_stabilizer,
     metaplectic,
-    projective_equal,
     stabilizer_descriptors,
-    stabilizer_from_quadratic,
 )
 from .bochner import (
     CyclicFunction,
     autocorrelation,
-    circulant,
     fourier,
     has_constant_modulus_fourier,
     has_nonneg_fourier,
-    inverse_fourier,
 )
 from .hudson import (
     VerificationReport,

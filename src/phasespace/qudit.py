@@ -2,13 +2,14 @@
 
 Conventions (d an odd prime, omega = exp(2 pi i / d)):
 
-    shift_op(q):  x(q)|k> = |k + q>
-    boost_op(p):  z(p)|k> = omega^(p k) |k>
+    shift:        x(q)|k> = |k + q>
+    boost:        z(p)|k> = omega^(p k) |k>
     weyl(p, q):   w(p, q) = omega^(-2^-1 p q) z(p) x(q)
 
-where 2^-1 = (d+1)/2 is the inverse of 2 mod d. Every phase is looked up
-in a precomputed table of the d roots of unity, indexed by exact residue
-arithmetic; phases are never accumulated by repeated multiplication.
+where 2^-1 = (d+1)/2 is the inverse of 2 mod d, and w(v)^dagger = w(-v)
+exactly. Every phase is looked up in a precomputed table of the d roots of
+unity, indexed by exact residue arithmetic; phases are never accumulated by
+repeated multiplication.
 """
 
 from __future__ import annotations
@@ -100,22 +101,6 @@ class DenseOperator:
         return self.mat @ psi.amp
 
 
-def shift_op(dim: PrimeDim, q: int) -> DenseOperator:
-    """x(q)|k> = |k + q>."""
-    d = dim.d
-    mat = np.zeros((d, d), dtype=complex)
-    k = np.arange(d)
-    mat[(k + q) % d, k] = 1.0
-    return DenseOperator(dim, mat)
-
-
-def boost_op(dim: PrimeDim, p: int) -> DenseOperator:
-    """z(p)|k> = omega^(p k) |k>."""
-    d = dim.d
-    k = np.arange(d)
-    return DenseOperator(dim, np.diag(omega_table(d)[(p * k) % d]))
-
-
 def weyl(v: PhasePoint) -> DenseOperator:
     """w(p, q) = omega^(-2^-1 p q) z(p) x(q), built entrywise from the root table."""
     dim = v.dim
@@ -129,11 +114,6 @@ def weyl(v: PhasePoint) -> DenseOperator:
     mat = np.zeros((d, d), dtype=complex)
     mat[(k + q) % d, k] = omega_table(d)[exps]
     return DenseOperator(dim, mat)
-
-
-def weyl_adjoint(v: PhasePoint) -> DenseOperator:
-    """Conjugate transpose of weyl(v); equals weyl(-v) exactly for odd d."""
-    return weyl(v).adjoint
 
 
 def projector(psi: StateVector) -> DenseOperator:

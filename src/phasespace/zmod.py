@@ -78,13 +78,6 @@ def half(dim: PrimeDim) -> int:
     return (dim.d + 1) // 2
 
 
-def symplectic_form(v1: PhasePoint, v2: PhasePoint) -> int:
-    """sigma(v1, v2) = p1*q2 - q1*p2 mod d."""
-    if v1.dim != v2.dim:
-        raise ValueError("points live in different residue rings")
-    return (v1.p * v2.q - v1.q * v2.p) % v1.dim.d
-
-
 # ---------------------------------------------------------------------------
 # SL(2, Z_d)
 # ---------------------------------------------------------------------------

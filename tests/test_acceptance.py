@@ -21,21 +21,17 @@ from phasespace import (
     PrimeDim,
     StateVector,
     characteristic,
-    circulant,
     enumerate_stabilizers,
     fourier,
     haar_random_state,
     has_constant_modulus_fourier,
     has_nonneg_fourier,
-    inverse_fourier,
     metaplectic,
     metaplectic_image_grid,
     omega_table,
-    projective_equal,
     projector,
     single_point_infeasibility,
     sl2_enumerate,
-    symplectic_form,
     verify_hudson,
     weyl,
     weyl_translated_grid,
@@ -47,6 +43,8 @@ from phasespace.clifford import stabilizer_overlaps
 from phasespace.hudson import _haar_rows, _two_point_rows, modulus_violations, support_rows
 from phasespace.qudit import dft_matrix
 from phasespace.wigner import wigner_minima
+
+from oracles import circulant, inverse_fourier, symplectic_form
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 

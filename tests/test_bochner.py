@@ -7,13 +7,13 @@ from phasespace import (
     CyclicFunction,
     PrimeDim,
     autocorrelation,
-    circulant,
     fourier,
     has_constant_modulus_fourier,
     has_nonneg_fourier,
-    inverse_fourier,
     omega_table,
 )
+
+from oracles import circulant, inverse_fourier
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 

@@ -1,4 +1,5 @@
-"""End-to-end tests of the command-line interface (subprocess level)."""
+"""End-to-end tests of the command-line interface (subprocess level, or in
+process where a test substitutes a function or checks a limit)."""
 
 import json
 import math
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+
+from phasespace import DenseOperator, SymplecticMatrix, cli, metaplectic
 
 BASIS3 = "[[1,0],[0,0],[0,0]]"
 
@@ -185,6 +188,21 @@ class TestMetaplecticCommand:
         assert run_cli("metaplectic", "--d", "3", "--matrix", "1,2,3").returncode == 2
         assert run_cli("metaplectic", "--d", "3", "--matrix", "a,b,c,e").returncode == 2
 
+    @pytest.mark.parametrize("wrong", ["other element", "scaled"])
+    def test_self_check_catches_a_wrong_unitary(self, wrong, monkeypatch, capsys):
+        # mu(T) for T != S breaks mu w(v) = w(S v) mu; 2 mu(S) satisfies it and
+        # is caught only by the unitarity term, the v = 0 point of the identity
+        def bad_metaplectic(S):
+            if wrong == "scaled":
+                return DenseOperator(S.dim, 2 * metaplectic(S).mat)
+            return metaplectic(SymplecticMatrix.chirp(S.dim, 1) @ S)
+
+        monkeypatch.setattr(cli, "metaplectic", bad_metaplectic)
+        assert cli.main(["metaplectic", "--d", "5", "--matrix", "2,1,1,1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["conjugation_check_passed"] is False
+        assert doc["conjugation_max_error"] > 0.5
+
 
 class TestVerifyCommand:
     def test_passing_run(self):
@@ -288,6 +306,37 @@ class TestSeedResolution:
         )
         assert proc.returncode == 2
         assert "PHASESPACE_SEED" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("wigner", "--d", "3", "--state", BASIS3),
+            ("stabilizers", "--d", "3"),
+            ("metaplectic", "--d", "3", "--matrix", "0,-1,1,0"),
+        ],
+    )
+    def test_commands_without_a_seed_ignore_the_environment(self, args):
+        proc = run_cli(*args, env_extra={"PHASESPACE_SEED": "abc"})
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+
+class TestDimensionLimits:
+    @pytest.mark.parametrize(
+        "command,d,extra",
+        [
+            ("wigner", 2011, ["--state", BASIS3]),
+            ("stabilizers", 103, []),
+            ("metaplectic", 223, ["--matrix", "1,0,0,1"]),
+            ("verify", 409, []),
+        ],
+    )
+    def test_first_prime_above_the_limit_exits_two(self, command, d, extra, capsys):
+        assert cli.MAX_D[command] < d
+        assert cli.main([command, "--d", str(d), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --d must be at most {cli.MAX_D[command]} for {command}\n"
 
 
 class TestUsage:

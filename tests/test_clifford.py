@@ -12,23 +12,20 @@ from phasespace import (
     PrimeDim,
     StateVector,
     SymplecticMatrix,
-    clifford_apply,
-    clifford_element,
-    compose,
     enumerate_stabilizers,
     haar_random_state,
     is_stabilizer,
     metaplectic,
     omega_table,
-    projective_equal,
     sl2_apply,
     sl2_enumerate,
     stabilizer_descriptors,
-    stabilizer_from_quadratic,
     weyl,
 )
 from phasespace.clifford import stabilizer_blocks, stabilizer_overlaps
 from phasespace.qudit import dft_matrix
+
+from oracles import projective_equal
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 LARGE_PRIMES = [p for p in range(11, 102) if all(p % f for f in range(2, p))]
@@ -152,62 +149,57 @@ class TestProjectiveEqual:
 
 
 class TestCliffordElement:
+    """Clifford group elements as products w(u) mu(S) of the two unitaries."""
+
     def test_identity_element(self):
         dim = PrimeDim(3)
-        g = clifford_element(dim.point(0, 0), SymplecticMatrix.identity(dim))
-        assert np.array_equal(g.unitary.mat, np.eye(3))
+        g = weyl(dim.point(0, 0)) @ metaplectic(SymplecticMatrix.identity(dim))
+        assert np.array_equal(g.mat, np.eye(3))
 
     def test_pure_shift_action(self):
         dim = PrimeDim(5)
-        g = clifford_element(dim.point(0, 1), SymplecticMatrix.identity(dim))
-        out = clifford_apply(g, StateVector.basis(dim, 0))
+        g = weyl(dim.point(0, 1)) @ metaplectic(SymplecticMatrix.identity(dim))
+        out = StateVector.normalized(dim, g.apply(StateVector.basis(dim, 0)))
         assert abs(out.overlap(StateVector.basis(dim, 1))) > 1 - 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            clifford_element(PrimeDim(3).point(0, 0), SymplecticMatrix.identity(PrimeDim(5)))
-        g = clifford_element(PrimeDim(3).point(0, 0), SymplecticMatrix.identity(PrimeDim(3)))
-        with pytest.raises(ValueError):
-            clifford_apply(g, StateVector.basis(PrimeDim(5), 0))
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
     def test_compose_matches_unitary_product(self, dim):
+        # group law: (u, S) (v, T) = (u + S v, S T), up to global phase
         rng = np.random.default_rng(17)
         mats = sl2_enumerate(dim)
         for _ in range(20):
             i, j = rng.integers(0, len(mats), size=2)
             u = dim.point(int(rng.integers(dim.d)), int(rng.integers(dim.d)))
             v = dim.point(int(rng.integers(dim.d)), int(rng.integers(dim.d)))
-            g = clifford_element(u, mats[i])
-            h = clifford_element(v, mats[j])
-            assert projective_equal(g.unitary @ h.unitary, compose(g, h).unitary)
+            g = weyl(u) @ metaplectic(mats[i])
+            h = weyl(v) @ metaplectic(mats[j])
+            gh = weyl(u + sl2_apply(mats[i], v)) @ metaplectic(mats[i] @ mats[j])
+            assert projective_equal(g @ h, gh)
 
     def test_conjugation_up_to_phase(self):
         dim = PrimeDim(5)
         rng = np.random.default_rng(18)
         mats = sl2_enumerate(dim)
         for _ in range(10):
-            g = clifford_element(
-                dim.point(int(rng.integers(5)), int(rng.integers(5))),
-                mats[int(rng.integers(len(mats)))],
-            )
+            S = mats[int(rng.integers(len(mats)))]
+            g = weyl(dim.point(int(rng.integers(5)), int(rng.integers(5)))) @ metaplectic(S)
             for v in [dim.point(1, 0), dim.point(0, 1), dim.point(2, 3)]:
-                lhs = g.unitary @ weyl(v) @ g.unitary.adjoint
-                rhs = weyl(sl2_apply(g.symp, v))
+                lhs = g @ weyl(v) @ g.adjoint
+                rhs = weyl(sl2_apply(S, v))
                 assert projective_equal(lhs, rhs)
 
 
 class TestStabilizerStates:
     def test_uniform_state(self):
         dim = PrimeDim(5)
-        s = stabilizer_from_quadratic(dim, 0, 0)
+        s = enumerate_stabilizers(dim)[dim.d]  # (theta, x) = (0, 0)
         assert np.allclose(s.amp, np.full(5, 1 / np.sqrt(5)), atol=1e-15)
 
     def test_quadratic_example_d3(self):
         # theta = 1, x = 0: amplitudes (1, omega, omega) / sqrt(3).
         dim = PrimeDim(3)
         w = omega_table(3)
-        s = stabilizer_from_quadratic(dim, 1, 0)
+        s = enumerate_stabilizers(dim)[dim.d + 1 * dim.d + 0]
         expected = np.array([1.0, w[1], w[1]]) / np.sqrt(3)
         assert np.allclose(s.amp, expected, atol=1e-15)
 
@@ -215,7 +207,7 @@ class TestStabilizerStates:
         # theta = 0, x = 1: amplitudes (1, omega, omega^2) / sqrt(3).
         dim = PrimeDim(3)
         w = omega_table(3)
-        s = stabilizer_from_quadratic(dim, 0, 1)
+        s = enumerate_stabilizers(dim)[dim.d + 0 * dim.d + 1]
         expected = np.array([1.0, w[1], w[2]]) / np.sqrt(3)
         assert np.allclose(s.amp, expected, atol=1e-15)
 
@@ -236,8 +228,9 @@ class TestStabilizerStates:
             if desc["kind"] == "basis":
                 assert state.amp[desc["k"]] == 1.0
             else:
-                rebuilt = stabilizer_from_quadratic(dim, desc["theta"], desc["x"])
-                assert np.array_equal(state.amp, rebuilt.amp)
+                q = np.arange(dim.d)
+                expected = np.exp(2j * np.pi * (desc["theta"] * q * q + desc["x"] * q) / dim.d)
+                assert np.allclose(state.amp, expected / np.sqrt(dim.d), atol=1e-14)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_pairwise_projectively_distinct(self, dim):

@@ -10,24 +10,20 @@ from hypothesis import strategies as st
 from phasespace import (
     KIND_CHARACTERISTIC,
     KIND_WIGNER,
-    SYMPLECTIC_INVERSE,
-    TRANSLATION_SIGN,
     DenseOperator,
     PhaseGrid,
     PrimeDim,
     StateVector,
+    SymplecticMatrix,
     char_from_wigner,
     characteristic,
     haar_random_state,
     metaplectic,
     operator_from_char,
-    position_marginal,
-    probe_covariance_directions,
     projector,
     self_correlation,
+    sl2_apply,
     sl2_enumerate,
-    symplectic_transform_grid,
-    translate_grid,
     weyl,
     weyl_translated_grid,
     metaplectic_image_grid,
@@ -118,7 +114,9 @@ class TestWignerTransforms:
         with pytest.raises(ValueError):
             operator_from_char(wig)
         with pytest.raises(ValueError):
-            position_marginal(char)
+            weyl_translated_grid(char, dim.point(1, 0))
+        with pytest.raises(ValueError):
+            metaplectic_image_grid(char, SymplecticMatrix.fourier(dim))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_maximally_mixed_is_flat(self, dim):
@@ -160,7 +158,7 @@ class TestWignerTransforms:
     def test_position_marginal(self, dim):
         for s in range(10):
             psi = haar_random_state(dim, 300 + s)
-            marg = position_marginal(wigner_pure(psi))
+            marg = wigner_pure(psi).real_values().sum(axis=0)
             assert np.allclose(marg, np.abs(psi.amp) ** 2, atol=1e-12)
 
     def test_purity_constant_fit_d3(self):
@@ -315,71 +313,54 @@ class TestGridMotions:
     def test_translate_identity(self):
         dim = PrimeDim(3)
         g = wigner_pure(haar_random_state(dim, 1))
-        moved = translate_grid(g, dim.point(0, 0))
+        moved = weyl_translated_grid(g, dim.point(0, 0))
         assert np.array_equal(moved.values, g.values)
 
     def test_translate_relabeling(self):
-        # new[p][q] = old[p + vp][q + vq], checked entrywise.
+        # new[p][q] = old[p - vp][q - vq], checked entrywise.
         dim = PrimeDim(5)
         g = wigner_pure(haar_random_state(dim, 2))
         v = dim.point(1, 3)
-        moved = translate_grid(g, v)
+        moved = weyl_translated_grid(g, v)
         for p, q in itertools.product(range(5), repeat=2):
-            assert moved.values[p, q] == g.values[(p + 1) % 5, (q + 3) % 5]
+            assert moved.values[p, q] == g.values[(p - 1) % 5, (q - 3) % 5]
 
     def test_translate_composition(self):
         dim = PrimeDim(5)
         g = wigner_pure(haar_random_state(dim, 3))
         u, v = dim.point(1, 2), dim.point(3, 4)
-        twice = translate_grid(translate_grid(g, u), v)
-        once = translate_grid(g, u + v)
-        assert np.allclose(twice.values, once.values, atol=0)
+        twice = weyl_translated_grid(weyl_translated_grid(g, u), v)
+        once = weyl_translated_grid(g, u + v)
+        assert np.array_equal(twice.values, once.values)
 
     def test_symplectic_identity(self):
         dim = PrimeDim(3)
         g = wigner_pure(haar_random_state(dim, 4))
-        from phasespace import SymplecticMatrix
-
-        moved = symplectic_transform_grid(g, SymplecticMatrix.identity(dim))
+        moved = metaplectic_image_grid(g, SymplecticMatrix.identity(dim))
         assert np.array_equal(moved.values, g.values)
 
     def test_symplectic_pullback_composition(self):
-        # Pulling back through S then T equals pulling back through S @ T.
-        from phasespace import SymplecticMatrix
-
+        # The image under S then T equals the image under T @ S.
         dim = PrimeDim(5)
         g = wigner_pure(haar_random_state(dim, 5))
         s = SymplecticMatrix(dim, 2, 1, 1, 1)
         t = SymplecticMatrix(dim, 0, 4, 1, 0)
-        twice = symplectic_transform_grid(symplectic_transform_grid(g, s), t)
-        once = symplectic_transform_grid(g, s @ t)
+        twice = metaplectic_image_grid(metaplectic_image_grid(g, s), t)
+        once = metaplectic_image_grid(g, t @ s)
         assert np.array_equal(twice.values, once.values)
 
     def test_symplectic_relabeling(self):
-        from phasespace import SymplecticMatrix, sl2_apply
-
+        # new[S v] = old[v], checked entrywise.
         dim = PrimeDim(3)
         g = wigner_pure(haar_random_state(dim, 6))
         s = SymplecticMatrix(dim, 1, 1, 1, 2)
-        moved = symplectic_transform_grid(g, s)
+        moved = metaplectic_image_grid(g, s)
         for v in dim.all_points():
             image = sl2_apply(s, v)
-            assert moved.values[v.p, v.q] == g.values[image.p, image.q]
+            assert moved.values[image.p, image.q] == g.values[v.p, v.q]
 
 
 class TestCovariance:
-    def test_probe_matches_conventions_d3(self):
-        assert probe_covariance_directions(PrimeDim(3)) == (
-            TRANSLATION_SIGN,
-            SYMPLECTIC_INVERSE,
-        )
-
-    def test_probe_matches_conventions_d5(self):
-        assert probe_covariance_directions(PrimeDim(5), n_states=3) == (
-            TRANSLATION_SIGN,
-            SYMPLECTIC_INVERSE,
-        )
-
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
     def test_translation_covariance(self, dim):
         for s in range(5):

@@ -14,8 +14,9 @@ from phasespace import (
     half,
     sl2_apply,
     sl2_enumerate,
-    symplectic_form,
 )
+
+from oracles import symplectic_form
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 
