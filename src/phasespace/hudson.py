@@ -3,7 +3,8 @@
 verify_hudson runs, for one dimension d, the full battery:
 
   * every enumerated stabilizer state has a nonnegative Wigner function
-    (minimum entry >= -1e-12);
+    (minimum entry >= -1e-12), certified from the d + 1 blocks of
+    clifford.stabilizer_blocks as described below;
   * seeded Haar-random states all have a strictly negative minimum
     (below -tol) and are confirmed non-stabilizer;
   * seeded states supported on exactly two positions all have a strictly
@@ -23,6 +24,23 @@ stabilizer family block by block, the samples in row chunks drawn from their
 per-index substreams. The lemma kernels (wigner.wigner_minima,
 modulus_violations, support_rows) take such blocks only; haar_sample and
 two_point_sample replay one sample of a run as a StateVector.
+
+The stabilizer family is not swept grid by grid. Its Wigner functions are
+known exactly: (1/d) 1[q = k] for |k> and (1/d) 1[p = 2 theta q + x] for the
+quadratic-phase state (theta, x). So only the representative (row 0) of
+each block gets a numeric grid, in wigner.wigner_line_check, which takes its
+minimum and its largest deviation from the exact line (the report's
+stabilizer_line_deviation). Every row is tied to its representative by the
+shift law, checked as an O(d) residual per row:
+
+    row x of block theta = omega^(x q) row 0   (z(x): the grid moves by x along p)
+    row k of the basis block = row 0 moved to k (x(k): the grid moves by k along q)
+
+so a row's grid is its representative's translated, and nonnegative with it.
+Both the line deviation and the residual must be at most
+STABILIZER_NONNEG_TOL. Each row carries its representative's minimum and
+modulus-inequality count; support, spread and offset are computed on every
+row.
 """
 
 from __future__ import annotations
@@ -34,8 +52,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .clifford import stabilizer_blocks, stabilizer_overlaps
-from .qudit import StateVector, dft_matrix, haar_block, normalize_rows, row_chunks
-from .wigner import KIND_WIGNER, PhaseGrid, char_from_wigner, lag_products, operator_from_char, wigner_minima
+from .qudit import StateVector, dft_matrix, haar_block, normalize_rows, omega_table, row_chunks
+from .wigner import (
+    KIND_WIGNER,
+    PhaseGrid,
+    char_from_wigner,
+    lag_products,
+    operator_from_char,
+    wigner_line_check,
+    wigner_minima,
+)
 from .zmod import PrimeDim
 
 SUPPORT_THRESHOLD = 1e-8
@@ -120,6 +146,7 @@ class VerificationReport:
     stabilizer_count: int
     stabilizers_all_nonneg: bool
     stabilizer_min_wigner: float
+    stabilizer_line_deviation: float
     random_samples: int
     random_all_negative: bool
     random_all_nonstabilizer: bool
@@ -184,57 +211,77 @@ def verify_hudson(
     failures = _Failures()
     d = dim.d
     F = dft_matrix(d)
-
-    stab_min = math.inf
-    sizes: Counter[int] = Counter()
-    lemma4_violations = 0
-    max_spread = 0.0
-    max_offset = 0.0
-    guard_stable = True
     target_modulus = 1.0 / math.sqrt(d)
 
-    base = 0
-    for block in stabilizer_blocks(d):
-        minima, argmins = wigner_minima(block, F)
-        stab_min = min(stab_min, float(minima.min()))
+    # One pass over the blocks keeps each block's representative (row 0) and,
+    # for every row, the shift-law residual and the O(d) lemma statistics.
+    k = np.arange(d)
+    boosts = omega_table(d)[np.outer(k, k) % d]  # [x, q] -> omega^(x q)
+    shifts = (k - k[:, None]) % d  # [k, q] -> q - k
+    reps = np.empty((d + 1, d), dtype=complex)
+    residual = np.empty((d + 1, d))
+    size = np.empty((d + 1, d), dtype=np.intp)
+    stable = np.empty((d + 1, d), dtype=bool)
+    spread = np.empty((d + 1, d))
+    offset = np.empty((d + 1, d))
+    for b, block in enumerate(stabilizer_blocks(d)):
+        reps[b] = block[0]
+        expected = block[0][shifts] if b == 0 else boosts * block[0]
+        residual[b] = np.abs(block - expected).max(axis=1)
         m = np.abs(block)
-        violations = modulus_violations(m, LEMMA_TOL)
-        inside, stable = support_rows(m)
-        size = inside.sum(axis=1)
-        full = size == d
-        spread = m.max(axis=1) - m.min(axis=1)
-        offset = np.abs(m - target_modulus).max(axis=1)
+        inside, stable[b] = support_rows(m)
+        size[b] = inside.sum(axis=1)
+        spread[b] = m.max(axis=1) - m.min(axis=1)
+        offset[b] = np.abs(m - target_modulus).max(axis=1)
 
-        # the remaining checks apply to states that passed positivity
-        positive = minima >= -STABILIZER_NONNEG_TOL
-        lemma4_violations += int(violations[positive].sum())
-        sizes.update(size[positive].tolist())
-        guard_stable = guard_stable and bool(stable[positive].all())
-        spread_checked = full & positive
-        if spread_checked.any():
-            max_spread = max(max_spread, float(spread[spread_checked].max()))
-            max_offset = max(max_offset, float(offset[spread_checked].max()))
+    # Numerics on the d + 1 representatives only; their lines are |0>: q = 0
+    # and theta: p = 2 theta q. Every row of a block carries its
+    # representative's minimum and modulus-inequality count.
+    normals = np.array([(0, 1)] + [(1, -2 * theta % d) for theta in range(d)])
+    rep_minima, rep_argmins, line_deviation = wigner_line_check(reps, F, normals)
+    minima = np.repeat(rep_minima, d)
+    violations = np.repeat(modulus_violations(np.abs(reps), LEMMA_TOL), d)
+    residual, size, stable, spread, offset = (a.ravel() for a in (residual, size, stable, spread, offset))
+    full = size == d
 
-        lemma_failed = ((violations > 0) | ~stable | ((size != 1) & ~full)
-                        | (full & ((spread > LEMMA_TOL) | (offset > LEMMA_TOL))))
-        for i in np.nonzero(~positive | lemma_failed)[0].tolist():
-            idx = base + i
-            if not positive[i]:
-                p, q = divmod(int(argmins[i]), d)
-                failures.add(f"stabilizer {idx} has Wigner minimum {float(minima[i])!r} at {(p, q)}")
-                continue
-            if violations[i]:
-                failures.add(f"stabilizer {idx} violates the modulus inequality {int(violations[i])} times")
-            if not stable[i]:
-                failures.add(f"support threshold guard tripped on stabilizer {idx}; run inconclusive")
-            if not (size[i] == 1 or full[i]):
-                failures.add(f"stabilizer {idx} has support size {int(size[i])}, expected 1 or {d}")
-            elif full[i]:
-                if spread[i] > LEMMA_TOL:
-                    failures.add(f"stabilizer {idx} has modulus spread {float(spread[i])!r}")
-                if offset[i] > LEMMA_TOL:
-                    failures.add(f"stabilizer {idx} modulus is off d^-1/2 by {float(offset[i])!r}")
-        base += len(block)
+    # the lemma checks apply to states that passed positivity
+    positive = minima >= -STABILIZER_NONNEG_TOL
+    lemma4_violations = int(violations[positive].sum())
+    sizes = Counter(size[positive].tolist())
+    guard_stable = bool(stable[positive].all())
+    spread_checked = full & positive
+    max_spread = float(spread[spread_checked].max(initial=0.0))
+    max_offset = float(offset[spread_checked].max(initial=0.0))
+
+    # written so that NaN fails too
+    line_failed = np.zeros(d * (d + 1), dtype=bool)
+    line_failed[::d] = ~(line_deviation <= STABILIZER_NONNEG_TOL)
+    shift_failed = ~(residual <= STABILIZER_NONNEG_TOL)
+    lemma_failed = ((violations > 0) | ~stable | ((size != 1) & ~full)
+                    | (full & ((spread > LEMMA_TOL) | (offset > LEMMA_TOL))))
+    for idx in np.nonzero(line_failed | shift_failed | ~positive | lemma_failed)[0].tolist():
+        b, x = divmod(idx, d)
+        if line_failed[idx]:
+            failures.add(f"stabilizer {idx} is off its exact Wigner line by {float(line_deviation[b])!r}")
+        if shift_failed[idx]:
+            failures.add(f"stabilizer {idx} breaks the shift law of its block by {float(residual[idx])!r}")
+        if not positive[idx]:
+            # row x has its representative's grid translated by x along p (along q for |k>)
+            p, q = divmod(int(rep_argmins[b]), d)
+            where = (p, (q + x) % d) if b == 0 else ((p + x) % d, q)
+            failures.add(f"stabilizer {idx} has Wigner minimum {float(minima[idx])!r} at {where}")
+            continue
+        if violations[idx]:
+            failures.add(f"stabilizer {idx} violates the modulus inequality {int(violations[idx])} times")
+        if not stable[idx]:
+            failures.add(f"support threshold guard tripped on stabilizer {idx}; run inconclusive")
+        if not (size[idx] == 1 or full[idx]):
+            failures.add(f"stabilizer {idx} has support size {int(size[idx])}, expected 1 or {d}")
+        elif full[idx]:
+            if spread[idx] > LEMMA_TOL:
+                failures.add(f"stabilizer {idx} has modulus spread {float(spread[idx])!r}")
+            if offset[idx] > LEMMA_TOL:
+                failures.add(f"stabilizer {idx} modulus is off d^-1/2 by {float(offset[idx])!r}")
 
     random_all_negative = True
     random_all_nonstabilizer = True
@@ -271,8 +318,9 @@ def verify_hudson(
         tol=tol,
         stabilizer_tol=STABILIZER_NONNEG_TOL,
         stabilizer_count=d * (d + 1),
-        stabilizers_all_nonneg=stab_min >= -STABILIZER_NONNEG_TOL,
-        stabilizer_min_wigner=stab_min,
+        stabilizers_all_nonneg=bool(positive.all()),
+        stabilizer_min_wigner=float(rep_minima.min()),
+        stabilizer_line_deviation=float(line_deviation.max()),
         random_samples=samples,
         random_all_negative=random_all_negative,
         random_all_nonstabilizer=random_all_nonstabilizer,

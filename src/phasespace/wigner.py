@@ -18,8 +18,9 @@ The pure-state route runs on (n, d) amplitude blocks, one state per row:
 wigner_block stacks the self-correlation rows of every state and applies the
 DFT matrix F[x, p] = omega^(-p x) / d (rows permuted to the lag order
 x = 2u of lag_products) in one matrix product, and
-wigner_minima reduces each grid to its minimum chunk by chunk. wigner_pure is
-the n = 1 case.
+wigner_minima reduces each grid to its minimum chunk by chunk;
+wigner_line_check also measures each grid against an exact stabilizer line.
+wigner_pure is the n = 1 case.
 
 Covariance (checked against wigner_pure of the transformed state for every
 v and every S at d = 3 and 5 by acceptance criteria 4 and 5):
@@ -196,6 +197,15 @@ def wigner_block(amps: np.ndarray, F: np.ndarray) -> np.ndarray:
     return (lag_products(amps).reshape(n * d, d) @ F[2 * np.arange(d) % d]).reshape(n, d, d)
 
 
+def _grid_minima(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of each real grid of a [c, q, p] stack, and its flat index
+    p * d + q (the first in row-major (p, q) order)."""
+    c, d, _ = grids.shape
+    flat = grids.transpose(0, 2, 1).reshape(c, d * d)
+    argmins = flat.argmin(axis=1)
+    return flat[np.arange(c), argmins], argmins
+
+
 def wigner_minima(amps: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of each row's Wigner grid, and its flat index p * d + q (the
     first in row-major (p, q) order), over row_chunks of the block.
@@ -207,11 +217,33 @@ def wigner_minima(amps: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarr
     minima = np.empty(n)
     argmins = np.empty(n, dtype=np.intp)
     for rows in row_chunks(n, d):
-        grids = _real_part(wigner_block(amps[rows], F))
-        flat = grids.transpose(0, 2, 1).reshape(-1, d * d)  # [c, p * d + q]
-        argmins[rows] = flat.argmin(axis=1)
-        minima[rows] = flat[np.arange(len(flat)), argmins[rows]]
+        minima[rows], argmins[rows] = _grid_minima(_real_part(wigner_block(amps[rows], F)))
     return minima, argmins
+
+
+def wigner_line_check(
+    amps: np.ndarray, F: np.ndarray, normals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """wigner_minima of an (n, d) block, and from the same grids the largest
+    deviation of each row's grid from the uniform measure on a line through
+    the origin, (1/d) 1[a p + b q = 0 mod d] with (a, b) = normals[row].
+
+    The line is the exact Wigner function of a stabilizer state: (a, b) =
+    (0, 1) for |0> and (1, -2 theta) for the quadratic-phase state theta,
+    x = 0. Its indicator is built on integer residues.
+    """
+    n, d = amps.shape
+    minima = np.empty(n)
+    argmins = np.empty(n, dtype=np.intp)
+    deviations = np.empty(n)
+    k = np.arange(d)
+    for rows in row_chunks(n, d):
+        grids = _real_part(wigner_block(amps[rows], F))  # [c, q, p]
+        minima[rows], argmins[rows] = _grid_minima(grids)
+        a, b = normals[rows, 0, None, None], normals[rows, 1, None, None]
+        on_line = (a * k + b * k[:, None]) % d == 0  # [c, q, p]
+        deviations[rows] = np.abs(grids - on_line / d).max(axis=(1, 2))
+    return minima, argmins, deviations
 
 
 def self_correlation(psi: StateVector) -> CorrelationTable:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from phasespace import DenseOperator, SymplecticMatrix, cli, metaplectic
+from phasespace import DenseOperator, PrimeDim, SymplecticMatrix, cli, enumerate_stabilizers, metaplectic
 
 BASIS3 = "[[1,0],[0,0],[0,0]]"
 
@@ -142,6 +142,21 @@ class TestStabilizersCommand:
             abs(math.hypot(re, im) - 1 / math.sqrt(3)) < 1e-12
             for re, im in quad["amplitudes"]
         )
+
+    def test_listing_builds_no_states(self, monkeypatch, capsys):
+        # without --amplitudes only the descriptors are read
+        def no_blocks(d):
+            raise AssertionError("stabilizer amplitudes built for a descriptor listing")
+
+        monkeypatch.setattr(cli, "stabilizer_blocks", no_blocks)
+        assert cli.main(["stabilizers", "--d", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 30
+
+    def test_amplitudes_follow_the_enumeration(self, capsys):
+        assert cli.main(["stabilizers", "--d", "5", "--amplitudes"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        want = [[[z.real, z.imag] for z in s.amp] for s in enumerate_stabilizers(PrimeDim(5))]
+        assert [rec["amplitudes"] for rec in doc["states"]] == want
 
     def test_csv_listing(self):
         proc = run_cli("stabilizers", "--d", "5", "--format", "csv")

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasespace import (
     PrimeDim,
@@ -19,6 +21,8 @@ from phasespace import (
     verify_hudson,
     wigner_pure,
 )
+from phasespace import hudson
+from phasespace.clifford import stabilizer_blocks
 from phasespace.hudson import (
     MAX_FAILURE_MESSAGES,
     _haar_rows,
@@ -26,10 +30,11 @@ from phasespace.hudson import (
     modulus_violations,
     support_rows,
 )
-from phasespace.qudit import dft_matrix
-from phasespace.wigner import wigner_minima
+from phasespace.qudit import dft_matrix, row_chunks
+from phasespace.wigner import wigner_block, wigner_minima
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
+PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]
 
 
 def _block(states):
@@ -295,15 +300,29 @@ def _explicit_stack(d):
     return np.array(rows)
 
 
-def _fft_minimum(amp):
-    """Minimum of the FFT-route Wigner grid W[p, q] and its (p, q)."""
+def _fft_grid(amp):
+    """The FFT-route Wigner grid W[p, q], real."""
     d = len(amp)
     q = np.arange(d)
     h = (d + 1) // 2
     grid = np.fft.fft(amp[(q[:, None] + h * q) % d] * np.conj(amp[(q[:, None] - h * q) % d]), axis=1).T / d
     assert np.abs(grid.imag).max() <= 1e-12
-    flat = grid.real.ravel()
-    return float(flat.min()), divmod(int(flat.argmin()), d)
+    return grid.real
+
+
+def _fft_minimum(amp):
+    """Minimum of the FFT-route Wigner grid W[p, q] and its (p, q)."""
+    flat = _fft_grid(amp).ravel()
+    return float(flat.min()), divmod(int(flat.argmin()), len(amp))
+
+
+def _exact_line(d, idx):
+    """W[p, q] of stabilizer idx: (1/d) 1[q = k] for |k>, (1/d) 1[p = 2 theta q + x] for (theta, x)."""
+    p, q = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    if idx < d:
+        return (q == idx) / d
+    theta, x = divmod(idx - d, d)
+    return ((p - 2 * theta * q - x) % d == 0) / d
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,8 +331,11 @@ def _reference_stabilizer_part(d):
     q = np.arange(d)
     failures = []
     stab_min, sizes, lemma4, spread_max, offset_max, stable_all = math.inf, {}, 0, 0.0, 0.0, True
+    line_deviation = 0.0
     for idx, amp in enumerate(_explicit_stack(d)):
-        value, where = _fft_minimum(amp)
+        grid = _fft_grid(amp)
+        line_deviation = max(line_deviation, float(np.abs(grid - _exact_line(d, idx)).max()))
+        value, where = float(grid.min()), divmod(int(grid.argmin()), d)
         stab_min = min(stab_min, value)
         if value < -1e-12:
             failures.append(f"stabilizer {idx} has Wigner minimum {value!r} at {where}")
@@ -341,6 +363,7 @@ def _reference_stabilizer_part(d):
     fields = {
         "stabilizer_tol": 1e-12, "stabilizer_count": d * (d + 1),
         "stabilizers_all_nonneg": stab_min >= -1e-12, "stabilizer_min_wigner": stab_min,
+        "stabilizer_line_deviation": line_deviation,
         "lemma4_violations": lemma4, "lemma5_support_sizes": {str(k): v for k, v in sorted(sizes.items())},
         "lemma6_max_modulus_spread": spread_max, "lemma6_max_modulus_offset": offset_max,
         "support_guard_stable": stable_all,
@@ -412,7 +435,7 @@ def _assert_reports_match(got, want):
 
 
 class TestVerifyAgainstPerStateReference:
-    @pytest.mark.parametrize("d", [3, 5, 7, 61])
+    @pytest.mark.parametrize("d", [3, 5, 7, 31, 61])
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_report_matches_reference_loop(self, d, seed):
         got = verify_hudson(PrimeDim(d), samples=100, seed=seed, two_point_samples=40).to_dict()
@@ -425,6 +448,123 @@ class TestVerifyAgainstPerStateReference:
         want = _reference_report(d, 30, 5, tol, 30)
         assert want["failures_total"] > 0
         _assert_reports_match(got, want)
+
+
+class TestStabilizerCertificate:
+    """The two facts verify_hudson rests on when it computes only the grid of
+    row 0 of each stabilizer block: every row's grid is row 0's translated,
+    and every grid is its exact line."""
+
+    @given(d=st.sampled_from(PRIMES_TO_101))
+    @example(d=61)
+    @example(d=101)
+    @settings(max_examples=5, deadline=None)
+    def test_rows_are_translated_representatives_on_exact_lines(self, d):
+        F = dft_matrix(d)
+        k = np.arange(d)
+        back = (k - k[:, None]) % d  # [x, j] -> j - x
+        for b, block in enumerate(stabilizer_blocks(d)):
+            rep = wigner_block(block[:1], F)[0].real  # [q, p]
+            for rows in row_chunks(d, d):
+                grids = wigner_block(block[rows], F)  # [x, q, p]
+                assert np.abs(grids.imag).max() <= 1e-12
+                if b == 0:  # |x>: translated along q, on the line q = x
+                    rolled, line = rep[back[rows]], (k[rows, None] == k)[:, :, None]
+                else:  # (theta, x): translated along p, on the line p = 2 theta q + x
+                    rolled = rep[:, back[rows]].transpose(1, 0, 2)
+                    line = back[rows, None, :] == (2 * (b - 1) * k % d)[:, None]
+                assert np.abs(grids.real - rolled).max() <= 1e-12
+                assert np.abs(grids.real - line / d).max() <= 1e-12
+
+
+def _perturbed_blocks(monkeypatch, block_index, row, change):
+    """Make verify_hudson read stabilizer block block_index with change applied to its row."""
+    blocks = hudson.stabilizer_blocks
+
+    def perturbed(d):
+        for b, block in enumerate(blocks(d)):
+            if b == block_index:
+                block = block.copy()
+                block[row] = change(block[row])
+            yield block
+
+    monkeypatch.setattr(hudson, "stabilizer_blocks", perturbed)
+
+
+def _add(amp):
+    amp[1] += 1e-6
+    return amp
+
+
+def _turn(amp):
+    amp[1] *= np.exp(1e-6j)
+    return amp
+
+
+class TestStabilizerFaultInjection:
+    @pytest.mark.parametrize(
+        "block_index,row,change", [(0, 3, _add), (2, 1, _add), (7, 6, _add), (2, 1, _turn), (7, 6, _turn)]
+    )
+    def test_perturbed_row_breaks_the_shift_law(self, monkeypatch, block_index, row, change):
+        _perturbed_blocks(monkeypatch, block_index, row, change)
+        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
+        assert report.passed is False and report.failures_total >= 1
+        idx = 7 * block_index + row
+        assert report.failures[0].startswith(f"stabilizer {idx} breaks the shift law of its block by ")
+        if change is _turn:  # moduli unchanged: nothing but the shift law sees it
+            assert report.failures_total == 1
+        assert report.stabilizer_line_deviation <= 1e-12
+
+    @pytest.mark.parametrize("block_index,change", [(0, _add), (3, _add), (3, _turn)])
+    def test_perturbed_representative_is_off_its_line(self, monkeypatch, block_index, change):
+        _perturbed_blocks(monkeypatch, block_index, 0, change)
+        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
+        assert report.passed is False and report.failures_total >= 1
+        assert report.stabilizer_line_deviation > 1e-12
+        assert any(m.startswith(f"stabilizer {7 * block_index} is off its exact Wigner line by ")
+                   or "Wigner minimum" in m for m in report.failures)
+
+    @pytest.mark.parametrize("block_index", [0, 3])
+    def test_negative_block_reports_each_row_where_its_own_grid_dips(self, monkeypatch, block_index):
+        # the whole block built from a perturbed representative by the shift
+        # law: each row carries the representative's minimum, translated
+        blocks = hudson.stabilizer_blocks
+        q = np.arange(7)
+        rng = np.random.default_rng(block_index)
+        rep = list(blocks(7))[block_index][0] + 1e-3 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
+        rows = np.array([np.roll(rep, x) if block_index == 0 else np.exp(2j * np.pi * x * q / 7) * rep for x in q])
+
+        def perturbed(d):
+            family = list(blocks(d))
+            family[block_index] = rows
+            return family
+
+        monkeypatch.setattr(hudson, "stabilizer_blocks", perturbed)
+        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
+        assert not any("shift law" in m for m in report.failures)
+        dips = [m for m in report.failures if "Wigner minimum" in m]
+        assert len(dips) == 7
+        for x, message in enumerate(dips):
+            value, where = _fft_minimum(rows[x])
+            assert message.startswith(f"stabilizer {7 * block_index + x} has Wigner minimum ")
+            assert message.endswith(f" at {where}")
+            assert abs(float(_FLOAT.findall(message)[0]) - value) <= 1e-12
+
+    def test_block_of_another_theta_is_off_its_line(self, monkeypatch):
+        # block theta = 2 holds the states of theta = 3: each row is a
+        # stabilizer state and the shift law holds, so only the line sees it
+        blocks = hudson.stabilizer_blocks
+
+        def mislabelled(d):
+            family = list(blocks(d))
+            family[3] = family[4]
+            return family
+
+        monkeypatch.setattr(hudson, "stabilizer_blocks", mislabelled)
+        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
+        assert report.passed is False and report.failures_total == 1
+        assert report.failures[0].startswith("stabilizer 21 is off its exact Wigner line by ")
+        assert abs(report.stabilizer_line_deviation - 1 / 7) <= 1e-12
 
 
 class TestSinglePointInfeasibility:
