@@ -26,7 +26,7 @@ from . import __version__
 from .clifford import metaplectic, stabilizer_blocks, stabilizer_descriptors
 from .hudson import single_point_infeasibility, verify_hudson
 from .qudit import StateVector, omega_table
-from .wigner import wigner_pure
+from .wigner import KIND_WIGNER, wigner_pure
 from .zmod import PrimeDim, SymplecticMatrix, half
 
 DEFAULT_SEED = 42
@@ -36,8 +36,9 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 # of exhausting memory or running for hours. Measured in process on a 2-core
 # machine (Python 3.11, numpy 2.4), writing the artifact with --output:
 #   wigner       d = 2003: 1.7 s, peak RSS 281 MB; memory grows as d^2.
-#   stabilizers  d = 101 with --amplitudes: 3.6 s, 293 MB (d = 151: 900 MB);
-#                every state is built, so memory grows as d^3.
+#   stabilizers  d = 101 with --amplitudes: 3.4-3.8 s, 275 MB (d = 151: 900 MB);
+#                every amplitude pair is built before the artifact is written,
+#                so memory grows as d^3.
 #   metaplectic  d = 211: 31 s, 43 MB; the self-check costs O(d^4).
 #   verify       d = 151: 2.4 s, 42 MB; d = 401: 29 s, 71 MB. Only the d + 1
 #                stabilizer block representatives get a Wigner grid, so time
@@ -161,14 +162,18 @@ def parse_state(args: argparse.Namespace) -> StateVector:
 
 
 def _complex_pairs(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    """Each entry z of a complex array as the pair [z.real, z.imag] of floats."""
+    return np.stack([mat.real, mat.imag], -1).tolist()
 
 
 def run_wigner(args: argparse.Namespace) -> tuple[dict | list[str], int]:
-    grid = wigner_pure(parse_state(args))
+    values = wigner_pure(parse_state(args)).real_values()
     if args.format == "csv":
-        return grid.to_csv_rows(), 0
-    return grid.to_json_dict(), 0
+        # one line per (p, q) in lexicographic order; converting one grid row at a
+        # time keeps the d^2 floats from all being Python objects at once
+        lines = (f"{p},{q},{v!r}" for p, row in enumerate(values) for q, v in enumerate(row.tolist()))
+        return ["p,q,value", *lines], 0
+    return {"d": args.dim.d, "kind": KIND_WIGNER, "values": values.tolist()}, 0
 
 
 def run_stabilizers(args: argparse.Namespace) -> tuple[dict | list[str], int]:
@@ -181,9 +186,9 @@ def run_stabilizers(args: argparse.Namespace) -> tuple[dict | list[str], int]:
             )
         return rows, 0
     if args.amplitudes:
-        amps = (amp for block in stabilizer_blocks(args.dim.d) for amp in block)
-        for desc, amp in zip(descs, amps):
-            desc["amplitudes"] = [[float(z.real), float(z.imag)] for z in amp]
+        rows = (row for block in stabilizer_blocks(args.dim.d) for row in _complex_pairs(block))
+        for desc, row in zip(descs, rows):
+            desc["amplitudes"] = row
     return {"d": args.dim.d, "count": len(descs), "states": descs}, 0
 
 

@@ -48,7 +48,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, dft_matrix, omega_table, row_chunks
+from .qudit import DenseOperator, StateVector, dft_matrix, omega_table
 from .zmod import PrimeDim, SymplecticMatrix, half
 
 
@@ -112,18 +112,15 @@ def stabilizer_overlaps(amps: np.ndarray, F: np.ndarray) -> np.ndarray:
     of an (n, d) block; F is dft_matrix(d).
 
     For each theta the overlaps with the quadratic states are sqrt(d) times
-    the DFT (through F) of the chirped row omega^(-theta q^2) psi(q).
+    the DFT (through F) of the chirped row omega^(-theta q^2) psi(q), an
+    (n, d, d) temporary for the whole block.
     """
     n, d = amps.shape
     q = np.arange(d)
     chirps = omega_table(d)[np.outer(q, -(q * q)) % d]  # [theta, q]
-    best = np.abs(amps).max(axis=1)
-    for rows in row_chunks(n, d):
-        c = rows.stop - rows.start
-        chirped = amps[rows, None, :] * chirps  # [c, theta, q]
-        sums = np.abs(chirped.reshape(c * d, d) @ F).reshape(c, d * d)
-        best[rows] = np.maximum(best[rows], sums.max(axis=1) * np.sqrt(d))
-    return best
+    chirped = amps[:, None, :] * chirps  # [n, theta, q]
+    sums = np.abs(chirped.reshape(n * d, d) @ F).reshape(n, d * d)
+    return np.maximum(np.abs(amps).max(axis=1), sums.max(axis=1) * np.sqrt(d))
 
 
 def is_stabilizer(psi: StateVector, tol: float = 1e-9) -> bool:

@@ -20,10 +20,14 @@ MAX_FAILURE_MESSAGES of them are kept as messages in index order; a report
 passes iff the count is zero.
 
 The battery runs on (n, d) amplitude blocks, one state per row: the
-stabilizer family block by block, the samples in row chunks drawn from their
-per-index substreams. The lemma kernels (wigner.wigner_minima,
-modulus_violations, support_rows) take such blocks only; haar_sample and
-two_point_sample replay one sample of a run as a StateVector.
+stabilizer family block by block, the samples drawn from their per-index
+substreams. The block kernels (wigner.wigner_minima, wigner.wigner_line_check,
+clifford.stabilizer_overlaps, modulus_violations) each build an (n, d, d)
+temporary for the whole block they are given, and verify_hudson alone sets
+its size: it hands them row_chunks of the stabilizer representatives and of
+the samples, so that each temporary holds at most CHUNK_ELEMENTS complex
+entries. haar_sample and two_point_sample replay one sample of a run as a
+StateVector.
 
 The stabilizer family is not swept grid by grid. Its Wigner functions are
 known exactly: (1/d) 1[q = k] for |k> and (1/d) 1[p = 2 theta q + x] for the
@@ -52,7 +56,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .clifford import stabilizer_blocks, stabilizer_overlaps
-from .qudit import StateVector, dft_matrix, haar_block, normalize_rows, omega_table, row_chunks
+from .qudit import StateVector, dft_matrix, haar_block, normalize_rows, omega_table
 from .wigner import (
     KIND_WIGNER,
     PhaseGrid,
@@ -69,24 +73,32 @@ STABILIZER_NONNEG_TOL = 1e-12
 LEMMA_TOL = 1e-12
 STABILIZER_MATCH_TOL = 1e-9  # the is_stabilizer default
 MAX_FAILURE_MESSAGES = 20
+# verify_hudson hands the block kernels c consecutive rows at a time, with c
+# chosen so that each (c, d, d) temporary holds at most this many complex
+# entries (1 MiB): peak memory stays flat however many states it checks, and
+# small-d runs of a thousand samples still take one chunk.
+CHUNK_ELEMENTS = 1 << 16
 
 
-def modulus_violations(moduli: np.ndarray, tol: float = LEMMA_TOL) -> np.ndarray:
+def row_chunks(n: int, d: int) -> list[slice]:
+    """Consecutive row slices covering range(n), each at most
+    max(1, CHUNK_ELEMENTS // d^2) rows long."""
+    step = max(1, CHUNK_ELEMENTS // (d * d))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def modulus_violations(moduli: np.ndarray) -> np.ndarray:
     """For each row m of an (n, d) block of moduli, the number of pairs
-    (q, x) with m(q)^2 < m(q - x) m(q + x) - tol."""
-    n, d = moduli.shape
-    counts = np.empty(n, dtype=np.intp)
-    for rows in row_chunks(n, d):
-        pairs = lag_products(moduli[rows])  # [c, q, x] -> m(q + x) m(q - x); x = 0 gives m(q)^2
-        counts[rows] = np.count_nonzero(pairs[:, :, :1] < pairs - tol, axis=(1, 2))
-    return counts
+    (q, x) with m(q)^2 < m(q - x) m(q + x) - LEMMA_TOL."""
+    pairs = lag_products(moduli)  # [n, q, x] -> m(q + x) m(q - x); x = 0 gives m(q)^2
+    return np.count_nonzero(pairs[:, :, :1] < pairs - LEMMA_TOL, axis=(1, 2))
 
 
-def support_rows(moduli: np.ndarray, threshold: float = SUPPORT_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
-    """Membership mask moduli > threshold, and per row whether the
+def support_rows(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Membership mask moduli > SUPPORT_THRESHOLD, and per row whether the
     classification is stable: no modulus within a factor 10 of the threshold."""
-    near = (moduli >= threshold / 10) & (moduli <= threshold * 10)
-    return moduli > threshold, ~near.any(axis=1)
+    near = (moduli >= SUPPORT_THRESHOLD / 10) & (moduli <= SUPPORT_THRESHOLD * 10)
+    return moduli > SUPPORT_THRESHOLD, ~near.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +246,15 @@ def verify_hudson(
         spread[b] = m.max(axis=1) - m.min(axis=1)
         offset[b] = np.abs(m - target_modulus).max(axis=1)
 
-    # Numerics on the d + 1 representatives only; their lines are |0>: q = 0
-    # and theta: p = 2 theta q. Every row of a block carries its
-    # representative's minimum and modulus-inequality count.
+    # Numerics on the d + 1 representatives only, chunk by chunk; their lines
+    # are |0>: q = 0 and theta: p = 2 theta q. Every row of a block carries
+    # its representative's minimum and modulus-inequality count.
     normals = np.array([(0, 1)] + [(1, -2 * theta % d) for theta in range(d)])
-    rep_minima, rep_argmins, line_deviation = wigner_line_check(reps, F, normals)
+    parts = [(*wigner_line_check(reps[rows], F, normals[rows]), modulus_violations(np.abs(reps[rows])))
+             for rows in row_chunks(d + 1, d)]
+    rep_minima, rep_argmins, line_deviation, rep_violations = (np.concatenate(a) for a in zip(*parts))
     minima = np.repeat(rep_minima, d)
-    violations = np.repeat(modulus_violations(np.abs(reps), LEMMA_TOL), d)
+    violations = np.repeat(rep_violations, d)
     residual, size, stable, spread, offset = (a.ravel() for a in (residual, size, stable, spread, offset))
     full = size == d
 

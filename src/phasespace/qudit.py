@@ -22,11 +22,6 @@ import numpy as np
 from .zmod import PhasePoint, PrimeDim, half
 
 NORM_TOL = 1e-12
-# The block kernels process amplitude blocks in chunks of c consecutive rows,
-# with c chosen so that each (c, d, d) temporary holds at most this many
-# complex entries (1 MiB): peak memory stays flat however many states a block
-# holds, and small-d blocks of a thousand states still take one chunk.
-CHUNK_ELEMENTS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -67,10 +62,6 @@ class StateVector:
         amp = np.zeros(dim.d, dtype=complex)
         amp[k % dim.d] = 1.0
         return cls(dim, amp)
-
-    def overlap(self, other: StateVector) -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amp, other.amp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +152,3 @@ def dft_matrix(d: int) -> np.ndarray:
     residues. Symmetric; callers build it once per call, it is not cached."""
     k = np.arange(d)
     return omega_table(d)[np.outer(k, -k) % d] / d
-
-
-def row_chunks(n: int, d: int) -> list[slice]:
-    """Consecutive row slices covering range(n), each at most
-    max(1, CHUNK_ELEMENTS // d^2) rows long."""
-    step = max(1, CHUNK_ELEMENTS // (d * d))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]

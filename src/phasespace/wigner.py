@@ -18,8 +18,10 @@ The pure-state route runs on (n, d) amplitude blocks, one state per row:
 wigner_block stacks the self-correlation rows of every state and applies the
 DFT matrix F[x, p] = omega^(-p x) / d (rows permuted to the lag order
 x = 2u of lag_products) in one matrix product, and
-wigner_minima reduces each grid to its minimum chunk by chunk;
+wigner_minima reduces each grid to its minimum;
 wigner_line_check also measures each grid against an exact stabilizer line.
+These kernels build an (n, d, d) temporary for the whole block they are
+given; hudson.verify_hudson cuts its blocks into row chunks that bound it.
 wigner_pure is the n = 1 case.
 
 Covariance (checked against wigner_pure of the transformed state for every
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, dft_matrix, row_chunks
+from .qudit import DenseOperator, StateVector, dft_matrix
 from .zmod import PhasePoint, PrimeDim, SymplecticMatrix, half
 
 KIND_WIGNER = "wigner"
@@ -61,36 +63,9 @@ class PhaseGrid:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def real_values(self, tol: float = REALITY_TOL) -> np.ndarray:
-        """The grid as a real array; fails if any imaginary residue exceeds tol."""
-        return _real_part(self.values, tol).copy()
-
-    def total(self) -> complex:
-        return complex(self.values.sum())
-
-    def to_json_dict(self) -> dict:
-        """JSON form: real entries for Wigner grids, [re, im] pairs otherwise."""
-        if self.kind == KIND_WIGNER:
-            vals = [[float(x) for x in row] for row in self.real_values()]
-        else:
-            vals = [[[float(x.real), float(x.imag)] for x in row] for row in self.values]
-        return {"d": self.dim.d, "kind": self.kind, "values": vals}
-
-    def to_csv_rows(self) -> list[str]:
-        """Rows in lexicographic (p, q) order with a header row."""
-        if self.kind == KIND_WIGNER:
-            vals = self.real_values()
-            rows = ["p,q,value"]
-            for p in range(self.dim.d):
-                for q in range(self.dim.d):
-                    rows.append(f"{p},{q},{float(vals[p, q])!r}")
-        else:
-            rows = ["p,q,re,im"]
-            for p in range(self.dim.d):
-                for q in range(self.dim.d):
-                    z = self.values[p, q]
-                    rows.append(f"{p},{q},{float(z.real)!r},{float(z.imag)!r}")
-        return rows
+    def real_values(self) -> np.ndarray:
+        """The grid as a real array; fails if any imaginary residue exceeds REALITY_TOL."""
+        return _real_part(self.values).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +83,11 @@ class CorrelationTable:
         object.__setattr__(self, "values", values)
 
 
-def _real_part(values: np.ndarray, tol: float = REALITY_TOL) -> np.ndarray:
-    """A view of the real part; fails if any imaginary residue exceeds tol."""
+def _real_part(values: np.ndarray) -> np.ndarray:
+    """A view of the real part; fails if any imaginary residue exceeds REALITY_TOL."""
     resid = float(np.max(np.abs(values.imag)))
-    if resid > tol:
-        raise ValueError(f"grid has imaginary residue {resid:.3e} above {tol:.1e}")
+    if resid > REALITY_TOL:
+        raise ValueError(f"grid has imaginary residue {resid:.3e} above {REALITY_TOL:.1e}")
     return values.real
 
 
@@ -198,27 +173,22 @@ def wigner_block(amps: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _grid_minima(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum of each real grid of a [c, q, p] stack, and its flat index
+    """Minimum of each real grid of an [n, q, p] stack, and its flat index
     p * d + q (the first in row-major (p, q) order)."""
-    c, d, _ = grids.shape
-    flat = grids.transpose(0, 2, 1).reshape(c, d * d)
+    n, d, _ = grids.shape
+    flat = grids.transpose(0, 2, 1).reshape(n, d * d)
     argmins = flat.argmin(axis=1)
-    return flat[np.arange(c), argmins], argmins
+    return flat[np.arange(n), argmins], argmins
 
 
 def wigner_minima(amps: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of each row's Wigner grid, and its flat index p * d + q (the
-    first in row-major (p, q) order), over row_chunks of the block.
+    first in row-major (p, q) order).
 
     F is dft_matrix(d). Raises ValueError, like PhaseGrid.real_values, when a
     grid has an imaginary residue above REALITY_TOL.
     """
-    n, d = amps.shape
-    minima = np.empty(n)
-    argmins = np.empty(n, dtype=np.intp)
-    for rows in row_chunks(n, d):
-        minima[rows], argmins[rows] = _grid_minima(_real_part(wigner_block(amps[rows], F)))
-    return minima, argmins
+    return _grid_minima(_real_part(wigner_block(amps, F)))
 
 
 def wigner_line_check(
@@ -232,18 +202,13 @@ def wigner_line_check(
     (0, 1) for |0> and (1, -2 theta) for the quadratic-phase state theta,
     x = 0. Its indicator is built on integer residues.
     """
-    n, d = amps.shape
-    minima = np.empty(n)
-    argmins = np.empty(n, dtype=np.intp)
-    deviations = np.empty(n)
+    d = amps.shape[1]
+    grids = _real_part(wigner_block(amps, F))  # [n, q, p]
+    minima, argmins = _grid_minima(grids)
     k = np.arange(d)
-    for rows in row_chunks(n, d):
-        grids = _real_part(wigner_block(amps[rows], F))  # [c, q, p]
-        minima[rows], argmins[rows] = _grid_minima(grids)
-        a, b = normals[rows, 0, None, None], normals[rows, 1, None, None]
-        on_line = (a * k + b * k[:, None]) % d == 0  # [c, q, p]
-        deviations[rows] = np.abs(grids - on_line / d).max(axis=(1, 2))
-    return minima, argmins, deviations
+    a, b = normals[:, 0, None, None], normals[:, 1, None, None]
+    on_line = (a * k + b * k[:, None]) % d == 0  # [n, q, p]
+    return minima, argmins, np.abs(grids - on_line / d).max(axis=(1, 2))
 
 
 def self_correlation(psi: StateVector) -> CorrelationTable:

@@ -1,14 +1,19 @@
-"""Reference implementations that the tests compare the library against.
+"""Reference implementations that the tests compare the library against,
+and the dimension lists the test modules share.
 
 None of these is called by the package: each is the definitional form of an
 object the package computes another way (weyl builds w(p, q) entrywise; the
-Fourier predicates never form a circulant matrix).
+Fourier predicates never form a circulant matrix; the Wigner kernels use one
+DFT-matrix product per block, not an FFT per state).
 """
 
 import numpy as np
 
 from phasespace import CyclicFunction, DenseOperator, PhasePoint, PrimeDim, omega_table
 from phasespace.qudit import dft_matrix
+
+DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
+PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]
 
 
 def shift_op(dim: PrimeDim, q: int) -> DenseOperator:
@@ -53,3 +58,24 @@ def circulant(f: CyclicFunction) -> DenseOperator:
     x = np.arange(d)[:, None]
     q = np.arange(d)[None, :]
     return DenseOperator(f.dim, f.values[(x - q) % d])
+
+
+def stabilizer_stack(d: int) -> np.ndarray:
+    """All d(d+1) stabilizer states as explicit rows: basis states, then
+    d^(-1/2) exp(2 pi i (theta q^2 + x q) / d) in (theta, x) order."""
+    q = np.arange(d)
+    rows = [np.eye(d)[k] for k in range(d)]
+    rows += [np.exp(2j * np.pi * (t * q * q + x * q) / d) / np.sqrt(d) for t in range(d) for x in range(d)]
+    return np.array(rows)
+
+
+def fft_wigner(amp: np.ndarray) -> np.ndarray:
+    """W[p, q] = (1/d) sum_x omega^(-p x) psi(q + x/2) conj(psi(q - x/2)), by FFT;
+    asserts that the imaginary residue is at most 1e-12 and returns the real grid."""
+    d = len(amp)
+    h = (d + 1) // 2
+    q = np.arange(d)[:, None]
+    x = np.arange(d)[None, :]
+    grid = np.fft.fft(amp[(q + h * x) % d] * np.conj(amp[(q - h * x) % d]), axis=1).T / d
+    assert np.abs(grid.imag).max() <= 1e-12
+    return grid.real

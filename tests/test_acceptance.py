@@ -44,9 +44,7 @@ from phasespace.hudson import _haar_rows, _two_point_rows, modulus_violations, s
 from phasespace.qudit import dft_matrix
 from phasespace.wigner import wigner_minima
 
-from oracles import circulant, inverse_fourier, symplectic_form
-
-DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
+from oracles import DIMS, circulant, inverse_fourier, symplectic_form
 
 
 def _report(num: int, ok: bool, text: str) -> None:

@@ -13,9 +13,7 @@ from phasespace import (
     omega_table,
 )
 
-from oracles import circulant, inverse_fourier
-
-DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
+from oracles import DIMS, circulant, inverse_fourier
 
 
 def _delta(dim, k):

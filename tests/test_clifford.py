@@ -25,9 +25,8 @@ from phasespace import (
 from phasespace.clifford import stabilizer_blocks, stabilizer_overlaps
 from phasespace.qudit import dft_matrix
 
-from oracles import projective_equal
+from oracles import DIMS, projective_equal, stabilizer_stack
 
-DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 LARGE_PRIMES = [p for p in range(11, 102) if all(p % f for f in range(2, p))]
 
 
@@ -160,7 +159,7 @@ class TestCliffordElement:
         dim = PrimeDim(5)
         g = weyl(dim.point(0, 1)) @ metaplectic(SymplecticMatrix.identity(dim))
         out = StateVector.normalized(dim, g.apply(StateVector.basis(dim, 0)))
-        assert abs(out.overlap(StateVector.basis(dim, 1))) > 1 - 1e-12
+        assert abs(np.vdot(out.amp, StateVector.basis(dim, 1).amp)) > 1 - 1e-12
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
     def test_compose_matches_unitary_product(self, dim):
@@ -318,17 +317,6 @@ class TestIsStabilizer:
         assert is_stabilizer(perturbed, tol=1e-4)
 
 
-def _stabilizer_stack(d):
-    """All d(d+1) stabilizer states as explicit rows: basis states, then
-    d^(-1/2) exp(2 pi i (theta q^2 + x q) / d) in (theta, x) order."""
-    q = np.arange(d)
-    rows = [np.eye(d)[k] for k in range(d)]
-    for theta in range(d):
-        for x in range(d):
-            rows.append(np.exp(2j * np.pi * (theta * q * q + x * q) / d) / np.sqrt(d))
-    return np.array(rows)
-
-
 def _stack_overlap(stack, amp):
     return float(np.abs(stack.conj() @ amp).max())
 
@@ -357,7 +345,7 @@ class TestStabilizerMatchAgainstStack:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_overlaps_and_predicate_match_stack(self, dim):
-        stack = _stabilizer_stack(dim.d)
+        stack = stabilizer_stack(dim.d)
         cases = self._cases(dim)
         overlaps = stabilizer_overlaps(np.array(cases), dft_matrix(dim.d))
         for amp, got in zip(cases, overlaps):
@@ -370,7 +358,7 @@ class TestStabilizerMatchAgainstStack:
     @pytest.mark.parametrize("dim", DIMS)
     def test_perturbed_state_separates_the_tolerances(self, dim):
         amp = self._cases(dim)[-1]
-        want = _stack_overlap(_stabilizer_stack(dim.d), amp)
+        want = _stack_overlap(stabilizer_stack(dim.d), amp)
         assert 1.0 - 1e-4 <= want < 1.0 - 1e-9
         psi = StateVector(dim, amp)
         assert not is_stabilizer(psi, tol=1e-9)
@@ -380,4 +368,4 @@ class TestStabilizerMatchAgainstStack:
     def test_blocks_follow_the_enumeration(self, dim):
         rows = np.concatenate(list(stabilizer_blocks(dim.d)))
         assert np.array_equal(rows, np.array([s.amp for s in enumerate_stabilizers(dim)]))
-        assert np.max(np.abs(rows - _stabilizer_stack(dim.d))) < 1e-12
+        assert np.max(np.abs(rows - stabilizer_stack(dim.d))) < 1e-12

@@ -1,6 +1,7 @@
 """Tests for characteristic functions, Wigner grids and covariance."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from phasespace import (
     SymplecticMatrix,
     char_from_wigner,
     characteristic,
+    cli,
     haar_random_state,
     metaplectic,
     operator_from_char,
@@ -30,11 +32,11 @@ from phasespace import (
     wigner_from_char,
     wigner_pure,
 )
-from phasespace.qudit import dft_matrix, row_chunks
+from phasespace.hudson import row_chunks
+from phasespace.qudit import dft_matrix
 from phasespace.wigner import wigner_minima
 
-DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
-PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]
+from oracles import DIMS, PRIMES_TO_101, fft_wigner
 
 
 def _random_hermitian(dim, seed):
@@ -60,10 +62,6 @@ class TestPhaseGrid:
         g = PhaseGrid(PrimeDim(3), np.full((3, 3), 1j), KIND_WIGNER)
         with pytest.raises(ValueError, match="imaginary residue"):
             g.real_values()
-
-    def test_total(self):
-        g = PhaseGrid(PrimeDim(3), np.full((3, 3), 1.0 / 9), KIND_WIGNER)
-        assert abs(g.total() - 1.0) < 1e-15
 
     def test_values_read_only(self):
         g = PhaseGrid(PrimeDim(3), np.zeros((3, 3)), KIND_WIGNER)
@@ -151,7 +149,7 @@ class TestWignerTransforms:
     def test_reality_and_normalization(self, dim):
         for s in range(10):
             w = wigner_pure(haar_random_state(dim, 200 + s))
-            vals = w.real_values(1e-12)
+            vals = w.real_values()
             assert abs(vals.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -246,16 +244,6 @@ class TestTransformOracles:
         assert np.max(np.abs(characteristic(rho).values - _weyl_traces(rho))) < 1e-12
 
 
-def _fft_wigner(amp):
-    """W[p, q] = (1/d) sum_x omega^(-p x) psi(q + x/2) conj(psi(q - x/2)), by FFT."""
-    d = len(amp)
-    h = (d + 1) // 2
-    q = np.arange(d)[:, None]
-    x = np.arange(d)[None, :]
-    k = amp[(q + h * x) % d] * np.conj(amp[(q - h * x) % d])
-    return np.fft.fft(k, axis=1).T / d
-
-
 class TestWignerMinima:
     @given(
         d=st.sampled_from(PRIMES_TO_101),
@@ -270,11 +258,10 @@ class TestWignerMinima:
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         minima, argmins = wigner_minima(amps, dft_matrix(d))
         for i in range(n):
-            grid = _fft_wigner(amps[i])
-            assert abs(grid.imag).max() <= 1e-12
-            assert abs(minima[i] - grid.real.min()) <= 1e-12
+            grid = fft_wigner(amps[i])
+            assert abs(minima[i] - grid.min()) <= 1e-12
             p, q = divmod(int(argmins[i]), d)
-            assert grid.real[p, q] - grid.real.min() <= 1e-12
+            assert grid[p, q] - grid.min() <= 1e-12
 
     def test_large_d_blocks_span_several_chunks(self):
         assert len(row_chunks(40, 61)) == 3
@@ -385,35 +372,25 @@ class TestCovariance:
 
 
 class TestSerialization:
-    def test_wigner_json(self):
-        dim = PrimeDim(3)
-        doc = wigner_pure(StateVector.basis(dim, 0)).to_json_dict()
+    """The Wigner grid artifact that `phasespace wigner` writes."""
+
+    @staticmethod
+    def _artifact(capsys, *extra):
+        assert cli.main(["wigner", "--d", "3", "--state", "[[1,0],[0,0],[0,0]]", *extra]) == 0
+        return capsys.readouterr().out
+
+    def test_wigner_json(self, capsys):
+        doc = json.loads(self._artifact(capsys))
         assert doc["d"] == 3
         assert doc["kind"] == KIND_WIGNER
         assert len(doc["values"]) == 3
         assert all(isinstance(x, float) for row in doc["values"] for x in row)
         assert abs(doc["values"][0][0] - 1.0 / 3) < 1e-15
 
-    def test_characteristic_json(self):
-        dim = PrimeDim(3)
-        doc = characteristic(projector(StateVector.basis(dim, 0))).to_json_dict()
-        assert doc["kind"] == KIND_CHARACTERISTIC
-        assert doc["values"][0][0] == [pytest.approx(1.0 / 3), pytest.approx(0.0)]
-
-    def test_wigner_csv(self):
-        dim = PrimeDim(3)
-        rows = wigner_pure(StateVector.basis(dim, 0)).to_csv_rows()
+    def test_wigner_csv(self, capsys):
+        rows = self._artifact(capsys, "--format", "csv").splitlines()
         assert rows[0] == "p,q,value"
         assert len(rows) == 10
-        p, q, val = rows[1].split(",")
-        assert (p, q) == ("0", "0")
-        assert abs(float(val) - 1.0 / 3) < 1e-15
-
-    def test_characteristic_csv(self):
-        dim = PrimeDim(3)
-        rows = characteristic(_maximally_mixed(dim)).to_csv_rows()
-        assert rows[0] == "p,q,re,im"
-        assert len(rows) == 10
-        fields = rows[1].split(",")
-        assert abs(float(fields[2]) - 1.0 / 3) < 1e-15
-        assert float(fields[3]) == 0.0
+        points = [row.split(",")[:2] for row in rows[1:]]
+        assert points == [[str(p), str(q)] for p in range(3) for q in range(3)]
+        assert abs(float(rows[1].split(",")[2]) - 1.0 / 3) < 1e-15

@@ -16,9 +16,7 @@ from phasespace import (
     sl2_enumerate,
 )
 
-from oracles import symplectic_form
-
-DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
+from oracles import DIMS, symplectic_form
 
 
 class TestPrimeDim:
