@@ -19,7 +19,6 @@ from .zmod import (
 from .qudit import (
     DenseOperator,
     StateVector,
-    haar_random_state,
     omega_table,
     projector,
     weyl,
@@ -39,10 +38,10 @@ from .wigner import (
     wigner_pure,
 )
 from .clifford import (
-    enumerate_stabilizers,
-    is_stabilizer,
     metaplectic,
+    stabilizer_blocks,
     stabilizer_descriptors,
+    stabilizer_overlaps,
 )
 from .bochner import (
     CyclicFunction,

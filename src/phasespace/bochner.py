@@ -13,7 +13,7 @@ Two predicates, each paired with an independent oracle in the test suite
     has_constant_modulus_fourier(f): |fhat| is constant. Equivalent to the
         autocorrelation sum_x conj(f(x)) f(x - q) vanishing for every q != 0.
 
-Thresholds are applied to values rescaled so that sum |f|^2 = 1.
+PREDICATE_TOL is applied to values rescaled so that sum |f|^2 = 1.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 
 from .qudit import dft_matrix
 from .zmod import PrimeDim
+
+PREDICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +63,8 @@ def _unit_scaled(values: np.ndarray) -> np.ndarray | None:
     return values / norm
 
 
-def has_nonneg_fourier(f: CyclicFunction, tol: float = 1e-9) -> bool:
-    """True iff the transform of f is (real and) nonnegative within tol.
+def has_nonneg_fourier(f: CyclicFunction) -> bool:
+    """True iff the transform of f is (real and) nonnegative within PREDICATE_TOL.
 
     Requires the Hermitian symmetry f(-q) = conj(f(q)), which makes the
     transform real; otherwise the question is ill-posed and a ValueError
@@ -76,14 +78,14 @@ def has_nonneg_fourier(f: CyclicFunction, tol: float = 1e-9) -> bool:
     if sym_gap > 1e-12:
         raise ValueError("transform not real: f lacks the symmetry f(-q) = conj(f(q))")
     fhat = fourier(CyclicFunction(f.dim, values)).values
-    return bool(fhat.real.min() >= -tol)
+    return bool(fhat.real.min() >= -PREDICATE_TOL)
 
 
-def has_constant_modulus_fourier(f: CyclicFunction, tol: float = 1e-9) -> bool:
-    """True iff sum_x conj(f(x)) f(x - q) vanishes (within tol) for all q != 0,
-    which holds exactly when |fhat| is constant."""
+def has_constant_modulus_fourier(f: CyclicFunction) -> bool:
+    """True iff sum_x conj(f(x)) f(x - q) vanishes (within PREDICATE_TOL) for
+    all q != 0, which holds exactly when |fhat| is constant."""
     values = _unit_scaled(f.values)
     if values is None:
         return True
     a = autocorrelation(CyclicFunction(f.dim, values))
-    return bool(np.max(np.abs(a[1:])) <= tol)
+    return bool(np.max(np.abs(a[1:])) <= PREDICATE_TOL)

@@ -13,12 +13,14 @@ byte-identical artifacts except for the segregated duration_seconds field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -35,8 +37,9 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 # Largest accepted --d per subcommand, so that oversized input exits 2 instead
 # of exhausting memory or running for hours. Measured in process on a 2-core
 # machine (Python 3.11, numpy 2.4), writing the artifact with --output:
-#   wigner       d = 2003: 1.7 s, peak RSS 281 MB; memory grows as d^2.
-#   stabilizers  d = 101 with --amplitudes: 3.4-3.8 s, 275 MB (d = 151: 900 MB);
+#   wigner       d = 2003: JSON 7.8 s, peak RSS 410 MB; CSV 11.6 s, 287 MB (its
+#                lines are written one at a time); memory grows as d^2.
+#   stabilizers  d = 101 with --amplitudes: 3.6-4.2 s, 276 MB (d = 151: 900 MB);
 #                every amplitude pair is built before the artifact is written,
 #                so memory grows as d^3.
 #   metaplectic  d = 211: 31 s, 43 MB; the self-check costs O(d^4).
@@ -44,6 +47,10 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 #                stabilizer block representatives get a Wigner grid, so time
 #                grows as d^4, and the 1000 samples take most of it at d = 401.
 MAX_D = {"wigner": 2003, "stabilizers": 101, "metaplectic": 211, "verify": 401}
+# Largest accepted --samples and --two-point: time grows linearly in the counts,
+# memory stays flat. Measured as above with both counts at the cap: d = 3 6.8 s,
+# 45 MB; d = 101 140 s, 40 MB.
+MAX_SAMPLES = 100_000
 
 
 class CliError(Exception):
@@ -125,6 +132,8 @@ def _resolve_args(args: argparse.Namespace) -> None:
     if args.command == "verify":
         if args.samples < 0 or args.two_point < 0:
             raise CliError("sample counts must be nonnegative")
+        if max(args.samples, args.two_point) > MAX_SAMPLES:
+            raise CliError(f"sample counts must be at most {MAX_SAMPLES}")
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise CliError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
         args.seed = _resolve_seed(args.seed)
@@ -166,17 +175,17 @@ def _complex_pairs(mat: np.ndarray) -> list:
     return np.stack([mat.real, mat.imag], -1).tolist()
 
 
-def run_wigner(args: argparse.Namespace) -> tuple[dict | list[str], int]:
+def run_wigner(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
     values = wigner_pure(parse_state(args)).real_values()
     if args.format == "csv":
-        # one line per (p, q) in lexicographic order; converting one grid row at a
-        # time keeps the d^2 floats from all being Python objects at once
+        # one line per (p, q) in lexicographic order, made as _emit writes it and
+        # converted one grid row at a time, so the d^2 floats are never all objects
         lines = (f"{p},{q},{v!r}" for p, row in enumerate(values) for q, v in enumerate(row.tolist()))
-        return ["p,q,value", *lines], 0
+        return itertools.chain(["p,q,value"], lines), 0
     return {"d": args.dim.d, "kind": KIND_WIGNER, "values": values.tolist()}, 0
 
 
-def run_stabilizers(args: argparse.Namespace) -> tuple[dict | list[str], int]:
+def run_stabilizers(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
     descs = stabilizer_descriptors(args.dim)
     if args.format == "csv":
         rows = ["index,kind,k,theta,x"]
@@ -211,7 +220,7 @@ def _conjugation_error(mu: np.ndarray, S: SymplecticMatrix) -> float:
     return err
 
 
-def run_metaplectic(args: argparse.Namespace) -> tuple[dict | list[str], int]:
+def run_metaplectic(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
     a, b, c, e = args.matrix
     try:
         S = SymplecticMatrix(args.dim, a, b, c, e)
@@ -237,7 +246,7 @@ def run_metaplectic(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     return artifact, 0 if passed else 1
 
 
-def run_verify(args: argparse.Namespace) -> tuple[dict | list[str], int]:
+def run_verify(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
     start = time.perf_counter()
     report = verify_hudson(
         args.dim, args.samples, args.seed, tol=args.tol, two_point_samples=args.two_point
@@ -258,16 +267,13 @@ def run_verify(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     return artifact, 0 if overall else 1
 
 
-def _emit(payload: dict | list[str], args: argparse.Namespace) -> None:
-    if isinstance(payload, dict):
-        text = json.dumps(payload, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(payload) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(payload: dict | Iterable[str], args: argparse.Namespace) -> None:
+    """Write a JSON document, or CSV lines one at a time, to --output or stdout."""
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(payload, dict):
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        else:
+            fh.writelines(f"{line}\n" for line in payload)
 
 
 _RUNNERS = {

@@ -32,8 +32,8 @@ suite certifies this by brute-force orbit closure). stabilizer_blocks yields
 them as d + 1 blocks of d amplitude rows, so no caller has to hold all of
 them at once.
 
-is_stabilizer never builds that family. The largest overlap of psi with a
-stabilizer state is
+stabilizer_overlaps never builds that family. The largest overlap of psi
+with a stabilizer state is
 
     max( max_k |psi(k)|,  max_{theta, x} d^(-1/2) |sum_q omega^(-theta q^2 - x q) psi(q)| ),
 
@@ -48,7 +48,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, dft_matrix, omega_table
+from .qudit import DenseOperator, omega_table
 from .zmod import PrimeDim, SymplecticMatrix, half
 
 
@@ -83,23 +83,17 @@ def _quadratic_amps(d: int, theta: int, x) -> np.ndarray:
 
 
 def stabilizer_blocks(d: int) -> Iterator[np.ndarray]:
-    """The d(d+1) stabilizer states as d + 1 (d, d) amplitude blocks, in the
-    order of enumerate_stabilizers: the basis states, then for each theta the
-    quadratic-phase states x = 0, ..., d-1."""
+    """The d(d+1) stabilizer states as d + 1 (d, d) amplitude blocks: the
+    basis states, then for each theta the quadratic-phase states
+    x = 0, ..., d-1."""
     yield np.eye(d, dtype=complex)
     x = np.arange(d)[:, None]
     for theta in range(d):
         yield _quadratic_amps(d, theta, x)
 
 
-def enumerate_stabilizers(dim: PrimeDim) -> list[StateVector]:
-    """All d(d+1) stabilizer states: basis states, then quadratic-phase states
-    in lexicographic (theta, x) order."""
-    return [StateVector(dim, amp) for block in stabilizer_blocks(dim.d) for amp in block]
-
-
 def stabilizer_descriptors(dim: PrimeDim) -> list[dict]:
-    """Descriptors aligned index-by-index with enumerate_stabilizers."""
+    """Descriptors aligned index-by-index with the rows of stabilizer_blocks."""
     descs: list[dict] = [{"kind": "basis", "k": k} for k in range(dim.d)]
     for theta in range(dim.d):
         for x in range(dim.d):
@@ -122,8 +116,3 @@ def stabilizer_overlaps(amps: np.ndarray, F: np.ndarray) -> np.ndarray:
     sums = np.abs(chirped.reshape(n * d, d) @ F).reshape(n, d * d)
     return np.maximum(np.abs(amps).max(axis=1), sums.max(axis=1) * np.sqrt(d))
 
-
-def is_stabilizer(psi: StateVector, tol: float = 1e-9) -> bool:
-    """True iff psi matches some stabilizer state up to phase within tol."""
-    overlap = stabilizer_overlaps(psi.amp[None], dft_matrix(psi.dim.d))[0]
-    return bool(overlap >= 1.0 - tol)

@@ -26,8 +26,10 @@ clifford.stabilizer_overlaps, modulus_violations) each build an (n, d, d)
 temporary for the whole block they are given, and verify_hudson alone sets
 its size: it hands them row_chunks of the stabilizer representatives and of
 the samples, so that each temporary holds at most CHUNK_ELEMENTS complex
-entries. haar_sample and two_point_sample replay one sample of a run as a
-StateVector.
+entries. The per-index substreams are the package's one seeding scheme, and
+haar_sample and two_point_sample replay one sample as a StateVector. A sample
+matches a stabilizer state when its stabilizer_overlaps value is at least
+1 - STABILIZER_MATCH_TOL.
 
 The stabilizer family is not swept grid by grid. Its Wigner functions are
 known exactly: (1/d) 1[q = k] for |k> and (1/d) 1[p = 2 theta q + x] for the
@@ -51,12 +53,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .clifford import stabilizer_blocks, stabilizer_overlaps
-from .qudit import StateVector, dft_matrix, haar_block, normalize_rows, omega_table
+from .qudit import StateVector, dft_matrix, normalize_rows, omega_table
 from .wigner import (
     KIND_WIGNER,
     PhaseGrid,
@@ -71,7 +74,8 @@ from .zmod import PrimeDim
 SUPPORT_THRESHOLD = 1e-8
 STABILIZER_NONNEG_TOL = 1e-12
 LEMMA_TOL = 1e-12
-STABILIZER_MATCH_TOL = 1e-9  # the is_stabilizer default
+STABILIZER_MATCH_TOL = 1e-9
+POINT_MASS_TOL = 1e-9
 MAX_FAILURE_MESSAGES = 20
 # verify_hudson hands the block kernels c consecutive rows at a time, with c
 # chosen so that each (c, d, d) temporary holds at most this many complex
@@ -80,11 +84,11 @@ MAX_FAILURE_MESSAGES = 20
 CHUNK_ELEMENTS = 1 << 16
 
 
-def row_chunks(n: int, d: int) -> list[slice]:
+def row_chunks(n: int, d: int) -> Iterator[slice]:
     """Consecutive row slices covering range(n), each at most
-    max(1, CHUNK_ELEMENTS // d^2) rows long."""
+    max(1, CHUNK_ELEMENTS // d^2) rows long, made lazily for any n."""
     step = max(1, CHUNK_ELEMENTS // (d * d))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
 def modulus_violations(moduli: np.ndarray) -> np.ndarray:
@@ -114,7 +118,13 @@ def _substreams(seed: int, stream: int, indices) -> list[np.random.SeedSequence]
 
 
 def _haar_rows(d: int, seed: int, indices) -> np.ndarray:
-    return haar_block(d, _substreams(seed, _HAAR_STREAM, indices))
+    """Haar-random unit rows; row k takes 2d standard normals (real parts,
+    then imaginary parts) from the substream of indices[k]."""
+    seeds = _substreams(seed, _HAAR_STREAM, indices)
+    raw = np.empty((len(seeds), 2, d))
+    for k, ss in enumerate(seeds):
+        raw[k] = np.random.default_rng(ss).standard_normal((2, d))
+    return normalize_rows(raw[:, 0] + 1j * raw[:, 1])
 
 
 def _two_point_rows(d: int, seed: int, indices) -> np.ndarray:
@@ -352,13 +362,13 @@ def verify_hudson(
     )
 
 
-def single_point_infeasibility(dim: PrimeDim, tol: float = 1e-9) -> bool:
+def single_point_infeasibility(dim: PrimeDim) -> bool:
     """True iff the Wigner grid concentrated at the origin (value 1) cannot
     come from a positive semidefinite operator.
 
     The grid is inverted to a characteristic function, the operator is
     reassembled as a Weyl sum, and its spectrum is examined: a negative
-    eigenvalue below -tol certifies infeasibility.
+    eigenvalue below -POINT_MASS_TOL certifies infeasibility.
     """
     d = dim.d
     vals = np.zeros((d, d), dtype=complex)
@@ -369,4 +379,4 @@ def single_point_infeasibility(dim: PrimeDim, tol: float = 1e-9) -> bool:
     if herm_gap > 1e-12:
         raise RuntimeError(f"reconstructed operator is not Hermitian (gap {herm_gap:.3e})")
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    return bool(eigs.min() < -tol)
+    return bool(eigs.min() < -POINT_MASS_TOL)

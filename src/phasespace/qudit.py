@@ -1,4 +1,4 @@
-"""State vectors, dense operators and Weyl operators for a single qudit.
+"""State vectors, dense and Weyl operators, and amplitude-block helpers for a qudit.
 
 Conventions (d an odd prime, omega = exp(2 pi i / d)):
 
@@ -112,11 +112,6 @@ def projector(psi: StateVector) -> DenseOperator:
     return DenseOperator(psi.dim, np.outer(psi.amp, psi.amp.conj()))
 
 
-def haar_random_state(dim: PrimeDim, seed: int) -> StateVector:
-    """Haar-distributed pure state from a seeded generator (deterministic)."""
-    return StateVector(dim, haar_block(dim.d, [seed])[0])
-
-
 # ---------------------------------------------------------------------------
 # Amplitude blocks: one state per row of an (n, d) array
 # ---------------------------------------------------------------------------
@@ -136,15 +131,6 @@ def normalize_rows(amps: np.ndarray) -> np.ndarray:
     if not np.all(np.abs((rows.real**2 + rows.imag**2).sum(axis=1) - 1.0) <= NORM_TOL):
         raise ValueError("state vector is not normalized")
     return rows
-
-
-def haar_block(d: int, seeds) -> np.ndarray:
-    """Haar-random unit rows; row k takes 2d standard normals (real parts,
-    then imaginary parts) from default_rng(seeds[k])."""
-    raw = np.empty((len(seeds), 2, d))
-    for k, seed in enumerate(seeds):
-        raw[k] = np.random.default_rng(seed).standard_normal((2, d))
-    return normalize_rows(raw[:, 0] + 1j * raw[:, 1])
 
 
 def dft_matrix(d: int) -> np.ndarray:

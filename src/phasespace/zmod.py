@@ -98,25 +98,6 @@ class SymplecticMatrix:
         if (self.a * self.e - self.b * self.c) % self.dim.d != 1:
             raise ValueError("determinant must be 1 mod d")
 
-    @classmethod
-    def identity(cls, dim: PrimeDim) -> SymplecticMatrix:
-        return cls(dim, 1, 0, 0, 1)
-
-    @classmethod
-    def fourier(cls, dim: PrimeDim) -> SymplecticMatrix:
-        """The flip [[0, -1], [1, 0]]."""
-        return cls(dim, 0, -1, 1, 0)
-
-    @classmethod
-    def chirp(cls, dim: PrimeDim, c: int) -> SymplecticMatrix:
-        """The lower-triangular shear [[1, 0], [c, 1]]."""
-        return cls(dim, 1, 0, c, 1)
-
-    @classmethod
-    def scaling(cls, dim: PrimeDim, a: int) -> SymplecticMatrix:
-        """The diagonal [[a, 0], [0, a^-1]], a != 0."""
-        return cls(dim, a, 0, 0, pow(operator.index(a), -1, dim.d))
-
     def __matmul__(self, other: SymplecticMatrix) -> SymplecticMatrix:
         if other.dim != self.dim:
             raise ValueError("operands live in different residue rings")

@@ -21,9 +21,8 @@ from phasespace import (
     PrimeDim,
     StateVector,
     characteristic,
-    enumerate_stabilizers,
     fourier,
-    haar_random_state,
+    haar_sample,
     has_constant_modulus_fourier,
     has_nonneg_fourier,
     metaplectic,
@@ -32,6 +31,8 @@ from phasespace import (
     projector,
     single_point_infeasibility,
     sl2_enumerate,
+    stabilizer_blocks,
+    stabilizer_overlaps,
     verify_hudson,
     weyl,
     weyl_translated_grid,
@@ -39,7 +40,6 @@ from phasespace import (
     wigner_pure,
     half,
 )
-from phasespace.clifford import stabilizer_overlaps
 from phasespace.hudson import _haar_rows, _two_point_rows, modulus_violations, support_rows
 from phasespace.qudit import dft_matrix
 from phasespace.wigner import wigner_minima
@@ -57,7 +57,7 @@ def test_criterion_01_stabilizer_nonnegativity():
     worst = math.inf
     counts = {}
     for dim in DIMS:
-        amps = np.array([state.amp for state in enumerate_stabilizers(dim)])
+        amps = np.concatenate(list(stabilizer_blocks(dim.d)))
         counts[dim.d] = len(amps)
         minima, _ = wigner_minima(amps, dft_matrix(dim.d))
         worst = min(worst, float(minima.min()))
@@ -101,7 +101,7 @@ def test_criterion_03_transform_routes_agree():
     worst = 0.0
     for dim in DIMS:
         for i in range(100):
-            psi = haar_random_state(dim, 10_000 + i)
+            psi = haar_sample(dim, 10_000 + i, 0)
             direct = wigner_pure(psi).values
             via_char = wigner_from_char(characteristic(projector(psi))).values
             worst = max(worst, float(np.max(np.abs(direct - via_char))))
@@ -118,7 +118,7 @@ def test_criterion_04_symplectic_covariance_exhaustive():
     checked = 0
     for dim in [PrimeDim(3), PrimeDim(5)]:
         mats = sl2_enumerate(dim)
-        states = [haar_random_state(dim, 20_000 + i) for i in range(20)]
+        states = [haar_sample(dim, 20_000 + i, 0) for i in range(20)]
         grids = [wigner_pure(psi) for psi in states]
         for S in mats:
             mu = metaplectic(S)
@@ -138,7 +138,7 @@ def test_criterion_05_translation_covariance_exhaustive():
     worst = 0.0
     checked = 0
     for dim in [PrimeDim(3), PrimeDim(5)]:
-        states = [haar_random_state(dim, 30_000 + i) for i in range(20)]
+        states = [haar_sample(dim, 30_000 + i, 0) for i in range(20)]
         grids = [wigner_pure(psi) for psi in states]
         for v in dim.all_points():
             w = weyl(v)
@@ -211,7 +211,7 @@ def test_criterion_07_nonneg_transform_predicate_agrees_with_eigensolver():
             else:
                 vals = inverse_fourier(CyclicFunction(dim, rng.uniform(0.0, 1.0, d))).values
             f = CyclicFunction(dim, vals)
-            verdict = has_nonneg_fourier(f, tol=1e-9)
+            verdict = has_nonneg_fourier(f)
             scaled = vals / np.linalg.norm(vals)
             eig_min = float(np.linalg.eigvalsh(circulant(CyclicFunction(dim, scaled)).mat).min())
             oracle = eig_min >= -1e-9 * d
@@ -243,7 +243,7 @@ def test_criterion_08_flat_transform_predicate_agrees_with_spread_oracle():
         cases += [table[(theta * q * q + x * q) % d] for theta in range(1, d) for x in range(d)]
         for vals in cases:
             f = CyclicFunction(dim, vals)
-            verdict = has_constant_modulus_fourier(f, tol=1e-9)
+            verdict = has_constant_modulus_fourier(f)
             scaled = vals / np.linalg.norm(vals)
             moduli = np.abs(fourier(CyclicFunction(dim, scaled)).values)
             oracle = float(moduli.max() - moduli.min()) <= 1e-9
@@ -267,7 +267,7 @@ def test_criterion_09_positive_states_satisfy_the_structure_lemmas():
     details = []
     for dim in DIMS:
         d = dim.d
-        amps = np.array([state.amp for state in enumerate_stabilizers(dim)])
+        amps = np.concatenate(list(stabilizer_blocks(dim.d)))
         minima, _ = wigner_minima(amps, dft_matrix(d))
         assert np.all(minima >= -1e-12)
         m = np.abs(amps)

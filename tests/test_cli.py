@@ -1,15 +1,17 @@
 """End-to-end tests of the command-line interface (subprocess level, or in
 process where a test substitutes a function or checks a limit)."""
 
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from phasespace import DenseOperator, PrimeDim, SymplecticMatrix, cli, enumerate_stabilizers, metaplectic
+from phasespace import DenseOperator, SymplecticMatrix, cli, metaplectic, stabilizer_blocks
 
 BASIS3 = "[[1,0],[0,0],[0,0]]"
 
@@ -155,7 +157,7 @@ class TestStabilizersCommand:
     def test_amplitudes_follow_the_enumeration(self, capsys):
         assert cli.main(["stabilizers", "--d", "5", "--amplitudes"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        want = [[[z.real, z.imag] for z in s.amp] for s in enumerate_stabilizers(PrimeDim(5))]
+        want = [[[z.real, z.imag] for z in amp] for amp in np.concatenate(list(stabilizer_blocks(5)))]
         assert [rec["amplitudes"] for rec in doc["states"]] == want
 
     def test_csv_listing(self):
@@ -210,7 +212,7 @@ class TestMetaplecticCommand:
         def bad_metaplectic(S):
             if wrong == "scaled":
                 return DenseOperator(S.dim, 2 * metaplectic(S).mat)
-            return metaplectic(SymplecticMatrix.chirp(S.dim, 1) @ S)
+            return metaplectic(SymplecticMatrix(S.dim, 1, 0, 1, 1) @ S)
 
         monkeypatch.setattr(cli, "metaplectic", bad_metaplectic)
         assert cli.main(["metaplectic", "--d", "5", "--matrix", "2,1,1,1"]) == 1
@@ -269,11 +271,12 @@ class TestVerifyCommand:
         assert doc["failures_total"] == 10  # every random and two-point sample
 
     def test_rejects_negative_samples(self):
-        for flag in ("--samples", "--two-point"):
-            proc = run_cli("verify", "--d", "3", flag, "-1")
+        counts = (("-1", "nonnegative"), ("100001", "at most 100000"))
+        for flag, (count, bound) in itertools.product(("--samples", "--two-point"), counts):
+            proc = run_cli("verify", "--d", "3", flag, count)
             assert proc.returncode == 2
             assert proc.stdout == ""
-            assert proc.stderr == "error: sample counts must be nonnegative\n"
+            assert proc.stderr == f"error: sample counts must be {bound}\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_rejects_nonfinite_or_negative_tol(self, tol):

@@ -12,17 +12,18 @@ from phasespace import (
     PrimeDim,
     StateVector,
     SymplecticMatrix,
-    enumerate_stabilizers,
-    haar_random_state,
-    is_stabilizer,
+    haar_sample,
+    half,
     metaplectic,
     omega_table,
     sl2_apply,
     sl2_enumerate,
+    stabilizer_blocks,
     stabilizer_descriptors,
+    stabilizer_overlaps,
     weyl,
 )
-from phasespace.clifford import stabilizer_blocks, stabilizer_overlaps
+from phasespace.hudson import STABILIZER_MATCH_TOL
 from phasespace.qudit import dft_matrix
 
 from oracles import DIMS, projective_equal, stabilizer_stack
@@ -33,7 +34,7 @@ LARGE_PRIMES = [p for p in range(11, 102) if all(p % f for f in range(2, p))]
 class TestMetaplectic:
     def test_identity_maps_to_identity(self):
         dim = PrimeDim(5)
-        assert np.array_equal(metaplectic(SymplecticMatrix.identity(dim)).mat, np.eye(5))
+        assert np.array_equal(metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1)).mat, np.eye(5))
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
     def test_unitary(self, dim):
@@ -43,7 +44,7 @@ class TestMetaplectic:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_fourier_image_is_flat(self, dim):
-        u = metaplectic(SymplecticMatrix.fourier(dim)).mat
+        u = metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0)).mat
         assert np.allclose(np.abs(u), 1.0 / np.sqrt(dim.d), atol=1e-14)
         # and it is the unitary DFT, entries d^(-1/2) omega^(-jk)
         assert np.max(np.abs(u - np.fft.fft(np.eye(dim.d)) / np.sqrt(dim.d))) <= 1e-14
@@ -126,12 +127,12 @@ class TestMetaplectic:
 class TestProjectiveEqual:
     def test_exact_equality(self):
         dim = PrimeDim(3)
-        u = metaplectic(SymplecticMatrix.fourier(dim))
+        u = metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0))
         assert projective_equal(u, u)
 
     def test_phase_multiple(self):
         dim = PrimeDim(3)
-        u = metaplectic(SymplecticMatrix.fourier(dim))
+        u = metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0))
         v = DenseOperator(dim, omega_table(3)[1] * u.mat)
         assert projective_equal(u, v)
 
@@ -152,12 +153,12 @@ class TestCliffordElement:
 
     def test_identity_element(self):
         dim = PrimeDim(3)
-        g = weyl(dim.point(0, 0)) @ metaplectic(SymplecticMatrix.identity(dim))
+        g = weyl(dim.point(0, 0)) @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1))
         assert np.array_equal(g.mat, np.eye(3))
 
     def test_pure_shift_action(self):
         dim = PrimeDim(5)
-        g = weyl(dim.point(0, 1)) @ metaplectic(SymplecticMatrix.identity(dim))
+        g = weyl(dim.point(0, 1)) @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1))
         out = StateVector.normalized(dim, g.apply(StateVector.basis(dim, 0)))
         assert abs(np.vdot(out.amp, StateVector.basis(dim, 1).amp)) > 1 - 1e-12
 
@@ -188,68 +189,76 @@ class TestCliffordElement:
                 assert projective_equal(lhs, rhs)
 
 
+def _family(dim):
+    """The d(d+1) stabilizer states as one stack of amplitude rows."""
+    return np.concatenate(list(stabilizer_blocks(dim.d)))
+
+
+def _matches(amps, tol=STABILIZER_MATCH_TOL):
+    """Per row of an (n, d) block: its largest stabilizer overlap is >= 1 - tol."""
+    amps = np.asarray(amps)
+    return stabilizer_overlaps(amps, dft_matrix(amps.shape[1])) >= 1.0 - tol
+
+
 class TestStabilizerStates:
     def test_uniform_state(self):
         dim = PrimeDim(5)
-        s = enumerate_stabilizers(dim)[dim.d]  # (theta, x) = (0, 0)
-        assert np.allclose(s.amp, np.full(5, 1 / np.sqrt(5)), atol=1e-15)
+        s = _family(dim)[dim.d]  # (theta, x) = (0, 0)
+        assert np.allclose(s, np.full(5, 1 / np.sqrt(5)), atol=1e-15)
 
     def test_quadratic_example_d3(self):
         # theta = 1, x = 0: amplitudes (1, omega, omega) / sqrt(3).
         dim = PrimeDim(3)
         w = omega_table(3)
-        s = enumerate_stabilizers(dim)[dim.d + 1 * dim.d + 0]
+        s = _family(dim)[dim.d + 1 * dim.d + 0]
         expected = np.array([1.0, w[1], w[1]]) / np.sqrt(3)
-        assert np.allclose(s.amp, expected, atol=1e-15)
+        assert np.allclose(s, expected, atol=1e-15)
 
     def test_linear_example_d3(self):
         # theta = 0, x = 1: amplitudes (1, omega, omega^2) / sqrt(3).
         dim = PrimeDim(3)
         w = omega_table(3)
-        s = enumerate_stabilizers(dim)[dim.d + 0 * dim.d + 1]
+        s = _family(dim)[dim.d + 0 * dim.d + 1]
         expected = np.array([1.0, w[1], w[2]]) / np.sqrt(3)
-        assert np.allclose(s.amp, expected, atol=1e-15)
+        assert np.allclose(s, expected, atol=1e-15)
 
     @pytest.mark.parametrize(
         "dim,count", [(PrimeDim(3), 12), (PrimeDim(5), 30), (PrimeDim(7), 56)]
     )
     def test_counts(self, dim, count):
-        states = enumerate_stabilizers(dim)
-        assert len(states) == count
+        assert len(_family(dim)) == count
         assert count == dim.d * (dim.d + 1)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_descriptors_align(self, dim):
-        states = enumerate_stabilizers(dim)
+        states = _family(dim)
         descs = stabilizer_descriptors(dim)
         assert len(states) == len(descs)
-        for state, desc in zip(states, descs):
+        for amp, desc in zip(states, descs):
             if desc["kind"] == "basis":
-                assert state.amp[desc["k"]] == 1.0
+                assert amp[desc["k"]] == 1.0
             else:
                 q = np.arange(dim.d)
                 expected = np.exp(2j * np.pi * (desc["theta"] * q * q + desc["x"] * q) / dim.d)
-                assert np.allclose(state.amp, expected / np.sqrt(dim.d), atol=1e-14)
+                assert np.allclose(amp, expected / np.sqrt(dim.d), atol=1e-14)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_pairwise_projectively_distinct(self, dim):
-        states = enumerate_stabilizers(dim)
-        stack = np.stack([s.amp for s in states])
+        stack = _family(dim)
         gram = np.abs(stack.conj() @ stack.T)
         np.fill_diagonal(gram, 0.0)
         assert gram.max() < 0.8
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_quadratic_states_have_flat_modulus(self, dim):
-        for state in enumerate_stabilizers(dim)[dim.d :]:
-            assert np.allclose(np.abs(state.amp), 1 / np.sqrt(dim.d), atol=1e-15)
+        assert np.allclose(np.abs(_family(dim)[dim.d :]), 1 / np.sqrt(dim.d), atol=1e-15)
 
 
 def _orbit_of_basis0(dim):
     """Closure of |0> under two Weyl shifts and two metaplectic generators."""
     gens = [
-        metaplectic(SymplecticMatrix.fourier(dim)).mat,
-        metaplectic(SymplecticMatrix.chirp(dim, 1)).mat,
+        metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0)).mat,
+        metaplectic(SymplecticMatrix(dim, 1, 0, 1, 1)).mat,
         weyl(dim.point(1, 0)).mat,
         weyl(dim.point(0, 1)).mat,
     ]
@@ -271,50 +280,49 @@ class TestStabilizerOrbit:
     @pytest.mark.parametrize("dim", DIMS)
     def test_orbit_equals_enumeration(self, dim):
         orbit = _orbit_of_basis0(dim)
-        states = enumerate_stabilizers(dim)
+        states = _family(dim)
         assert len(orbit) == len(states)
-        for state in states:
-            assert any(abs(np.vdot(amp, state.amp)) >= 1 - 1e-9 for amp in orbit)
-        for amp in orbit:
-            assert is_stabilizer(StateVector.normalized(dim, amp))
+        for amp in states:
+            assert any(abs(np.vdot(o, amp)) >= 1 - 1e-9 for o in orbit)
+        assert _matches(orbit).all()
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
     def test_closure_under_generators(self, dim):
         gens = [
-            metaplectic(SymplecticMatrix.fourier(dim)).mat,
-            metaplectic(SymplecticMatrix.chirp(dim, 1)).mat,
-            metaplectic(SymplecticMatrix.scaling(dim, 2)).mat,
+            metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0)).mat,
+            metaplectic(SymplecticMatrix(dim, 1, 0, 1, 1)).mat,
+            metaplectic(SymplecticMatrix(dim, 2, 0, 0, half(dim))).mat,
             weyl(dim.point(1, 0)).mat,
             weyl(dim.point(0, 1)).mat,
         ]
-        for state in enumerate_stabilizers(dim):
-            for g in gens:
-                image = StateVector.normalized(dim, g @ state.amp)
-                assert is_stabilizer(image)
+        for g in gens:
+            images = _family(dim) @ g.T  # row i is g applied to state i
+            assert np.allclose(np.linalg.norm(images, axis=1), 1.0, atol=1e-14)
+            assert _matches(images).all()
 
 
 class TestIsStabilizer:
+    """The stabilizer match: a stabilizer_overlaps value of at least 1 - tol."""
+
     @pytest.mark.parametrize("dim", DIMS)
     def test_true_on_enumerated_states(self, dim):
-        w = omega_table(dim.d)
-        for state in enumerate_stabilizers(dim):
-            assert is_stabilizer(state)
-            rotated = StateVector(dim, w[1] * state.amp)
-            assert is_stabilizer(rotated)
+        states = _family(dim)
+        assert _matches(states).all()
+        assert _matches(omega_table(dim.d)[1] * states).all()
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_false_on_random_states(self, dim):
-        for seed in range(5):
-            assert not is_stabilizer(haar_random_state(dim, 1000 + seed))
+        amps = [haar_sample(dim, 1000 + seed, 0).amp for seed in range(5)]
+        assert not _matches(amps).any()
 
     def test_tolerance_semantics(self):
         dim = PrimeDim(5)
-        base = enumerate_stabilizers(dim)[7]
+        base = _family(dim)[7]
         rng = np.random.default_rng(3)
         noise = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        perturbed = StateVector.normalized(dim, base.amp + 1e-3 * noise)
-        assert not is_stabilizer(perturbed, tol=1e-9)
-        assert is_stabilizer(perturbed, tol=1e-4)
+        perturbed = StateVector.normalized(dim, base + 1e-3 * noise).amp[None]
+        assert not _matches(perturbed, tol=1e-9)[0]
+        assert _matches(perturbed, tol=1e-4)[0]
 
 
 def _stack_overlap(stack, amp):
@@ -322,22 +330,22 @@ def _stack_overlap(stack, amp):
 
 
 class TestStabilizerMatchAgainstStack:
-    """is_stabilizer (chirp + DFT) against the explicit d(d+1)-row stack."""
+    """stabilizer_overlaps (chirp + DFT) against the explicit d(d+1)-row stack."""
 
     @staticmethod
     def _cases(dim):
         """Every stabilizer with its Weyl and Clifford images, Haar states,
         and last a stabilizer perturbed by 1e-3."""
         d = dim.d
-        states = [s.amp for s in enumerate_stabilizers(dim)]
-        gens = [metaplectic(SymplecticMatrix.fourier(dim)).mat,
-                metaplectic(SymplecticMatrix.chirp(dim, 1)).mat,
-                metaplectic(SymplecticMatrix.scaling(dim, 2)).mat]
+        states = list(_family(dim))
+        gens = [metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0)).mat,
+                metaplectic(SymplecticMatrix(dim, 1, 0, 1, 1)).mat,
+                metaplectic(SymplecticMatrix(dim, 2, 0, 0, half(dim))).mat]
         cases = list(states)
         for amp in states:
             cases += [weyl(v).mat @ amp for v in dim.all_points()]
             cases += [g @ amp for g in gens]
-        cases += [haar_random_state(dim, 5000 + s).amp for s in range(20)]
+        cases += [haar_sample(dim, 5000 + s, 0).amp for s in range(20)]
         rng = np.random.default_rng(3)
         noise = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         cases.append(states[-1] + 1e-3 * noise)
@@ -348,24 +356,22 @@ class TestStabilizerMatchAgainstStack:
         stack = stabilizer_stack(dim.d)
         cases = self._cases(dim)
         overlaps = stabilizer_overlaps(np.array(cases), dft_matrix(dim.d))
-        for amp, got in zip(cases, overlaps):
-            want = _stack_overlap(stack, amp)
-            assert abs(got - want) <= 1e-12
-            psi = StateVector(dim, amp)
-            for tol in (1e-9, 1e-4):
-                assert is_stabilizer(psi, tol) == (want >= 1.0 - tol)
+        want = np.array([_stack_overlap(stack, amp) for amp in cases])
+        assert np.max(np.abs(overlaps - want)) <= 1e-12
+        for tol in (STABILIZER_MATCH_TOL, 1e-4):
+            assert np.array_equal(_matches(cases, tol), want >= 1.0 - tol)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_perturbed_state_separates_the_tolerances(self, dim):
         amp = self._cases(dim)[-1]
         want = _stack_overlap(stabilizer_stack(dim.d), amp)
-        assert 1.0 - 1e-4 <= want < 1.0 - 1e-9
-        psi = StateVector(dim, amp)
-        assert not is_stabilizer(psi, tol=1e-9)
-        assert is_stabilizer(psi, tol=1e-4)
+        assert 1.0 - 1e-4 <= want < 1.0 - STABILIZER_MATCH_TOL
+        assert not _matches([amp])[0]
+        assert _matches([amp], tol=1e-4)[0]
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_blocks_follow_the_enumeration(self, dim):
-        rows = np.concatenate(list(stabilizer_blocks(dim.d)))
-        assert np.array_equal(rows, np.array([s.amp for s in enumerate_stabilizers(dim)]))
-        assert np.max(np.abs(rows - stabilizer_stack(dim.d))) < 1e-12
+        blocks = list(stabilizer_blocks(dim.d))
+        assert len(blocks) == dim.d + 1
+        assert all(block.shape == (dim.d, dim.d) for block in blocks)
+        assert np.max(np.abs(np.concatenate(blocks) - stabilizer_stack(dim.d))) < 1e-12

@@ -10,7 +10,7 @@ from phasespace import (
     DenseOperator,
     PrimeDim,
     StateVector,
-    haar_random_state,
+    haar_sample,
     half,
     omega_table,
     projector,
@@ -252,23 +252,25 @@ class TestProjector:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_idempotent_hermitian_unit_trace(self, dim):
-        rho = projector(haar_random_state(dim, 33)).mat
+        rho = projector(haar_sample(dim, 33, 0)).mat
         assert np.allclose(rho @ rho, rho, atol=1e-14)
         assert np.allclose(rho, rho.conj().T, atol=1e-15)
         assert abs(np.trace(rho) - 1.0) < 1e-14
 
 
 class TestHaarRandomState:
+    """Seeded Haar states as hudson.haar_sample draws them: haar_sample(dim, s, 0)."""
+
     def test_deterministic(self):
         dim = PrimeDim(7)
-        a = haar_random_state(dim, 42)
-        b = haar_random_state(dim, 42)
+        a = haar_sample(dim, 42, 0)
+        b = haar_sample(dim, 42, 0)
         assert np.array_equal(a.amp, b.amp)
 
     def test_seed_sensitivity(self):
         dim = PrimeDim(7)
-        a = haar_random_state(dim, 42)
-        b = haar_random_state(dim, 43)
+        a = haar_sample(dim, 42, 0)
+        b = haar_sample(dim, 43, 0)
         assert abs(np.vdot(a.amp, b.amp)) < 1.0 - 1e-6
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -276,6 +278,6 @@ class TestHaarRandomState:
         # E|amp_0|^2 = 1/d with Var = (d-1)/(d^2 (d+1)); check within 5 SE.
         d = dim.d
         n = 4000
-        vals = [abs(haar_random_state(dim, s).amp[0]) ** 2 for s in range(n)]
+        vals = [abs(haar_sample(dim, s, 0).amp[0]) ** 2 for s in range(n)]
         se = np.sqrt((d - 1) / (d * d * (d + 1)) / n)
         assert abs(np.mean(vals) - 1.0 / d) < 5 * se
