@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from phasespace import DenseOperator, SymplecticMatrix, cli, metaplectic, stabilizer_blocks
+from phasespace import PrimeDim, sl2_apply, sl2_enumerate, weyl
 
 BASIS3 = "[[1,0],[0,0],[0,0]]"
 
@@ -77,6 +78,11 @@ class TestWignerCommand:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    def test_rejects_int_past_the_digit_limit(self):
+        proc = run_cli("wigner", "--d", "3", "--state", f"[[1{'0' * 5000},0],[0,0],[0,0]]")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: --state")
+
     def test_rejects_wrong_length(self):
         proc = run_cli("wigner", "--d", "3", "--state", "[[1,0],[0,0]]")
         assert proc.returncode == 2
@@ -98,6 +104,7 @@ class TestWignerCommand:
             ("[[Infinity,0],[0,0],[0,0]]", ("--normalize",), "entry 0 is not finite"),
             ("[[1,0],[-Infinity,0],[0,0]]", (), "entry 1 is not finite"),
             ("[[1e308,1e308],[1e308,0],[0,0]]", ("--normalize",), "norm overflows; scale the amplitudes down"),
+            pytest.param(f"[[1{'0' * 400},0],[0,0],[0,0]]", (), "entry 0 is not finite", id="400-digit int"),
         ],
     )
     def test_rejects_non_finite_state(self, state, extra, message):
@@ -205,13 +212,17 @@ class TestMetaplecticCommand:
         assert run_cli("metaplectic", "--d", "3", "--matrix", "1,2,3").returncode == 2
         assert run_cli("metaplectic", "--d", "3", "--matrix", "a,b,c,e").returncode == 2
 
-    @pytest.mark.parametrize("wrong", ["other element", "scaled"])
+    @pytest.mark.parametrize("wrong", ["other element", "scaled", "column phase"])
     def test_self_check_catches_a_wrong_unitary(self, wrong, monkeypatch, capsys):
         # mu(T) for T != S breaks mu w(v) = w(S v) mu; 2 mu(S) satisfies it and
-        # is caught only by the unitarity term, the v = 0 point of the identity
+        # is caught only by the unitarity term, the v = 0 point of the identity;
+        # mu(S) diag(-1, 1, ..., 1) is unitary and commutes with z(1) as mu(S)
+        # does, so only the v = (0, 1) term catches it
         def bad_metaplectic(S):
             if wrong == "scaled":
                 return DenseOperator(S.dim, 2 * metaplectic(S).mat)
+            if wrong == "column phase":
+                return DenseOperator(S.dim, metaplectic(S).mat * np.r_[-1, np.ones(S.dim.d - 1)])
             return metaplectic(SymplecticMatrix(S.dim, 1, 0, 1, 1) @ S)
 
         monkeypatch.setattr(cli, "metaplectic", bad_metaplectic)
@@ -219,6 +230,20 @@ class TestMetaplecticCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["conjugation_check_passed"] is False
         assert doc["conjugation_max_error"] > 0.5
+
+    def test_generator_check_agrees_with_every_point(self):
+        # at every S in SL(2, Z_5), the check at the two generators passes
+        # exactly when mu w(v) mu^dagger = w(S v) holds at all d^2 points
+        dim = PrimeDim(5)
+        for S in sl2_enumerate(dim):
+            right = metaplectic(S).mat
+            wrong = [metaplectic(SymplecticMatrix(dim, 1, 0, 1, 1) @ S).mat, right * np.r_[-1, np.ones(4)]]
+            for mu, expected in zip([right, *wrong], [True, False, False]):
+                every_point = max(
+                    np.abs(mu @ weyl(v).mat @ mu.conj().T - weyl(sl2_apply(S, v)).mat).max()
+                    for v in dim.all_points()
+                )
+                assert (cli._conjugation_error(mu, S) <= 1e-10) == (every_point <= 1e-10) == expected
 
 
 class TestVerifyCommand:
@@ -345,7 +370,7 @@ class TestDimensionLimits:
         [
             ("wigner", 2011, ["--state", BASIS3]),
             ("stabilizers", 103, []),
-            ("metaplectic", 223, ["--matrix", "1,0,0,1"]),
+            ("metaplectic", 1013, ["--matrix", "1,0,0,1"]),
             ("verify", 409, []),
         ],
     )
