@@ -1,0 +1,124 @@
+"""Wall time of verify_hudson and of its two per-sample kernels.
+
+Usage:
+
+    python bench/bench_verify.py [--src DIR] [--label NAME] [--output PATH]
+
+The script imports phasespace from DIR (default: src/ of this checkout),
+pins BLAS to one thread, and times each case with time.perf_counter. A case
+runs once as a warm-up, then REPEATS times, and the median is kept:
+
+  * verify_hudson(PrimeDim(d), 1000 samples, seed 7, 100 two-point samples)
+    at d = 3, 5, 7, 31, 61 and 101;
+  * at d = 61, on one block of 1000 Haar rows: wigner_minima, and the
+    sample-overlap step, which decides for each row whether it matches a
+    stabilizer state.
+
+The results are stored under the key NAME in the output file (default
+BENCH_verify.json at the root of this checkout). Other keys already in the
+file are kept, so two trees can be recorded side by side, for example
+
+    python bench/bench_verify.py --src ../parent/src --label parent
+    python bench/bench_verify.py --label change
+
+Each entry also records nproc and the numpy and Python versions.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import inspect  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+REPEATS = 5
+VERIFY_DIMS = (3, 5, 7, 31, 61, 101)
+SAMPLES, TWO_POINT, SEED = 1000, 100, 7
+KERNEL_D, KERNEL_ROWS = 61, 1000
+
+
+def timed(fn) -> dict:
+    """One warm-up call, then the median and every time of REPEATS calls."""
+    fn()
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return {"median_s": statistics.median(times), "times_s": times}
+
+
+def kernels(ps) -> dict:
+    """The per-sample kernels on one block of KERNEL_ROWS Haar rows at KERNEL_D.
+
+    Trees before the real Wigner product pass wigner_minima the DFT matrix,
+    and trees before the O(d) overlap bound run stabilizer_overlaps on every
+    row; the step timed is whatever verify_hudson runs in that tree."""
+    import numpy as np
+
+    hudson, wigner = ps.hudson, ps.wigner
+    amps = hudson._haar_rows(KERNEL_D, SEED, range(KERNEL_ROWS))
+    F = ps.qudit.dft_matrix(KERNEL_D)
+    takes_dft = len(inspect.signature(wigner.wigner_minima).parameters) == 2
+    minima = (lambda: wigner.wigner_minima(amps, F)) if takes_dft else (lambda: wigner.wigner_minima(amps))
+    matches = getattr(hudson, "_stabilizer_matches", None)
+    if matches is None:
+        def overlap_step():
+            return ps.clifford.stabilizer_overlaps(amps, F) >= 1.0 - hudson.STABILIZER_MATCH_TOL
+    else:
+        def overlap_step():
+            return matches(amps)
+    assert not np.any(overlap_step())
+    return {"wigner_minima": timed(minima), "sample_overlap_step": timed(overlap_step)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory that holds phasespace/")
+    parser.add_argument("--label", default="change", help="key of this run in the output file")
+    parser.add_argument("--output", type=Path, default=ROOT / "BENCH_verify.json")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(args.src.resolve()))
+    import numpy as np
+    import phasespace as ps
+
+    verify = {}
+    for d in VERIFY_DIMS:
+        dim = ps.PrimeDim(d)
+        verify[str(d)] = timed(lambda: ps.verify_hudson(dim, SAMPLES, SEED, two_point_samples=TWO_POINT))
+        print(f"verify_hudson d = {d}: {verify[str(d)]['median_s']:.4f} s", file=sys.stderr)
+    kernel = kernels(ps)
+    for name, entry in kernel.items():
+        print(f"{name} d = {KERNEL_D}, {KERNEL_ROWS} rows: {entry['median_s']:.4f} s", file=sys.stderr)
+
+    doc = json.loads(args.output.read_text()) if args.output.exists() else {}
+    doc[args.label] = {
+        "machine": {
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            "blas_threads": 1,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        "repeats": REPEATS,
+        "verify_hudson": {
+            "samples": SAMPLES, "two_point_samples": TWO_POINT, "seed": SEED, "by_d": verify,
+        },
+        f"kernels_d{KERNEL_D}_{KERNEL_ROWS}_haar_rows": kernel,
+    }
+    args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -37,20 +37,25 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 # Largest accepted --d per subcommand, so that oversized input exits 2 instead
 # of exhausting memory or running for hours. Measured in process on a 2-core
 # machine (Python 3.11, numpy 2.4), writing the artifact with --output:
-#   wigner       d = 2003: JSON 7.8 s, peak RSS 410 MB; CSV 11.6 s, 287 MB (its
-#                lines are written one at a time); memory grows as d^2.
+#   wigner       d = 2003: JSON 6.0-6.1 s, peak RSS 442 MB; CSV 8.0-9.6 s,
+#                166 MB (its lines are written one at a time); memory grows as
+#                d^2, and 32 MB of it is the cached cos/sin factor of the
+#                Wigner product, held while the artifact is formatted.
 #   stabilizers  d = 101 with --amplitudes: 3.6-4.2 s, 276 MB (d = 151: 900 MB);
 #                every amplitude pair is built before the artifact is written,
 #                so memory grows as d^3.
 #   metaplectic  d = 1009: JSON 4.5-4.9 s, 318 MB; CSV 4.3-4.4 s, 95 MB. The
 #                self-check is O(d^3), 0.8 s of it, so the artifact sets the cost.
-#   verify       d = 151: 2.4 s, 42 MB; d = 401: 29 s, 71 MB. Only the d + 1
-#                stabilizer block representatives get a Wigner grid, so time
-#                grows as d^4, and the 1000 samples take most of it at d = 401.
+#   verify       d = 151: 0.7-0.8 s, 41 MB; d = 401: 6.3-7.0 s, 67 MB (BLAS on
+#                1 thread). Only the d + 1 stabilizer block representatives get
+#                a Wigner grid, so time grows as d^4; at d = 401 the 1100
+#                samples take about 3 s of it, a real half-lag Wigner product
+#                each, with the chirp DFT of the overlap check skipped by its
+#                O(d) bound.
 MAX_D = {"wigner": 2003, "stabilizers": 101, "metaplectic": 1009, "verify": 401}
 # Largest accepted --samples and --two-point: time grows linearly in the counts,
-# memory stays flat. Measured as above with both counts at the cap: d = 3 6.8 s,
-# 45 MB; d = 101 140 s, 40 MB.
+# memory stays flat. Measured as above with both counts at the cap: d = 3 4.7 s,
+# 44 MB; d = 101 35 s, 39 MB.
 MAX_SAMPLES = 100_000
 
 

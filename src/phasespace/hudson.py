@@ -22,14 +22,23 @@ passes iff the count is zero.
 The battery runs on (n, d) amplitude blocks, one state per row: the
 stabilizer family block by block, the samples drawn from their per-index
 substreams. The block kernels (wigner.wigner_minima, wigner.wigner_line_check,
-clifford.stabilizer_overlaps, modulus_violations) each build an (n, d, d)
-temporary for the whole block they are given, and verify_hudson alone sets
-its size: it hands them row_chunks of the stabilizer representatives and of
-the samples, so that each temporary holds at most CHUNK_ELEMENTS complex
+clifford.stabilizer_overlaps, modulus_violations) each build temporaries of
+at most n d^2 entries for the whole block they are given, and verify_hudson
+alone sets n: it hands them row_chunks of the stabilizer representatives and
+of the samples, so that each temporary holds at most CHUNK_ELEMENTS complex
 entries. The per-index substreams are the package's one seeding scheme, and
-haar_sample and two_point_sample replay one sample as a StateVector. A sample
-matches a stabilizer state when its stabilizer_overlaps value is at least
-1 - STABILIZER_MATCH_TOL.
+haar_sample and two_point_sample replay one sample as a StateVector.
+
+A sample matches a stabilizer state when its stabilizer_overlaps value is at
+least 1 - STABILIZER_MATCH_TOL. That value costs a chirp DFT, O(d^3) per
+sample, so an O(d) bound comes first: a quadratic-phase state has modulus
+d^(-1/2) everywhere, so by the triangle inequality
+
+    |<s|psi>| <= max( max_k |psi(k)|,  d^(-1/2) sum_q |psi(q)| )
+
+for every stabilizer state s. Only the samples whose bound, inflated by
+4 d eps for rounding, reaches 1 - STABILIZER_MATCH_TOL get the chirp DFT. On
+Haar samples the bound is about sqrt(pi)/2 ~ 0.886, so in practice none do.
 
 The stabilizer family is not swept grid by grid. Its Wigner functions are
 known exactly: (1/d) 1[q = k] for |k> and (1/d) 1[p = 2 theta q + x] for the
@@ -94,8 +103,32 @@ def row_chunks(n: int, d: int) -> Iterator[slice]:
 def modulus_violations(moduli: np.ndarray) -> np.ndarray:
     """For each row m of an (n, d) block of moduli, the number of pairs
     (q, x) with m(q)^2 < m(q - x) m(q + x) - LEMMA_TOL."""
-    pairs = lag_products(moduli)  # [n, q, x] -> m(q + x) m(q - x); x = 0 gives m(q)^2
-    return np.count_nonzero(pairs[:, :, :1] < pairs - LEMMA_TOL, axis=(1, 2))
+    # [n, q, x] -> m(q + x) m(q - x) for x <= (d-1)/2; x = 0 gives m(q)^2. The
+    # product is the same float at x and -x, and x = 0 never counts.
+    pairs = lag_products(moduli)
+    return 2 * np.count_nonzero(pairs[:, :, :1] < pairs - LEMMA_TOL, axis=(1, 2))
+
+
+def _overlap_bound(amps: np.ndarray) -> np.ndarray:
+    """For each row psi of an (n, d) block, an upper bound on its
+    stabilizer_overlaps value in O(d): max(max_k |psi(k)|, d^(-1/2) sum_q |psi(q)|).
+    A quadratic state has modulus d^(-1/2) everywhere, so by the triangle
+    inequality its overlap with psi is at most the second term."""
+    moduli = np.abs(amps)
+    return np.maximum(moduli.max(axis=1), moduli.sum(axis=1) / math.sqrt(amps.shape[1]))
+
+
+def _stabilizer_matches(amps: np.ndarray) -> np.ndarray:
+    """Per row of an (n, d) block, whether its stabilizer_overlaps value is at
+    least 1 - STABILIZER_MATCH_TOL. The chirp DFT runs only on the rows whose
+    _overlap_bound, inflated by 4 d eps for rounding in both, reaches that."""
+    n, d = amps.shape
+    threshold = 1.0 - STABILIZER_MATCH_TOL
+    gated = _overlap_bound(amps) * (1.0 + 4 * d * np.finfo(float).eps) >= threshold
+    matched = np.zeros(n, dtype=bool)
+    if gated.any():
+        matched[gated] = stabilizer_overlaps(amps[gated], dft_matrix(d)) >= threshold
+    return matched
 
 
 def support_rows(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +265,6 @@ def verify_hudson(
         raise ValueError(f"sample counts must be nonnegative, got {samples!r} and {two_point_samples!r}")
     failures = _Failures()
     d = dim.d
-    F = dft_matrix(d)
     target_modulus = 1.0 / math.sqrt(d)
 
     # One pass over the blocks keeps each block's representative (row 0) and,
@@ -260,7 +292,7 @@ def verify_hudson(
     # are |0>: q = 0 and theta: p = 2 theta q. Every row of a block carries
     # its representative's minimum and modulus-inequality count.
     normals = np.array([(0, 1)] + [(1, -2 * theta % d) for theta in range(d)])
-    parts = [(*wigner_line_check(reps[rows], F, normals[rows]), modulus_violations(np.abs(reps[rows])))
+    parts = [(*wigner_line_check(reps[rows], normals[rows]), modulus_violations(np.abs(reps[rows])))
              for rows in row_chunks(d + 1, d)]
     rep_minima, rep_argmins, line_deviation, rep_violations = (np.concatenate(a) for a in zip(*parts))
     minima = np.repeat(rep_minima, d)
@@ -313,9 +345,9 @@ def verify_hudson(
     for rows in row_chunks(samples, d):
         indices = range(rows.start, rows.stop)
         amps = _haar_rows(d, seed, indices)
-        minima, _ = wigner_minima(amps, F)
+        minima, _ = wigner_minima(amps)
         nonneg = minima >= -tol
-        matched = stabilizer_overlaps(amps, F) >= 1.0 - STABILIZER_MATCH_TOL
+        matched = _stabilizer_matches(amps)
         random_max_min = max(random_max_min, float(minima.max()))
         random_all_negative = random_all_negative and not nonneg.any()
         random_all_nonstabilizer = random_all_nonstabilizer and not matched.any()
@@ -329,7 +361,7 @@ def verify_hudson(
     two_point_max_min = -math.inf
     for rows in row_chunks(two_point_samples, d):
         indices = range(rows.start, rows.stop)
-        minima, _ = wigner_minima(_two_point_rows(d, seed, indices), F)
+        minima, _ = wigner_minima(_two_point_rows(d, seed, indices))
         nonneg = minima >= -tol
         two_point_max_min = max(two_point_max_min, float(minima.max()))
         two_point_all_negative = two_point_all_negative and not nonneg.any()

@@ -14,15 +14,22 @@ The two Wigner routes agree entrywise; for fixed q the row W(., q) is the
 Fourier transform of the self-correlation row K(q, .). Grids are indexed
 values[p][q].
 
-The pure-state route runs on (n, d) amplitude blocks, one state per row:
-wigner_block stacks the self-correlation rows of every state and applies the
-DFT matrix F[x, p] = omega^(-p x) / d (rows permuted to the lag order
-x = 2u of lag_products) in one matrix product, and
-wigner_minima reduces each grid to its minimum;
-wigner_line_check also measures each grid against an exact stabilizer line.
-These kernels build an (n, d, d) temporary for the whole block they are
-given; hudson.verify_hudson cuts its blocks into row chunks that bound it.
-wigner_pure is the n = 1 case.
+The pure-state route runs on (n, d) amplitude blocks, one state per row,
+in real arithmetic over half the lags. With x = 2u the self-correlation row
+is L(q, u) = psi(q + u) conj(psi(q - u)), and L(q, -u) = conj L(q, u), so
+
+    W(p, q) = (1/d) [ L(q, 0) + 2 sum_{u=1}^{(d-1)/2}
+                      ( Re L(q, u) cos(4 pi p u / d) + Im L(q, u) sin(4 pi p u / d) ) ].
+
+lag_products returns only u = 0, ..., (d-1)/2, and wigner_block applies the
+sum to every (state, q) row as one real matrix product: the (Re, Im) pairs
+of those lags against cos and sin rows gathered from omega_table on the
+integer residues 2 u p mod d. The grids are real by construction.
+wigner_minima reduces each grid to its minimum; wigner_line_check also
+measures each grid against an exact stabilizer line. These kernels build an
+(n, d, (d+1)/2) complex and an (n, d, d) real temporary for the whole block
+they are given; hudson.verify_hudson cuts its blocks into row chunks that
+bound them. wigner_pure is the n = 1 case.
 
 Covariance (checked against wigner_pure of the transformed state for every
 v and every S at d = 3 and 5 by acceptance criteria 4 and 5):
@@ -34,10 +41,11 @@ v and every S at d = 3 and 5 by acceptance criteria 4 and 5):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, dft_matrix
+from .qudit import DenseOperator, StateVector, dft_matrix, omega_table
 from .zmod import PhasePoint, PrimeDim, SymplecticMatrix, half
 
 KIND_WIGNER = "wigner"
@@ -65,7 +73,10 @@ class PhaseGrid:
 
     def real_values(self) -> np.ndarray:
         """The grid as a real array; fails if any imaginary residue exceeds REALITY_TOL."""
-        return _real_part(self.values).copy()
+        resid = float(np.max(np.abs(self.values.imag)))
+        if resid > REALITY_TOL:
+            raise ValueError(f"grid has imaginary residue {resid:.3e} above {REALITY_TOL:.1e}")
+        return self.values.real.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,14 +92,6 @@ class CorrelationTable:
             raise ValueError(f"table must have shape ({self.dim.d}, {self.dim.d})")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-def _real_part(values: np.ndarray) -> np.ndarray:
-    """A view of the real part; fails if any imaginary residue exceeds REALITY_TOL."""
-    resid = float(np.max(np.abs(values.imag)))
-    if resid > REALITY_TOL:
-        raise ValueError(f"grid has imaginary residue {resid:.3e} above {REALITY_TOL:.1e}")
-    return values.real
 
 
 def characteristic(rho: DenseOperator) -> PhaseGrid:
@@ -149,27 +152,49 @@ def operator_from_char(xi: PhaseGrid) -> DenseOperator:
 
 
 def lag_products(amps: np.ndarray) -> np.ndarray:
-    """L[n, q, u] = A[n, q + u] conj(A[n, q - u]) for an (n, d) block A.
+    """L[n, q, u] = A[n, q + u] conj(A[n, q - u]) for an (n, d) block A and
+    u = 0, ..., (d-1)/2; the other lags are L(q, -u) = conj L(q, u).
 
     For amplitudes this is the self-correlation K(q, x) at x = 2u. Both
     factors are strided views into the rows repeated three times, so the
-    product is one pass over the (n, d, d) result with no gather.
+    product is one pass over the (n, d, (d+1)/2) result with no gather.
     """
     n, d = amps.shape
+    lags = (d + 1) // 2
     tripled = np.concatenate([amps, amps, amps], axis=1)  # [n, d + j] -> A[n, j mod d]
     row, col = tripled.strides
     # both views start at column d; along u one steps forward, the other back
-    ahead = np.ndarray((n, d, d), tripled.dtype, tripled, d * col, (row, col, col))
-    behind = np.ndarray((n, d, d), tripled.dtype, np.conj(tripled), d * col, (row, col, -col))
+    ahead = np.ndarray((n, d, lags), tripled.dtype, tripled, d * col, (row, col, col))
+    behind = np.ndarray((n, d, lags), tripled.dtype, np.conj(tripled), d * col, (row, col, -col))
     return ahead * behind
 
 
-def wigner_block(amps: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Wigner grids of an (n, d) block, indexed [n, q, p] (transposed):
-    W(p, q) = (1/d) sum_u omega^(-2 p u) L(q, u), with L = lag_products and
-    F = dft_matrix(d), as one matrix product over the stacked rows (n, q)."""
+@lru_cache(maxsize=1)
+def _real_dft(d: int) -> np.ndarray:
+    """The real right factor of wigner_block, (d + 1) x d: row 2u holds
+    c_u cos(4 pi p u / d) / d and row 2u + 1 holds c_u sin(4 pi p u / d) / d,
+    with c_0 = 1 and c_u = 2 above. One gather from the (cos, sin) pairs of
+    omega_table on the residues 2 u p mod d. Only the last d is kept: at
+    d = 2003 the factor is 32 MB.
+    """
+    u = np.arange(d + 1) // 2
+    pairs = omega_table(d).view(np.float64)  # [2 k], [2 k + 1] -> cos, sin of 2 pi k / d
+    factor = pairs[2 * (2 * u[:, None] * np.arange(d) % d) + np.arange(d + 1)[:, None] % 2]
+    factor *= np.where(u > 0, 2.0, 1.0)[:, None] / d
+    factor.setflags(write=False)
+    return factor
+
+
+def wigner_block(amps: np.ndarray) -> np.ndarray:
+    """Real Wigner grids of a complex (n, d) block, indexed [n, q, p] (transposed).
+
+    The (Re, Im) pairs of lag_products, read in place as n d rows of d + 1
+    reals, times _real_dft(d): one real matrix product for the block.
+    The Im L(q, 0) column meets a zero sine row.
+    """
     n, d = amps.shape
-    return (lag_products(amps).reshape(n * d, d) @ F[2 * np.arange(d) % d]).reshape(n, d, d)
+    pairs = lag_products(amps).view(np.float64)
+    return (pairs.reshape(n * d, d + 1) @ _real_dft(d)).reshape(n, d, d)
 
 
 def _grid_minima(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,19 +206,13 @@ def _grid_minima(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat[np.arange(n), argmins], argmins
 
 
-def wigner_minima(amps: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def wigner_minima(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of each row's Wigner grid, and its flat index p * d + q (the
-    first in row-major (p, q) order).
-
-    F is dft_matrix(d). Raises ValueError, like PhaseGrid.real_values, when a
-    grid has an imaginary residue above REALITY_TOL.
-    """
-    return _grid_minima(_real_part(wigner_block(amps, F)))
+    first in row-major (p, q) order)."""
+    return _grid_minima(wigner_block(amps))
 
 
-def wigner_line_check(
-    amps: np.ndarray, F: np.ndarray, normals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def wigner_line_check(amps: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """wigner_minima of an (n, d) block, and from the same grids the largest
     deviation of each row's grid from the uniform measure on a line through
     the origin, (1/d) 1[a p + b q = 0 mod d] with (a, b) = normals[row].
@@ -203,7 +222,7 @@ def wigner_line_check(
     x = 0. Its indicator is built on integer residues.
     """
     d = amps.shape[1]
-    grids = _real_part(wigner_block(amps, F))  # [n, q, p]
+    grids = wigner_block(amps)  # [n, q, p]
     minima, argmins = _grid_minima(grids)
     k = np.arange(d)
     a, b = normals[:, 0, None, None], normals[:, 1, None, None]
@@ -214,14 +233,17 @@ def wigner_line_check(
 def self_correlation(psi: StateVector) -> CorrelationTable:
     """K(q, x) = psi(q + 2^-1 x) conj(psi(q - 2^-1 x))."""
     d = psi.dim.d
-    h = half(psi.dim)
-    return CorrelationTable(psi.dim, lag_products(psi.amp[None])[0][:, h * np.arange(d) % d])
+    lags = lag_products(psi.amp[None])[0]  # [q, u], u = 0, ..., (d-1)/2
+    # even x = 2u is lag u; odd x = 2u - d is lag u > (d-1)/2, the conjugate of lag d - u
+    table = np.empty((d, d), dtype=complex)
+    table[:, ::2] = lags
+    np.conjugate(lags[:, :0:-1], out=table[:, 1::2])
+    return CorrelationTable(psi.dim, table)
 
 
 def wigner_pure(psi: StateVector) -> PhaseGrid:
     """W(p, q) = (1/d) sum_x omega^(-p x) K(q, x)."""
-    grid = wigner_block(psi.amp[None], dft_matrix(psi.dim.d))[0]
-    return PhaseGrid(psi.dim, grid.T, KIND_WIGNER)
+    return PhaseGrid(psi.dim, wigner_block(psi.amp[None])[0].T, KIND_WIGNER)
 
 
 def _check_wigner(grid: PhaseGrid, dim: PrimeDim) -> None:

@@ -4,7 +4,7 @@ and the dimension lists the test modules share.
 None of these is called by the package: each is the definitional form of an
 object the package computes another way (weyl builds w(p, q) entrywise; the
 Fourier predicates never form a circulant matrix; the Wigner kernels use one
-DFT-matrix product per block, not an FFT per state).
+real matrix product over half the lags, not complex arithmetic over all of them).
 """
 
 import numpy as np
@@ -79,3 +79,15 @@ def fft_wigner(amp: np.ndarray) -> np.ndarray:
     grid = np.fft.fft(amp[(q + h * x) % d] * np.conj(amp[(q - h * x) % d]), axis=1).T / d
     assert np.abs(grid.imag).max() <= 1e-12
     return grid.real
+
+
+def complex_wigner_block(amps: np.ndarray) -> np.ndarray:
+    """Complex Wigner grids of an (n, d) block, indexed [n, q, p]: every lag
+    K(q, x) = psi(q + x/2) conj(psi(q - x/2)), gathered, times the complex DFT
+    matrix F[x, p] = omega^(-p x) / d in one product over the rows (n, q)."""
+    n, d = amps.shape
+    h = (d + 1) // 2
+    q = np.arange(d)[:, None]
+    x = np.arange(d)[None, :]
+    lags = amps[:, (q + h * x) % d] * np.conj(amps[:, (q - h * x) % d])  # [n, q, x]
+    return (lags.reshape(n * d, d) @ dft_matrix(d)).reshape(n, d, d)

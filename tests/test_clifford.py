@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasespace import (
@@ -97,6 +97,7 @@ class TestMetaplectic:
             assert projective_equal(metaplectic(S) @ metaplectic(T), metaplectic(S @ T))
 
     @given(st.data())
+    @settings(deadline=None)
     def test_properties_at_large_primes(self, data):
         d = data.draw(st.sampled_from(LARGE_PRIMES))
         dim = PrimeDim(d)

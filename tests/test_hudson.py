@@ -22,8 +22,10 @@ from phasespace import (
     wigner_pure,
 )
 from phasespace import hudson
+from phasespace.clifford import stabilizer_overlaps
 from phasespace.hudson import (
     MAX_FAILURE_MESSAGES,
+    STABILIZER_MATCH_TOL,
     _haar_rows,
     _two_point_rows,
     modulus_violations,
@@ -43,13 +45,13 @@ def _block(states):
 
 class TestCheckPositivity:
     def test_basis_state_is_nonnegative(self):
-        minima, _ = wigner_minima(StateVector.basis(PrimeDim(3), 0).amp[None], dft_matrix(3))
+        minima, _ = wigner_minima(StateVector.basis(PrimeDim(3), 0).amp[None])
         assert minima[0] == 0.0
 
     def test_argmin_is_consistent(self):
         dim = PrimeDim(5)
         psi = haar_sample(dim, 3, 0)
-        minima, argmins = wigner_minima(psi.amp[None], dft_matrix(5))
+        minima, argmins = wigner_minima(psi.amp[None])
         p, q = divmod(int(argmins[0]), 5)
         grid = wigner_pure(psi).real_values()
         assert grid[p, q] == minima[0]
@@ -57,7 +59,7 @@ class TestCheckPositivity:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_states_are_negative(self, dim):
-        minima, _ = wigner_minima(_haar_rows(dim.d, 5, range(10)), dft_matrix(dim.d))
+        minima, _ = wigner_minima(_haar_rows(dim.d, 5, range(10)))
         assert len(minima) == 10
         assert np.all(minima < -1e-9)
 
@@ -289,6 +291,48 @@ class TestVerifyHudson:
         assert report.two_point_max_min_wigner == 0.0
 
 
+class TestOverlapBound:
+    """The O(d) bound on stabilizer_overlaps that gates its chirp DFT."""
+
+    @given(d=st.sampled_from([p for p in PRIMES_TO_101 if p <= 31]), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_bound_dominates_the_exact_overlaps(self, d, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((8, d)) + 1j * rng.standard_normal((8, d))
+        amps = np.concatenate([dense / np.linalg.norm(dense, axis=1, keepdims=True),
+                               stabilizer_stack(d), _two_point_rows(d, seed, range(8))])
+        exact = stabilizer_overlaps(amps, dft_matrix(d))
+        assert np.all(hudson._overlap_bound(amps) >= exact - 1e-12)
+        # the gate hands every stabilizer row on to the exact overlaps
+        assert np.array_equal(hudson._stabilizer_matches(amps), exact >= 1.0 - STABILIZER_MATCH_TOL)
+        assert np.count_nonzero(exact >= 1.0 - STABILIZER_MATCH_TOL) == d * (d + 1)
+
+    def test_stabilizer_among_the_samples_is_matched(self, monkeypatch):
+        d = 7
+        stabilizer = stabilizer_stack(d)[d + 2 * d + 5]  # (theta, x) = (2, 5)
+        draw, exact = hudson._haar_rows, hudson.stabilizer_overlaps
+        checked = []
+
+        def injected(d, seed, indices):
+            rows = draw(d, seed, indices)
+            if 4 in indices:
+                rows[indices.index(4)] = stabilizer
+            return rows
+
+        def spied(amps, F):
+            checked.append(len(amps))
+            return exact(amps, F)
+
+        monkeypatch.setattr(hudson, "_haar_rows", injected)
+        monkeypatch.setattr(hudson, "stabilizer_overlaps", spied)
+        report = verify_hudson(PrimeDim(d), samples=10, seed=3, two_point_samples=0)
+        assert checked == [1]  # only the injected row reaches the chirp DFT
+        assert not report.random_all_nonstabilizer
+        assert report.failures_total == 2
+        assert report.failures[1] == "random sample 4 matches a stabilizer state"
+        assert report.failures[0].startswith("random sample 4 has Wigner minimum")
+
+
 def _fft_minimum(amp):
     """Minimum of the FFT-route Wigner grid W[p, q] and its (p, q)."""
     flat = fft_wigner(amp).ravel()
@@ -439,21 +483,19 @@ class TestStabilizerCertificate:
     @example(d=101)
     @settings(max_examples=5, deadline=None)
     def test_rows_are_translated_representatives_on_exact_lines(self, d):
-        F = dft_matrix(d)
         k = np.arange(d)
         back = (k - k[:, None]) % d  # [x, j] -> j - x
         for b, block in enumerate(stabilizer_blocks(d)):
-            rep = wigner_block(block[:1], F)[0].real  # [q, p]
+            rep = wigner_block(block[:1])[0]  # [q, p]
             for rows in row_chunks(d, d):
-                grids = wigner_block(block[rows], F)  # [x, q, p]
-                assert np.abs(grids.imag).max() <= 1e-12
+                grids = wigner_block(block[rows])  # [x, q, p]
                 if b == 0:  # |x>: translated along q, on the line q = x
                     rolled, line = rep[back[rows]], (k[rows, None] == k)[:, :, None]
                 else:  # (theta, x): translated along p, on the line p = 2 theta q + x
                     rolled = rep[:, back[rows]].transpose(1, 0, 2)
                     line = back[rows, None, :] == (2 * (b - 1) * k % d)[:, None]
-                assert np.abs(grids.real - rolled).max() <= 1e-12
-                assert np.abs(grids.real - line / d).max() <= 1e-12
+                assert np.abs(grids - rolled).max() <= 1e-12
+                assert np.abs(grids - line / d).max() <= 1e-12
 
 
 def _perturbed_blocks(monkeypatch, block_index, row, change):

@@ -32,11 +32,11 @@ from phasespace import (
     wigner_from_char,
     wigner_pure,
 )
-from phasespace.hudson import row_chunks
-from phasespace.qudit import dft_matrix
-from phasespace.wigner import wigner_minima
+from phasespace.clifford import stabilizer_blocks
+from phasespace.hudson import _haar_rows, _two_point_rows, row_chunks
+from phasespace.wigner import wigner_block, wigner_minima
 
-from oracles import DIMS, PRIMES_TO_101, fft_wigner
+from oracles import DIMS, PRIMES_TO_101, complex_wigner_block, fft_wigner
 
 
 def _random_hermitian(dim, seed):
@@ -256,7 +256,7 @@ class TestWignerMinima:
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-        minima, argmins = wigner_minima(amps, dft_matrix(d))
+        minima, argmins = wigner_minima(amps)
         for i in range(n):
             grid = fft_wigner(amps[i])
             assert abs(minima[i] - grid.min()) <= 1e-12
@@ -267,10 +267,19 @@ class TestWignerMinima:
         assert len(list(row_chunks(40, 61))) == 3
         assert len(list(row_chunks(1000, 7))) == 1
 
-    def test_imaginary_residue_is_rejected(self):
-        amps = haar_sample(PrimeDim(5), 1, 0).amp[None]
-        with pytest.raises(ValueError, match="imaginary residue"):
-            wigner_minima(amps, 1j * dft_matrix(5))
+    @pytest.mark.parametrize("d", PRIMES_TO_101)
+    def test_real_route_matches_complex_route(self, d):
+        # the real product over half the lags against the complex DFT of all
+        # of them, on Haar, two-point, basis and quadratic-phase rows
+        blocks = list(stabilizer_blocks(d))
+        basis, quadratic = blocks[0][[0, d // 2, d - 1]], blocks[1][[0, 1]]
+        amps = np.concatenate([_haar_rows(d, d, range(4)), _two_point_rows(d, d, range(4)),
+                               basis, quadratic, blocks[d // 2 + 1][[0, d - 1]]])
+        grids = wigner_block(amps)
+        oracle = complex_wigner_block(amps)
+        assert grids.dtype == np.float64 and grids.shape == (len(amps), d, d)
+        assert np.abs(oracle.imag).max() <= 1e-12
+        assert np.abs(grids - oracle.real).max() <= 1e-12
 
 
 class TestSelfCorrelation:
@@ -287,6 +296,15 @@ class TestSelfCorrelation:
         psi = haar_sample(dim, 21, 0)
         k = self_correlation(psi).values
         assert np.allclose(k[:, 0], np.abs(psi.amp) ** 2, atol=1e-15)
+
+    @pytest.mark.parametrize("d", PRIMES_TO_101)
+    def test_matches_the_definition(self, d):
+        # the half-lag table with its conjugates filled in, against the direct gather
+        amp = haar_sample(PrimeDim(d), 23, 0).amp
+        q, x = np.arange(d)[:, None], np.arange(d)[None, :]
+        h = (d + 1) // 2
+        want = amp[(q + h * x) % d] * np.conj(amp[(q - h * x) % d])
+        assert np.abs(self_correlation(StateVector(PrimeDim(d), amp)).values - want).max() <= 1e-15
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_conjugate_symmetry_in_offset(self, dim):
