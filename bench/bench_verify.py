@@ -1,4 +1,4 @@
-"""Wall time of verify_hudson and of its two per-sample kernels.
+"""Wall time of verify_hudson, of its two per-sample kernels and of its samplers.
 
 Usage:
 
@@ -12,7 +12,10 @@ runs once as a warm-up, then REPEATS times, and the median is kept:
     at d = 3, 5, 7, 31, 61 and 101;
   * at d = 61, on one block of 1000 Haar rows: wigner_minima, and the
     sample-overlap step, which decides for each row whether it matches a
-    stabilizer state.
+    stabilizer state;
+  * at d = 7 and 61, the seeded samplers that draw verify's blocks:
+    1000 Haar rows (hudson._haar_rows) and 100 two-point rows
+    (hudson._two_point_rows), seeding included.
 
 The results are stored under the key NAME in the output file (default
 BENCH_verify.json at the root of this checkout). Other keys already in the
@@ -45,6 +48,7 @@ REPEATS = 5
 VERIFY_DIMS = (3, 5, 7, 31, 61, 101)
 SAMPLES, TWO_POINT, SEED = 1000, 100, 7
 KERNEL_D, KERNEL_ROWS = 61, 1000
+SAMPLER_DIMS = (7, 61)
 
 
 def timed(fn) -> dict:
@@ -82,6 +86,19 @@ def kernels(ps) -> dict:
     return {"wigner_minima": timed(minima), "sample_overlap_step": timed(overlap_step)}
 
 
+def samplers(ps) -> dict:
+    """The Haar and two-point samplers on blocks of SAMPLES and TWO_POINT rows,
+    as verify_hudson draws them at small d (one chunk each)."""
+    hudson = ps.hudson
+    return {
+        str(d): {
+            f"haar_rows_{SAMPLES}": timed(lambda: hudson._haar_rows(d, SEED, range(SAMPLES))),
+            f"two_point_rows_{TWO_POINT}": timed(lambda: hudson._two_point_rows(d, SEED, range(TWO_POINT))),
+        }
+        for d in SAMPLER_DIMS
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory that holds phasespace/")
@@ -101,6 +118,10 @@ def main(argv=None) -> int:
     kernel = kernels(ps)
     for name, entry in kernel.items():
         print(f"{name} d = {KERNEL_D}, {KERNEL_ROWS} rows: {entry['median_s']:.4f} s", file=sys.stderr)
+    sampler = samplers(ps)
+    for d, entries in sampler.items():
+        for name, entry in entries.items():
+            print(f"{name} d = {d}: {entry['median_s']:.4f} s", file=sys.stderr)
 
     doc = json.loads(args.output.read_text()) if args.output.exists() else {}
     doc[args.label] = {
@@ -115,6 +136,7 @@ def main(argv=None) -> int:
             "samples": SAMPLES, "two_point_samples": TWO_POINT, "seed": SEED, "by_d": verify,
         },
         f"kernels_d{KERNEL_D}_{KERNEL_ROWS}_haar_rows": kernel,
+        "samplers_by_d": sampler,
     }
     args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

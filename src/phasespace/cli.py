@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -54,8 +55,9 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 #                O(d) bound.
 MAX_D = {"wigner": 2003, "stabilizers": 101, "metaplectic": 1009, "verify": 401}
 # Largest accepted --samples and --two-point: time grows linearly in the counts,
-# memory stays flat. Measured as above with both counts at the cap: d = 3 4.7 s,
-# 44 MB; d = 101 35 s, 39 MB.
+# memory stays flat. Measured as above with both counts at the cap: d = 3
+# 1.4-2.0 s, 42 MB, mostly the per-sample PCG64 seeding and the two-point
+# choice of positions; d = 101 38 s, 40 MB, mostly the Wigner products.
 MAX_SAMPLES = 100_000
 
 
@@ -63,7 +65,9 @@ class CliError(Exception):
     """Invalid input; maps to exit code 2."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="phasespace",
         description="Discrete phase-space analysis of a single qudit of odd prime dimension.",

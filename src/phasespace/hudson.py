@@ -29,6 +29,18 @@ of the samples, so that each temporary holds at most CHUNK_ELEMENTS complex
 entries. The per-index substreams are the package's one seeding scheme, and
 haar_sample and two_point_sample replay one sample as a StateVector.
 
+The substream of (seed, stream, i) is numpy's PCG64 seeded as
+np.random.SeedSequence([seed, stream, i]) would seed it, but the
+SeedSequence hash is not run once per sample. _seed_words computes its
+generate_state(4, np.uint64) words for a whole block in one pass of uint32
+array arithmetic: the entropy is the little-endian 32-bit words of seed,
+stream and i, hashed into a pool of four words and read out with numpy's
+published constants, with the rows grouped by the word count of i. Each row
+then seeds numpy's own PCG64 through _Words, a stand-in SeedSequence that
+returns it. The draws are the same floats as through SeedSequence, which the
+tests use as the oracle; negative seeds and indices raise ValueError, as
+SeedSequence does.
+
 A sample matches a stabilizer state when its stabilizer_overlaps value is at
 least 1 - STABILIZER_MATCH_TOL. That value costs a chirp DFT, O(d^3) per
 sample, so an O(d) bound comes first: a quadratic-phase state has modulus
@@ -60,7 +72,9 @@ row.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
@@ -146,27 +160,142 @@ _HAAR_STREAM = 0
 _TWO_POINT_STREAM = 1
 
 
-def _substreams(seed: int, stream: int, indices) -> list[np.random.SeedSequence]:
-    return [np.random.SeedSequence([seed, stream, int(i)]) for i in indices]
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words filled by hashmix and mix, then read out by generate_state.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _int_words(n) -> list[int]:
+    """The little-endian 32-bit words of a nonnegative integer, [0] for 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seeds must be nonnegative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pool_state(entropy: list[np.ndarray], n: int) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, np.uint64) for n entropy
+    vectors at once; entropy holds one uint32 column per word, each of length
+    n or 1. uint32 arrays wrap on overflow as the C code does."""
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state[:, k] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+def _seed_words(seed: int, stream: int, indices) -> np.ndarray:
+    """Row k is SeedSequence([seed, stream, indices[k]]).generate_state(4,
+    np.uint64), computed for the whole block in one pass. The entropy is the
+    32-bit words of seed, then stream, then the index; rows are grouped by the
+    number of index words, so indices of 2^32 and above mix freely."""
+    prefix = [np.array([w], dtype=np.uint32) for w in _int_words(seed) + _int_words(stream)]
+    idx = [operator.index(i) for i in indices]
+    try:
+        idx = np.array(idx, dtype=np.int64)
+    except OverflowError:  # an index of 2^63 or more: exact Python ints
+        idx = np.array(idx, dtype=object)
+    words = np.empty((len(idx), _POOL_SIZE), dtype=np.uint64)
+    if not len(idx):
+        return words
+    if (idx < 0).any():
+        raise ValueError("sample indices must be nonnegative")
+    columns = [idx & _MASK32]
+    width = np.ones(len(idx), dtype=np.intp)
+    rest = idx >> 32
+    while rest.any():
+        width[rest != 0] += 1
+        columns.append(rest & _MASK32)
+        rest = rest >> 32
+    for w in range(1, len(columns) + 1):
+        rows = width == w
+        if rows.any():
+            entropy = prefix + [c[rows].astype(np.uint32) for c in columns[:w]]
+            words[rows] = _pool_state(entropy, int(rows.sum()))
+    return words
+
+
+@functools.cache
+def _words_type() -> type:
+    """_Words, a stand-in SeedSequence that hands PCG64 one precomputed row
+    of _seed_words, so that numpy's own PCG64 seeding runs on exactly what the
+    SeedSequence would generate. The class is made on first use: its base
+    loads numpy.random (about 10 ms and 5 MB), which the subcommands that draw
+    no samples never need."""
+
+    class _Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype):
+            return self.words
+
+    return _Words
+
+
+def _substream(words: np.ndarray) -> np.random.Generator:
+    """The generator of one substream, from its row of _seed_words."""
+    return np.random.Generator(np.random.PCG64(_words_type()(words)))
 
 
 def _haar_rows(d: int, seed: int, indices) -> np.ndarray:
     """Haar-random unit rows; row k takes 2d standard normals (real parts,
     then imaginary parts) from the substream of indices[k]."""
-    seeds = _substreams(seed, _HAAR_STREAM, indices)
-    raw = np.empty((len(seeds), 2, d))
-    for k, ss in enumerate(seeds):
-        raw[k] = np.random.default_rng(ss).standard_normal((2, d))
+    words = _seed_words(seed, _HAAR_STREAM, indices)
+    raw = np.empty((len(words), 2, d))
+    for k, row in enumerate(words):
+        _substream(row).standard_normal(out=raw[k])
     return normalize_rows(raw[:, 0] + 1j * raw[:, 1])
 
 
 def _two_point_rows(d: int, seed: int, indices) -> np.ndarray:
-    seeds = _substreams(seed, _TWO_POINT_STREAM, indices)
-    amps = np.zeros((len(seeds), d), dtype=complex)
-    for k, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        pos = rng.choice(d, size=2, replace=False)
-        amps[k, pos] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    """Unit rows supported on two positions; row k takes the positions
+    (choice without replacement), then 4 standard normals (real parts, then
+    imaginary parts) from the substream of indices[k]."""
+    words = _seed_words(seed, _TWO_POINT_STREAM, indices)
+    n = len(words)
+    pos = np.empty((n, 2), dtype=np.intp)
+    raw = np.empty((n, 2, 2))
+    for k, row in enumerate(words):
+        rng = _substream(row)
+        pos[k] = rng.choice(d, size=2, replace=False)
+        rng.standard_normal(out=raw[k])
+    amps = np.zeros((n, d), dtype=complex)
+    amps[np.arange(n)[:, None], pos] = raw[:, 0] + 1j * raw[:, 1]
     return normalize_rows(amps)
 
 
@@ -345,7 +474,7 @@ def verify_hudson(
     for rows in row_chunks(samples, d):
         indices = range(rows.start, rows.stop)
         amps = _haar_rows(d, seed, indices)
-        minima, _ = wigner_minima(amps)
+        minima = wigner_minima(amps)
         nonneg = minima >= -tol
         matched = _stabilizer_matches(amps)
         random_max_min = max(random_max_min, float(minima.max()))
@@ -361,7 +490,7 @@ def verify_hudson(
     two_point_max_min = -math.inf
     for rows in row_chunks(two_point_samples, d):
         indices = range(rows.start, rows.stop)
-        minima, _ = wigner_minima(_two_point_rows(d, seed, indices))
+        minima = wigner_minima(_two_point_rows(d, seed, indices))
         nonneg = minima >= -tol
         two_point_max_min = max(two_point_max_min, float(minima.max()))
         two_point_all_negative = two_point_all_negative and not nonneg.any()

@@ -197,23 +197,14 @@ def wigner_block(amps: np.ndarray) -> np.ndarray:
     return (pairs.reshape(n * d, d + 1) @ _real_dft(d)).reshape(n, d, d)
 
 
-def _grid_minima(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum of each real grid of an [n, q, p] stack, and its flat index
-    p * d + q (the first in row-major (p, q) order)."""
-    n, d, _ = grids.shape
-    flat = grids.transpose(0, 2, 1).reshape(n, d * d)
-    argmins = flat.argmin(axis=1)
-    return flat[np.arange(n), argmins], argmins
-
-
-def wigner_minima(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum of each row's Wigner grid, and its flat index p * d + q (the
-    first in row-major (p, q) order)."""
-    return _grid_minima(wigner_block(amps))
+def wigner_minima(amps: np.ndarray) -> np.ndarray:
+    """Minimum of each row's Wigner grid."""
+    return wigner_block(amps).min(axis=(1, 2))
 
 
 def wigner_line_check(amps: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """wigner_minima of an (n, d) block, and from the same grids the largest
+    """Minimum of each row's Wigner grid, its flat index p * d + q (the first
+    in row-major (p, q) order), and from the same grids the largest
     deviation of each row's grid from the uniform measure on a line through
     the origin, (1/d) 1[a p + b q = 0 mod d] with (a, b) = normals[row].
 
@@ -221,13 +212,14 @@ def wigner_line_check(amps: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray
     (0, 1) for |0> and (1, -2 theta) for the quadratic-phase state theta,
     x = 0. Its indicator is built on integer residues.
     """
-    d = amps.shape[1]
+    n, d = amps.shape
     grids = wigner_block(amps)  # [n, q, p]
-    minima, argmins = _grid_minima(grids)
+    # the first minimum in row-major (p, q) order, found on a (p, q)-ordered copy
+    argmins = grids.transpose(0, 2, 1).reshape(n, d * d).argmin(axis=1)
     k = np.arange(d)
     a, b = normals[:, 0, None, None], normals[:, 1, None, None]
     on_line = (a * k + b * k[:, None]) % d == 0  # [n, q, p]
-    return minima, argmins, np.abs(grids - on_line / d).max(axis=(1, 2))
+    return grids.min(axis=(1, 2)), argmins, np.abs(grids - on_line / d).max(axis=(1, 2))
 
 
 def self_correlation(psi: StateVector) -> CorrelationTable:

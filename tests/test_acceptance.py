@@ -59,7 +59,7 @@ def test_criterion_01_stabilizer_nonnegativity():
     for dim in DIMS:
         amps = np.concatenate(list(stabilizer_blocks(dim.d)))
         counts[dim.d] = len(amps)
-        minima, _ = wigner_minima(amps)
+        minima = wigner_minima(amps)
         worst = min(worst, float(minima.min()))
     elapsed = time.perf_counter() - start
     ok = (
@@ -83,7 +83,7 @@ def test_criterion_02_random_states_negative_and_nonstabilizer():
     for dim in DIMS:
         start = time.perf_counter()
         amps = _haar_rows(dim.d, 42, range(1000))
-        minima, _ = wigner_minima(amps)
+        minima = wigner_minima(amps)
         max_min = float(minima.max())
         all_negative = bool(np.all(minima < -1e-9))
         none_stabilizer = bool(np.all(stabilizer_overlaps(amps, dft_matrix(dim.d)) < 1.0 - 1e-9))
@@ -267,7 +267,7 @@ def test_criterion_09_positive_states_satisfy_the_structure_lemmas():
     for dim in DIMS:
         d = dim.d
         amps = np.concatenate(list(stabilizer_blocks(dim.d)))
-        minima, _ = wigner_minima(amps)
+        minima = wigner_minima(amps)
         assert np.all(minima >= -1e-12)
         m = np.abs(amps)
         violations = int(modulus_violations(m).sum())
@@ -305,7 +305,7 @@ def test_criterion_10_two_point_states_are_negative():
         amps = _two_point_rows(dim.d, 42, range(100))
         inside, _ = support_rows(np.abs(amps))
         assert inside.sum(axis=1).tolist() == [2] * 100
-        minima, _ = wigner_minima(amps)
+        minima = wigner_minima(amps)
         max_min = float(minima.max())
         ok &= max_min < -1e-9
         details.append(f"d={dim.d} max of minima {max_min:.3e}")

@@ -383,6 +383,26 @@ class TestDimensionLimits:
 
 
 class TestUsage:
+    def test_one_process_runs_calls_in_sequence(self, tmp_path, monkeypatch, capsys):
+        # cli.main reuses one parser; each call must match a fresh process
+        monkeypatch.setenv("PHASESPACE_SEED", "13")
+        verify = ["verify", "--d", "5", "--samples", "20", "--two-point", "10"]
+        calls = [verify, ["verify", "--d", "5", "--samples"], ["wigner", "--d", "3", "--state", BASIS3], verify]
+        for k, args in enumerate(calls):
+            out = tmp_path / f"in-process-{k}"
+            code = cli.main([*args, "--output", str(out)])
+            capsys.readouterr()
+            fresh = tmp_path / f"fresh-{k}"
+            proc = run_cli(*args, "--output", str(fresh), env_extra={"PHASESPACE_SEED": "13"})
+            assert code == proc.returncode == (2 if k == 1 else 0)
+            if code == 0:
+                docs = [json.loads(path.read_text()) for path in (out, fresh)]
+                for doc in docs:
+                    doc.pop("duration_seconds", None)
+                assert docs[0] == docs[1]
+        assert json.loads(out.read_text())["seed"] == 13
+        assert cli.build_parser() is cli.build_parser()
+
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
 

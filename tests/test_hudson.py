@@ -27,13 +27,14 @@ from phasespace.hudson import (
     MAX_FAILURE_MESSAGES,
     STABILIZER_MATCH_TOL,
     _haar_rows,
+    _seed_words,
     _two_point_rows,
     modulus_violations,
     row_chunks,
     support_rows,
 )
-from phasespace.qudit import dft_matrix
-from phasespace.wigner import wigner_block, wigner_minima
+from phasespace.qudit import dft_matrix, normalize_rows
+from phasespace.wigner import wigner_block, wigner_line_check, wigner_minima
 
 from oracles import DIMS, PRIMES_TO_101, fft_wigner, stabilizer_stack
 
@@ -45,13 +46,13 @@ def _block(states):
 
 class TestCheckPositivity:
     def test_basis_state_is_nonnegative(self):
-        minima, _ = wigner_minima(StateVector.basis(PrimeDim(3), 0).amp[None])
+        minima = wigner_minima(StateVector.basis(PrimeDim(3), 0).amp[None])
         assert minima[0] == 0.0
 
     def test_argmin_is_consistent(self):
         dim = PrimeDim(5)
         psi = haar_sample(dim, 3, 0)
-        minima, argmins = wigner_minima(psi.amp[None])
+        minima, argmins, _ = wigner_line_check(psi.amp[None], np.array([(0, 1)]))
         p, q = divmod(int(argmins[0]), 5)
         grid = wigner_pure(psi).real_values()
         assert grid[p, q] == minima[0]
@@ -59,7 +60,7 @@ class TestCheckPositivity:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_states_are_negative(self, dim):
-        minima, _ = wigner_minima(_haar_rows(dim.d, 5, range(10)))
+        minima = wigner_minima(_haar_rows(dim.d, 5, range(10)))
         assert len(minima) == 10
         assert np.all(minima < -1e-9)
 
@@ -152,6 +153,29 @@ class TestConstantModulus:
         assert report.lemma6_max_modulus_spread < 1e-15
 
 
+SEED_EDGES = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 11, 10**30, np.int64(2**40 + 3)]
+INDEX_EDGES = [0, 1, 2**32 - 1, 2**32]
+
+
+def _oracle_words(seed, stream, indices):
+    return np.array([np.random.SeedSequence([seed, stream, i]).generate_state(4, np.uint64) for i in indices])
+
+
+def _oracle_haar(d, seed, i):
+    """Haar row i drawn through numpy's own SeedSequence, normalized as the sampler does."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0, i]))
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return normalize_rows(z[None])[0]
+
+
+def _oracle_two_point(d, seed, i):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
+    pos = rng.choice(d, size=2, replace=False)
+    amp = np.zeros(d, dtype=complex)
+    amp[pos] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return normalize_rows(amp[None])[0]
+
+
 class TestSampling:
     @pytest.mark.parametrize("dim", DIMS)
     def test_haar_sample_determinism(self, dim):
@@ -179,15 +203,50 @@ class TestSampling:
     def test_raw_draws_come_from_per_index_substreams(self, d):
         dim = PrimeDim(d)
         for i in (0, 1, 17, 40):
-            rng = np.random.default_rng(np.random.SeedSequence([42, 0, i]))
-            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            assert np.max(np.abs(haar_sample(dim, 42, i).amp - z / np.linalg.norm(z))) <= 1e-15
+            assert np.array_equal(haar_sample(dim, 42, i).amp, _oracle_haar(d, 42, i))
             rng = np.random.default_rng(np.random.SeedSequence([42, 1, i]))
             pos = rng.choice(d, size=2, replace=False)
-            w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             amp = two_point_sample(dim, 42, i).amp
             assert set(np.nonzero(amp)[0]) == set(pos)
-            assert np.max(np.abs(amp[pos] - w / np.linalg.norm(w))) <= 1e-15
+            assert np.array_equal(amp, _oracle_two_point(d, 42, i))
+
+    @pytest.mark.parametrize("seed", SEED_EDGES)
+    def test_draws_equal_seed_sequence_draws_exactly(self, seed):
+        # indices of one and two 32-bit words mixed in one block, on both streams
+        d = 5
+        haar, two = _haar_rows(d, seed, INDEX_EDGES), _two_point_rows(d, seed, INDEX_EDGES)
+        for k, i in enumerate(INDEX_EDGES):
+            assert np.array_equal(haar[k], _oracle_haar(d, seed, i))
+            assert np.array_equal(two[k], _oracle_two_point(d, seed, i))
+        for i in INDEX_EDGES:
+            assert np.array_equal(haar_sample(PrimeDim(d), seed, i).amp, _oracle_haar(d, seed, i))
+
+    @pytest.mark.parametrize("seed", SEED_EDGES)
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_seed_words_equal_seed_sequence_state(self, seed, stream):
+        for indices in (INDEX_EDGES + [2**63 + 5, 7, 2**64 - 1], INDEX_EDGES + [2**64, 2**70 + 3, 7]):
+            assert np.array_equal(_seed_words(seed, stream, indices), _oracle_words(seed, stream, indices))
+        assert _seed_words(seed, stream, []).shape == (0, 4)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**140),
+        index=st.integers(min_value=0, max_value=2**70),
+        stream=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_seed_words_property(self, seed, index, stream):
+        indices = [index, index // 2**32, 0]
+        assert np.array_equal(_seed_words(seed, stream, indices), _oracle_words(seed, stream, indices))
+
+    def test_negative_seed_or_index_raises(self):
+        dim = PrimeDim(3)
+        for seed, indices in ((-1, [0]), (1, [-1]), (1, [0, 2**32, -(2**40)]), (np.int64(-3), [0])):
+            with pytest.raises(ValueError):
+                _seed_words(seed, 0, indices)
+        with pytest.raises(ValueError):
+            haar_sample(dim, -1, 0)
+        with pytest.raises(ValueError):
+            two_point_sample(dim, 1, -1)
 
     @pytest.mark.parametrize("d", [3, 61])
     def test_block_rows_equal_single_samples(self, d):

@@ -34,7 +34,7 @@ from phasespace import (
 )
 from phasespace.clifford import stabilizer_blocks
 from phasespace.hudson import _haar_rows, _two_point_rows, row_chunks
-from phasespace.wigner import wigner_block, wigner_minima
+from phasespace.wigner import wigner_block, wigner_line_check, wigner_minima
 
 from oracles import DIMS, PRIMES_TO_101, complex_wigner_block, fft_wigner
 
@@ -256,7 +256,9 @@ class TestWignerMinima:
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-        minima, argmins = wigner_minima(amps)
+        minima = wigner_minima(amps)
+        line_minima, argmins, _ = wigner_line_check(amps, np.tile((0, 1), (n, 1)))
+        assert np.array_equal(line_minima, minima)
         for i in range(n):
             grid = fft_wigner(amps[i])
             assert abs(minima[i] - grid.min()) <= 1e-12
