@@ -33,7 +33,6 @@ from .wigner import (
     metaplectic_image_grid,
     operator_from_char,
     self_correlation,
-    weyl_translated_grid,
     wigner_from_char,
     wigner_pure,
 )

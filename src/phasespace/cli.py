@@ -2,8 +2,10 @@
 
 Subcommands: wigner, stabilizers, metaplectic, verify. Machine-readable
 artifacts (JSON by default, CSV via --format csv) go to stdout or --output;
-all human-oriented text goes to stderr. Exit codes: 0 success, 1 a
-verification check failed, 2 invalid input or usage.
+all human-oriented text goes to stderr. The verify CSV is written by
+csv.writer, so a value holding a comma or a quote is quoted; stabilizers
+--amplitudes is JSON only. Exit codes: 0 success, 1 a verification check
+failed, 2 invalid input or usage.
 
 The verify seed comes from --seed when given, else from the PHASESPACE_SEED
 environment variable, else defaults to 42; identical configurations produce
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -148,6 +152,9 @@ def _resolve_args(args: argparse.Namespace) -> None:
             raise CliError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
         args.seed = _resolve_seed(args.seed)
 
+    if args.command == "stabilizers" and args.amplitudes and args.format != "json":
+        raise CliError("--amplitudes needs --format json")
+
 
 def parse_state(args: argparse.Namespace) -> StateVector:
     """Parse the --state JSON into a StateVector, applying the norm policy."""
@@ -189,7 +196,7 @@ def _complex_pairs(mat: np.ndarray) -> list:
 
 
 def run_wigner(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
-    values = wigner_pure(parse_state(args)).real_values()
+    values = wigner_pure(parse_state(args)).values.real
     if args.format == "csv":
         # one line per (p, q) in lexicographic order, made as _emit writes it and
         # converted one grid row at a time, so the d^2 floats are never all objects
@@ -265,10 +272,13 @@ def run_verify(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
     artifact["version"] = __version__
     artifact["duration_seconds"] = duration
     if args.format == "csv":
-        rows = ["key,value"]
-        for key in sorted(artifact):
-            rows.append(f"{key},{json.dumps(artifact[key], sort_keys=True)}")
-        return rows, 0 if overall else 1
+        # a JSON value may hold commas and quotes, which csv.writer quotes; it
+        # never holds a line break, which json.dumps escapes, so a row is a line
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [("key", "value")] + [(key, json.dumps(artifact[key], sort_keys=True)) for key in sorted(artifact)]
+        )
+        return buf.getvalue().splitlines(), 0 if overall else 1
     return artifact, 0 if overall else 1
 
 

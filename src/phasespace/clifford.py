@@ -19,8 +19,8 @@ row-major order real and positive, and both branches meet it as written:
 for c != 0 the entry [0, 0] has exponent 0 and equals d^(-1/2); for c == 0
 row 0 holds a single 1 at column 0. No rescale is needed. mu is a
 projective representation: mu(S) mu(T) equals mu(S T) up to a phase. A
-Clifford group element is the product w(v) mu(S) of the two unitaries;
-there is no separate type for it.
+Clifford group element is the product w(v).mat @ mu(S).mat of the two
+unitaries; there is no separate type for it.
 
 Stabilizer states of a single qudit of odd prime dimension are the d
 position basis states together with the d^2 quadratic-phase states
@@ -39,7 +39,8 @@ with a stabilizer state is
 
 and for each theta the inner sums over x are one DFT of the chirped row
 omega^(-theta q^2) psi(q); stabilizer_overlaps evaluates them exactly for a
-block of states, as one product with the DFT matrix, O(d^3) per state. Each
+block of states, as one product with dft_matrix(d), which it builds per
+call, O(d^3) per state. Each
 quadratic term has modulus d^(-1/2) |psi(q)|, so by the triangle inequality
 the maximum is at most max(max_k |psi(k)|, d^(-1/2) sum_q |psi(q)|), an O(d)
 bound; hudson.verify_hudson runs stabilizer_overlaps only on the samples
@@ -52,7 +53,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .qudit import DenseOperator, omega_table
+from .qudit import DenseOperator, dft_matrix, omega_table
 from .zmod import PrimeDim, SymplecticMatrix, half
 
 
@@ -105,18 +106,17 @@ def stabilizer_descriptors(dim: PrimeDim) -> list[dict]:
     return descs
 
 
-def stabilizer_overlaps(amps: np.ndarray, F: np.ndarray) -> np.ndarray:
+def stabilizer_overlaps(amps: np.ndarray) -> np.ndarray:
     """Largest |<s|psi>| over the d(d+1) stabilizer states s, for each row psi
-    of an (n, d) block; F is dft_matrix(d).
+    of an (n, d) block.
 
     For each theta the overlaps with the quadratic states are sqrt(d) times
-    the DFT (through F) of the chirped row omega^(-theta q^2) psi(q), an
-    (n, d, d) temporary for the whole block.
+    the DFT (through dft_matrix(d)) of the chirped row omega^(-theta q^2) psi(q),
+    an (n, d, d) temporary for the whole block.
     """
     n, d = amps.shape
     q = np.arange(d)
     chirps = omega_table(d)[np.outer(q, -(q * q)) % d]  # [theta, q]
     chirped = amps[:, None, :] * chirps  # [n, theta, q]
-    sums = np.abs(chirped.reshape(n * d, d) @ F).reshape(n, d * d)
+    sums = np.abs(chirped.reshape(n * d, d) @ dft_matrix(d)).reshape(n, d * d)
     return np.maximum(np.abs(amps).max(axis=1), sums.max(axis=1) * np.sqrt(d))
-

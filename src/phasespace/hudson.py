@@ -33,13 +33,14 @@ The substream of (seed, stream, i) is numpy's PCG64 seeded as
 np.random.SeedSequence([seed, stream, i]) would seed it, but the
 SeedSequence hash is not run once per sample. _seed_words computes its
 generate_state(4, np.uint64) words for a whole block in one pass of uint32
-array arithmetic: the entropy is the little-endian 32-bit words of seed,
-stream and i, hashed into a pool of four words and read out with numpy's
-published constants, with the rows grouped by the word count of i. Each row
-then seeds numpy's own PCG64 through _Words, a stand-in SeedSequence that
-returns it. The draws are the same floats as through SeedSequence, which the
-tests use as the oracle; negative seeds and indices raise ValueError, as
-SeedSequence does.
+array arithmetic: the entropy is the little-endian 32-bit words of seed and
+stream, of any size, then i as one word, hashed into a pool of four words and
+read out with numpy's published constants. Each row then seeds numpy's own
+PCG64 through _Words, a stand-in SeedSequence that returns it. The draws are
+the same floats as through SeedSequence, which the tests use as the oracle.
+Indices lie in [0, 2^32): verify_hudson rejects a sample count above 2^32,
+and haar_sample and two_point_sample raise ValueError past it, as they do
+for a negative seed or index.
 
 A sample matches a stabilizer state when its stabilizer_overlaps value is at
 least 1 - STABILIZER_MATCH_TOL. That value costs a chirp DFT, O(d^3) per
@@ -82,7 +83,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .clifford import stabilizer_blocks, stabilizer_overlaps
-from .qudit import StateVector, dft_matrix, normalize_rows, omega_table
+from .qudit import StateVector, normalize_rows, omega_table
 from .wigner import (
     KIND_WIGNER,
     PhaseGrid,
@@ -141,7 +142,7 @@ def _stabilizer_matches(amps: np.ndarray) -> np.ndarray:
     gated = _overlap_bound(amps) * (1.0 + 4 * d * np.finfo(float).eps) >= threshold
     matched = np.zeros(n, dtype=bool)
     if gated.any():
-        matched[gated] = stabilizer_overlaps(amps[gated], dft_matrix(d)) >= threshold
+        matched[gated] = stabilizer_overlaps(amps[gated]) >= threshold
     return matched
 
 
@@ -221,32 +222,13 @@ def _pool_state(entropy: list[np.ndarray], n: int) -> np.ndarray:
 def _seed_words(seed: int, stream: int, indices) -> np.ndarray:
     """Row k is SeedSequence([seed, stream, indices[k]]).generate_state(4,
     np.uint64), computed for the whole block in one pass. The entropy is the
-    32-bit words of seed, then stream, then the index; rows are grouped by the
-    number of index words, so indices of 2^32 and above mix freely."""
+    32-bit words of seed, then stream, then the index as one uint32 column;
+    an index outside [0, 2^32) raises ValueError."""
     prefix = [np.array([w], dtype=np.uint32) for w in _int_words(seed) + _int_words(stream)]
     idx = [operator.index(i) for i in indices]
-    try:
-        idx = np.array(idx, dtype=np.int64)
-    except OverflowError:  # an index of 2^63 or more: exact Python ints
-        idx = np.array(idx, dtype=object)
-    words = np.empty((len(idx), _POOL_SIZE), dtype=np.uint64)
-    if not len(idx):
-        return words
-    if (idx < 0).any():
-        raise ValueError("sample indices must be nonnegative")
-    columns = [idx & _MASK32]
-    width = np.ones(len(idx), dtype=np.intp)
-    rest = idx >> 32
-    while rest.any():
-        width[rest != 0] += 1
-        columns.append(rest & _MASK32)
-        rest = rest >> 32
-    for w in range(1, len(columns) + 1):
-        rows = width == w
-        if rows.any():
-            entropy = prefix + [c[rows].astype(np.uint32) for c in columns[:w]]
-            words[rows] = _pool_state(entropy, int(rows.sum()))
-    return words
+    if idx and not (min(idx) >= 0 and max(idx) <= _MASK32):
+        raise ValueError("sample indices must lie in [0, 2^32)")
+    return _pool_state(prefix + [np.array(idx, dtype=np.uint32)], len(idx))
 
 
 @functools.cache
@@ -386,12 +368,14 @@ def verify_hudson(
     tol must be finite and nonnegative: with a negative or NaN tol no sample
     could fail the negativity check, so the report would certify nothing, and
     with an infinite one every sample would fail. The sample counts must be
-    nonnegative.
+    nonnegative and at most 2^32, the number of substream indices.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if samples < 0 or two_point_samples < 0:
         raise ValueError(f"sample counts must be nonnegative, got {samples!r} and {two_point_samples!r}")
+    if max(samples, two_point_samples) > _MASK32 + 1:
+        raise ValueError(f"sample counts must be at most 2^32, got {samples!r} and {two_point_samples!r}")
     failures = _Failures()
     d = dim.d
     target_modulus = 1.0 / math.sqrt(d)

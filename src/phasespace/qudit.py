@@ -78,15 +78,6 @@ class DenseOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
-    @property
-    def adjoint(self) -> DenseOperator:
-        return DenseOperator(self.dim, self.mat.conj().T)
-
-    def __matmul__(self, other: DenseOperator) -> DenseOperator:
-        if other.dim != self.dim:
-            raise ValueError("operator dimensions differ")
-        return DenseOperator(self.dim, self.mat @ other.mat)
-
     def apply(self, psi: StateVector) -> np.ndarray:
         """Raw matrix-vector product (no renormalization)."""
         return self.mat @ psi.amp

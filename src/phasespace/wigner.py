@@ -32,7 +32,8 @@ they are given; hudson.verify_hudson cuts its blocks into row chunks that
 bound them. wigner_pure is the n = 1 case.
 
 Covariance (checked against wigner_pure of the transformed state for every
-v and every S at d = 3 and 5 by acceptance criteria 4 and 5):
+v and every S at d = 3 and 5 by acceptance criteria 4 and 5;
+metaplectic_image_grid computes the second):
 
     W of w(v) rho w(v)^dagger   is   W of rho, translated by +v
     W of mu(S) rho mu(S)^dagger is   W of rho, pulled back through S^-1
@@ -46,12 +47,10 @@ from functools import lru_cache
 import numpy as np
 
 from .qudit import DenseOperator, StateVector, dft_matrix, omega_table
-from .zmod import PhasePoint, PrimeDim, SymplecticMatrix, half
+from .zmod import PrimeDim, SymplecticMatrix, half
 
 KIND_WIGNER = "wigner"
 KIND_CHARACTERISTIC = "characteristic"
-
-REALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +69,6 @@ class PhaseGrid:
             raise ValueError(f"grid must have shape ({self.dim.d}, {self.dim.d})")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def real_values(self) -> np.ndarray:
-        """The grid as a real array; fails if any imaginary residue exceeds REALITY_TOL."""
-        resid = float(np.max(np.abs(self.values.imag)))
-        if resid > REALITY_TOL:
-            raise ValueError(f"grid has imaginary residue {resid:.3e} above {REALITY_TOL:.1e}")
-        return self.values.real.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,31 +226,20 @@ def self_correlation(psi: StateVector) -> CorrelationTable:
 
 
 def wigner_pure(psi: StateVector) -> PhaseGrid:
-    """W(p, q) = (1/d) sum_x omega^(-p x) K(q, x)."""
+    """W(p, q) = (1/d) sum_x omega^(-p x) K(q, x), from the real wigner_block,
+    so the imaginary part of its values is exactly zero."""
     return PhaseGrid(psi.dim, wigner_block(psi.amp[None])[0].T, KIND_WIGNER)
-
-
-def _check_wigner(grid: PhaseGrid, dim: PrimeDim) -> None:
-    if grid.kind != KIND_WIGNER:
-        raise ValueError("covariance acts on Wigner grids")
-    if dim != grid.dim:
-        raise ValueError("grid dimensions differ")
-
-
-def weyl_translated_grid(grid: PhaseGrid, v: PhasePoint) -> PhaseGrid:
-    """Wigner grid of w(v) rho w(v)^dagger, given the grid of rho: the grid
-    translated by +v, new[p][q] = old[p - v.p][q - v.q]."""
-    _check_wigner(grid, v.dim)
-    return PhaseGrid(grid.dim, np.roll(grid.values, (v.p, v.q), axis=(0, 1)), KIND_WIGNER)
 
 
 def metaplectic_image_grid(grid: PhaseGrid, S: SymplecticMatrix) -> PhaseGrid:
     """Wigner grid of mu(S) rho mu(S)^dagger, given the grid of rho: the grid
     pulled back through S^-1, new[p][q] = old[S^-1 (p, q)]."""
-    _check_wigner(grid, S.dim)
+    if grid.kind != KIND_WIGNER:
+        raise ValueError("covariance acts on Wigner grids")
+    if S.dim != grid.dim:
+        raise ValueError("grid dimensions differ")
     d = grid.dim.d
-    a, b, c, e = S.as_ints()
+    a, b, c, e = S.inverse().as_ints()
     p = np.arange(d)[:, None]
     q = np.arange(d)[None, :]
-    vals = grid.values[(e * p - b * q) % d, (a * q - c * p) % d]  # S^-1 = [[e, -b], [-c, a]]
-    return PhaseGrid(grid.dim, vals, KIND_WIGNER)
+    return PhaseGrid(grid.dim, grid.values[(a * p + b * q) % d, (c * p + e * q) % d], KIND_WIGNER)

@@ -38,10 +38,6 @@ class PrimeDim:
     def point(self, p: int, q: int) -> PhasePoint:
         return PhasePoint(self, p, q)
 
-    def all_points(self) -> list[PhasePoint]:
-        """All d^2 phase-space points, row-major in (p, q)."""
-        return [self.point(p, q) for p in range((self.d)) for q in range(self.d)]
-
 
 def _reduce(obj, names: tuple[str, ...]) -> None:
     """Replace each named field of a frozen value by its residue mod obj.dim.d."""

@@ -4,7 +4,8 @@ and the dimension lists the test modules share.
 None of these is called by the package: each is the definitional form of an
 object the package computes another way (weyl builds w(p, q) entrywise; the
 Fourier predicates never form a circulant matrix; the Wigner kernels use one
-real matrix product over half the lags, not complex arithmetic over all of them).
+real matrix product over half the lags, not complex arithmetic over all of them),
+or a helper that only the tests need (all_points, translated_grid).
 """
 
 import numpy as np
@@ -16,20 +17,30 @@ DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]
 
 
-def shift_op(dim: PrimeDim, q: int) -> DenseOperator:
-    """x(q)|k> = |k + q>."""
+def all_points(dim: PrimeDim) -> list[PhasePoint]:
+    """All d^2 phase-space points, row-major in (p, q)."""
+    return [dim.point(p, q) for p in range(dim.d) for q in range(dim.d)]
+
+
+def translated_grid(values: np.ndarray, v: PhasePoint) -> np.ndarray:
+    """Wigner grid of w(v) rho w(v)^dagger from the grid of rho: new[p][q] = old[p - v.p][q - v.q]."""
+    return np.roll(values, (v.p, v.q), axis=(0, 1))
+
+
+def shift_op(dim: PrimeDim, q: int) -> np.ndarray:
+    """The matrix of x(q)|k> = |k + q>."""
     d = dim.d
     mat = np.zeros((d, d), dtype=complex)
     k = np.arange(d)
     mat[(k + q) % d, k] = 1.0
-    return DenseOperator(dim, mat)
+    return mat
 
 
-def boost_op(dim: PrimeDim, p: int) -> DenseOperator:
-    """z(p)|k> = omega^(p k) |k>."""
+def boost_op(dim: PrimeDim, p: int) -> np.ndarray:
+    """The matrix of z(p)|k> = omega^(p k) |k>."""
     d = dim.d
     k = np.arange(d)
-    return DenseOperator(dim, np.diag(omega_table(d)[(p * k) % d]))
+    return np.diag(omega_table(d)[(p * k) % d])
 
 
 def symplectic_form(v1: PhasePoint, v2: PhasePoint) -> int:
@@ -39,11 +50,11 @@ def symplectic_form(v1: PhasePoint, v2: PhasePoint) -> int:
     return (v1.p * v2.q - v1.q * v2.p) % v1.dim.d
 
 
-def projective_equal(u: DenseOperator, v: DenseOperator, tol: float = 1e-9) -> bool:
-    """True iff u = (phase) v, tested as | |tr(u^dagger v)| - d | <= tol."""
-    if u.dim != v.dim:
+def projective_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
+    """True iff the d x d unitaries satisfy u = (phase) v, tested as | |tr(u^dagger v)| - d | <= tol."""
+    if u.shape != v.shape:
         raise ValueError("operator dimensions differ")
-    return bool(abs(abs(np.trace(u.mat.conj().T @ v.mat)) - u.dim.d) <= tol)
+    return bool(abs(abs(np.trace(u.conj().T @ v)) - len(u)) <= tol)
 
 
 def inverse_fourier(g: CyclicFunction) -> CyclicFunction:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (subprocess level, or in
 process where a test substitutes a function or checks a limit)."""
 
+import csv
 import itertools
 import json
 import math
@@ -13,6 +14,8 @@ import pytest
 
 from phasespace import DenseOperator, SymplecticMatrix, cli, metaplectic, stabilizer_blocks
 from phasespace import PrimeDim, sl2_apply, sl2_enumerate, weyl
+
+from oracles import all_points
 
 BASIS3 = "[[1,0],[0,0],[0,0]]"
 
@@ -175,6 +178,15 @@ class TestStabilizersCommand:
         assert rows[1] == "0,basis,0,,"
         assert rows[6] == "5,quadratic,,0,0"
 
+    def test_amplitudes_need_json(self, tmp_path):
+        out = tmp_path / "stabilizers.csv"
+        for extra in ((), ("--output", str(out))):
+            proc = run_cli("stabilizers", "--d", "3", "--format", "csv", "--amplitudes", *extra)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert "error: --amplitudes needs --format json" in proc.stderr
+        assert not out.exists()
+
 
 class TestMetaplecticCommand:
     def test_identity(self):
@@ -241,7 +253,7 @@ class TestMetaplecticCommand:
             for mu, expected in zip([right, *wrong], [True, False, False]):
                 every_point = max(
                     np.abs(mu @ weyl(v).mat @ mu.conj().T - weyl(sl2_apply(S, v)).mat).max()
-                    for v in dim.all_points()
+                    for v in all_points(dim)
                 )
                 assert (cli._conjugation_error(mu, S) <= 1e-10) == (every_point <= 1e-10) == expected
 
@@ -273,16 +285,24 @@ class TestVerifyCommand:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_csv_format(self):
-        proc = run_cli(
-            "verify", "--d", "3", "--samples", "5", "--seed", "3", "--two-point", "5",
-            "--format", "csv",
-        )
-        assert proc.returncode == 0
-        rows = proc.stdout.strip().split("\n")
-        assert rows[0] == "key,value"
-        table = dict(row.split(",", 1) for row in rows[1:])
-        assert table["overall_passed"] == "true"
-        assert table["dim"] == "3"
+        # the lemma5_support_sizes row, and the failures row of the failing
+        # --tol 0.5 run, hold commas and quotes: each row still parses as two fields
+        for tol, code in (("1e-9", 0), ("0.5", 1)):
+            args = ("verify", "--d", "3", "--samples", "5", "--seed", "3", "--two-point", "5", "--tol", tol)
+            proc = run_cli(*args, "--format", "csv")
+            assert proc.returncode == code
+            rows = list(csv.reader(proc.stdout.splitlines()))
+            assert rows[0] == ["key", "value"]
+            assert all(len(row) == 2 for row in rows)
+            table = {key: json.loads(value) for key, value in rows[1:]}
+            doc = json.loads(run_cli(*args).stdout)
+            for report in (table, doc):
+                report.pop("duration_seconds")
+            assert table == doc
+            assert table["overall_passed"] is (code == 0)
+            assert table["dim"] == 3
+            assert table["lemma5_support_sizes"] == {"1": 3, "3": 9}
+            assert len(table["failures"]) == (0 if code == 0 else 10)
 
     def test_failing_run_exits_one(self):
         proc = run_cli(

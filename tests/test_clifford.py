@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasespace import (
-    DenseOperator,
     PrimeDim,
     StateVector,
     SymplecticMatrix,
@@ -24,9 +23,8 @@ from phasespace import (
     weyl,
 )
 from phasespace.hudson import STABILIZER_MATCH_TOL
-from phasespace.qudit import dft_matrix
 
-from oracles import DIMS, projective_equal, stabilizer_stack
+from oracles import DIMS, all_points, projective_equal, stabilizer_stack
 
 LARGE_PRIMES = [p for p in range(11, 102) if all(p % f for f in range(2, p))]
 
@@ -67,7 +65,7 @@ class TestMetaplectic:
     def test_conjugation_identity_exhaustive(self, dim):
         for S in sl2_enumerate(dim):
             u = metaplectic(S).mat
-            for v in dim.all_points():
+            for v in all_points(dim):
                 lhs = u @ weyl(v).mat @ u.conj().T
                 rhs = weyl(sl2_apply(S, v)).mat
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10
@@ -76,7 +74,7 @@ class TestMetaplectic:
         dim = PrimeDim(7)
         for S in sl2_enumerate(dim)[::8]:
             u = metaplectic(S).mat
-            for v in dim.all_points():
+            for v in all_points(dim):
                 lhs = u @ weyl(v).mat @ u.conj().T
                 rhs = weyl(sl2_apply(S, v)).mat
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10
@@ -85,7 +83,7 @@ class TestMetaplectic:
         dim = PrimeDim(3)
         mats = sl2_enumerate(dim)
         for S, T in itertools.product(mats, repeat=2):
-            assert projective_equal(metaplectic(S) @ metaplectic(T), metaplectic(S @ T))
+            assert projective_equal(metaplectic(S).mat @ metaplectic(T).mat, metaplectic(S @ T).mat)
 
     @pytest.mark.parametrize("dim", [PrimeDim(5), PrimeDim(7)])
     def test_projective_homomorphism_random_pairs(self, dim):
@@ -94,7 +92,7 @@ class TestMetaplectic:
         for _ in range(200):
             i, j = rng.integers(0, len(mats), size=2)
             S, T = mats[i], mats[j]
-            assert projective_equal(metaplectic(S) @ metaplectic(T), metaplectic(S @ T))
+            assert projective_equal(metaplectic(S).mat @ metaplectic(T).mat, metaplectic(S @ T).mat)
 
     @given(st.data())
     @settings(deadline=None)
@@ -127,26 +125,19 @@ class TestMetaplectic:
 
 class TestProjectiveEqual:
     def test_exact_equality(self):
-        dim = PrimeDim(3)
-        u = metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0))
+        u = metaplectic(SymplecticMatrix(PrimeDim(3), 0, -1, 1, 0)).mat
         assert projective_equal(u, u)
 
     def test_phase_multiple(self):
-        dim = PrimeDim(3)
-        u = metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0))
-        v = DenseOperator(dim, omega_table(3)[1] * u.mat)
-        assert projective_equal(u, v)
+        u = metaplectic(SymplecticMatrix(PrimeDim(3), 0, -1, 1, 0)).mat
+        assert projective_equal(u, omega_table(3)[1] * u)
 
     def test_distinct_unitaries(self):
-        dim = PrimeDim(3)
-        ident = DenseOperator(dim, np.eye(3))
-        assert not projective_equal(ident, weyl(dim.point(0, 1)))
+        assert not projective_equal(np.eye(3), weyl(PrimeDim(3).point(0, 1)).mat)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            projective_equal(
-                DenseOperator(PrimeDim(3), np.eye(3)), DenseOperator(PrimeDim(5), np.eye(5))
-            )
+            projective_equal(np.eye(3), np.eye(5))
 
 
 class TestCliffordElement:
@@ -154,13 +145,13 @@ class TestCliffordElement:
 
     def test_identity_element(self):
         dim = PrimeDim(3)
-        g = weyl(dim.point(0, 0)) @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1))
-        assert np.array_equal(g.mat, np.eye(3))
+        g = weyl(dim.point(0, 0)).mat @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1)).mat
+        assert np.array_equal(g, np.eye(3))
 
     def test_pure_shift_action(self):
         dim = PrimeDim(5)
-        g = weyl(dim.point(0, 1)) @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1))
-        out = StateVector.normalized(dim, g.apply(StateVector.basis(dim, 0)))
+        g = weyl(dim.point(0, 1)).mat @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1)).mat
+        out = StateVector.normalized(dim, g @ StateVector.basis(dim, 0).amp)
         assert abs(np.vdot(out.amp, StateVector.basis(dim, 1).amp)) > 1 - 1e-12
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
@@ -172,9 +163,9 @@ class TestCliffordElement:
             i, j = rng.integers(0, len(mats), size=2)
             u = dim.point(int(rng.integers(dim.d)), int(rng.integers(dim.d)))
             v = dim.point(int(rng.integers(dim.d)), int(rng.integers(dim.d)))
-            g = weyl(u) @ metaplectic(mats[i])
-            h = weyl(v) @ metaplectic(mats[j])
-            gh = weyl(u + sl2_apply(mats[i], v)) @ metaplectic(mats[i] @ mats[j])
+            g = weyl(u).mat @ metaplectic(mats[i]).mat
+            h = weyl(v).mat @ metaplectic(mats[j]).mat
+            gh = weyl(u + sl2_apply(mats[i], v)).mat @ metaplectic(mats[i] @ mats[j]).mat
             assert projective_equal(g @ h, gh)
 
     def test_conjugation_up_to_phase(self):
@@ -183,11 +174,10 @@ class TestCliffordElement:
         mats = sl2_enumerate(dim)
         for _ in range(10):
             S = mats[int(rng.integers(len(mats)))]
-            g = weyl(dim.point(int(rng.integers(5)), int(rng.integers(5)))) @ metaplectic(S)
+            g = weyl(dim.point(int(rng.integers(5)), int(rng.integers(5)))).mat @ metaplectic(S).mat
             for v in [dim.point(1, 0), dim.point(0, 1), dim.point(2, 3)]:
-                lhs = g @ weyl(v) @ g.adjoint
-                rhs = weyl(sl2_apply(S, v))
-                assert projective_equal(lhs, rhs)
+                lhs = g @ weyl(v).mat @ g.conj().T
+                assert projective_equal(lhs, weyl(sl2_apply(S, v)).mat)
 
 
 def _family(dim):
@@ -198,7 +188,7 @@ def _family(dim):
 def _matches(amps, tol=STABILIZER_MATCH_TOL):
     """Per row of an (n, d) block: its largest stabilizer overlap is >= 1 - tol."""
     amps = np.asarray(amps)
-    return stabilizer_overlaps(amps, dft_matrix(amps.shape[1])) >= 1.0 - tol
+    return stabilizer_overlaps(amps) >= 1.0 - tol
 
 
 class TestStabilizerStates:
@@ -344,7 +334,7 @@ class TestStabilizerMatchAgainstStack:
                 metaplectic(SymplecticMatrix(dim, 2, 0, 0, half(dim))).mat]
         cases = list(states)
         for amp in states:
-            cases += [weyl(v).mat @ amp for v in dim.all_points()]
+            cases += [weyl(v).mat @ amp for v in all_points(dim)]
             cases += [g @ amp for g in gens]
         cases += [haar_sample(dim, 5000 + s, 0).amp for s in range(20)]
         rng = np.random.default_rng(3)
@@ -356,7 +346,7 @@ class TestStabilizerMatchAgainstStack:
     def test_overlaps_and_predicate_match_stack(self, dim):
         stack = stabilizer_stack(dim.d)
         cases = self._cases(dim)
-        overlaps = stabilizer_overlaps(np.array(cases), dft_matrix(dim.d))
+        overlaps = stabilizer_overlaps(np.array(cases))
         want = np.array([_stack_overlap(stack, amp) for amp in cases])
         assert np.max(np.abs(overlaps - want)) <= 1e-12
         for tol in (STABILIZER_MATCH_TOL, 1e-4):

@@ -33,7 +33,7 @@ from phasespace.hudson import (
     row_chunks,
     support_rows,
 )
-from phasespace.qudit import dft_matrix, normalize_rows
+from phasespace.qudit import normalize_rows
 from phasespace.wigner import wigner_block, wigner_line_check, wigner_minima
 
 from oracles import DIMS, PRIMES_TO_101, fft_wigner, stabilizer_stack
@@ -54,7 +54,7 @@ class TestCheckPositivity:
         psi = haar_sample(dim, 3, 0)
         minima, argmins, _ = wigner_line_check(psi.amp[None], np.array([(0, 1)]))
         p, q = divmod(int(argmins[0]), 5)
-        grid = wigner_pure(psi).real_values()
+        grid = wigner_pure(psi).values.real
         assert grid[p, q] == minima[0]
         assert minima[0] == grid.min()
 
@@ -154,7 +154,7 @@ class TestConstantModulus:
 
 
 SEED_EDGES = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 11, 10**30, np.int64(2**40 + 3)]
-INDEX_EDGES = [0, 1, 2**32 - 1, 2**32]
+INDEX_EDGES = [0, 1, 2**31, 2**32 - 1]
 
 
 def _oracle_words(seed, stream, indices):
@@ -212,7 +212,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", SEED_EDGES)
     def test_draws_equal_seed_sequence_draws_exactly(self, seed):
-        # indices of one and two 32-bit words mixed in one block, on both streams
+        # indices up to the largest, 2^32 - 1, in one block, on both streams
         d = 5
         haar, two = _haar_rows(d, seed, INDEX_EDGES), _two_point_rows(d, seed, INDEX_EDGES)
         for k, i in enumerate(INDEX_EDGES):
@@ -224,18 +224,18 @@ class TestSampling:
     @pytest.mark.parametrize("seed", SEED_EDGES)
     @pytest.mark.parametrize("stream", [0, 1])
     def test_seed_words_equal_seed_sequence_state(self, seed, stream):
-        for indices in (INDEX_EDGES + [2**63 + 5, 7, 2**64 - 1], INDEX_EDGES + [2**64, 2**70 + 3, 7]):
+        for indices in (INDEX_EDGES + [7], [2**32 - 1, 5, 2**32 - 2, 0]):
             assert np.array_equal(_seed_words(seed, stream, indices), _oracle_words(seed, stream, indices))
         assert _seed_words(seed, stream, []).shape == (0, 4)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**140),
-        index=st.integers(min_value=0, max_value=2**70),
+        index=st.integers(min_value=0, max_value=2**32 - 1),
         stream=st.sampled_from([0, 1]),
     )
     @settings(max_examples=200, deadline=None)
     def test_seed_words_property(self, seed, index, stream):
-        indices = [index, index // 2**32, 0]
+        indices = [index, index // 2**16, 0]
         assert np.array_equal(_seed_words(seed, stream, indices), _oracle_words(seed, stream, indices))
 
     def test_negative_seed_or_index_raises(self):
@@ -247,6 +247,15 @@ class TestSampling:
             haar_sample(dim, -1, 0)
         with pytest.raises(ValueError):
             two_point_sample(dim, 1, -1)
+
+    def test_index_past_32_bits_raises(self):
+        dim = PrimeDim(3)
+        for sample in (haar_sample, two_point_sample):
+            with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+                sample(dim, 1, 2**32)
+        for indices in ([0, 2**32 - 1, 2**32], [2**64], [2**70 + 3, 7]):
+            with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+                _seed_words(1, 0, indices)
 
     @pytest.mark.parametrize("d", [3, 61])
     def test_block_rows_equal_single_samples(self, d):
@@ -343,6 +352,19 @@ class TestVerifyHudson:
         with pytest.raises(ValueError, match="sample counts must be nonnegative"):
             verify_hudson(PrimeDim(3), samples=samples, seed=1, two_point_samples=two_point)
 
+    @pytest.mark.parametrize("samples,two_point", [(2**32 + 1, 0), (0, 2**32 + 1), (2**70, 2**70)])
+    def test_rejects_counts_past_the_index_range(self, samples, two_point, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("states built before the counts were checked")
+
+        for name in ("stabilizer_blocks", "_haar_rows", "_two_point_rows"):
+            monkeypatch.setattr(hudson, name, drawn)
+        with pytest.raises(ValueError, match=r"at most 2\^32"):
+            verify_hudson(PrimeDim(3), samples=samples, seed=1, two_point_samples=two_point)
+        # a count of exactly 2^32 passes the check and reaches the stabilizer sweep
+        with pytest.raises(AssertionError, match="states built"):
+            verify_hudson(PrimeDim(3), samples=2**32, seed=1, two_point_samples=2**32)
+
     def test_zero_samples_edge(self):
         report = verify_hudson(PrimeDim(3), samples=0, seed=1, two_point_samples=0)
         assert report.passed
@@ -360,7 +382,7 @@ class TestOverlapBound:
         dense = rng.standard_normal((8, d)) + 1j * rng.standard_normal((8, d))
         amps = np.concatenate([dense / np.linalg.norm(dense, axis=1, keepdims=True),
                                stabilizer_stack(d), _two_point_rows(d, seed, range(8))])
-        exact = stabilizer_overlaps(amps, dft_matrix(d))
+        exact = stabilizer_overlaps(amps)
         assert np.all(hudson._overlap_bound(amps) >= exact - 1e-12)
         # the gate hands every stabilizer row on to the exact overlaps
         assert np.array_equal(hudson._stabilizer_matches(amps), exact >= 1.0 - STABILIZER_MATCH_TOL)
@@ -378,9 +400,9 @@ class TestOverlapBound:
                 rows[indices.index(4)] = stabilizer
             return rows
 
-        def spied(amps, F):
+        def spied(amps):
             checked.append(len(amps))
-            return exact(amps, F)
+            return exact(amps)
 
         monkeypatch.setattr(hudson, "_haar_rows", injected)
         monkeypatch.setattr(hudson, "stabilizer_overlaps", spied)

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasespace import (
@@ -27,7 +27,6 @@ from phasespace import (
     sl2_apply,
     sl2_enumerate,
     weyl,
-    weyl_translated_grid,
     metaplectic_image_grid,
     wigner_from_char,
     wigner_pure,
@@ -36,7 +35,7 @@ from phasespace.clifford import stabilizer_blocks
 from phasespace.hudson import _haar_rows, _two_point_rows, row_chunks
 from phasespace.wigner import wigner_block, wigner_line_check, wigner_minima
 
-from oracles import DIMS, PRIMES_TO_101, complex_wigner_block, fft_wigner
+from oracles import DIMS, PRIMES_TO_101, all_points, complex_wigner_block, fft_wigner, translated_grid
 
 
 def _random_hermitian(dim, seed):
@@ -57,11 +56,6 @@ class TestPhaseGrid:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             PhaseGrid(PrimeDim(3), np.zeros((3, 4)), KIND_WIGNER)
-
-    def test_real_values_guards_imaginary_residue(self):
-        g = PhaseGrid(PrimeDim(3), np.full((3, 3), 1j), KIND_WIGNER)
-        with pytest.raises(ValueError, match="imaginary residue"):
-            g.real_values()
 
     def test_values_read_only(self):
         g = PhaseGrid(PrimeDim(3), np.zeros((3, 3)), KIND_WIGNER)
@@ -112,8 +106,6 @@ class TestWignerTransforms:
         with pytest.raises(ValueError):
             operator_from_char(wig)
         with pytest.raises(ValueError):
-            weyl_translated_grid(char, dim.point(1, 0))
-        with pytest.raises(ValueError):
             metaplectic_image_grid(char, SymplecticMatrix(dim, 0, -1, 1, 0))
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -149,14 +141,25 @@ class TestWignerTransforms:
     def test_reality_and_normalization(self, dim):
         for s in range(10):
             w = wigner_pure(haar_sample(dim, 200 + s, 0))
-            vals = w.real_values()
+            vals = w.values.real
             assert abs(vals.sum() - 1.0) < 1e-12
+
+    @given(d=st.sampled_from(PRIMES_TO_101), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(deadline=None)
+    def test_pure_grid_is_exactly_real(self, d, seed, data):
+        # the grid comes from the real wigner_block, so run_wigner writes
+        # values.real with no residue to check
+        dim = PrimeDim(d)
+        block = next(itertools.islice(stabilizer_blocks(d), data.draw(st.integers(0, d)), None))
+        stabilizer = block[data.draw(st.integers(0, d - 1))]
+        for psi in (haar_sample(dim, seed, 0), StateVector(dim, stabilizer)):
+            assert not wigner_pure(psi).values.imag.any()
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_position_marginal(self, dim):
         for s in range(10):
             psi = haar_sample(dim, 300 + s, 0)
-            marg = wigner_pure(psi).real_values().sum(axis=0)
+            marg = wigner_pure(psi).values.real.sum(axis=0)
             assert np.allclose(marg, np.abs(psi.amp) ** 2, atol=1e-12)
 
     def test_purity_constant_fit_d3(self):
@@ -164,7 +167,7 @@ class TestWignerTransforms:
         dim = PrimeDim(3)
         sums = []
         for s in range(10):
-            vals = wigner_pure(haar_sample(dim, 400 + s, 0)).real_values()
+            vals = wigner_pure(haar_sample(dim, 400 + s, 0)).values.real
             sums.append(float(np.sum(vals**2)))
         assert max(sums) - min(sums) < 1e-12
         assert abs(sums[0] - 1.0 / 3) < 1e-12
@@ -172,7 +175,7 @@ class TestWignerTransforms:
     @pytest.mark.parametrize("dim", DIMS)
     def test_purity_is_inverse_dimension(self, dim):
         for s in range(5):
-            vals = wigner_pure(haar_sample(dim, 500 + s, 0)).real_values()
+            vals = wigner_pure(haar_sample(dim, 500 + s, 0)).values.real
             assert abs(np.sum(vals**2) - 1.0 / dim.d) < 1e-10
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -317,28 +320,26 @@ class TestSelfCorrelation:
 
 
 class TestGridMotions:
+    """metaplectic_image_grid, and the translated_grid oracle of criterion 5."""
+
     def test_translate_identity(self):
         dim = PrimeDim(3)
-        g = wigner_pure(haar_sample(dim, 1, 0))
-        moved = weyl_translated_grid(g, dim.point(0, 0))
-        assert np.array_equal(moved.values, g.values)
+        g = wigner_pure(haar_sample(dim, 1, 0)).values
+        assert np.array_equal(translated_grid(g, dim.point(0, 0)), g)
 
     def test_translate_relabeling(self):
         # new[p][q] = old[p - vp][q - vq], checked entrywise.
         dim = PrimeDim(5)
-        g = wigner_pure(haar_sample(dim, 2, 0))
-        v = dim.point(1, 3)
-        moved = weyl_translated_grid(g, v)
+        g = wigner_pure(haar_sample(dim, 2, 0)).values
+        moved = translated_grid(g, dim.point(1, 3))
         for p, q in itertools.product(range(5), repeat=2):
-            assert moved.values[p, q] == g.values[(p - 1) % 5, (q - 3) % 5]
+            assert moved[p, q] == g[(p - 1) % 5, (q - 3) % 5]
 
     def test_translate_composition(self):
         dim = PrimeDim(5)
-        g = wigner_pure(haar_sample(dim, 3, 0))
+        g = wigner_pure(haar_sample(dim, 3, 0)).values
         u, v = dim.point(1, 2), dim.point(3, 4)
-        twice = weyl_translated_grid(weyl_translated_grid(g, u), v)
-        once = weyl_translated_grid(g, u + v)
-        assert np.array_equal(twice.values, once.values)
+        assert np.array_equal(translated_grid(translated_grid(g, u), v), translated_grid(g, u + v))
 
     def test_symplectic_identity(self):
         dim = PrimeDim(3)
@@ -362,7 +363,7 @@ class TestGridMotions:
         g = wigner_pure(haar_sample(dim, 6, 0))
         s = SymplecticMatrix(dim, 1, 1, 1, 2)
         moved = metaplectic_image_grid(g, s)
-        for v in dim.all_points():
+        for v in all_points(dim):
             image = sl2_apply(s, v)
             assert moved.values[image.p, image.q] == g.values[v.p, v.q]
 
@@ -373,10 +374,10 @@ class TestCovariance:
         for s in range(5):
             psi = haar_sample(dim, 600 + s, 0)
             grid = wigner_pure(psi)
-            for v in dim.all_points():
+            for v in all_points(dim):
                 shifted = StateVector.normalized(dim, weyl(v).apply(psi))
                 lhs = wigner_pure(shifted).values
-                rhs = weyl_translated_grid(grid, v).values
+                rhs = translated_grid(grid.values, v)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])

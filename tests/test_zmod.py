@@ -16,7 +16,7 @@ from phasespace import (
     sl2_enumerate,
 )
 
-from oracles import DIMS, symplectic_form
+from oracles import DIMS, all_points, symplectic_form
 
 
 class TestPrimeDim:
@@ -35,7 +35,7 @@ class TestPrimeDim:
 
     def test_all_points_covers_grid(self):
         dim = PrimeDim(3)
-        pts = dim.all_points()
+        pts = all_points(dim)
         assert len(pts) == 9
         assert len(set(pt.as_ints() for pt in pts)) == 9
 
@@ -103,9 +103,9 @@ class TestSymplecticForm:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_antisymmetric_and_zero_on_diagonal(self, dim):
-        for u in dim.all_points():
+        for u in all_points(dim):
             assert symplectic_form(u, u) == 0
-        for u, v in itertools.product(dim.all_points(), repeat=2):
+        for u, v in itertools.product(all_points(dim), repeat=2):
             assert (symplectic_form(u, v) + symplectic_form(v, u)) % dim.d == 0
 
     def test_mixed_dims_rejected(self):
@@ -173,7 +173,7 @@ class TestSl2Apply:
     def test_identity_fixes_everything(self):
         dim = PrimeDim(3)
         ident = SymplecticMatrix(dim, 1, 0, 0, 1)
-        for v in dim.all_points():
+        for v in all_points(dim):
             assert sl2_apply(ident, v).as_ints() == v.as_ints()
 
     def test_row_convention(self):
@@ -186,7 +186,7 @@ class TestSl2Apply:
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
     def test_linear(self, dim):
         for s in sl2_enumerate(dim)[:10]:
-            for u, v in itertools.product(dim.all_points(), repeat=2):
+            for u, v in itertools.product(all_points(dim), repeat=2):
                 lhs = sl2_apply(s, u + v)
                 rhs = sl2_apply(s, u) + sl2_apply(s, v)
                 assert lhs.as_ints() == rhs.as_ints()
@@ -194,7 +194,7 @@ class TestSl2Apply:
     @pytest.mark.parametrize("dim", DIMS)
     def test_preserves_symplectic_form(self, dim):
         mats = sl2_enumerate(dim)
-        points = dim.all_points()
+        points = all_points(dim)
         for s in mats:
             for u, v in itertools.product(points[:4], repeat=2):
                 before = symplectic_form(u, v)
@@ -205,7 +205,7 @@ class TestSl2Apply:
         dim = PrimeDim(5)
         for s in sl2_enumerate(dim):
             sinv = s.inverse()
-            for v in dim.all_points():
+            for v in all_points(dim):
                 assert sl2_apply(sinv, sl2_apply(s, v)).as_ints() == v.as_ints()
 
 
