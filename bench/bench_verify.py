@@ -1,4 +1,4 @@
-"""Wall time of verify_hudson, of its two per-sample kernels and of its samplers.
+"""Wall time, page faults and system time of verify_hudson, its per-sample kernels and its samplers.
 
 Usage:
 
@@ -6,13 +6,17 @@ Usage:
 
 The script imports phasespace from DIR (default: src/ of this checkout),
 pins BLAS to one thread, and times each case with time.perf_counter. A case
-runs once as a warm-up, then REPEATS times, and the median is kept:
+runs once as a warm-up, then REPEATS times, and the median is kept. Each
+timed call also records the minor page faults and the system CPU seconds it
+cost this process (resource.getrusage), which show allocator churn: memory
+handed back to the system and faulted in again.
 
   * verify_hudson(PrimeDim(d), 1000 samples, seed 7, 100 two-point samples)
-    at d = 3, 5, 7, 31, 61 and 101;
-  * at d = 61, on one block of 1000 Haar rows: wigner_minima, and the
-    sample-overlap step, which decides for each row whether it matches a
-    stabilizer state;
+    at d = 3, 5, 7, 31, 61, 101 and 401;
+  * at d = 61, on one block of 1000 Haar rows: wigner_minima on the whole
+    block, the grid minima in verify's row chunks (through one reused
+    workspace where the tree has one), and the sample-overlap step, which
+    decides for each row whether it matches a stabilizer state;
   * at d = 7 and 61, the seeded samplers that draw verify's blocks:
     1000 Haar rows (hudson._haar_rows) and 100 two-point rows
     (hudson._two_point_rows), seeding included.
@@ -38,6 +42,7 @@ import argparse  # noqa: E402
 import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -45,21 +50,36 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 5
-VERIFY_DIMS = (3, 5, 7, 31, 61, 101)
+VERIFY_DIMS = (3, 5, 7, 31, 61, 101, 401)
 SAMPLES, TWO_POINT, SEED = 1000, 100, 7
 KERNEL_D, KERNEL_ROWS = 61, 1000
 SAMPLER_DIMS = (7, 61)
 
 
 def timed(fn) -> dict:
-    """One warm-up call, then the median and every time of REPEATS calls."""
+    """One warm-up call, then REPEATS calls: the median and every wall time,
+    and the minor page faults and system CPU seconds of each call."""
     fn()
-    times = []
+    times, faults, system = [], [], []
     for _ in range(REPEATS):
+        before = resource.getrusage(resource.RUSAGE_SELF)
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return {"median_s": statistics.median(times), "times_s": times}
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        faults.append(after.ru_minflt - before.ru_minflt)
+        system.append(after.ru_stime - before.ru_stime)
+    return {"median_s": statistics.median(times), "times_s": times, "minor_faults": faults, "system_s": system}
+
+
+def sampler(hudson, name: str, d: int, stream: int, n: int):
+    """A call of hudson.<name> drawing indices range(n) of SEED, seeding
+    included. Trees before per-stream seeding take (d, seed, indices); later
+    ones take (d, words), the block of _seed_words."""
+    rows = getattr(hudson, name)
+    if len(inspect.signature(rows).parameters) == 3:
+        return lambda: rows(d, SEED, range(n))
+    return lambda: rows(d, hudson._seed_words(SEED, stream, range(n)))
 
 
 def kernels(ps) -> dict:
@@ -71,10 +91,22 @@ def kernels(ps) -> dict:
     import numpy as np
 
     hudson, wigner = ps.hudson, ps.wigner
-    amps = hudson._haar_rows(KERNEL_D, SEED, range(KERNEL_ROWS))
+    amps = sampler(hudson, "_haar_rows", KERNEL_D, hudson._HAAR_STREAM, KERNEL_ROWS)()
     F = ps.qudit.dft_matrix(KERNEL_D)
     takes_dft = len(inspect.signature(wigner.wigner_minima).parameters) == 2
-    minima = (lambda: wigner.wigner_minima(amps, F)) if takes_dft else (lambda: wigner.wigner_minima(amps))
+
+    def minima_of(block):
+        return wigner.wigner_minima(block, F) if takes_dft else wigner.wigner_minima(block)
+
+    chunks = list(hudson.row_chunks(KERNEL_ROWS, KERNEL_D))
+    if hasattr(wigner, "wigner_workspace"):
+        work = wigner.wigner_workspace(chunks[0].stop, KERNEL_D)
+
+        def chunked_minima():
+            return [wigner.wigner_block(amps[rows], out=work).min(axis=(1, 2)) for rows in chunks]
+    else:
+        def chunked_minima():
+            return [minima_of(amps[rows]) for rows in chunks]
     matches = getattr(hudson, "_stabilizer_matches", None)
     if matches is None:
         def overlap_step():
@@ -83,7 +115,8 @@ def kernels(ps) -> dict:
         def overlap_step():
             return matches(amps)
     assert not np.any(overlap_step())
-    return {"wigner_minima": timed(minima), "sample_overlap_step": timed(overlap_step)}
+    return {"wigner_minima": timed(lambda: minima_of(amps)), "chunked_minima": timed(chunked_minima),
+            "sample_overlap_step": timed(overlap_step)}
 
 
 def samplers(ps) -> dict:
@@ -92,8 +125,9 @@ def samplers(ps) -> dict:
     hudson = ps.hudson
     return {
         str(d): {
-            f"haar_rows_{SAMPLES}": timed(lambda: hudson._haar_rows(d, SEED, range(SAMPLES))),
-            f"two_point_rows_{TWO_POINT}": timed(lambda: hudson._two_point_rows(d, SEED, range(TWO_POINT))),
+            f"haar_rows_{SAMPLES}": timed(sampler(hudson, "_haar_rows", d, hudson._HAAR_STREAM, SAMPLES)),
+            f"two_point_rows_{TWO_POINT}": timed(
+                sampler(hudson, "_two_point_rows", d, hudson._TWO_POINT_STREAM, TWO_POINT)),
         }
         for d in SAMPLER_DIMS
     }
@@ -114,7 +148,9 @@ def main(argv=None) -> int:
     for d in VERIFY_DIMS:
         dim = ps.PrimeDim(d)
         verify[str(d)] = timed(lambda: ps.verify_hudson(dim, SAMPLES, SEED, two_point_samples=TWO_POINT))
-        print(f"verify_hudson d = {d}: {verify[str(d)]['median_s']:.4f} s", file=sys.stderr)
+        entry = verify[str(d)]
+        print(f"verify_hudson d = {d}: {entry['median_s']:.4f} s, minor faults {entry['minor_faults']},"
+              f" system {statistics.median(entry['system_s']):.4f} s", file=sys.stderr)
     kernel = kernels(ps)
     for name, entry in kernel.items():
         print(f"{name} d = {KERNEL_D}, {KERNEL_ROWS} rows: {entry['median_s']:.4f} s", file=sys.stderr)

@@ -44,9 +44,7 @@ from .clifford import (
 )
 from .bochner import (
     CyclicFunction,
-    autocorrelation,
     fourier,
-    has_constant_modulus_fourier,
     has_nonneg_fourier,
 )
 from .hudson import (

@@ -4,14 +4,12 @@ Transform convention:
 
     fourier:  fhat(x) = (1/d) sum_q omega^(-q x) f(q)
 
-Two predicates, each paired with an independent oracle in the test suite
-(the circulant and inverse transform oracles live in tests/oracles.py):
+The positivity predicate is paired with an independent oracle in the test
+suite (the circulant and inverse transform oracles live in tests/oracles.py):
 
     has_nonneg_fourier(f):          fhat >= 0 everywhere. Equivalent to the
         circulant matrix A[x][q] = f(x - q) being positive semidefinite
         (its eigenvalues are d * fhat up to ordering).
-    has_constant_modulus_fourier(f): |fhat| is constant. Equivalent to the
-        autocorrelation sum_x conj(f(x)) f(x - q) vanishing for every q != 0.
 
 PREDICATE_TOL is applied to values rescaled so that sum |f|^2 = 1.
 """
@@ -48,21 +46,6 @@ def fourier(f: CyclicFunction) -> CyclicFunction:
     return CyclicFunction(f.dim, dft_matrix(f.dim.d) @ f.values)
 
 
-def autocorrelation(f: CyclicFunction) -> np.ndarray:
-    """a(q) = sum_x conj(f(x)) f(x - q)."""
-    d = f.dim.d
-    x = np.arange(d)[:, None]
-    q = np.arange(d)[None, :]
-    return np.einsum("x,xq->q", f.values.conj(), f.values[(x - q) % d])
-
-
-def _unit_scaled(values: np.ndarray) -> np.ndarray | None:
-    norm = np.linalg.norm(values)
-    if norm == 0.0:
-        return None
-    return values / norm
-
-
 def has_nonneg_fourier(f: CyclicFunction) -> bool:
     """True iff the transform of f is (real and) nonnegative within PREDICATE_TOL.
 
@@ -70,22 +53,13 @@ def has_nonneg_fourier(f: CyclicFunction) -> bool:
     transform real; otherwise the question is ill-posed and a ValueError
     is raised.
     """
-    values = _unit_scaled(f.values)
-    if values is None:
+    norm = np.linalg.norm(f.values)
+    if norm == 0.0:
         return True
+    values = f.values / norm
     d = f.dim.d
     sym_gap = np.max(np.abs(values[(-np.arange(d)) % d].conj() - values))
     if sym_gap > 1e-12:
         raise ValueError("transform not real: f lacks the symmetry f(-q) = conj(f(q))")
     fhat = fourier(CyclicFunction(f.dim, values)).values
     return bool(fhat.real.min() >= -PREDICATE_TOL)
-
-
-def has_constant_modulus_fourier(f: CyclicFunction) -> bool:
-    """True iff sum_x conj(f(x)) f(x - q) vanishes (within PREDICATE_TOL) for
-    all q != 0, which holds exactly when |fhat| is constant."""
-    values = _unit_scaled(f.values)
-    if values is None:
-        return True
-    a = autocorrelation(CyclicFunction(f.dim, values))
-    return bool(np.max(np.abs(a[1:])) <= PREDICATE_TOL)

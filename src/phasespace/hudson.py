@@ -21,13 +21,20 @@ passes iff the count is zero.
 
 The battery runs on (n, d) amplitude blocks, one state per row: the
 stabilizer family block by block, the samples drawn from their per-index
-substreams. The block kernels (wigner.wigner_minima, wigner.wigner_line_check,
-clifford.stabilizer_overlaps, modulus_violations) each build temporaries of
-at most n d^2 entries for the whole block they are given, and verify_hudson
-alone sets n: it hands them row_chunks of the stabilizer representatives and
-of the samples, so that each temporary holds at most CHUNK_ELEMENTS complex
-entries. The per-index substreams are the package's one seeding scheme, and
-haar_sample and two_point_sample replay one sample as a StateVector.
+substreams. verify_hudson alone sets n: it hands the block kernels row_chunks
+of the stabilizer representatives and of the samples, at most
+CHUNK_ELEMENTS / d^2 rows each. The Wigner grids of every chunk, with their
+lag products, go into one wigner.wigner_workspace that verify_hudson
+allocates per call for the largest chunk it hands out and reuses: about 1 MB
+at d = 61, which would otherwise be handed back to the system at the end of
+each chunk and faulted in again by the next. wigner.wigner_line_check
+measures the representatives' grids in place; clifford.stabilizer_overlaps
+and modulus_violations build temporaries of at most n d^2 entries for the
+block they are given. Each sample stream is hashed by _seed_words once per
+call, in blocks of whole chunks of at most CHUNK_ELEMENTS indices, and the
+words are sliced per chunk. The per-index substreams are the package's one
+seeding scheme, and haar_sample and two_point_sample replay one sample as a
+StateVector, hashing its single index.
 
 The substream of (seed, stream, i) is numpy's PCG64 seeded as
 np.random.SeedSequence([seed, stream, i]) would seed it, but the
@@ -90,8 +97,9 @@ from .wigner import (
     char_from_wigner,
     lag_products,
     operator_from_char,
+    wigner_block,
     wigner_line_check,
-    wigner_minima,
+    wigner_workspace,
 )
 from .zmod import PrimeDim
 
@@ -108,10 +116,15 @@ MAX_FAILURE_MESSAGES = 20
 CHUNK_ELEMENTS = 1 << 16
 
 
+def _chunk_rows(d: int) -> int:
+    """The rows in one chunk at dimension d: max(1, CHUNK_ELEMENTS // d^2)."""
+    return max(1, CHUNK_ELEMENTS // (d * d))
+
+
 def row_chunks(n: int, d: int) -> Iterator[slice]:
-    """Consecutive row slices covering range(n), each at most
-    max(1, CHUNK_ELEMENTS // d^2) rows long, made lazily for any n."""
-    step = max(1, CHUNK_ELEMENTS // (d * d))
+    """Consecutive row slices covering range(n), each at most _chunk_rows(d)
+    rows long, made lazily for any n."""
+    step = _chunk_rows(d)
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
@@ -216,7 +229,7 @@ def _pool_state(entropy: list[np.ndarray], n: int) -> np.ndarray:
         const = const * _MULT_B & _MASK32
         value = value * const
         state[:, k] = value ^ (value >> _XSHIFT)
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def _seed_words(seed: int, stream: int, indices) -> np.ndarray:
@@ -228,7 +241,9 @@ def _seed_words(seed: int, stream: int, indices) -> np.ndarray:
     idx = [operator.index(i) for i in indices]
     if idx and not (min(idx) >= 0 and max(idx) <= _MASK32):
         raise ValueError("sample indices must lie in [0, 2^32)")
-    return _pool_state(prefix + [np.array(idx, dtype=np.uint32)], len(idx))
+    column = np.array(idx, dtype=np.uint32)
+    del idx  # 36 B per index as Python ints, against 4 in the column
+    return _pool_state(prefix + [column], len(column))
 
 
 @functools.cache
@@ -254,21 +269,34 @@ def _substream(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_words_type()(words)))
 
 
-def _haar_rows(d: int, seed: int, indices) -> np.ndarray:
+def _seeded_chunks(n: int, d: int, seed: int, stream: int) -> Iterator[tuple[range, np.ndarray]]:
+    """The row_chunks(n, d) of one sample stream as (indices, words) pairs,
+    words being the chunk's rows of _seed_words. The words are hashed in
+    blocks of whole chunks, at most CHUNK_ELEMENTS indices (2 MiB) each: one
+    block per stream at the default counts, flat memory at any count."""
+    step = _chunk_rows(d)
+    block = CHUNK_ELEMENTS // step * step
+    for start in range(0, n, block):
+        words = _seed_words(seed, stream, range(start, min(start + block, n)))
+        for rows in row_chunks(len(words), d):
+            yield range(start + rows.start, start + rows.stop), words[rows]
+
+
+def _haar_rows(d: int, words: np.ndarray) -> np.ndarray:
     """Haar-random unit rows; row k takes 2d standard normals (real parts,
-    then imaginary parts) from the substream of indices[k]."""
-    words = _seed_words(seed, _HAAR_STREAM, indices)
+    then imaginary parts) from the substream of words[k], a row of
+    _seed_words for the Haar stream."""
     raw = np.empty((len(words), 2, d))
     for k, row in enumerate(words):
         _substream(row).standard_normal(out=raw[k])
     return normalize_rows(raw[:, 0] + 1j * raw[:, 1])
 
 
-def _two_point_rows(d: int, seed: int, indices) -> np.ndarray:
+def _two_point_rows(d: int, words: np.ndarray) -> np.ndarray:
     """Unit rows supported on two positions; row k takes the positions
     (choice without replacement), then 4 standard normals (real parts, then
-    imaginary parts) from the substream of indices[k]."""
-    words = _seed_words(seed, _TWO_POINT_STREAM, indices)
+    imaginary parts) from the substream of words[k], a row of _seed_words
+    for the two-point stream."""
     n = len(words)
     pos = np.empty((n, 2), dtype=np.intp)
     raw = np.empty((n, 2, 2))
@@ -283,13 +311,13 @@ def _two_point_rows(d: int, seed: int, indices) -> np.ndarray:
 
 def haar_sample(dim: PrimeDim, seed: int, index: int) -> StateVector:
     """Haar-random state i of the run; depends only on (seed, index)."""
-    return StateVector(dim, _haar_rows(dim.d, seed, [index])[0])
+    return StateVector(dim, _haar_rows(dim.d, _seed_words(seed, _HAAR_STREAM, [index]))[0])
 
 
 def two_point_sample(dim: PrimeDim, seed: int, index: int) -> StateVector:
     """State supported on two uniformly chosen positions, amplitudes uniform
     on the unit sphere of the two-dimensional subspace."""
-    return StateVector(dim, _two_point_rows(dim.d, seed, [index])[0])
+    return StateVector(dim, _two_point_rows(dim.d, _seed_words(seed, _TWO_POINT_STREAM, [index]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +406,8 @@ def verify_hudson(
         raise ValueError(f"sample counts must be at most 2^32, got {samples!r} and {two_point_samples!r}")
     failures = _Failures()
     d = dim.d
+    # one Wigner workspace for the largest chunk handed out below
+    work = wigner_workspace(min(_chunk_rows(d), max(d + 1, samples, two_point_samples)), d)
     target_modulus = 1.0 / math.sqrt(d)
 
     # One pass over the blocks keeps each block's representative (row 0) and,
@@ -405,7 +435,8 @@ def verify_hudson(
     # are |0>: q = 0 and theta: p = 2 theta q. Every row of a block carries
     # its representative's minimum and modulus-inequality count.
     normals = np.array([(0, 1)] + [(1, -2 * theta % d) for theta in range(d)])
-    parts = [(*wigner_line_check(reps[rows], normals[rows]), modulus_violations(np.abs(reps[rows])))
+    parts = [(*wigner_line_check(wigner_block(reps[rows], out=work), normals[rows]),
+              modulus_violations(np.abs(reps[rows])))
              for rows in row_chunks(d + 1, d)]
     rep_minima, rep_argmins, line_deviation, rep_violations = (np.concatenate(a) for a in zip(*parts))
     minima = np.repeat(rep_minima, d)
@@ -455,10 +486,9 @@ def verify_hudson(
     random_all_negative = True
     random_all_nonstabilizer = True
     random_max_min = -math.inf
-    for rows in row_chunks(samples, d):
-        indices = range(rows.start, rows.stop)
-        amps = _haar_rows(d, seed, indices)
-        minima = wigner_minima(amps)
+    for indices, words in _seeded_chunks(samples, d, seed, _HAAR_STREAM):
+        amps = _haar_rows(d, words)
+        minima = wigner_block(amps, out=work).min(axis=(1, 2))
         nonneg = minima >= -tol
         matched = _stabilizer_matches(amps)
         random_max_min = max(random_max_min, float(minima.max()))
@@ -472,9 +502,8 @@ def verify_hudson(
 
     two_point_all_negative = True
     two_point_max_min = -math.inf
-    for rows in row_chunks(two_point_samples, d):
-        indices = range(rows.start, rows.stop)
-        minima = wigner_minima(_two_point_rows(d, seed, indices))
+    for indices, words in _seeded_chunks(two_point_samples, d, seed, _TWO_POINT_STREAM):
+        minima = wigner_block(_two_point_rows(d, words), out=work).min(axis=(1, 2))
         nonneg = minima >= -tol
         two_point_max_min = max(two_point_max_min, float(minima.max()))
         two_point_all_negative = two_point_all_negative and not nonneg.any()

@@ -25,11 +25,13 @@ lag_products returns only u = 0, ..., (d-1)/2, and wigner_block applies the
 sum to every (state, q) row as one real matrix product: the (Re, Im) pairs
 of those lags against cos and sin rows gathered from omega_table on the
 integer residues 2 u p mod d. The grids are real by construction.
-wigner_minima reduces each grid to its minimum; wigner_line_check also
-measures each grid against an exact stabilizer line. These kernels build an
-(n, d, (d+1)/2) complex and an (n, d, d) real temporary for the whole block
-they are given; hudson.verify_hudson cuts its blocks into row chunks that
-bound them. wigner_pure is the n = 1 case.
+wigner_block builds an (n, d, (d+1)/2) complex and an (n, d, d) real array
+for the whole block it is given, or, with out, writes both into the front of
+a wigner_workspace and returns a view of it: hudson.verify_hudson allocates
+one workspace per call for its largest row chunk and reuses it for every
+chunk. wigner_minima reduces each grid to its minimum; wigner_line_check
+takes grids from wigner_block and measures each against an exact stabilizer
+line in place. wigner_pure is the n = 1 case.
 
 Covariance (checked against wigner_pure of the transformed state for every
 v and every S at d = 3 and 5 by acceptance criteria 4 and 5;
@@ -143,14 +145,10 @@ def operator_from_char(xi: PhaseGrid) -> DenseOperator:
     return DenseOperator(xi.dim, mat)
 
 
-def lag_products(amps: np.ndarray) -> np.ndarray:
-    """L[n, q, u] = A[n, q + u] conj(A[n, q - u]) for an (n, d) block A and
-    u = 0, ..., (d-1)/2; the other lags are L(q, -u) = conj L(q, u).
-
-    For amplitudes this is the self-correlation K(q, x) at x = 2u. Both
-    factors are strided views into the rows repeated three times, so the
-    product is one pass over the (n, d, (d+1)/2) result with no gather.
-    """
+def _lag_factors(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two (n, d, (d+1)/2) factors of lag_products: A[n, q + u] and
+    conj(A[n, q - u]), strided views into the rows repeated three times, so
+    that their product is one pass over the result with no gather."""
     n, d = amps.shape
     lags = (d + 1) // 2
     tripled = np.concatenate([amps, amps, amps], axis=1)  # [n, d + j] -> A[n, j mod d]
@@ -158,6 +156,16 @@ def lag_products(amps: np.ndarray) -> np.ndarray:
     # both views start at column d; along u one steps forward, the other back
     ahead = np.ndarray((n, d, lags), tripled.dtype, tripled, d * col, (row, col, col))
     behind = np.ndarray((n, d, lags), tripled.dtype, np.conj(tripled), d * col, (row, col, -col))
+    return ahead, behind
+
+
+def lag_products(amps: np.ndarray) -> np.ndarray:
+    """L[n, q, u] = A[n, q + u] conj(A[n, q - u]) for an (n, d) block A and
+    u = 0, ..., (d-1)/2; the other lags are L(q, -u) = conj L(q, u).
+
+    For amplitudes this is the self-correlation K(q, x) at x = 2u.
+    """
+    ahead, behind = _lag_factors(amps)
     return ahead * behind
 
 
@@ -177,16 +185,35 @@ def _real_dft(d: int) -> np.ndarray:
     return factor
 
 
-def wigner_block(amps: np.ndarray) -> np.ndarray:
+def wigner_workspace(n: int, d: int) -> np.ndarray:
+    """Scratch for wigner_block(amps, out=...) on blocks of up to n rows of
+    length d: n d (d + 1) reals for the lag pairs, then n d^2 for the grids."""
+    return np.empty(n * d * (2 * d + 1))
+
+
+def wigner_block(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real Wigner grids of a complex (n, d) block, indexed [n, q, p] (transposed).
 
     The (Re, Im) pairs of lag_products, read in place as n d rows of d + 1
     reals, times _real_dft(d): one real matrix product for the block.
     The Im L(q, 0) column meets a zero sine row.
+
+    With out, a wigner_workspace for at least n rows, the lag pairs and the
+    grids are written into its front and the grids returned are a view of
+    it, overwritten by the next call on the same workspace. They hold the
+    same floats as without out.
     """
     n, d = amps.shape
-    pairs = lag_products(amps).view(np.float64)
-    return (pairs.reshape(n * d, d + 1) @ _real_dft(d)).reshape(n, d, d)
+    if out is None:
+        pairs = lag_products(amps).view(np.float64)
+        return (pairs.reshape(n * d, d + 1) @ _real_dft(d)).reshape(n, d, d)
+    split = n * d * (d + 1)
+    # a workspace for fewer rows fails these reshapes with ValueError
+    pairs = out[:split].reshape(n * d, d + 1)
+    np.multiply(*_lag_factors(amps), out=pairs.view(complex).reshape(n, d, (d + 1) // 2))
+    grids = out[split:split + n * d * d].reshape(n * d, d)
+    np.matmul(pairs, _real_dft(d), out=grids)
+    return grids.reshape(n, d, d)
 
 
 def wigner_minima(amps: np.ndarray) -> np.ndarray:
@@ -194,24 +221,31 @@ def wigner_minima(amps: np.ndarray) -> np.ndarray:
     return wigner_block(amps).min(axis=(1, 2))
 
 
-def wigner_line_check(amps: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimum of each row's Wigner grid, its flat index p * d + q (the first
-    in row-major (p, q) order), and from the same grids the largest
-    deviation of each row's grid from the uniform measure on a line through
-    the origin, (1/d) 1[a p + b q = 0 mod d] with (a, b) = normals[row].
+def wigner_line_check(grids: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For an (n, d, d) block of wigner_block grids, indexed [n, q, p]: the
+    minimum of each grid, its flat index p * d + q (the first in row-major
+    (p, q) order), and the largest deviation of each grid from the uniform
+    measure on a line through the origin, (1/d) 1[a p + b q = 0 mod d] with
+    (a, b) = normals[row].
 
     The line is the exact Wigner function of a stabilizer state: (a, b) =
     (0, 1) for |0> and (1, -2 theta) for the quadratic-phase state theta,
-    x = 0. Its indicator is built on integer residues.
+    x = 0. Its points are the multiples t (b, -a) on integer residues.
+
+    The grids are consumed: the deviation is taken in place, so that no
+    (n, d, d) temporary is built, and they are left holding |W - line|.
     """
-    n, d = amps.shape
-    grids = wigner_block(amps)  # [n, q, p]
-    # the first minimum in row-major (p, q) order, found on a (p, q)-ordered copy
-    argmins = grids.transpose(0, 2, 1).reshape(n, d * d).argmin(axis=1)
-    k = np.arange(d)
-    a, b = normals[:, 0, None, None], normals[:, 1, None, None]
-    on_line = (a * k + b * k[:, None]) % d == 0  # [n, q, p]
-    return grids.min(axis=(1, 2)), argmins, np.abs(grids - on_line / d).max(axis=(1, 2))
+    n, d, _ = grids.shape
+    rows = np.arange(n)
+    minima = grids.min(axis=(1, 2))
+    # the first minimum in row-major (p, q) order: the first column p that
+    # holds it, then the first q in that column
+    p = grids.min(axis=1).argmin(axis=1)
+    q = grids[rows, :, p].argmin(axis=1)
+    t = np.arange(d)
+    a, b = normals[:, 0, None], normals[:, 1, None]
+    grids[rows[:, None], -t * a % d, t * b % d] -= 1.0 / d
+    return minima, p * d + q, np.abs(grids, out=grids).max(axis=(1, 2))
 
 
 def self_correlation(psi: StateVector) -> CorrelationTable:

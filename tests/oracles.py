@@ -5,12 +5,14 @@ None of these is called by the package: each is the definitional form of an
 object the package computes another way (weyl builds w(p, q) entrywise; the
 Fourier predicates never form a circulant matrix; the Wigner kernels use one
 real matrix product over half the lags, not complex arithmetic over all of them),
-or a helper that only the tests need (all_points, translated_grid).
+or a helper that only the tests need (all_points, translated_grid,
+haar_rows, two_point_rows).
 """
 
 import numpy as np
 
-from phasespace import CyclicFunction, DenseOperator, PhasePoint, PrimeDim, omega_table
+from phasespace import CyclicFunction, DenseOperator, PhasePoint, PrimeDim, hudson, omega_table
+from phasespace.bochner import PREDICATE_TOL
 from phasespace.qudit import dft_matrix
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
@@ -55,6 +57,47 @@ def projective_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
     if u.shape != v.shape:
         raise ValueError("operator dimensions differ")
     return bool(abs(abs(np.trace(u.conj().T @ v)) - len(u)) <= tol)
+
+
+def haar_rows(d: int, seed: int, indices) -> np.ndarray:
+    """verify_hudson's Haar rows for the given indices of seed."""
+    return hudson._haar_rows(d, hudson._seed_words(seed, hudson._HAAR_STREAM, indices))
+
+
+def two_point_rows(d: int, seed: int, indices) -> np.ndarray:
+    """verify_hudson's two-point rows for the given indices of seed."""
+    return hudson._two_point_rows(d, hudson._seed_words(seed, hudson._TWO_POINT_STREAM, indices))
+
+
+def autocorrelation(f: CyclicFunction) -> np.ndarray:
+    """a(q) = sum_x conj(f(x)) f(x - q)."""
+    d = f.dim.d
+    x = np.arange(d)[:, None]
+    q = np.arange(d)[None, :]
+    return np.einsum("x,xq->q", f.values.conj(), f.values[(x - q) % d])
+
+
+def has_constant_modulus_fourier(f: CyclicFunction) -> bool:
+    """True iff sum_x conj(f(x)) f(x - q) vanishes (within PREDICATE_TOL,
+    for f rescaled to unit norm) for all q != 0, which holds exactly when
+    |fhat| is constant."""
+    norm = np.linalg.norm(f.values)
+    if norm == 0.0:
+        return True
+    a = autocorrelation(CyclicFunction(f.dim, f.values / norm))
+    return bool(np.max(np.abs(a[1:])) <= PREDICATE_TOL)
+
+
+def line_check(grids: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """wigner_line_check on fresh arrays: the minimum of each [n, q, p] grid,
+    its first flat index p * d + q in row-major (p, q) order, and the largest
+    |W - (1/d) 1[a p + b q = 0 mod d]|, the indicator built on the full grid."""
+    n, d, _ = grids.shape
+    argmins = grids.transpose(0, 2, 1).reshape(n, d * d).argmin(axis=1)
+    k = np.arange(d)
+    a, b = normals[:, 0, None, None], normals[:, 1, None, None]
+    on_line = (a * k + b * k[:, None]) % d == 0  # [n, q, p]
+    return grids.min(axis=(1, 2)), argmins, np.abs(grids - on_line / d).max(axis=(1, 2))
 
 
 def inverse_fourier(g: CyclicFunction) -> CyclicFunction:

@@ -23,7 +23,6 @@ from phasespace import (
     characteristic,
     fourier,
     haar_sample,
-    has_constant_modulus_fourier,
     has_nonneg_fourier,
     metaplectic,
     metaplectic_image_grid,
@@ -39,10 +38,20 @@ from phasespace import (
     wigner_pure,
     half,
 )
-from phasespace.hudson import _haar_rows, _two_point_rows, modulus_violations, support_rows
+from phasespace.hudson import modulus_violations, support_rows
 from phasespace.wigner import wigner_minima
 
-from oracles import DIMS, all_points, circulant, inverse_fourier, symplectic_form, translated_grid
+from oracles import (
+    DIMS,
+    all_points,
+    circulant,
+    haar_rows,
+    has_constant_modulus_fourier,
+    inverse_fourier,
+    symplectic_form,
+    translated_grid,
+    two_point_rows,
+)
 
 
 def _report(num: int, ok: bool, text: str) -> None:
@@ -80,7 +89,7 @@ def test_criterion_02_random_states_negative_and_nonstabilizer():
     details = []
     for dim in DIMS:
         start = time.perf_counter()
-        amps = _haar_rows(dim.d, 42, range(1000))
+        amps = haar_rows(dim.d, 42, range(1000))
         minima = wigner_minima(amps)
         max_min = float(minima.max())
         all_negative = bool(np.all(minima < -1e-9))
@@ -300,7 +309,7 @@ def test_criterion_10_two_point_states_are_negative():
     ok = True
     details = []
     for dim in DIMS:
-        amps = _two_point_rows(dim.d, 42, range(100))
+        amps = two_point_rows(dim.d, 42, range(100))
         inside, _ = support_rows(np.abs(amps))
         assert inside.sum(axis=1).tolist() == [2] * 100
         minima = wigner_minima(amps)

@@ -6,14 +6,12 @@ import pytest
 from phasespace import (
     CyclicFunction,
     PrimeDim,
-    autocorrelation,
     fourier,
-    has_constant_modulus_fourier,
     has_nonneg_fourier,
     omega_table,
 )
 
-from oracles import DIMS, circulant, inverse_fourier
+from oracles import DIMS, autocorrelation, circulant, has_constant_modulus_fourier, inverse_fourier
 
 
 def _delta(dim, k):

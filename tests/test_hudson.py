@@ -26,9 +26,8 @@ from phasespace.clifford import stabilizer_overlaps
 from phasespace.hudson import (
     MAX_FAILURE_MESSAGES,
     STABILIZER_MATCH_TOL,
-    _haar_rows,
+    _HAAR_STREAM,
     _seed_words,
-    _two_point_rows,
     modulus_violations,
     row_chunks,
     support_rows,
@@ -36,7 +35,7 @@ from phasespace.hudson import (
 from phasespace.qudit import normalize_rows
 from phasespace.wigner import wigner_block, wigner_line_check, wigner_minima
 
-from oracles import DIMS, PRIMES_TO_101, fft_wigner, stabilizer_stack
+from oracles import DIMS, PRIMES_TO_101, fft_wigner, haar_rows, stabilizer_stack, two_point_rows
 
 
 def _block(states):
@@ -52,7 +51,7 @@ class TestCheckPositivity:
     def test_argmin_is_consistent(self):
         dim = PrimeDim(5)
         psi = haar_sample(dim, 3, 0)
-        minima, argmins, _ = wigner_line_check(psi.amp[None], np.array([(0, 1)]))
+        minima, argmins, _ = wigner_line_check(wigner_block(psi.amp[None]), np.array([(0, 1)]))
         p, q = divmod(int(argmins[0]), 5)
         grid = wigner_pure(psi).values.real
         assert grid[p, q] == minima[0]
@@ -60,7 +59,7 @@ class TestCheckPositivity:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_states_are_negative(self, dim):
-        minima = wigner_minima(_haar_rows(dim.d, 5, range(10)))
+        minima = wigner_minima(haar_rows(dim.d, 5, range(10)))
         assert len(minima) == 10
         assert np.all(minima < -1e-9)
 
@@ -92,7 +91,7 @@ class TestModulusInequality:
 
     @pytest.mark.parametrize("dim", [PrimeDim(5), PrimeDim(7)])
     def test_matches_nested_loop_oracle(self, dim):
-        amps = np.concatenate([_haar_rows(dim.d, 8, range(5)), _two_point_rows(dim.d, 8, range(5))])
+        amps = np.concatenate([haar_rows(dim.d, 8, range(5)), two_point_rows(dim.d, 8, range(5))])
         counts = modulus_violations(np.abs(amps))
         assert counts.tolist() == [_violations_oracle(amp) for amp in amps]
 
@@ -132,7 +131,7 @@ class TestSupportDichotomy:
         assert inside.sum(axis=1).tolist() == [1, 5, 5]  # the Haar state has full support
 
     def test_two_point_states_fail(self):
-        inside, _ = support_rows(np.abs(_two_point_rows(5, 1, range(5))))
+        inside, _ = support_rows(np.abs(two_point_rows(5, 1, range(5))))
         assert inside.sum(axis=1).tolist() == [2] * 5
 
 
@@ -214,7 +213,7 @@ class TestSampling:
     def test_draws_equal_seed_sequence_draws_exactly(self, seed):
         # indices up to the largest, 2^32 - 1, in one block, on both streams
         d = 5
-        haar, two = _haar_rows(d, seed, INDEX_EDGES), _two_point_rows(d, seed, INDEX_EDGES)
+        haar, two = haar_rows(d, seed, INDEX_EDGES), two_point_rows(d, seed, INDEX_EDGES)
         for k, i in enumerate(INDEX_EDGES):
             assert np.array_equal(haar[k], _oracle_haar(d, seed, i))
             assert np.array_equal(two[k], _oracle_two_point(d, seed, i))
@@ -260,7 +259,7 @@ class TestSampling:
     @pytest.mark.parametrize("d", [3, 61])
     def test_block_rows_equal_single_samples(self, d):
         dim = PrimeDim(d)
-        haar, two = _haar_rows(d, 9, range(40)), _two_point_rows(d, 9, range(40))
+        haar, two = haar_rows(d, 9, range(40)), two_point_rows(d, 9, range(40))
         for i in range(40):
             assert np.array_equal(haar[i], haar_sample(dim, 9, i).amp)
             assert np.array_equal(two[i], two_point_sample(dim, 9, i).amp)
@@ -271,6 +270,25 @@ class TestSampling:
         a = haar_sample(dim, 42, 0)
         b = two_point_sample(dim, 42, 0)
         assert abs(np.vdot(a.amp, b.amp)) < 1 - 1e-6
+
+    def test_seeded_chunks_are_the_row_chunks_with_their_words(self):
+        # three hash blocks of 3,855 chunks of 17 rows, the last one short
+        d, n = 61, 2 * 65535 + 20
+        got = list(hudson._seeded_chunks(n, d, 5, 1))
+        assert [(r.start, r.stop) for r, _ in got] == [(s.start, s.stop) for s in row_chunks(n, d)]
+        for indices, words in got[3853:3857] + got[-2:]:
+            assert np.array_equal(words, _seed_words(5, 1, indices))
+
+    def test_verify_hashes_each_stream_once(self, monkeypatch):
+        calls = []
+
+        def counted(seed, stream, indices):
+            calls.append((stream, len(indices)))
+            return _seed_words(seed, stream, indices)
+
+        monkeypatch.setattr(hudson, "_seed_words", counted)
+        verify_hudson(PrimeDim(61), samples=1000, seed=7, two_point_samples=100)
+        assert calls == [(0, 1000), (1, 100)]
 
 
 class TestVerifyHudson:
@@ -381,7 +399,7 @@ class TestOverlapBound:
         rng = np.random.default_rng(seed)
         dense = rng.standard_normal((8, d)) + 1j * rng.standard_normal((8, d))
         amps = np.concatenate([dense / np.linalg.norm(dense, axis=1, keepdims=True),
-                               stabilizer_stack(d), _two_point_rows(d, seed, range(8))])
+                               stabilizer_stack(d), two_point_rows(d, seed, range(8))])
         exact = stabilizer_overlaps(amps)
         assert np.all(hudson._overlap_bound(amps) >= exact - 1e-12)
         # the gate hands every stabilizer row on to the exact overlaps
@@ -394,10 +412,11 @@ class TestOverlapBound:
         draw, exact = hudson._haar_rows, hudson.stabilizer_overlaps
         checked = []
 
-        def injected(d, seed, indices):
-            rows = draw(d, seed, indices)
-            if 4 in indices:
-                rows[indices.index(4)] = stabilizer
+        sample_4 = _seed_words(3, _HAAR_STREAM, [4])[0]
+
+        def injected(d, words):
+            rows = draw(d, words)
+            rows[(words == sample_4).all(axis=1)] = stabilizer
             return rows
 
         def spied(amps):

@@ -32,10 +32,20 @@ from phasespace import (
     wigner_pure,
 )
 from phasespace.clifford import stabilizer_blocks
-from phasespace.hudson import _haar_rows, _two_point_rows, row_chunks
-from phasespace.wigner import wigner_block, wigner_line_check, wigner_minima
+from phasespace.hudson import row_chunks
+from phasespace.wigner import wigner_block, wigner_line_check, wigner_minima, wigner_workspace
 
-from oracles import DIMS, PRIMES_TO_101, all_points, complex_wigner_block, fft_wigner, translated_grid
+from oracles import (
+    DIMS,
+    PRIMES_TO_101,
+    all_points,
+    complex_wigner_block,
+    fft_wigner,
+    haar_rows,
+    line_check,
+    translated_grid,
+    two_point_rows,
+)
 
 
 def _random_hermitian(dim, seed):
@@ -260,7 +270,7 @@ class TestWignerMinima:
         amps = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         minima = wigner_minima(amps)
-        line_minima, argmins, _ = wigner_line_check(amps, np.tile((0, 1), (n, 1)))
+        line_minima, argmins, _ = wigner_line_check(wigner_block(amps), np.tile((0, 1), (n, 1)))
         assert np.array_equal(line_minima, minima)
         for i in range(n):
             grid = fft_wigner(amps[i])
@@ -278,13 +288,67 @@ class TestWignerMinima:
         # of them, on Haar, two-point, basis and quadratic-phase rows
         blocks = list(stabilizer_blocks(d))
         basis, quadratic = blocks[0][[0, d // 2, d - 1]], blocks[1][[0, 1]]
-        amps = np.concatenate([_haar_rows(d, d, range(4)), _two_point_rows(d, d, range(4)),
+        amps = np.concatenate([haar_rows(d, d, range(4)), two_point_rows(d, d, range(4)),
                                basis, quadratic, blocks[d // 2 + 1][[0, d - 1]]])
         grids = wigner_block(amps)
         oracle = complex_wigner_block(amps)
         assert grids.dtype == np.float64 and grids.shape == (len(amps), d, d)
         assert np.abs(oracle.imag).max() <= 1e-12
         assert np.abs(grids - oracle.real).max() <= 1e-12
+
+
+class TestWignerWorkspace:
+    """wigner_block(amps, out=work), as verify_hudson runs it on every chunk,
+    and wigner_line_check on the grids it consumes."""
+
+    @pytest.mark.parametrize("d", [3, 7, 61])
+    def test_out_equals_fresh_grids_bitwise(self, d):
+        amps = np.concatenate([haar_rows(d, 2, range(5)), two_point_rows(d, 2, range(3)),
+                               list(stabilizer_blocks(d))[1][:2]])
+        # stale NaN in a workspace made for more rows than any block below
+        work = wigner_workspace(len(amps) + 4, d)
+        work.fill(np.nan)
+        for rows in (slice(0, 10), slice(3, 10), slice(9, 10)):
+            grids = wigner_block(amps[rows], out=work)
+            assert np.shares_memory(grids, work)
+            assert grids.shape == (len(amps[rows]), d, d)
+            assert np.array_equal(grids, wigner_block(amps[rows]))
+
+    def test_out_too_small_raises(self):
+        amps = haar_rows(7, 2, range(3))
+        with pytest.raises(ValueError):
+            wigner_block(amps, out=wigner_workspace(2, 7))
+
+    @pytest.mark.parametrize("d", [3, 7, 61])
+    def test_line_check_on_consumed_grids_equals_fresh_oracle(self, d):
+        # every block representative (exact zeros and ties), Haar and
+        # two-point rows, a NaN row; the normals of the representatives' lines
+        reps = np.array([block[0] for block in stabilizer_blocks(d)])
+        normals = np.array([(0, 1)] + [(1, -2 * theta % d) for theta in range(d)])
+        amps = np.concatenate([reps, haar_rows(d, 4, range(3)), two_point_rows(d, 4, range(3))])
+        amps[-1, 1] = np.nan
+        normals = np.concatenate([normals, normals[np.arange(6) % (d + 1)]])
+        fresh = wigner_block(amps)
+        want = line_check(fresh.copy(), normals)
+        got = wigner_line_check(fresh, normals)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        # consumed: the grids now hold |W - line|
+        assert np.isnan(fresh[-1]).any() and np.nanmin(fresh) >= 0.0
+
+    @pytest.mark.parametrize("d", [3, 7, 61])
+    def test_line_check_breaks_ties_like_fresh_oracle(self, d):
+        # grids of a few small integers (and signed zeros, and a NaN) tie
+        # everywhere, so the first minimum in (p, q) order is tested
+        rng = np.random.default_rng(d)
+        grids = rng.integers(-1, 2, size=(12, d, d)) * 1.0
+        grids[rng.random(grids.shape) < 0.3] *= -0.0
+        grids[-1, d - 1, 0] = np.nan
+        normals = rng.integers(0, d, size=(12, 2))
+        normals[normals.sum(axis=1) == 0, 1] = 1
+        want = line_check(grids.copy(), normals)
+        for g, w in zip(wigner_line_check(grids, normals), want):
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 class TestSelfCorrelation:
