@@ -13,8 +13,10 @@ handed back to the system and faulted in again.
 
   * verify_hudson(PrimeDim(d), 1000 samples, seed 7, 100 two-point samples)
     at d = 3, 5, 7, 31, 61, 101 and 401;
-  * at d = 61, on one block of 1000 Haar rows: wigner_minima on the whole
-    block, the grid minima in verify's row chunks (through one reused
+  * the stabilizer pass alone, verify_hudson with both sample counts 0, at
+    d = 101, 401 and 601;
+  * at d = 61, on one block of 1000 Haar rows: the grid minima of the whole
+    block at once, the grid minima in verify's row chunks (through one reused
     workspace where the tree has one), and the sample-overlap step, which
     decides for each row whether it matches a stabilizer state;
   * at d = 7 and 61, the seeded samplers that draw verify's blocks:
@@ -51,6 +53,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 5
 VERIFY_DIMS = (3, 5, 7, 31, 61, 101, 401)
+STABILIZER_PASS_DIMS = (101, 401, 601)
 SAMPLES, TWO_POINT, SEED = 1000, 100, 7
 KERNEL_D, KERNEL_ROWS = 61, 1000
 SAMPLER_DIMS = (7, 61)
@@ -86,17 +89,20 @@ def kernels(ps) -> dict:
     """The per-sample kernels on one block of KERNEL_ROWS Haar rows at KERNEL_D.
 
     Trees before the real Wigner product pass wigner_minima the DFT matrix,
-    and trees before the O(d) overlap bound run stabilizer_overlaps on every
-    row; the step timed is whatever verify_hudson runs in that tree."""
+    trees without wigner_minima take the minima of wigner_block, and trees
+    before the O(d) overlap bound run stabilizer_overlaps on every row; the
+    step timed is whatever verify_hudson runs in that tree."""
     import numpy as np
 
     hudson, wigner = ps.hudson, ps.wigner
     amps = sampler(hudson, "_haar_rows", KERNEL_D, hudson._HAAR_STREAM, KERNEL_ROWS)()
     F = ps.qudit.dft_matrix(KERNEL_D)
-    takes_dft = len(inspect.signature(wigner.wigner_minima).parameters) == 2
+    minima = getattr(wigner, "wigner_minima", None)
 
     def minima_of(block):
-        return wigner.wigner_minima(block, F) if takes_dft else wigner.wigner_minima(block)
+        if minima is None:
+            return wigner.wigner_block(block).min(axis=(1, 2))
+        return minima(block, F) if len(inspect.signature(minima).parameters) == 2 else minima(block)
 
     chunks = list(hudson.row_chunks(KERNEL_ROWS, KERNEL_D))
     if hasattr(wigner, "wigner_workspace"):
@@ -151,6 +157,11 @@ def main(argv=None) -> int:
         entry = verify[str(d)]
         print(f"verify_hudson d = {d}: {entry['median_s']:.4f} s, minor faults {entry['minor_faults']},"
               f" system {statistics.median(entry['system_s']):.4f} s", file=sys.stderr)
+    stabilizer_pass = {}
+    for d in STABILIZER_PASS_DIMS:
+        dim = ps.PrimeDim(d)
+        stabilizer_pass[str(d)] = timed(lambda: ps.verify_hudson(dim, 0, SEED, two_point_samples=0))
+        print(f"stabilizer pass d = {d}: {stabilizer_pass[str(d)]['median_s']:.4f} s", file=sys.stderr)
     kernel = kernels(ps)
     for name, entry in kernel.items():
         print(f"{name} d = {KERNEL_D}, {KERNEL_ROWS} rows: {entry['median_s']:.4f} s", file=sys.stderr)
@@ -171,6 +182,7 @@ def main(argv=None) -> int:
         "verify_hudson": {
             "samples": SAMPLES, "two_point_samples": TWO_POINT, "seed": SEED, "by_d": verify,
         },
+        "stabilizer_pass": {"samples": 0, "two_point_samples": 0, "seed": SEED, "by_d": stabilizer_pass},
         f"kernels_d{KERNEL_D}_{KERNEL_ROWS}_haar_rows": kernel,
         "samplers_by_d": sampler,
     }

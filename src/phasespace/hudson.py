@@ -21,20 +21,19 @@ passes iff the count is zero.
 
 The battery runs on (n, d) amplitude blocks, one state per row: the
 stabilizer family block by block, the samples drawn from their per-index
-substreams. verify_hudson alone sets n: it hands the block kernels row_chunks
-of the stabilizer representatives and of the samples, at most
-CHUNK_ELEMENTS / d^2 rows each. The Wigner grids of every chunk, with their
-lag products, go into one wigner.wigner_workspace that verify_hudson
-allocates per call for the largest chunk it hands out and reuses: about 1 MB
-at d = 61, which would otherwise be handed back to the system at the end of
-each chunk and faulted in again by the next. wigner.wigner_line_check
-measures the representatives' grids in place; clifford.stabilizer_overlaps
-and modulus_violations build temporaries of at most n d^2 entries for the
-block they are given. Each sample stream is hashed by _seed_words once per
-call, in blocks of whole chunks of at most CHUNK_ELEMENTS indices, and the
-words are sliced per chunk. The per-index substreams are the package's one
-seeding scheme, and haar_sample and two_point_sample replay one sample as a
-StateVector, hashing its single index.
+substreams. verify_hudson alone sets n for the samples: it hands the block
+kernels row_chunks of them, at most CHUNK_ELEMENTS / d^2 rows each. The
+Wigner grids of every sample chunk, with their lag products, go into one
+wigner.wigner_workspace that verify_hudson allocates per call for the
+largest chunk it hands out and reuses: about 1 MB at d = 61, which would
+otherwise be handed back to the system at the end of each chunk and faulted
+in again by the next. clifford.stabilizer_overlaps and modulus_violations
+build temporaries of at most n d^2 entries for the block they are given.
+Each sample stream is hashed by _seed_words once per call, in blocks of
+whole chunks of at most CHUNK_ELEMENTS indices, and the words are sliced per
+chunk. The per-index substreams are the package's one seeding scheme, and
+haar_sample and two_point_sample replay one sample as a StateVector, hashing
+its single index.
 
 The substream of (seed, stream, i) is numpy's PCG64 seeded as
 np.random.SeedSequence([seed, stream, i]) would seed it, but the
@@ -60,22 +59,25 @@ for every stabilizer state s. Only the samples whose bound, inflated by
 4 d eps for rounding, reaches 1 - STABILIZER_MATCH_TOL get the chirp DFT. On
 Haar samples the bound is about sqrt(pi)/2 ~ 0.886, so in practice none do.
 
-The stabilizer family is not swept grid by grid. Its Wigner functions are
-known exactly: (1/d) 1[q = k] for |k> and (1/d) 1[p = 2 theta q + x] for the
-quadratic-phase state (theta, x). So only the representative (row 0) of
-each block gets a numeric grid, in wigner.wigner_line_check, which takes its
-minimum and its largest deviation from the exact line (the report's
-stabilizer_line_deviation). Every row is tied to its representative by the
-shift law, checked as an O(d) residual per row:
+The stabilizer family is not swept grid by grid. It is the Clifford orbit
+of |0> (Gross 2006), and each Wigner function is the uniform measure on a
+line: (1/d) 1[q = k] for |k> and (1/d) 1[p = 2 theta q + x] for the
+quadratic-phase state (theta, x). So only two bases get a numeric grid, |0>
+(row 0 of block 0, line q = 0) and the uniform state (row 0 of block 1,
+line p = 0), which gives each base's minimum, first argmin and largest
+deviation from its line (the report's stabilizer_line_deviation). Every row
+is tied to its base by the Clifford-orbit law, an O(d) residual per row on
+integer residues:
 
-    row x of block theta = omega^(x q) row 0   (z(x): the grid moves by x along p)
-    row k of the basis block = row 0 moved to k (x(k): the grid moves by k along q)
+    row k of block 0         = |0> moved to k: the grid moves by k along q
+    row x of block theta + 1 = omega^(x q) omega^(theta q^2) uniform: the grid
+                               is sheared p -> p + 2 theta q, then moved by x along p
 
-so a row's grid is its representative's translated, and nonnegative with it.
-Both the line deviation and the residual must be at most
-STABILIZER_NONNEG_TOL. Each row carries its representative's minimum and
-modulus-inequality count; support, spread and offset are computed on every
-row.
+so a row's grid is its base's, moved, and nonnegative with it. The line
+deviations and every residual must be at most STABILIZER_NONNEG_TOL. Each
+row carries its base's minimum and modulus-inequality count, and a negative
+row reports its base's argmin moved the same way; support, spread and offset
+are computed on every row.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ from .wigner import (
     lag_products,
     operator_from_char,
     wigner_block,
-    wigner_line_check,
     wigner_workspace,
 )
 from .zmod import PrimeDim
@@ -406,24 +407,27 @@ def verify_hudson(
         raise ValueError(f"sample counts must be at most 2^32, got {samples!r} and {two_point_samples!r}")
     failures = _Failures()
     d = dim.d
-    # one Wigner workspace for the largest chunk handed out below
-    work = wigner_workspace(min(_chunk_rows(d), max(d + 1, samples, two_point_samples)), d)
+    # one Wigner workspace for the largest sample chunk handed out below
+    work = wigner_workspace(min(_chunk_rows(d), max(samples, two_point_samples)), d)
     target_modulus = 1.0 / math.sqrt(d)
 
-    # One pass over the blocks keeps each block's representative (row 0) and,
-    # for every row, the shift-law residual and the O(d) lemma statistics.
+    # One pass over the blocks keeps the two bases, |0> (row 0 of block 0) and
+    # the uniform state (row 0 of block 1), and for every row its orbit-law
+    # residual and the O(d) lemma statistics.
     k = np.arange(d)
     boosts = omega_table(d)[np.outer(k, k) % d]  # [x, q] -> omega^(x q)
+    chirps = omega_table(d)[np.outer(k, k * k % d) % d]  # [theta, q] -> omega^(theta q^2)
     shifts = (k - k[:, None]) % d  # [k, q] -> q - k
-    reps = np.empty((d + 1, d), dtype=complex)
+    bases = np.empty((2, d), dtype=complex)
     residual = np.empty((d + 1, d))
     size = np.empty((d + 1, d), dtype=np.intp)
     stable = np.empty((d + 1, d), dtype=bool)
     spread = np.empty((d + 1, d))
     offset = np.empty((d + 1, d))
     for b, block in enumerate(stabilizer_blocks(d)):
-        reps[b] = block[0]
-        expected = block[0][shifts] if b == 0 else boosts * block[0]
+        if b < 2:
+            bases[b] = block[0]
+        expected = bases[0][shifts] if b == 0 else boosts * (chirps[b - 1] * bases[1])
         residual[b] = np.abs(block - expected).max(axis=1)
         m = np.abs(block)
         inside, stable[b] = support_rows(m)
@@ -431,16 +435,18 @@ def verify_hudson(
         spread[b] = m.max(axis=1) - m.min(axis=1)
         offset[b] = np.abs(m - target_modulus).max(axis=1)
 
-    # Numerics on the d + 1 representatives only, chunk by chunk; their lines
-    # are |0>: q = 0 and theta: p = 2 theta q. Every row of a block carries
-    # its representative's minimum and modulus-inequality count.
-    normals = np.array([(0, 1)] + [(1, -2 * theta % d) for theta in range(d)])
-    parts = [(*wigner_line_check(wigner_block(reps[rows], out=work), normals[rows]),
-              modulus_violations(np.abs(reps[rows])))
-             for rows in row_chunks(d + 1, d)]
-    rep_minima, rep_argmins, line_deviation, rep_violations = (np.concatenate(a) for a in zip(*parts))
-    minima = np.repeat(rep_minima, d)
-    violations = np.repeat(rep_violations, d)
+    # Numerics on the two bases only, against their lines q = 0 and p = 0.
+    # Every row carries its base's minimum and modulus-inequality count.
+    grids = wigner_block(bases)  # [base, q, p]
+    base_minima = grids.min(axis=(1, 2))
+    base_argmins = grids.transpose(0, 2, 1).reshape(2, d * d).argmin(axis=1)  # first p * d + q
+    base_violations = modulus_violations(np.abs(bases))
+    grids[0, 0, :] -= 1.0 / d
+    grids[1, :, 0] -= 1.0 / d
+    line_deviation = np.abs(grids).max(axis=(1, 2))
+    family = np.repeat([0, 1], [d, d * d])  # the base of each row
+    minima = base_minima[family]
+    violations = base_violations[family]
     residual, size, stable, spread, offset = (a.ravel() for a in (residual, size, stable, spread, offset))
     full = size == d
 
@@ -455,20 +461,21 @@ def verify_hudson(
 
     # written so that NaN fails too
     line_failed = np.zeros(d * (d + 1), dtype=bool)
-    line_failed[::d] = ~(line_deviation <= STABILIZER_NONNEG_TOL)
-    shift_failed = ~(residual <= STABILIZER_NONNEG_TOL)
+    line_failed[[0, d]] = ~(line_deviation <= STABILIZER_NONNEG_TOL)
+    orbit_failed = ~(residual <= STABILIZER_NONNEG_TOL)
     lemma_failed = ((violations > 0) | ~stable | ((size != 1) & ~full)
                     | (full & ((spread > LEMMA_TOL) | (offset > LEMMA_TOL))))
-    for idx in np.nonzero(line_failed | shift_failed | ~positive | lemma_failed)[0].tolist():
+    for idx in np.nonzero(line_failed | orbit_failed | ~positive | lemma_failed)[0].tolist():
         b, x = divmod(idx, d)
         if line_failed[idx]:
-            failures.add(f"stabilizer {idx} is off its exact Wigner line by {float(line_deviation[b])!r}")
-        if shift_failed[idx]:
-            failures.add(f"stabilizer {idx} breaks the shift law of its block by {float(residual[idx])!r}")
+            failures.add(f"stabilizer {idx} is off its exact Wigner line by {float(line_deviation[family[idx]])!r}")
+        if orbit_failed[idx]:
+            failures.add(f"stabilizer {idx} breaks the Clifford-orbit law of its base by {float(residual[idx])!r}")
         if not positive[idx]:
-            # row x has its representative's grid translated by x along p (along q for |k>)
-            p, q = divmod(int(rep_argmins[b]), d)
-            where = (p, (q + x) % d) if b == 0 else ((p + x) % d, q)
+            # the row's grid is its base's, moved along q by k for |k>, and
+            # sheared p -> p + 2 theta q, then moved along p by x, for (theta, x)
+            p, q = divmod(int(base_argmins[family[idx]]), d)
+            where = (p, (q + x) % d) if b == 0 else ((p + 2 * (b - 1) * q + x) % d, q)
             failures.add(f"stabilizer {idx} has Wigner minimum {float(minima[idx])!r} at {where}")
             continue
         if violations[idx]:
@@ -517,7 +524,7 @@ def verify_hudson(
         stabilizer_tol=STABILIZER_NONNEG_TOL,
         stabilizer_count=d * (d + 1),
         stabilizers_all_nonneg=bool(positive.all()),
-        stabilizer_min_wigner=float(rep_minima.min()),
+        stabilizer_min_wigner=float(base_minima.min()),
         stabilizer_line_deviation=float(line_deviation.max()),
         random_samples=samples,
         random_all_negative=random_all_negative,

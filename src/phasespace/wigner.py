@@ -28,10 +28,8 @@ integer residues 2 u p mod d. The grids are real by construction.
 wigner_block builds an (n, d, (d+1)/2) complex and an (n, d, d) real array
 for the whole block it is given, or, with out, writes both into the front of
 a wigner_workspace and returns a view of it: hudson.verify_hudson allocates
-one workspace per call for its largest row chunk and reuses it for every
-chunk. wigner_minima reduces each grid to its minimum; wigner_line_check
-takes grids from wigner_block and measures each against an exact stabilizer
-line in place. wigner_pure is the n = 1 case.
+one workspace per call for its largest sample chunk and reuses it for every
+chunk. wigner_pure is the n = 1 case.
 
 Covariance (checked against wigner_pure of the transformed state for every
 v and every S at d = 3 and 5 by acceptance criteria 4 and 5;
@@ -214,38 +212,6 @@ def wigner_block(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     grids = out[split:split + n * d * d].reshape(n * d, d)
     np.matmul(pairs, _real_dft(d), out=grids)
     return grids.reshape(n, d, d)
-
-
-def wigner_minima(amps: np.ndarray) -> np.ndarray:
-    """Minimum of each row's Wigner grid."""
-    return wigner_block(amps).min(axis=(1, 2))
-
-
-def wigner_line_check(grids: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For an (n, d, d) block of wigner_block grids, indexed [n, q, p]: the
-    minimum of each grid, its flat index p * d + q (the first in row-major
-    (p, q) order), and the largest deviation of each grid from the uniform
-    measure on a line through the origin, (1/d) 1[a p + b q = 0 mod d] with
-    (a, b) = normals[row].
-
-    The line is the exact Wigner function of a stabilizer state: (a, b) =
-    (0, 1) for |0> and (1, -2 theta) for the quadratic-phase state theta,
-    x = 0. Its points are the multiples t (b, -a) on integer residues.
-
-    The grids are consumed: the deviation is taken in place, so that no
-    (n, d, d) temporary is built, and they are left holding |W - line|.
-    """
-    n, d, _ = grids.shape
-    rows = np.arange(n)
-    minima = grids.min(axis=(1, 2))
-    # the first minimum in row-major (p, q) order: the first column p that
-    # holds it, then the first q in that column
-    p = grids.min(axis=1).argmin(axis=1)
-    q = grids[rows, :, p].argmin(axis=1)
-    t = np.arange(d)
-    a, b = normals[:, 0, None], normals[:, 1, None]
-    grids[rows[:, None], -t * a % d, t * b % d] -= 1.0 / d
-    return minima, p * d + q, np.abs(grids, out=grids).max(axis=(1, 2))
 
 
 def self_correlation(psi: StateVector) -> CorrelationTable:

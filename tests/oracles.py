@@ -6,7 +6,7 @@ object the package computes another way (weyl builds w(p, q) entrywise; the
 Fourier predicates never form a circulant matrix; the Wigner kernels use one
 real matrix product over half the lags, not complex arithmetic over all of them),
 or a helper that only the tests need (all_points, translated_grid,
-haar_rows, two_point_rows).
+haar_rows, two_point_rows, wigner_minima).
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ import numpy as np
 from phasespace import CyclicFunction, DenseOperator, PhasePoint, PrimeDim, hudson, omega_table
 from phasespace.bochner import PREDICATE_TOL
 from phasespace.qudit import dft_matrix
+from phasespace.wigner import wigner_block
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]
@@ -88,18 +89,6 @@ def has_constant_modulus_fourier(f: CyclicFunction) -> bool:
     return bool(np.max(np.abs(a[1:])) <= PREDICATE_TOL)
 
 
-def line_check(grids: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """wigner_line_check on fresh arrays: the minimum of each [n, q, p] grid,
-    its first flat index p * d + q in row-major (p, q) order, and the largest
-    |W - (1/d) 1[a p + b q = 0 mod d]|, the indicator built on the full grid."""
-    n, d, _ = grids.shape
-    argmins = grids.transpose(0, 2, 1).reshape(n, d * d).argmin(axis=1)
-    k = np.arange(d)
-    a, b = normals[:, 0, None, None], normals[:, 1, None, None]
-    on_line = (a * k + b * k[:, None]) % d == 0  # [n, q, p]
-    return grids.min(axis=(1, 2)), argmins, np.abs(grids - on_line / d).max(axis=(1, 2))
-
-
 def inverse_fourier(g: CyclicFunction) -> CyclicFunction:
     """f(q) = sum_x omega^(q x) g(x); exact inverse of fourier."""
     d = g.dim.d
@@ -133,6 +122,11 @@ def fft_wigner(amp: np.ndarray) -> np.ndarray:
     grid = np.fft.fft(amp[(q + h * x) % d] * np.conj(amp[(q - h * x) % d]), axis=1).T / d
     assert np.abs(grid.imag).max() <= 1e-12
     return grid.real
+
+
+def wigner_minima(amps: np.ndarray) -> np.ndarray:
+    """Minimum of each row's wigner_block grid."""
+    return wigner_block(amps).min(axis=(1, 2))
 
 
 def complex_wigner_block(amps: np.ndarray) -> np.ndarray:

@@ -39,7 +39,6 @@ from phasespace import (
     half,
 )
 from phasespace.hudson import modulus_violations, support_rows
-from phasespace.wigner import wigner_minima
 
 from oracles import (
     DIMS,
@@ -51,6 +50,7 @@ from oracles import (
     symplectic_form,
     translated_grid,
     two_point_rows,
+    wigner_minima,
 )
 
 

@@ -19,7 +19,6 @@ from phasespace import (
     stabilizer_blocks,
     two_point_sample,
     verify_hudson,
-    wigner_pure,
 )
 from phasespace import hudson
 from phasespace.clifford import stabilizer_overlaps
@@ -33,9 +32,9 @@ from phasespace.hudson import (
     support_rows,
 )
 from phasespace.qudit import normalize_rows
-from phasespace.wigner import wigner_block, wigner_line_check, wigner_minima
+from phasespace.wigner import wigner_block
 
-from oracles import DIMS, PRIMES_TO_101, fft_wigner, haar_rows, stabilizer_stack, two_point_rows
+from oracles import DIMS, PRIMES_TO_101, fft_wigner, haar_rows, stabilizer_stack, two_point_rows, wigner_minima
 
 
 def _block(states):
@@ -47,15 +46,6 @@ class TestCheckPositivity:
     def test_basis_state_is_nonnegative(self):
         minima = wigner_minima(StateVector.basis(PrimeDim(3), 0).amp[None])
         assert minima[0] == 0.0
-
-    def test_argmin_is_consistent(self):
-        dim = PrimeDim(5)
-        psi = haar_sample(dim, 3, 0)
-        minima, argmins, _ = wigner_line_check(wigner_block(psi.amp[None]), np.array([(0, 1)]))
-        p, q = divmod(int(argmins[0]), 5)
-        grid = wigner_pure(psi).values.real
-        assert grid[p, q] == minima[0]
-        assert minima[0] == grid.min()
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_states_are_negative(self, dim):
@@ -348,8 +338,8 @@ class TestVerifyHudson:
         doc = verify_hudson(PrimeDim(3), samples=5, seed=2).to_dict()
         assert doc["failures"] == [] and doc["failures_total"] == 0 and doc["passed"] is True
 
-    # at d = 211 one (c, d, d) temporary for all 212 stabilizer representatives
-    # at once would take about 150 MB; verify_hudson's row chunks keep it to 1 MiB
+    # at d = 211 one (c, d, d) temporary for a block of samples at once would
+    # take about 0.7 MB a row; verify_hudson's row chunks keep it to 1 MiB
     @pytest.mark.parametrize("d,samples,two_point", [(61, 50, 100), (211, 5, 5)])
     def test_peak_memory_is_bounded(self, d, samples, two_point):
         tracemalloc.start()
@@ -574,9 +564,10 @@ class TestVerifyAgainstPerStateReference:
 
 
 class TestStabilizerCertificate:
-    """The two facts verify_hudson rests on when it computes only the grid of
-    row 0 of each stabilizer block: every row's grid is row 0's translated,
-    and every grid is its exact line."""
+    """The facts verify_hudson rests on when it computes only the grids of
+    its two bases, |0> and the uniform state: every row's grid is its block
+    representative's translated, each representative theta's grid is the
+    uniform state's sheared, and every grid is its exact line."""
 
     @given(d=st.sampled_from(PRIMES_TO_101))
     @example(d=61)
@@ -597,6 +588,33 @@ class TestStabilizerCertificate:
                 assert np.abs(grids - rolled).max() <= 1e-12
                 assert np.abs(grids - line / d).max() <= 1e-12
 
+    @given(d=st.sampled_from(PRIMES_TO_101))
+    @example(d=61)
+    @example(d=101)
+    @settings(max_examples=5, deadline=None)
+    def test_representatives_are_the_uniform_grid_sheared(self, d):
+        # W_theta(p, q) = W_uniform(p - 2 theta q, q), on integer residues
+        k = np.arange(d)
+        reps = np.array([block[0] for block in list(stabilizer_blocks(d))[1:]])
+        uniform = wigner_block(reps[:1])[0]  # [q, p]
+        sheared = (k - 2 * k[:, None, None] * k[:, None]) % d  # [theta, q, p] -> p - 2 theta q
+        for rows in row_chunks(d, d):
+            assert np.abs(wigner_block(reps[rows]) - uniform[k[:, None], sheared[rows]]).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 61, 257])
+    def test_stabilizer_pass_computes_two_grids(self, monkeypatch, d):
+        # from d = 257 on a sample chunk is one row; the two bases are one block
+        rows = []
+        grids = hudson.wigner_block
+
+        def spied(amps, **kwargs):
+            rows.append(len(amps))
+            return grids(amps, **kwargs)
+
+        monkeypatch.setattr(hudson, "wigner_block", spied)
+        assert verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0).passed
+        assert rows == [2]
+
 
 def _perturbed_blocks(monkeypatch, block_index, row, change):
     """Make verify_hudson read stabilizer block block_index with change applied to its row."""
@@ -612,6 +630,17 @@ def _perturbed_blocks(monkeypatch, block_index, row, change):
     monkeypatch.setattr(hudson, "stabilizer_blocks", perturbed)
 
 
+def _verify_keeping_every_message(monkeypatch, d=7):
+    """verify_hudson at d with no samples, with the failure messages unbounded."""
+    monkeypatch.setattr(hudson, "MAX_FAILURE_MESSAGES", 10**6)
+    return verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
+
+
+def _orbit_breakers(report):
+    """The stabilizer indices whose Clifford-orbit law failed."""
+    return [int(m.split()[1]) for m in report.failures if "breaks the Clifford-orbit law" in m]
+
+
 def _add(amp):
     amp[1] += 1e-6
     return amp
@@ -622,58 +651,85 @@ def _turn(amp):
     return amp
 
 
+def _nan(amp):
+    amp[2] = np.nan
+    return amp
+
+
 class TestStabilizerFaultInjection:
+    """verify_hudson computes grids for |0> (stabilizer 0) and the uniform
+    state (stabilizer d) only; every other row is caught by its O(d) residual
+    against the Clifford orbit of its base."""
+
     @pytest.mark.parametrize(
-        "block_index,row,change", [(0, 3, _add), (2, 1, _add), (7, 6, _add), (2, 1, _turn), (7, 6, _turn)]
+        "block_index,row,change",
+        [(0, 3, _add), (2, 1, _add), (7, 6, _add), (2, 1, _turn), (7, 6, _turn), (3, 0, _add), (3, 0, _turn)],
     )
-    def test_perturbed_row_breaks_the_shift_law(self, monkeypatch, block_index, row, change):
+    def test_perturbed_row_breaks_the_orbit_law(self, monkeypatch, block_index, row, change):
+        # row 0 of block 3 is the representative of theta = 2: no grid sees it
         _perturbed_blocks(monkeypatch, block_index, row, change)
-        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
+        report = _verify_keeping_every_message(monkeypatch)
         assert report.passed is False and report.failures_total >= 1
         idx = 7 * block_index + row
-        assert report.failures[0].startswith(f"stabilizer {idx} breaks the shift law of its block by ")
-        if change is _turn:  # moduli unchanged: nothing but the shift law sees it
+        assert report.failures[0].startswith(f"stabilizer {idx} breaks the Clifford-orbit law of its base by ")
+        assert _orbit_breakers(report) == [idx]
+        if change is _turn:  # moduli unchanged: nothing but the orbit law sees it
             assert report.failures_total == 1
         assert report.stabilizer_line_deviation <= 1e-12
 
-    @pytest.mark.parametrize("block_index,change", [(0, _add), (3, _add), (3, _turn)])
+    @pytest.mark.parametrize("block_index,change", [(0, _add), (1, _add), (1, _turn)])
     def test_perturbed_representative_is_off_its_line(self, monkeypatch, block_index, change):
+        # a base: its own grid leaves its line, and every other row of its
+        # orbit breaks the orbit law against it
         _perturbed_blocks(monkeypatch, block_index, 0, change)
-        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
-        assert report.passed is False and report.failures_total >= 1
+        report = _verify_keeping_every_message(monkeypatch)
+        assert report.passed is False
         assert report.stabilizer_line_deviation > 1e-12
-        assert any(m.startswith(f"stabilizer {7 * block_index} is off its exact Wigner line by ")
-                   or "Wigner minimum" in m for m in report.failures)
+        assert report.failures[0].startswith(f"stabilizer {7 * block_index} is off its exact Wigner line by ")
+        assert _orbit_breakers(report) == (list(range(1, 7)) if block_index == 0 else list(range(8, 56)))
+
+    @pytest.mark.parametrize("block_index", [0, 1])
+    def test_nan_in_a_base_fails_the_run(self, monkeypatch, block_index):
+        _perturbed_blocks(monkeypatch, block_index, 0, _nan)
+        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
+        assert report.passed is False and not report.stabilizers_all_nonneg
+        assert math.isnan(report.stabilizer_min_wigner) and math.isnan(report.stabilizer_line_deviation)
+        assert report.failures[0] == f"stabilizer {7 * block_index} is off its exact Wigner line by nan"
 
     @pytest.mark.parametrize("block_index", [0, 3])
     def test_negative_block_reports_each_row_where_its_own_grid_dips(self, monkeypatch, block_index):
-        # the whole block built from a perturbed representative by the shift
-        # law: each row carries the representative's minimum, translated
-        blocks = hudson.stabilizer_blocks
-        q = np.arange(7)
+        # the rows built by the orbit law from a perturbed base: block 0 from
+        # |0> by shifts; block 3, with the whole quadratic family, from the
+        # uniform state by chirps and boosts. Each row carries its base's
+        # minimum at the base's argmin moved along q, or sheared and moved
+        # along p, which must be the row's own FFT argmin.
+        d = 7
+        q = np.arange(d)
+        family = list(hudson.stabilizer_blocks(d))
+        base = min(block_index, 1)
         rng = np.random.default_rng(block_index)
-        rep = list(blocks(7))[block_index][0] + 1e-3 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        rows = np.array([np.roll(rep, x) if block_index == 0 else np.exp(2j * np.pi * x * q / 7) * rep for x in q])
-
-        def perturbed(d):
-            family = list(blocks(d))
-            family[block_index] = rows
-            return family
-
-        monkeypatch.setattr(hudson, "stabilizer_blocks", perturbed)
-        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
-        assert not any("shift law" in m for m in report.failures)
+        amp = family[base][0] + 1e-3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        if base == 0:
+            family[0] = np.array([np.roll(amp, k) for k in q])
+        else:
+            for theta in q:
+                family[theta + 1] = np.exp(2j * np.pi * (q[:, None] * q + theta * q * q) / d) * amp
+        monkeypatch.setattr(hudson, "stabilizer_blocks", lambda d: iter(family))
+        report = _verify_keeping_every_message(monkeypatch, d)
+        assert _orbit_breakers(report) == []
+        rows = np.concatenate(family)
+        rebuilt = range(d) if base == 0 else range(d, d * (d + 1))
         dips = [m for m in report.failures if "Wigner minimum" in m]
-        assert len(dips) == 7
-        for x, message in enumerate(dips):
-            value, where = _fft_minimum(rows[x])
-            assert message.startswith(f"stabilizer {7 * block_index + x} has Wigner minimum ")
+        assert len(dips) == len(rebuilt)
+        for idx, message in zip(rebuilt, dips):
+            value, where = _fft_minimum(rows[idx])
+            assert message.startswith(f"stabilizer {idx} has Wigner minimum ")
             assert message.endswith(f" at {where}")
             assert abs(float(_FLOAT.findall(message)[0]) - value) <= 1e-12
 
-    def test_block_of_another_theta_is_off_its_line(self, monkeypatch):
+    def test_block_of_another_theta_breaks_the_orbit_law(self, monkeypatch):
         # block theta = 2 holds the states of theta = 3: each row is a
-        # stabilizer state and the shift law holds, so only the line sees it
+        # stabilizer state with flat moduli, so only the orbit law sees it
         blocks = hudson.stabilizer_blocks
 
         def mislabelled(d):
@@ -683,9 +739,9 @@ class TestStabilizerFaultInjection:
 
         monkeypatch.setattr(hudson, "stabilizer_blocks", mislabelled)
         report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
-        assert report.passed is False and report.failures_total == 1
-        assert report.failures[0].startswith("stabilizer 21 is off its exact Wigner line by ")
-        assert abs(report.stabilizer_line_deviation - 1 / 7) <= 1e-12
+        assert report.passed is False and report.failures_total == 7
+        assert _orbit_breakers(report) == list(range(21, 28))
+        assert report.stabilizer_line_deviation <= 1e-12
 
 
 class TestSinglePointInfeasibility:

@@ -33,7 +33,7 @@ from phasespace import (
 )
 from phasespace.clifford import stabilizer_blocks
 from phasespace.hudson import row_chunks
-from phasespace.wigner import wigner_block, wigner_line_check, wigner_minima, wigner_workspace
+from phasespace.wigner import wigner_block, wigner_workspace
 
 from oracles import (
     DIMS,
@@ -42,9 +42,9 @@ from oracles import (
     complex_wigner_block,
     fft_wigner,
     haar_rows,
-    line_check,
     translated_grid,
     two_point_rows,
+    wigner_minima,
 )
 
 
@@ -270,13 +270,8 @@ class TestWignerMinima:
         amps = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         minima = wigner_minima(amps)
-        line_minima, argmins, _ = wigner_line_check(wigner_block(amps), np.tile((0, 1), (n, 1)))
-        assert np.array_equal(line_minima, minima)
         for i in range(n):
-            grid = fft_wigner(amps[i])
-            assert abs(minima[i] - grid.min()) <= 1e-12
-            p, q = divmod(int(argmins[i]), d)
-            assert grid[p, q] - grid.min() <= 1e-12
+            assert abs(minima[i] - fft_wigner(amps[i]).min()) <= 1e-12
 
     def test_large_d_blocks_span_several_chunks(self):
         assert len(list(row_chunks(40, 61))) == 3
@@ -298,8 +293,7 @@ class TestWignerMinima:
 
 
 class TestWignerWorkspace:
-    """wigner_block(amps, out=work), as verify_hudson runs it on every chunk,
-    and wigner_line_check on the grids it consumes."""
+    """wigner_block(amps, out=work), as verify_hudson runs it on every sample chunk."""
 
     @pytest.mark.parametrize("d", [3, 7, 61])
     def test_out_equals_fresh_grids_bitwise(self, d):
@@ -318,37 +312,6 @@ class TestWignerWorkspace:
         amps = haar_rows(7, 2, range(3))
         with pytest.raises(ValueError):
             wigner_block(amps, out=wigner_workspace(2, 7))
-
-    @pytest.mark.parametrize("d", [3, 7, 61])
-    def test_line_check_on_consumed_grids_equals_fresh_oracle(self, d):
-        # every block representative (exact zeros and ties), Haar and
-        # two-point rows, a NaN row; the normals of the representatives' lines
-        reps = np.array([block[0] for block in stabilizer_blocks(d)])
-        normals = np.array([(0, 1)] + [(1, -2 * theta % d) for theta in range(d)])
-        amps = np.concatenate([reps, haar_rows(d, 4, range(3)), two_point_rows(d, 4, range(3))])
-        amps[-1, 1] = np.nan
-        normals = np.concatenate([normals, normals[np.arange(6) % (d + 1)]])
-        fresh = wigner_block(amps)
-        want = line_check(fresh.copy(), normals)
-        got = wigner_line_check(fresh, normals)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w, equal_nan=True)
-        # consumed: the grids now hold |W - line|
-        assert np.isnan(fresh[-1]).any() and np.nanmin(fresh) >= 0.0
-
-    @pytest.mark.parametrize("d", [3, 7, 61])
-    def test_line_check_breaks_ties_like_fresh_oracle(self, d):
-        # grids of a few small integers (and signed zeros, and a NaN) tie
-        # everywhere, so the first minimum in (p, q) order is tested
-        rng = np.random.default_rng(d)
-        grids = rng.integers(-1, 2, size=(12, d, d)) * 1.0
-        grids[rng.random(grids.shape) < 0.3] *= -0.0
-        grids[-1, d - 1, 0] = np.nan
-        normals = rng.integers(0, d, size=(12, 2))
-        normals[normals.sum(axis=1) == 0, 1] = 1
-        want = line_check(grids.copy(), normals)
-        for g, w in zip(wigner_line_check(grids, normals), want):
-            assert np.array_equal(g, w, equal_nan=True)
 
 
 class TestSelfCorrelation:
