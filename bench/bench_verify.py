@@ -13,11 +13,11 @@ handed back to the system and faulted in again.
 
   * verify_hudson(PrimeDim(d), 1000 samples, seed 7, 100 two-point samples)
     at d = 3, 5, 7, 31, 61, 101 and 401;
-  * the stabilizer pass alone, verify_hudson with both sample counts 0, at
-    d = 101, 401 and 601;
+  * the stabilizer pass alone, verify_hudson with both sample counts 0 (its
+    point-mass step included), at d = 101, 401 and 601;
   * at d = 61, on one block of 1000 Haar rows: the grid minima of the whole
     block at once, the grid minima in verify's row chunks (through one reused
-    workspace where the tree has one), and the sample-overlap step, which
+    workspace), and the sample-overlap step, which
     decides for each row whether it matches a stabilizer state;
   * at d = 7 and 61, the seeded samplers that draw verify's blocks:
     1000 Haar rows (hudson._haar_rows) and 100 two-point rows
@@ -41,7 +41,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -76,53 +75,29 @@ def timed(fn) -> dict:
 
 
 def sampler(hudson, name: str, d: int, stream: int, n: int):
-    """A call of hudson.<name> drawing indices range(n) of SEED, seeding
-    included. Trees before per-stream seeding take (d, seed, indices); later
-    ones take (d, words), the block of _seed_words."""
+    """A call of hudson.<name> drawing indices range(n) of SEED, seeding included."""
     rows = getattr(hudson, name)
-    if len(inspect.signature(rows).parameters) == 3:
-        return lambda: rows(d, SEED, range(n))
     return lambda: rows(d, hudson._seed_words(SEED, stream, range(n)))
 
 
 def kernels(ps) -> dict:
-    """The per-sample kernels on one block of KERNEL_ROWS Haar rows at KERNEL_D.
-
-    Trees before the real Wigner product pass wigner_minima the DFT matrix,
-    trees without wigner_minima take the minima of wigner_block, and trees
-    before the O(d) overlap bound run stabilizer_overlaps on every row; the
-    step timed is whatever verify_hudson runs in that tree."""
+    """The per-sample kernels on one block of KERNEL_ROWS Haar rows at KERNEL_D:
+    the grid minima of the whole block, the same in verify's row chunks through
+    one reused workspace, and verify's stabilizer-match step."""
     import numpy as np
 
     hudson, wigner = ps.hudson, ps.wigner
     amps = sampler(hudson, "_haar_rows", KERNEL_D, hudson._HAAR_STREAM, KERNEL_ROWS)()
-    F = ps.qudit.dft_matrix(KERNEL_D)
-    minima = getattr(wigner, "wigner_minima", None)
-
-    def minima_of(block):
-        if minima is None:
-            return wigner.wigner_block(block).min(axis=(1, 2))
-        return minima(block, F) if len(inspect.signature(minima).parameters) == 2 else minima(block)
-
     chunks = list(hudson.row_chunks(KERNEL_ROWS, KERNEL_D))
-    if hasattr(wigner, "wigner_workspace"):
-        work = wigner.wigner_workspace(chunks[0].stop, KERNEL_D)
+    work = wigner.wigner_workspace(chunks[0].stop, KERNEL_D)
 
-        def chunked_minima():
-            return [wigner.wigner_block(amps[rows], out=work).min(axis=(1, 2)) for rows in chunks]
-    else:
-        def chunked_minima():
-            return [minima_of(amps[rows]) for rows in chunks]
-    matches = getattr(hudson, "_stabilizer_matches", None)
-    if matches is None:
-        def overlap_step():
-            return ps.clifford.stabilizer_overlaps(amps, F) >= 1.0 - hudson.STABILIZER_MATCH_TOL
-    else:
-        def overlap_step():
-            return matches(amps)
-    assert not np.any(overlap_step())
-    return {"wigner_minima": timed(lambda: minima_of(amps)), "chunked_minima": timed(chunked_minima),
-            "sample_overlap_step": timed(overlap_step)}
+    def chunked_minima():
+        return [wigner.wigner_block(amps[rows], out=work).min(axis=(1, 2)) for rows in chunks]
+
+    assert not np.any(hudson._stabilizer_matches(amps))
+    return {"wigner_minima": timed(lambda: wigner.wigner_block(amps).min(axis=(1, 2))),
+            "chunked_minima": timed(chunked_minima),
+            "sample_overlap_step": timed(lambda: hudson._stabilizer_matches(amps))}
 
 
 def samplers(ps) -> dict:

@@ -9,11 +9,9 @@ states with nonnegative Wigner function are exactly the stabilizer states.
 __version__ = "0.1.0"
 
 from .zmod import (
-    PhasePoint,
     PrimeDim,
     SymplecticMatrix,
     half,
-    sl2_apply,
     sl2_enumerate,
 )
 from .qudit import (

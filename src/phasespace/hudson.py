@@ -11,7 +11,9 @@ verify_hudson runs, for one dimension d, the full battery:
     negative minimum;
   * on every state that passes positivity: the modulus inequality
     |psi(q)|^2 >= |psi(q - x)| |psi(q + x)| holds pairwise, the support size
-    is 1 or d, and full-support states have constant modulus d^(-1/2).
+    is 1 or d, and full-support states have constant modulus d^(-1/2);
+  * the Wigner grid concentrated at the origin comes from no density
+    operator (single_point_infeasibility), recorded as point_mass_infeasible.
 
 Sample i is drawn from a substream keyed by (seed, stream, i), so reports
 are reproducible and independent of evaluation order. Every sub-check
@@ -354,6 +356,7 @@ class VerificationReport:
     lemma6_max_modulus_spread: float
     lemma6_max_modulus_offset: float
     support_guard_stable: bool
+    point_mass_infeasible: bool
     failures: list[str]
     failures_total: int
 
@@ -517,6 +520,10 @@ def verify_hudson(
         for k in np.nonzero(nonneg)[0].tolist():
             failures.add(f"two-point sample {indices[k]} has Wigner minimum {float(minima[k])!r} >= -{tol!r}")
 
+    point_mass = single_point_infeasibility(dim)
+    if not point_mass:
+        failures.add("the point mass at the origin is not certified infeasible")
+
     return VerificationReport(
         dim=d,
         seed=seed,
@@ -538,6 +545,7 @@ def verify_hudson(
         lemma6_max_modulus_spread=max_spread,
         lemma6_max_modulus_offset=max_offset,
         support_guard_stable=guard_stable,
+        point_mass_infeasible=point_mass,
         failures=failures.messages,
         failures_total=failures.total,
     )

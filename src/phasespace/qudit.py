@@ -14,12 +14,13 @@ repeated multiplication.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .zmod import PhasePoint, PrimeDim, half
+from .zmod import PrimeDim, half
 
 NORM_TOL = 1e-12
 
@@ -83,11 +84,14 @@ class DenseOperator:
         return self.mat @ psi.amp
 
 
-def weyl(v: PhasePoint) -> DenseOperator:
-    """w(p, q) = omega^(-2^-1 p q) z(p) x(q), built entrywise from the root table."""
-    dim = v.dim
+def weyl(dim: PrimeDim, p: int, q: int) -> DenseOperator:
+    """w(p, q) = omega^(-2^-1 p q) z(p) x(q), built entrywise from the root table.
+
+    p and q are reduced with operator.index(x) % d: any integer type is
+    accepted, and a float raises TypeError.
+    """
     d = dim.d
-    p, q = v.p, v.q
+    p, q = operator.index(p) % d, operator.index(q) % d
     h = half(dim)
     k = np.arange(d)
     # nonzero entries sit at (k + q, k); exponent collects the global phase

@@ -25,11 +25,11 @@ lag_products returns only u = 0, ..., (d-1)/2, and wigner_block applies the
 sum to every (state, q) row as one real matrix product: the (Re, Im) pairs
 of those lags against cos and sin rows gathered from omega_table on the
 integer residues 2 u p mod d. The grids are real by construction.
-wigner_block builds an (n, d, (d+1)/2) complex and an (n, d, d) real array
-for the whole block it is given, or, with out, writes both into the front of
-a wigner_workspace and returns a view of it: hudson.verify_hudson allocates
-one workspace per call for its largest sample chunk and reuses it for every
-chunk. wigner_pure is the n = 1 case.
+wigner_block writes the (n, d, (d+1)/2) complex lag products and the
+(n, d, d) real grids into the front of a wigner_workspace and returns a view
+of it; without out it allocates one for the block. hudson.verify_hudson
+allocates one workspace per call for its largest sample chunk and reuses it
+for every chunk. wigner_pure is the n = 1 case.
 
 Covariance (checked against wigner_pure of the transformed state for every
 v and every S at d = 3 and 5 by acceptance criteria 4 and 5;
@@ -196,15 +196,14 @@ def wigner_block(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     reals, times _real_dft(d): one real matrix product for the block.
     The Im L(q, 0) column meets a zero sine row.
 
-    With out, a wigner_workspace for at least n rows, the lag pairs and the
-    grids are written into its front and the grids returned are a view of
-    it, overwritten by the next call on the same workspace. They hold the
-    same floats as without out.
+    The lag pairs and the grids are written into the front of out, a
+    wigner_workspace for at least n rows (by default a new one for n), and
+    the grids returned are a view of it, overwritten by the next call on the
+    same workspace.
     """
     n, d = amps.shape
     if out is None:
-        pairs = lag_products(amps).view(np.float64)
-        return (pairs.reshape(n * d, d + 1) @ _real_dft(d)).reshape(n, d, d)
+        out = wigner_workspace(n, d)
     split = n * d * (d + 1)
     # a workspace for fewer rows fails these reshapes with ValueError
     pairs = out[:split].reshape(n * d, d + 1)
@@ -227,8 +226,11 @@ def self_correlation(psi: StateVector) -> CorrelationTable:
 
 def wigner_pure(psi: StateVector) -> PhaseGrid:
     """W(p, q) = (1/d) sum_x omega^(-p x) K(q, x), from the real wigner_block,
-    so the imaginary part of its values is exactly zero."""
-    return PhaseGrid(psi.dim, wigner_block(psi.amp[None])[0].T, KIND_WIGNER)
+    so the imaginary part of its values is exactly zero. The real grid is
+    copied out of its workspace first, so that the workspace (64 MB at
+    d = 2003, against 32 MB for the grid) is freed before PhaseGrid makes
+    its complex copy."""
+    return PhaseGrid(psi.dim, wigner_block(psi.amp[None])[0].T.copy(), KIND_WIGNER)
 
 
 def metaplectic_image_grid(grid: PhaseGrid, S: SymplecticMatrix) -> PhaseGrid:

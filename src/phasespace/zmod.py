@@ -1,11 +1,11 @@
 """Exact arithmetic in Z_d for an odd prime d, and the group SL(2, Z_d).
 
-Residues are plain Python ints. The value types below reduce every entry to
-{0, ..., d-1} on construction, with operator.index(x) % d, so
-representations are unique and equality is structural; integer types such
-as numpy integers are accepted and floats are rejected. Every type here is
-immutable and hashable; all operations are pure functions on Python
-integers, never on floats.
+Residues are plain Python ints, and a phase-space point is a plain pair
+(p, q) of them. SymplecticMatrix reduces every entry to {0, ..., d-1} on
+construction, with operator.index(x) % d, so representations are unique and
+equality is structural; integer types such as numpy integers are accepted
+and floats are rejected. Every type here is immutable and hashable; all
+operations are pure functions on Python integers, never on floats.
 """
 
 from __future__ import annotations
@@ -35,39 +35,6 @@ class PrimeDim:
         if not isinstance(self.d, int) or isinstance(self.d, bool) or not _is_odd_prime(self.d):
             raise ValueError(f"d must be an odd prime >= 3, got {self.d!r}")
 
-    def point(self, p: int, q: int) -> PhasePoint:
-        return PhasePoint(self, p, q)
-
-
-def _reduce(obj, names: tuple[str, ...]) -> None:
-    """Replace each named field of a frozen value by its residue mod obj.dim.d."""
-    d = obj.dim.d
-    for name in names:
-        object.__setattr__(obj, name, operator.index(getattr(obj, name)) % d)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (p, q) of the d x d phase space; p is the momentum label."""
-
-    dim: PrimeDim
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        _reduce(self, ("p", "q"))
-
-    def __add__(self, other: PhasePoint) -> PhasePoint:
-        if other.dim != self.dim:
-            raise ValueError("points live in different residue rings")
-        return PhasePoint(self.dim, self.p + other.p, self.q + other.q)
-
-    def __neg__(self) -> PhasePoint:
-        return PhasePoint(self.dim, -self.p, -self.q)
-
-    def as_ints(self) -> tuple[int, int]:
-        return (self.p, self.q)
-
 
 def half(dim: PrimeDim) -> int:
     """The residue (d+1)/2, i.e. the multiplicative inverse of 2 mod d."""
@@ -81,7 +48,8 @@ def half(dim: PrimeDim) -> int:
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """A matrix [[a, b], [c, e]] over Z_d with determinant 1."""
+    """A matrix [[a, b], [c, e]] over Z_d with determinant 1, acting on
+    column vectors: (p, q) -> (a p + b q, c p + e q)."""
 
     dim: PrimeDim
     a: int
@@ -90,7 +58,8 @@ class SymplecticMatrix:
     e: int
 
     def __post_init__(self) -> None:
-        _reduce(self, ("a", "b", "c", "e"))
+        for name in ("a", "b", "c", "e"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)) % self.dim.d)
         if (self.a * self.e - self.b * self.c) % self.dim.d != 1:
             raise ValueError("determinant must be 1 mod d")
 
@@ -110,13 +79,6 @@ class SymplecticMatrix:
 
     def as_ints(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.e)
-
-
-def sl2_apply(S: SymplecticMatrix, v: PhasePoint) -> PhasePoint:
-    """Left action on column vectors: (p, q) -> (a*p + b*q, c*p + e*q)."""
-    if S.dim != v.dim:
-        raise ValueError("matrix and point live in different residue rings")
-    return PhasePoint(S.dim, S.a * v.p + S.b * v.q, S.c * v.p + S.e * v.q)
 
 
 def sl2_enumerate(dim: PrimeDim) -> list[SymplecticMatrix]:

@@ -5,13 +5,14 @@ None of these is called by the package: each is the definitional form of an
 object the package computes another way (weyl builds w(p, q) entrywise; the
 Fourier predicates never form a circulant matrix; the Wigner kernels use one
 real matrix product over half the lags, not complex arithmetic over all of them),
-or a helper that only the tests need (all_points, translated_grid,
-haar_rows, two_point_rows, wigner_minima).
+or a helper that only the tests need (all_points, act, translated_grid,
+haar_rows, two_point_rows, wigner_minima). Phase-space points are (p, q)
+tuples of ints.
 """
 
 import numpy as np
 
-from phasespace import CyclicFunction, DenseOperator, PhasePoint, PrimeDim, hudson, omega_table
+from phasespace import CyclicFunction, DenseOperator, PrimeDim, SymplecticMatrix, hudson, omega_table
 from phasespace.bochner import PREDICATE_TOL
 from phasespace.qudit import dft_matrix
 from phasespace.wigner import wigner_block
@@ -20,14 +21,19 @@ DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]
 
 
-def all_points(dim: PrimeDim) -> list[PhasePoint]:
+def all_points(dim: PrimeDim) -> list[tuple[int, int]]:
     """All d^2 phase-space points, row-major in (p, q)."""
-    return [dim.point(p, q) for p in range(dim.d) for q in range(dim.d)]
+    return [(p, q) for p in range(dim.d) for q in range(dim.d)]
 
 
-def translated_grid(values: np.ndarray, v: PhasePoint) -> np.ndarray:
-    """Wigner grid of w(v) rho w(v)^dagger from the grid of rho: new[p][q] = old[p - v.p][q - v.q]."""
-    return np.roll(values, (v.p, v.q), axis=(0, 1))
+def act(S: SymplecticMatrix, v: tuple[int, int]) -> tuple[int, int]:
+    """S v on column vectors: (p, q) -> (a p + b q, c p + e q) mod d."""
+    return ((S.a * v[0] + S.b * v[1]) % S.dim.d, (S.c * v[0] + S.e * v[1]) % S.dim.d)
+
+
+def translated_grid(values: np.ndarray, v: tuple[int, int]) -> np.ndarray:
+    """Wigner grid of w(v) rho w(v)^dagger from the grid of rho: new[p][q] = old[p - v_p][q - v_q]."""
+    return np.roll(values, v, axis=(0, 1))
 
 
 def shift_op(dim: PrimeDim, q: int) -> np.ndarray:
@@ -46,11 +52,9 @@ def boost_op(dim: PrimeDim, p: int) -> np.ndarray:
     return np.diag(omega_table(d)[(p * k) % d])
 
 
-def symplectic_form(v1: PhasePoint, v2: PhasePoint) -> int:
+def symplectic_form(dim: PrimeDim, v1: tuple[int, int], v2: tuple[int, int]) -> int:
     """sigma(v1, v2) = p1*q2 - q1*p2 mod d."""
-    if v1.dim != v2.dim:
-        raise ValueError("points live in different residue rings")
-    return (v1.p * v2.q - v1.q * v2.p) % v1.dim.d
+    return (v1[0] * v2[1] - v1[1] * v2[0]) % dim.d
 
 
 def projective_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:

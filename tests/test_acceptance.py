@@ -42,6 +42,7 @@ from phasespace.hudson import modulus_violations, support_rows
 
 from oracles import (
     DIMS,
+    act,
     all_points,
     circulant,
     haar_rows,
@@ -147,7 +148,7 @@ def test_criterion_05_translation_covariance_exhaustive():
         states = [haar_sample(dim, 30_000 + i, 0) for i in range(20)]
         grids = [wigner_pure(psi) for psi in states]
         for v in all_points(dim):
-            w = weyl(v)
+            w = weyl(dim, *v)
             for psi, grid in zip(states, grids):
                 shifted = StateVector.normalized(dim, w.apply(psi))
                 gap = np.max(np.abs(wigner_pure(shifted).values - translated_grid(grid.values, v)))
@@ -167,9 +168,7 @@ def test_criterion_06_metaplectic_conjugation_and_homomorphism():
     for S in sl2_enumerate(dim3):
         u = metaplectic(S).mat
         for v in all_points(dim3):
-            from phasespace import sl2_apply
-
-            gap = np.max(np.abs(u @ weyl(v).mat @ u.conj().T - weyl(sl2_apply(S, v)).mat))
+            gap = np.max(np.abs(u @ weyl(dim3, *v).mat @ u.conj().T - weyl(dim3, *act(S, v)).mat))
             conj_worst = max(conj_worst, float(gap))
 
     hom_worst = 0.0
@@ -340,17 +339,18 @@ def test_criterion_12_weyl_order_and_composition_law():
         d = dim.d
         h = half(dim)
         table = omega_table(d)
-        mats = {v.as_ints(): weyl(v).mat for v in all_points(dim)}
+        mats = {v: weyl(dim, *v).mat for v in all_points(dim)}
         for v in all_points(dim):
-            gap = np.max(np.abs(np.linalg.matrix_power(mats[v.as_ints()], d) - np.eye(d)))
+            gap = np.max(np.abs(np.linalg.matrix_power(mats[v], d) - np.eye(d)))
             worst_order = max(worst_order, float(gap))
         for v1, v2 in itertools.product(all_points(dim), repeat=2):
-            prod = mats[v1.as_ints()] @ mats[v2.as_ints()]
-            ratio = np.trace(mats[(v1 + v2).as_ints()].conj().T @ prod) / d
+            prod = mats[v1] @ mats[v2]
+            total = mats[(v1[0] + v2[0]) % d, (v1[1] + v2[1]) % d]
+            ratio = np.trace(total.conj().T @ prod) / d
             k_fit = round(np.angle(ratio) / (2 * np.pi / d)) % d
-            k_law = (h * symplectic_form(v1, v2)) % d
+            k_law = (h * symplectic_form(dim, v1, v2)) % d
             fit_consistent &= k_fit == k_law
-            gap = np.max(np.abs(prod - table[k_law] * mats[(v1 + v2).as_ints()]))
+            gap = np.max(np.abs(prod - table[k_law] * total))
             worst_comp = max(worst_comp, float(gap))
     ok = worst_order <= 1e-12 and worst_comp <= 1e-12 and fit_consistent
     _report(

@@ -12,10 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from phasespace import DenseOperator, SymplecticMatrix, cli, metaplectic, stabilizer_blocks
-from phasespace import PrimeDim, sl2_apply, sl2_enumerate, weyl
+from phasespace import DenseOperator, SymplecticMatrix, cli, hudson, metaplectic, stabilizer_blocks
+from phasespace import PrimeDim, sl2_enumerate, weyl
 
-from oracles import all_points
+from oracles import act, all_points
 
 BASIS3 = "[[1,0],[0,0],[0,0]]"
 
@@ -243,6 +243,17 @@ class TestMetaplecticCommand:
         assert doc["conjugation_check_passed"] is False
         assert doc["conjugation_max_error"] > 0.5
 
+    def test_generator_images_are_the_columns_of_s(self):
+        # the self-check reads S(1, 0) and S(0, 1) off the columns of S; the
+        # same two terms through the action on (p, q) pairs give the same floats
+        dim = PrimeDim(5)
+        for S in sl2_enumerate(dim):
+            mu = metaplectic(S).mat
+            err = np.abs(mu @ mu.conj().T - np.eye(5)).max()
+            for v in ((1, 0), (0, 1)):
+                err = max(err, np.abs(mu @ weyl(dim, *v).mat - weyl(dim, *act(S, v)).mat @ mu).max())
+            assert cli._conjugation_error(mu, S) == float(err)
+
     def test_generator_check_agrees_with_every_point(self):
         # at every S in SL(2, Z_5), the check at the two generators passes
         # exactly when mu w(v) mu^dagger = w(S v) holds at all d^2 points
@@ -252,7 +263,7 @@ class TestMetaplecticCommand:
             wrong = [metaplectic(SymplecticMatrix(dim, 1, 0, 1, 1) @ S).mat, right * np.r_[-1, np.ones(4)]]
             for mu, expected in zip([right, *wrong], [True, False, False]):
                 every_point = max(
-                    np.abs(mu @ weyl(v).mat @ mu.conj().T - weyl(sl2_apply(S, v)).mat).max()
+                    np.abs(mu @ weyl(dim, *v).mat @ mu.conj().T - weyl(dim, *act(S, v)).mat).max()
                     for v in all_points(dim)
                 )
                 assert (cli._conjugation_error(mu, S) <= 1e-10) == (every_point <= 1e-10) == expected
@@ -303,6 +314,26 @@ class TestVerifyCommand:
             assert table["dim"] == 3
             assert table["lemma5_support_sizes"] == {"1": 3, "3": 9}
             assert len(table["failures"]) == (0 if code == 0 else 10)
+
+    def test_point_mass_step_runs_once(self, monkeypatch, capsys):
+        calls = []
+        step = hudson.single_point_infeasibility
+
+        def counted(dim):
+            calls.append(dim.d)
+            return step(dim)
+
+        monkeypatch.setattr(hudson, "single_point_infeasibility", counted)
+        assert cli.main(["verify", "--d", "5", "--samples", "3", "--two-point", "3"]) == 0
+        assert calls == [5]
+        assert json.loads(capsys.readouterr().out)["point_mass_infeasible"] is True
+
+    def test_point_mass_failure_fails_the_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(hudson, "single_point_infeasibility", lambda dim: False)
+        assert cli.main(["verify", "--d", "3", "--samples", "5", "--two-point", "5"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["point_mass_infeasible"] is False
+        assert doc["passed"] is False and doc["overall_passed"] is False
 
     def test_failing_run_exits_one(self):
         proc = run_cli(

@@ -15,7 +15,6 @@ from phasespace import (
     half,
     metaplectic,
     omega_table,
-    sl2_apply,
     sl2_enumerate,
     stabilizer_blocks,
     stabilizer_descriptors,
@@ -24,7 +23,7 @@ from phasespace import (
 )
 from phasespace.hudson import STABILIZER_MATCH_TOL
 
-from oracles import DIMS, all_points, projective_equal, stabilizer_stack
+from oracles import DIMS, act, all_points, projective_equal, stabilizer_stack
 
 LARGE_PRIMES = [p for p in range(11, 102) if all(p % f for f in range(2, p))]
 
@@ -66,8 +65,8 @@ class TestMetaplectic:
         for S in sl2_enumerate(dim):
             u = metaplectic(S).mat
             for v in all_points(dim):
-                lhs = u @ weyl(v).mat @ u.conj().T
-                rhs = weyl(sl2_apply(S, v)).mat
+                lhs = u @ weyl(dim, *v).mat @ u.conj().T
+                rhs = weyl(dim, *act(S, v)).mat
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_conjugation_identity_sampled_d7(self):
@@ -75,8 +74,8 @@ class TestMetaplectic:
         for S in sl2_enumerate(dim)[::8]:
             u = metaplectic(S).mat
             for v in all_points(dim):
-                lhs = u @ weyl(v).mat @ u.conj().T
-                rhs = weyl(sl2_apply(S, v)).mat
+                lhs = u @ weyl(dim, *v).mat @ u.conj().T
+                rhs = weyl(dim, *act(S, v)).mat
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_projective_homomorphism_all_pairs_d3(self):
@@ -117,10 +116,9 @@ class TestMetaplectic:
             flat = u.ravel()
             pivot = flat[np.argmax(np.abs(flat) > 1e-9)]
             assert pivot.imag == 0.0 and pivot.real > 0
-            for p, q in points:
-                v = dim.point(p, q)
-                lhs = u @ weyl(v).mat @ u.conj().T
-                assert np.max(np.abs(lhs - weyl(sl2_apply(S, v)).mat)) <= 1e-10
+            for v in points:
+                lhs = u @ weyl(dim, *v).mat @ u.conj().T
+                assert np.max(np.abs(lhs - weyl(dim, *act(S, v)).mat)) <= 1e-10
 
 
 class TestProjectiveEqual:
@@ -133,7 +131,7 @@ class TestProjectiveEqual:
         assert projective_equal(u, omega_table(3)[1] * u)
 
     def test_distinct_unitaries(self):
-        assert not projective_equal(np.eye(3), weyl(PrimeDim(3).point(0, 1)).mat)
+        assert not projective_equal(np.eye(3), weyl(PrimeDim(3), 0, 1).mat)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -145,12 +143,12 @@ class TestCliffordElement:
 
     def test_identity_element(self):
         dim = PrimeDim(3)
-        g = weyl(dim.point(0, 0)).mat @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1)).mat
+        g = weyl(dim, 0, 0).mat @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1)).mat
         assert np.array_equal(g, np.eye(3))
 
     def test_pure_shift_action(self):
         dim = PrimeDim(5)
-        g = weyl(dim.point(0, 1)).mat @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1)).mat
+        g = weyl(dim, 0, 1).mat @ metaplectic(SymplecticMatrix(dim, 1, 0, 0, 1)).mat
         out = StateVector.normalized(dim, g @ StateVector.basis(dim, 0).amp)
         assert abs(np.vdot(out.amp, StateVector.basis(dim, 1).amp)) > 1 - 1e-12
 
@@ -161,11 +159,12 @@ class TestCliffordElement:
         mats = sl2_enumerate(dim)
         for _ in range(20):
             i, j = rng.integers(0, len(mats), size=2)
-            u = dim.point(int(rng.integers(dim.d)), int(rng.integers(dim.d)))
-            v = dim.point(int(rng.integers(dim.d)), int(rng.integers(dim.d)))
-            g = weyl(u).mat @ metaplectic(mats[i]).mat
-            h = weyl(v).mat @ metaplectic(mats[j]).mat
-            gh = weyl(u + sl2_apply(mats[i], v)).mat @ metaplectic(mats[i] @ mats[j]).mat
+            u = (int(rng.integers(dim.d)), int(rng.integers(dim.d)))
+            v = (int(rng.integers(dim.d)), int(rng.integers(dim.d)))
+            g = weyl(dim, *u).mat @ metaplectic(mats[i]).mat
+            h = weyl(dim, *v).mat @ metaplectic(mats[j]).mat
+            sv = act(mats[i], v)
+            gh = weyl(dim, u[0] + sv[0], u[1] + sv[1]).mat @ metaplectic(mats[i] @ mats[j]).mat
             assert projective_equal(g @ h, gh)
 
     def test_conjugation_up_to_phase(self):
@@ -174,10 +173,10 @@ class TestCliffordElement:
         mats = sl2_enumerate(dim)
         for _ in range(10):
             S = mats[int(rng.integers(len(mats)))]
-            g = weyl(dim.point(int(rng.integers(5)), int(rng.integers(5)))).mat @ metaplectic(S).mat
-            for v in [dim.point(1, 0), dim.point(0, 1), dim.point(2, 3)]:
-                lhs = g @ weyl(v).mat @ g.conj().T
-                assert projective_equal(lhs, weyl(sl2_apply(S, v)).mat)
+            g = weyl(dim, int(rng.integers(5)), int(rng.integers(5))).mat @ metaplectic(S).mat
+            for v in [(1, 0), (0, 1), (2, 3)]:
+                lhs = g @ weyl(dim, *v).mat @ g.conj().T
+                assert projective_equal(lhs, weyl(dim, *act(S, v)).mat)
 
 
 def _family(dim):
@@ -250,8 +249,8 @@ def _orbit_of_basis0(dim):
     gens = [
         metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0)).mat,
         metaplectic(SymplecticMatrix(dim, 1, 0, 1, 1)).mat,
-        weyl(dim.point(1, 0)).mat,
-        weyl(dim.point(0, 1)).mat,
+        weyl(dim, 1, 0).mat,
+        weyl(dim, 0, 1).mat,
     ]
     orbit = [StateVector.basis(dim, 0).amp]
     frontier = list(orbit)
@@ -283,8 +282,8 @@ class TestStabilizerOrbit:
             metaplectic(SymplecticMatrix(dim, 0, -1, 1, 0)).mat,
             metaplectic(SymplecticMatrix(dim, 1, 0, 1, 1)).mat,
             metaplectic(SymplecticMatrix(dim, 2, 0, 0, half(dim))).mat,
-            weyl(dim.point(1, 0)).mat,
-            weyl(dim.point(0, 1)).mat,
+            weyl(dim, 1, 0).mat,
+            weyl(dim, 0, 1).mat,
         ]
         for g in gens:
             images = _family(dim) @ g.T  # row i is g applied to state i
@@ -334,7 +333,7 @@ class TestStabilizerMatchAgainstStack:
                 metaplectic(SymplecticMatrix(dim, 2, 0, 0, half(dim))).mat]
         cases = list(states)
         for amp in states:
-            cases += [weyl(v).mat @ amp for v in all_points(dim)]
+            cases += [weyl(dim, *v).mat @ amp for v in all_points(dim)]
             cases += [g @ amp for g in gens]
         cases += [haar_sample(dim, 5000 + s, 0).amp for s in range(20)]
         rng = np.random.default_rng(3)

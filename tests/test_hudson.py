@@ -19,6 +19,7 @@ from phasespace import (
     stabilizer_blocks,
     two_point_sample,
     verify_hudson,
+    weyl,
 )
 from phasespace import hudson
 from phasespace.clifford import stabilizer_overlaps
@@ -334,6 +335,13 @@ class TestVerifyHudson:
         # the kept messages are the first ones, in index order
         assert report.failures[:2] == [m for m in report.failures if "sample 0 " in m or "sample 1 " in m]
 
+    def test_point_mass_step_decides_the_verdict(self, monkeypatch):
+        monkeypatch.setattr(hudson, "single_point_infeasibility", lambda dim: False)
+        report = verify_hudson(PrimeDim(3), samples=5, seed=2, two_point_samples=5)
+        assert report.point_mass_infeasible is False
+        assert report.passed is False and report.failures_total == 1
+        assert report.failures == ["the point mass at the origin is not certified infeasible"]
+
     def test_passing_artifact_adds_only_the_zero_total(self):
         doc = verify_hudson(PrimeDim(3), samples=5, seed=2).to_dict()
         assert doc["failures"] == [] and doc["failures_total"] == 0 and doc["passed"] is True
@@ -440,7 +448,7 @@ def _exact_line(d, idx):
 
 @functools.lru_cache(maxsize=None)
 def _reference_stabilizer_part(d):
-    """The seed-independent half of the reference loop, over the stabilizers."""
+    """The seed-independent half of the reference loop: the stabilizers and the point mass."""
     q = np.arange(d)
     failures = []
     stab_min, sizes, lemma4, spread_max, offset_max, stable_all = math.inf, {}, 0, 0.0, 0.0, True
@@ -473,8 +481,13 @@ def _reference_stabilizer_part(d):
                 failures.append(f"stabilizer {idx} has modulus spread {spread!r}")
             if offset > 1e-12:
                 failures.append(f"stabilizer {idx} modulus is off d^-1/2 by {offset!r}")
+    # the point mass at the origin is the operator (1/d) sum_v w(v), which is
+    # a density operator only if no eigenvalue is negative
+    dim = PrimeDim(d)
+    point_mass = sum(weyl(dim, p, q).mat for p in range(d) for q in range(d)) / d
     fields = {
         "stabilizer_tol": 1e-12, "stabilizer_count": d * (d + 1),
+        "point_mass_infeasible": bool(np.linalg.eigvalsh(point_mass).min() < -1e-9),
         "stabilizers_all_nonneg": stab_min >= -1e-12, "stabilizer_min_wigner": stab_min,
         "stabilizer_line_deviation": line_deviation,
         "lemma4_violations": lemma4, "lemma5_support_sizes": {str(k): v for k, v in sorted(sizes.items())},

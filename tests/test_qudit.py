@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phasespace import (
     DenseOperator,
@@ -156,27 +158,50 @@ def _weyl_oracle(dim, p, q):
 class TestWeyl:
     def test_identity_at_origin(self):
         dim = PrimeDim(5)
-        assert np.array_equal(weyl(dim.point(0, 0)).mat, np.eye(5))
+        assert np.array_equal(weyl(dim, 0, 0).mat, np.eye(5))
 
     def test_pure_shift_and_pure_boost(self):
         dim = PrimeDim(7)
         for q in range(7):
-            assert np.array_equal(weyl(dim.point(0, q)).mat, shift_op(dim, q))
+            assert np.array_equal(weyl(dim, 0, q).mat, shift_op(dim, q))
         for p in range(7):
-            assert np.allclose(weyl(dim.point(p, 0)).mat, boost_op(dim, p), atol=1e-15)
+            assert np.allclose(weyl(dim, p, 0).mat, boost_op(dim, p), atol=1e-15)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_matches_phase_times_product_oracle(self, dim):
         for p, q in itertools.product(range(dim.d), repeat=2):
             assert np.allclose(
-                weyl(dim.point(p, q)).mat, _weyl_oracle(dim, p, q), atol=1e-14
+                weyl(dim, p, q).mat, _weyl_oracle(dim, p, q), atol=1e-14
             )
+
+    def test_canonical_residue(self):
+        # arguments are reduced mod d first; 10^30 = 1 mod 3
+        dim = PrimeDim(3)
+        for (p, q), reduced in [((-1, 7), (2, 1)), ((3, -3), (0, 0)), ((10**30 + 2, -(10**30)), (0, 2))]:
+            assert np.array_equal(weyl(dim, p, q).mat, weyl(dim, *reduced).mat)
+            assert np.abs(weyl(dim, p, q).mat - _weyl_oracle(dim, *reduced)).max() <= 1e-14
+
+    def test_int_coercion(self):
+        dim = PrimeDim(5)
+        w = weyl(dim, np.int64(8), np.int32(-1))
+        assert np.array_equal(w.mat, weyl(dim, 3, 4).mat)
+        assert np.abs(w.mat - _weyl_oracle(dim, 3, 4)).max() <= 1e-14
+
+    @given(st.sampled_from([3, 5, 7, 11, 101]), st.integers(), st.integers())
+    def test_any_int_matches_the_oracle_on_its_residues(self, d, p, q):
+        dim = PrimeDim(d)
+        assert np.abs(weyl(dim, p, q).mat - _weyl_oracle(dim, p % d, q % d)).max() <= 1e-14
+
+    @pytest.mark.parametrize("bad", [(2.7, 0), (0, 1.0), (np.float64(2.0), 1)])
+    def test_float_entry_raises(self, bad):
+        with pytest.raises(TypeError):
+            weyl(PrimeDim(3), *bad)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_unitary(self, dim):
         d = dim.d
         for v in all_points(dim):
-            w = weyl(v)
+            w = weyl(dim, *v)
             assert np.allclose(w.mat.conj().T @ w.mat, np.eye(d), atol=1e-14)
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -184,21 +209,21 @@ class TestWeyl:
         d = dim.d
         for v in all_points(dim):
             assert np.allclose(
-                np.linalg.matrix_power(weyl(v).mat, d), np.eye(d), atol=1e-12
+                np.linalg.matrix_power(weyl(dim, *v).mat, d), np.eye(d), atol=1e-12
             )
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_adjoint_is_negated_point(self, dim):
-        for v in all_points(dim):
-            assert np.allclose(weyl(v).mat.conj().T, weyl(-v).mat, atol=1e-15)
+        for p, q in all_points(dim):
+            assert np.allclose(weyl(dim, p, q).mat.conj().T, weyl(dim, -p, -q).mat, atol=1e-15)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_trace_orthogonality(self, dim):
         # tr(w(u)^dag w(v)) = d * delta_{u,v}
         d = dim.d
-        mats = {v.as_ints(): weyl(v).mat for v in all_points(dim)}
+        mats = {v: weyl(dim, *v).mat for v in all_points(dim)}
         for u, v in itertools.product(all_points(dim), repeat=2):
-            inner = np.trace(mats[u.as_ints()].conj().T @ mats[v.as_ints()])
+            inner = np.trace(mats[u].conj().T @ mats[v])
             expected = d if u == v else 0.0
             assert abs(inner - expected) < 1e-12
 
@@ -208,11 +233,11 @@ class TestWeyl:
         dim = PrimeDim(3)
         d, h = 3, half(dim)
         for v1, v2 in itertools.product(all_points(dim), repeat=2):
-            prod = weyl(v1).mat @ weyl(v2).mat
-            ratio = np.trace(weyl(v1 + v2).mat.conj().T @ prod) / d
+            prod = weyl(dim, *v1).mat @ weyl(dim, *v2).mat
+            ratio = np.trace(weyl(dim, v1[0] + v2[0], v1[1] + v2[1]).mat.conj().T @ prod) / d
             assert abs(abs(ratio) - 1.0) < 1e-12
             k_emp = round(cmath.phase(ratio) / (2 * cmath.pi / d)) % d
-            assert k_emp == (h * symplectic_form(v1, v2)) % d
+            assert k_emp == (h * symplectic_form(dim, v1, v2)) % d
 
     @pytest.mark.parametrize("dim", [PrimeDim(5), PrimeDim(7)])
     def test_composition_law(self, dim):
@@ -220,9 +245,9 @@ class TestWeyl:
         h = half(dim)
         table = omega_table(d)
         for v1, v2 in itertools.product(all_points(dim), repeat=2):
-            lhs = weyl(v1).mat @ weyl(v2).mat
-            phase = table[(h * symplectic_form(v1, v2)) % d]
-            assert np.allclose(lhs, phase * weyl(v1 + v2).mat, atol=1e-12)
+            lhs = weyl(dim, *v1).mat @ weyl(dim, *v2).mat
+            phase = table[(h * symplectic_form(dim, v1, v2)) % d]
+            assert np.allclose(lhs, phase * weyl(dim, v1[0] + v2[0], v1[1] + v2[1]).mat, atol=1e-12)
 
 
 class TestDenseOperator:

@@ -24,7 +24,6 @@ from phasespace import (
     operator_from_char,
     projector,
     self_correlation,
-    sl2_apply,
     sl2_enumerate,
     weyl,
     metaplectic_image_grid,
@@ -38,6 +37,7 @@ from phasespace.wigner import wigner_block, wigner_workspace
 from oracles import (
     DIMS,
     PRIMES_TO_101,
+    act,
     all_points,
     complex_wigner_block,
     fft_wigner,
@@ -217,7 +217,7 @@ def _weyl_sum(xi):
     dim = xi.dim
     mat = np.zeros((dim.d, dim.d), dtype=complex)
     for a, x in itertools.product(range(dim.d), repeat=2):
-        mat += xi.values[a, x] * weyl(dim.point(a, x)).mat
+        mat += xi.values[a, x] * weyl(dim, a, x).mat
     return mat
 
 
@@ -226,7 +226,7 @@ def _weyl_traces(rho):
     dim = rho.dim
     vals = np.empty((dim.d, dim.d), dtype=complex)
     for a, x in itertools.product(range(dim.d), repeat=2):
-        vals[a, x] = np.trace(weyl(dim.point(a, x)).mat.conj().T @ rho.mat) / dim.d
+        vals[a, x] = np.trace(weyl(dim, a, x).mat.conj().T @ rho.mat) / dim.d
     return vals
 
 
@@ -306,7 +306,17 @@ class TestWignerWorkspace:
             grids = wigner_block(amps[rows], out=work)
             assert np.shares_memory(grids, work)
             assert grids.shape == (len(amps[rows]), d, d)
+            assert np.abs(grids - complex_wigner_block(amps[rows]).real).max() <= 1e-12
+            # a new workspace per call gives the same floats as the reused one
             assert np.array_equal(grids, wigner_block(amps[rows]))
+
+    def test_calls_without_out_share_no_memory(self):
+        amps = haar_rows(7, 2, range(3))
+        first = wigner_block(amps)
+        kept = first.copy()
+        second = wigner_block(amps[::-1])
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
 
     def test_out_too_small_raises(self):
         amps = haar_rows(7, 2, range(3))
@@ -352,21 +362,20 @@ class TestGridMotions:
     def test_translate_identity(self):
         dim = PrimeDim(3)
         g = wigner_pure(haar_sample(dim, 1, 0)).values
-        assert np.array_equal(translated_grid(g, dim.point(0, 0)), g)
+        assert np.array_equal(translated_grid(g, (0, 0)), g)
 
     def test_translate_relabeling(self):
         # new[p][q] = old[p - vp][q - vq], checked entrywise.
         dim = PrimeDim(5)
         g = wigner_pure(haar_sample(dim, 2, 0)).values
-        moved = translated_grid(g, dim.point(1, 3))
+        moved = translated_grid(g, (1, 3))
         for p, q in itertools.product(range(5), repeat=2):
             assert moved[p, q] == g[(p - 1) % 5, (q - 3) % 5]
 
     def test_translate_composition(self):
         dim = PrimeDim(5)
         g = wigner_pure(haar_sample(dim, 3, 0)).values
-        u, v = dim.point(1, 2), dim.point(3, 4)
-        assert np.array_equal(translated_grid(translated_grid(g, u), v), translated_grid(g, u + v))
+        assert np.array_equal(translated_grid(translated_grid(g, (1, 2)), (3, 4)), translated_grid(g, (4, 1)))
 
     def test_symplectic_identity(self):
         dim = PrimeDim(3)
@@ -391,8 +400,7 @@ class TestGridMotions:
         s = SymplecticMatrix(dim, 1, 1, 1, 2)
         moved = metaplectic_image_grid(g, s)
         for v in all_points(dim):
-            image = sl2_apply(s, v)
-            assert moved.values[image.p, image.q] == g.values[v.p, v.q]
+            assert moved.values[act(s, v)] == g.values[v]
 
 
 class TestCovariance:
@@ -402,7 +410,7 @@ class TestCovariance:
             psi = haar_sample(dim, 600 + s, 0)
             grid = wigner_pure(psi)
             for v in all_points(dim):
-                shifted = StateVector.normalized(dim, weyl(v).apply(psi))
+                shifted = StateVector.normalized(dim, weyl(dim, *v).apply(psi))
                 lhs = wigner_pure(shifted).values
                 rhs = translated_grid(grid.values, v)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
