@@ -88,8 +88,9 @@ def kernels(ps) -> dict:
 
     hudson, wigner = ps.hudson, ps.wigner
     amps = sampler(hudson, "_haar_rows", KERNEL_D, hudson._HAAR_STREAM, KERNEL_ROWS)()
-    chunks = list(hudson.row_chunks(KERNEL_ROWS, KERNEL_D))
-    work = wigner.wigner_workspace(chunks[0].stop, KERNEL_D)
+    step = hudson._chunk_rows(KERNEL_D)
+    chunks = [slice(i, i + step) for i in range(0, KERNEL_ROWS, step)]
+    work = wigner.wigner_workspace(step, KERNEL_D)
 
     def chunked_minima():
         return [wigner.wigner_block(amps[rows], out=work).min(axis=(1, 2)) for rows in chunks]

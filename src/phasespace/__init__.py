@@ -42,7 +42,6 @@ from .clifford import (
 )
 from .bochner import (
     CyclicFunction,
-    fourier,
     has_nonneg_fourier,
 )
 from .hudson import (

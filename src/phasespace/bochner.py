@@ -1,11 +1,11 @@
-"""Fourier analysis of functions on Z_d and Bochner-style positivity tests.
+"""Functions on Z_d and a Bochner-style positivity test.
 
 Transform convention:
 
-    fourier:  fhat(x) = (1/d) sum_q omega^(-q x) f(q)
+    fhat(x) = (1/d) sum_q omega^(-q x) f(q),   i.e. fhat = dft_matrix(d) @ f
 
 The positivity predicate is paired with an independent oracle in the test
-suite (the circulant and inverse transform oracles live in tests/oracles.py):
+suite (the circulant, the transform and its inverse live in tests/oracles.py):
 
     has_nonneg_fourier(f):          fhat >= 0 everywhere. Equivalent to the
         circulant matrix A[x][q] = f(x - q) being positive semidefinite
@@ -41,11 +41,6 @@ class CyclicFunction:
         object.__setattr__(self, "values", values)
 
 
-def fourier(f: CyclicFunction) -> CyclicFunction:
-    """fhat(x) = (1/d) sum_q omega^(-q x) f(q)."""
-    return CyclicFunction(f.dim, dft_matrix(f.dim.d) @ f.values)
-
-
 def has_nonneg_fourier(f: CyclicFunction) -> bool:
     """True iff the transform of f is (real and) nonnegative within PREDICATE_TOL.
 
@@ -61,5 +56,4 @@ def has_nonneg_fourier(f: CyclicFunction) -> bool:
     sym_gap = np.max(np.abs(values[(-np.arange(d)) % d].conj() - values))
     if sym_gap > 1e-12:
         raise ValueError("transform not real: f lacks the symmetry f(-q) = conj(f(q))")
-    fhat = fourier(CyclicFunction(f.dim, values)).values
-    return bool(fhat.real.min() >= -PREDICATE_TOL)
+    return bool((dft_matrix(d) @ values).real.min() >= -PREDICATE_TOL)

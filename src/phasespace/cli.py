@@ -107,22 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(arg_seed: int | None) -> int:
-    if arg_seed is not None:
-        seed = arg_seed
-    else:
-        raw = os.environ.get(SEED_ENV_VAR)
-        if raw is None:
-            return DEFAULT_SEED
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise CliError("seed must be nonnegative")
-    return seed
-
-
 def _resolve_args(args: argparse.Namespace) -> None:
     """Check the parsed arguments and resolve them in place: args.dim becomes
     the PrimeDim, args.matrix a tuple of four ints and args.seed the verify
@@ -151,7 +135,14 @@ def _resolve_args(args: argparse.Namespace) -> None:
             raise CliError(f"sample counts must be at most {MAX_SAMPLES}")
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise CliError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
-        args.seed = _resolve_seed(args.seed)
+        if args.seed is None:
+            raw = os.environ.get(SEED_ENV_VAR)
+            try:
+                args.seed = DEFAULT_SEED if raw is None else int(raw)
+            except ValueError:
+                raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        if args.seed < 0:
+            raise CliError("seed must be nonnegative")
 
     if args.command == "stabilizers" and args.amplitudes and args.format != "json":
         raise CliError("--amplitudes needs --format json")

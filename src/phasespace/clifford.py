@@ -81,20 +81,15 @@ def metaplectic(S: SymplecticMatrix) -> DenseOperator:
 # ---------------------------------------------------------------------------
 
 
-def _quadratic_amps(d: int, theta: int, x) -> np.ndarray:
-    """d^(-1/2) omega^(theta q^2 + x q) over q; an (m, 1) array x gives m rows."""
-    q = np.arange(d)
-    return omega_table(d)[(theta * q * q + x * q) % d] / np.sqrt(d)
-
-
 def stabilizer_blocks(d: int) -> Iterator[np.ndarray]:
     """The d(d+1) stabilizer states as d + 1 (d, d) amplitude blocks: the
     basis states, then for each theta the quadratic-phase states
-    x = 0, ..., d-1."""
+    x = 0, ..., d-1, gathered from the root table at exact residues."""
     yield np.eye(d, dtype=complex)
-    x = np.arange(d)[:, None]
+    q = np.arange(d)
+    xq = np.outer(q, q)  # [x, q] -> x q
     for theta in range(d):
-        yield _quadratic_amps(d, theta, x)
+        yield omega_table(d)[(theta * q * q + xq) % d] / np.sqrt(d)
 
 
 def stabilizer_descriptors(dim: PrimeDim) -> list[dict]:

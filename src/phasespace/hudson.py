@@ -24,18 +24,15 @@ passes iff the count is zero.
 The battery runs on (n, d) amplitude blocks, one state per row: the
 stabilizer family block by block, the samples drawn from their per-index
 substreams. verify_hudson alone sets n for the samples: it hands the block
-kernels row_chunks of them, at most CHUNK_ELEMENTS / d^2 rows each. The
-Wigner grids of every sample chunk, with their lag products, go into one
-wigner.wigner_workspace that verify_hudson allocates per call for the
-largest chunk it hands out and reuses: about 1 MB at d = 61, which would
-otherwise be handed back to the system at the end of each chunk and faulted
-in again by the next. clifford.stabilizer_overlaps and modulus_violations
+kernels chunks of at most CHUNK_ELEMENTS / d^2 of them. The Wigner grids of
+every sample chunk, with their lag products, go into one
+wigner.wigner_workspace that verify_hudson allocates per call for the largest
+chunk and reuses: about 1 MB at d = 61, which would otherwise be handed back
+to the system at the end of each chunk and faulted in again by the next. clifford.stabilizer_overlaps and modulus_violations
 build temporaries of at most n d^2 entries for the block they are given.
-Each sample stream is hashed by _seed_words once per call, in blocks of
-whole chunks of at most CHUNK_ELEMENTS indices, and the words are sliced per
-chunk. The per-index substreams are the package's one seeding scheme, and
-haar_sample and two_point_sample replay one sample as a StateVector, hashing
-its single index.
+Each sample stream is hashed once per call (_seeded_chunks). The per-index
+substreams are the package's one seeding scheme, and haar_sample and
+two_point_sample replay one sample as a StateVector, hashing its index.
 
 The substream of (seed, stream, i) is numpy's PCG64 seeded as
 np.random.SeedSequence([seed, stream, i]) would seed it, but the
@@ -76,10 +73,13 @@ integer residues:
                                is sheared p -> p + 2 theta q, then moved by x along p
 
 so a row's grid is its base's, moved, and nonnegative with it. The line
-deviations and every residual must be at most STABILIZER_NONNEG_TOL. Each
-row carries its base's minimum and modulus-inequality count, and a negative
-row reports its base's argmin moved the same way; support, spread and offset
-are computed on every row.
+deviations and every residual must be at most STABILIZER_NONNEG_TOL. The
+family is built twice on purpose: the residual compares the exact-residue
+gather of stabilizer_blocks with a product of two table lookups, and one
+shared construction would make it zero by construction. Each row carries
+its base's minimum and modulus-inequality count, and a negative row reports
+its base's argmin moved the same way; support, spread and offset are
+computed on every row.
 """
 
 from __future__ import annotations
@@ -122,13 +122,6 @@ CHUNK_ELEMENTS = 1 << 16
 def _chunk_rows(d: int) -> int:
     """The rows in one chunk at dimension d: max(1, CHUNK_ELEMENTS // d^2)."""
     return max(1, CHUNK_ELEMENTS // (d * d))
-
-
-def row_chunks(n: int, d: int) -> Iterator[slice]:
-    """Consecutive row slices covering range(n), each at most _chunk_rows(d)
-    rows long, made lazily for any n."""
-    step = _chunk_rows(d)
-    return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
 def modulus_violations(moduli: np.ndarray) -> np.ndarray:
@@ -273,16 +266,17 @@ def _substream(words: np.ndarray) -> np.random.Generator:
 
 
 def _seeded_chunks(n: int, d: int, seed: int, stream: int) -> Iterator[tuple[range, np.ndarray]]:
-    """The row_chunks(n, d) of one sample stream as (indices, words) pairs,
-    words being the chunk's rows of _seed_words. The words are hashed in
-    blocks of whole chunks, at most CHUNK_ELEMENTS indices (2 MiB) each: one
-    block per stream at the default counts, flat memory at any count."""
+    """range(n) of one sample stream in chunks of _chunk_rows(d) indices, as
+    (indices, words) pairs, words being the chunk's rows of _seed_words. The
+    words are hashed in blocks of whole chunks, at most CHUNK_ELEMENTS indices
+    (2 MiB) each: one block per stream at the default counts, flat memory."""
     step = _chunk_rows(d)
     block = CHUNK_ELEMENTS // step * step
     for start in range(0, n, block):
-        words = _seed_words(seed, stream, range(start, min(start + block, n)))
-        for rows in row_chunks(len(words), d):
-            yield range(start + rows.start, start + rows.stop), words[rows]
+        indices = range(start, min(start + block, n))
+        words = _seed_words(seed, stream, indices)
+        for i in range(0, len(indices), step):
+            yield indices[i : i + step], words[i : i + step]
 
 
 def _haar_rows(d: int, words: np.ndarray) -> np.ndarray:
@@ -400,8 +394,11 @@ def verify_hudson(
     tol must be finite and nonnegative: with a negative or NaN tol no sample
     could fail the negativity check, so the report would certify nothing, and
     with an infinite one every sample would fail. The sample counts must be
-    nonnegative and at most 2^32, the number of substream indices.
+    nonnegative and at most 2^32, the number of substream indices. They and
+    the seed are stored as ints and tol as a float, so the report is JSON-ready.
     """
+    seed, samples, two_point_samples = map(operator.index, (seed, samples, two_point_samples))
+    tol = float(tol)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if samples < 0 or two_point_samples < 0:

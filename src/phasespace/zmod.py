@@ -3,13 +3,14 @@
 Residues are plain Python ints, and a phase-space point is a plain pair
 (p, q) of them. SymplecticMatrix reduces every entry to {0, ..., d-1} on
 construction, with operator.index(x) % d, so representations are unique and
-equality is structural; integer types such as numpy integers are accepted
-and floats are rejected. Every type here is immutable and hashable; all
-operations are pure functions on Python integers, never on floats.
+equality is structural. PrimeDim and SymplecticMatrix store any integer type
+as Python ints and reject floats. Every type here is immutable and hashable;
+all operations are pure functions on Python integers, never on floats.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -27,12 +28,15 @@ def _is_odd_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeDim:
-    """An odd prime dimension d >= 3, validated by trial division."""
+    """An odd prime dimension d >= 3 of any integer type, validated by trial division."""
 
     d: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or not _is_odd_prime(self.d):
+        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
+            raise ValueError(f"d must be an integer, got {type(self.d).__name__}")
+        object.__setattr__(self, "d", operator.index(self.d))
+        if not _is_odd_prime(self.d):
             raise ValueError(f"d must be an odd prime >= 3, got {self.d!r}")
 
 
@@ -62,17 +66,6 @@ class SymplecticMatrix:
             object.__setattr__(self, name, operator.index(getattr(self, name)) % self.dim.d)
         if (self.a * self.e - self.b * self.c) % self.dim.d != 1:
             raise ValueError("determinant must be 1 mod d")
-
-    def __matmul__(self, other: SymplecticMatrix) -> SymplecticMatrix:
-        if other.dim != self.dim:
-            raise ValueError("operands live in different residue rings")
-        return SymplecticMatrix(
-            self.dim,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.e,
-            self.c * other.a + self.e * other.c,
-            self.c * other.b + self.e * other.e,
-        )
 
     def inverse(self) -> SymplecticMatrix:
         return SymplecticMatrix(self.dim, self.e, -self.b, -self.c, self.a)

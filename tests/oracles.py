@@ -5,9 +5,9 @@ None of these is called by the package: each is the definitional form of an
 object the package computes another way (weyl builds w(p, q) entrywise; the
 Fourier predicates never form a circulant matrix; the Wigner kernels use one
 real matrix product over half the lags, not complex arithmetic over all of them),
-or a helper that only the tests need (all_points, act, translated_grid,
-haar_rows, two_point_rows, wigner_minima). Phase-space points are (p, q)
-tuples of ints.
+or a helper that only the tests need (all_points, act, compose,
+translated_grid, haar_rows, two_point_rows, wigner_minima). Phase-space
+points are (p, q) tuples of ints.
 """
 
 import numpy as np
@@ -29,6 +29,12 @@ def all_points(dim: PrimeDim) -> list[tuple[int, int]]:
 def act(S: SymplecticMatrix, v: tuple[int, int]) -> tuple[int, int]:
     """S v on column vectors: (p, q) -> (a p + b q, c p + e q) mod d."""
     return ((S.a * v[0] + S.b * v[1]) % S.dim.d, (S.c * v[0] + S.e * v[1]) % S.dim.d)
+
+
+def compose(S: SymplecticMatrix, T: SymplecticMatrix) -> SymplecticMatrix:
+    """The group product S T, multiplied out on the integer entries."""
+    (a, b, c, e), (w, x, y, z) = S.as_ints(), T.as_ints()
+    return SymplecticMatrix(S.dim, a * w + b * y, a * x + b * z, c * w + e * y, c * x + e * z)
 
 
 def translated_grid(values: np.ndarray, v: tuple[int, int]) -> np.ndarray:
@@ -91,6 +97,14 @@ def has_constant_modulus_fourier(f: CyclicFunction) -> bool:
         return True
     a = autocorrelation(CyclicFunction(f.dim, f.values / norm))
     return bool(np.max(np.abs(a[1:])) <= PREDICATE_TOL)
+
+
+def fourier(f: CyclicFunction) -> CyclicFunction:
+    """fhat(x) = (1/d) sum_q omega^(-q x) f(q), each root from np.exp at its
+    exact residue q x mod d."""
+    d = f.dim.d
+    q = np.arange(d)
+    return CyclicFunction(f.dim, np.exp(-2j * np.pi * (np.outer(q, q) % d) / d) @ f.values / d)
 
 
 def inverse_fourier(g: CyclicFunction) -> CyclicFunction:

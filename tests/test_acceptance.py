@@ -21,7 +21,6 @@ from phasespace import (
     PrimeDim,
     StateVector,
     characteristic,
-    fourier,
     haar_sample,
     has_nonneg_fourier,
     metaplectic,
@@ -45,6 +44,8 @@ from oracles import (
     act,
     all_points,
     circulant,
+    compose,
+    fourier,
     haar_rows,
     has_constant_modulus_fourier,
     inverse_fourier,
@@ -176,7 +177,7 @@ def test_criterion_06_metaplectic_conjugation_and_homomorphism():
     mats3 = sl2_enumerate(dim3)
     for S, T in itertools.product(mats3, repeat=2):
         prod = metaplectic(S).mat @ metaplectic(T).mat
-        gap = abs(abs(np.trace(metaplectic(S @ T).mat.conj().T @ prod)) - 3)
+        gap = abs(abs(np.trace(metaplectic(compose(S, T)).mat.conj().T @ prod)) - 3)
         hom_worst = max(hom_worst, float(gap))
         pair_count += 1
     for dim in [PrimeDim(5), PrimeDim(7)]:
@@ -186,7 +187,7 @@ def test_criterion_06_metaplectic_conjugation_and_homomorphism():
             i, j = rng.integers(0, len(mats), size=2)
             S, T = mats[i], mats[j]
             prod = metaplectic(S).mat @ metaplectic(T).mat
-            gap = abs(abs(np.trace(metaplectic(S @ T).mat.conj().T @ prod)) - dim.d)
+            gap = abs(abs(np.trace(metaplectic(compose(S, T)).mat.conj().T @ prod)) - dim.d)
             hom_worst = max(hom_worst, float(gap))
             pair_count += 1
     ok = conj_worst <= 1e-10 and hom_worst <= 1e-9 and pair_count == 576 + 400

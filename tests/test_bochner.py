@@ -6,12 +6,11 @@ import pytest
 from phasespace import (
     CyclicFunction,
     PrimeDim,
-    fourier,
     has_nonneg_fourier,
     omega_table,
 )
 
-from oracles import DIMS, autocorrelation, circulant, has_constant_modulus_fourier, inverse_fourier
+from oracles import DIMS, autocorrelation, circulant, fourier, has_constant_modulus_fourier, inverse_fourier
 
 
 def _delta(dim, k):

@@ -15,7 +15,7 @@ import pytest
 from phasespace import DenseOperator, SymplecticMatrix, cli, hudson, metaplectic, stabilizer_blocks
 from phasespace import PrimeDim, sl2_enumerate, weyl
 
-from oracles import act, all_points
+from oracles import act, all_points, compose
 
 BASIS3 = "[[1,0],[0,0],[0,0]]"
 
@@ -235,7 +235,7 @@ class TestMetaplecticCommand:
                 return DenseOperator(S.dim, 2 * metaplectic(S).mat)
             if wrong == "column phase":
                 return DenseOperator(S.dim, metaplectic(S).mat * np.r_[-1, np.ones(S.dim.d - 1)])
-            return metaplectic(SymplecticMatrix(S.dim, 1, 0, 1, 1) @ S)
+            return metaplectic(compose(SymplecticMatrix(S.dim, 1, 0, 1, 1), S))
 
         monkeypatch.setattr(cli, "metaplectic", bad_metaplectic)
         assert cli.main(["metaplectic", "--d", "5", "--matrix", "2,1,1,1"]) == 1
@@ -260,7 +260,7 @@ class TestMetaplecticCommand:
         dim = PrimeDim(5)
         for S in sl2_enumerate(dim):
             right = metaplectic(S).mat
-            wrong = [metaplectic(SymplecticMatrix(dim, 1, 0, 1, 1) @ S).mat, right * np.r_[-1, np.ones(4)]]
+            wrong = [metaplectic(compose(SymplecticMatrix(dim, 1, 0, 1, 1), S)).mat, right * np.r_[-1, np.ones(4)]]
             for mu, expected in zip([right, *wrong], [True, False, False]):
                 every_point = max(
                     np.abs(mu @ weyl(dim, *v).mat @ mu.conj().T - weyl(dim, *act(S, v)).mat).max()

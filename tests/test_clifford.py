@@ -23,7 +23,7 @@ from phasespace import (
 )
 from phasespace.hudson import STABILIZER_MATCH_TOL
 
-from oracles import DIMS, act, all_points, projective_equal, stabilizer_stack
+from oracles import DIMS, PRIMES_TO_101, act, all_points, compose, projective_equal, stabilizer_stack
 
 LARGE_PRIMES = [p for p in range(11, 102) if all(p % f for f in range(2, p))]
 
@@ -82,7 +82,7 @@ class TestMetaplectic:
         dim = PrimeDim(3)
         mats = sl2_enumerate(dim)
         for S, T in itertools.product(mats, repeat=2):
-            assert projective_equal(metaplectic(S).mat @ metaplectic(T).mat, metaplectic(S @ T).mat)
+            assert projective_equal(metaplectic(S).mat @ metaplectic(T).mat, metaplectic(compose(S, T)).mat)
 
     @pytest.mark.parametrize("dim", [PrimeDim(5), PrimeDim(7)])
     def test_projective_homomorphism_random_pairs(self, dim):
@@ -91,7 +91,7 @@ class TestMetaplectic:
         for _ in range(200):
             i, j = rng.integers(0, len(mats), size=2)
             S, T = mats[i], mats[j]
-            assert projective_equal(metaplectic(S).mat @ metaplectic(T).mat, metaplectic(S @ T).mat)
+            assert projective_equal(metaplectic(S).mat @ metaplectic(T).mat, metaplectic(compose(S, T)).mat)
 
     @given(st.data())
     @settings(deadline=None)
@@ -164,7 +164,7 @@ class TestCliffordElement:
             g = weyl(dim, *u).mat @ metaplectic(mats[i]).mat
             h = weyl(dim, *v).mat @ metaplectic(mats[j]).mat
             sv = act(mats[i], v)
-            gh = weyl(dim, u[0] + sv[0], u[1] + sv[1]).mat @ metaplectic(mats[i] @ mats[j]).mat
+            gh = weyl(dim, u[0] + sv[0], u[1] + sv[1]).mat @ metaplectic(compose(mats[i], mats[j])).mat
             assert projective_equal(g @ h, gh)
 
     def test_conjugation_up_to_phase(self):
@@ -219,18 +219,20 @@ class TestStabilizerStates:
         assert len(_family(dim)) == count
         assert count == dim.d * (dim.d + 1)
 
-    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("dim", [PrimeDim(p) for p in PRIMES_TO_101])
     def test_descriptors_align(self, dim):
+        # every row against its descriptor's closed form, the exponent reduced mod d
+        d = dim.d
         states = _family(dim)
         descs = stabilizer_descriptors(dim)
         assert len(states) == len(descs)
+        q = np.arange(d)
         for amp, desc in zip(states, descs):
             if desc["kind"] == "basis":
-                assert amp[desc["k"]] == 1.0
+                expected = np.eye(d)[desc["k"]]
             else:
-                q = np.arange(dim.d)
-                expected = np.exp(2j * np.pi * (desc["theta"] * q * q + desc["x"] * q) / dim.d)
-                assert np.allclose(amp, expected / np.sqrt(dim.d), atol=1e-14)
+                expected = np.exp(2j * np.pi * ((desc["theta"] * q * q + desc["x"] * q) % d) / d) / np.sqrt(d)
+            assert np.abs(amp - expected).max() <= 1e-15
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_pairwise_projectively_distinct(self, dim):

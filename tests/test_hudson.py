@@ -29,7 +29,6 @@ from phasespace.hudson import (
     _HAAR_STREAM,
     _seed_words,
     modulus_violations,
-    row_chunks,
     support_rows,
 )
 from phasespace.qudit import normalize_rows
@@ -265,8 +264,10 @@ class TestSampling:
     def test_seeded_chunks_are_the_row_chunks_with_their_words(self):
         # three hash blocks of 3,855 chunks of 17 rows, the last one short
         d, n = 61, 2 * 65535 + 20
+        step = hudson._chunk_rows(d)
+        assert step == 17
         got = list(hudson._seeded_chunks(n, d, 5, 1))
-        assert [(r.start, r.stop) for r, _ in got] == [(s.start, s.stop) for s in row_chunks(n, d)]
+        assert [(r.start, r.stop) for r, _ in got] == [(i, min(i + step, n)) for i in range(0, n, step)]
         for indices, words in got[3853:3857] + got[-2:]:
             assert np.array_equal(words, _seed_words(5, 1, indices))
 
@@ -315,6 +316,17 @@ class TestVerifyHudson:
         assert doc["lemma5_support_sizes"] == {"1": 3, "3": 9}
         assert doc["dim"] == 3
         assert doc["random_samples"] == 5
+
+    def test_numpy_scalar_arguments_give_a_json_ready_report(self):
+        report = verify_hudson(PrimeDim(np.int64(3)), np.int64(5), np.int64(2), np.float32(1e-9), np.int32(4))
+        doc = json.loads(json.dumps(report.to_dict()))  # raises TypeError on a numpy scalar
+        assert doc == verify_hudson(PrimeDim(3), 5, 2, float(np.float32(1e-9)), 4).to_dict()
+
+    @pytest.mark.parametrize("args", [(5.0, 1, 5), (5, 1.0, 5), (5, 1, 5.0)])
+    def test_float_counts_and_seeds_raise_before_any_work(self, args, monkeypatch):
+        monkeypatch.setattr(hudson, "stabilizer_blocks", lambda d: pytest.fail("states built before the check"))
+        with pytest.raises(TypeError):
+            verify_hudson(PrimeDim(3), *args[:2], two_point_samples=args[2])
 
     def test_failure_path_is_recorded(self):
         # an absurd negativity demand cannot be met: |W| <= 1/d < 0.5
@@ -589,9 +601,10 @@ class TestStabilizerCertificate:
     def test_rows_are_translated_representatives_on_exact_lines(self, d):
         k = np.arange(d)
         back = (k - k[:, None]) % d  # [x, j] -> j - x
+        step = hudson._chunk_rows(d)
         for b, block in enumerate(stabilizer_blocks(d)):
             rep = wigner_block(block[:1])[0]  # [q, p]
-            for rows in row_chunks(d, d):
+            for rows in (slice(i, i + step) for i in range(0, d, step)):
                 grids = wigner_block(block[rows])  # [x, q, p]
                 if b == 0:  # |x>: translated along q, on the line q = x
                     rolled, line = rep[back[rows]], (k[rows, None] == k)[:, :, None]
@@ -611,7 +624,8 @@ class TestStabilizerCertificate:
         reps = np.array([block[0] for block in list(stabilizer_blocks(d))[1:]])
         uniform = wigner_block(reps[:1])[0]  # [q, p]
         sheared = (k - 2 * k[:, None, None] * k[:, None]) % d  # [theta, q, p] -> p - 2 theta q
-        for rows in row_chunks(d, d):
+        step = hudson._chunk_rows(d)
+        for rows in (slice(i, i + step) for i in range(0, d, step)):
             assert np.abs(wigner_block(reps[rows]) - uniform[k[:, None], sheared[rows]]).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [3, 61, 257])

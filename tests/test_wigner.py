@@ -31,7 +31,7 @@ from phasespace import (
     wigner_pure,
 )
 from phasespace.clifford import stabilizer_blocks
-from phasespace.hudson import row_chunks
+from phasespace import hudson
 from phasespace.wigner import wigner_block, wigner_workspace
 
 from oracles import (
@@ -40,6 +40,7 @@ from oracles import (
     act,
     all_points,
     complex_wigner_block,
+    compose,
     fft_wigner,
     haar_rows,
     translated_grid,
@@ -274,8 +275,8 @@ class TestWignerMinima:
             assert abs(minima[i] - fft_wigner(amps[i]).min()) <= 1e-12
 
     def test_large_d_blocks_span_several_chunks(self):
-        assert len(list(row_chunks(40, 61))) == 3
-        assert len(list(row_chunks(1000, 7))) == 1
+        assert len(list(hudson._seeded_chunks(40, 61, 0, 0))) == 3
+        assert len(list(hudson._seeded_chunks(1000, 7, 0, 0))) == 1
 
     @pytest.mark.parametrize("d", PRIMES_TO_101)
     def test_real_route_matches_complex_route(self, d):
@@ -384,13 +385,13 @@ class TestGridMotions:
         assert np.array_equal(moved.values, g.values)
 
     def test_symplectic_pullback_composition(self):
-        # The image under S then T equals the image under T @ S.
+        # The image under S then T equals the image under the product T S.
         dim = PrimeDim(5)
         g = wigner_pure(haar_sample(dim, 5, 0))
         s = SymplecticMatrix(dim, 2, 1, 1, 1)
         t = SymplecticMatrix(dim, 0, 4, 1, 0)
         twice = metaplectic_image_grid(metaplectic_image_grid(g, s), t)
-        once = metaplectic_image_grid(g, t @ s)
+        once = metaplectic_image_grid(g, compose(t, s))
         assert np.array_equal(twice.values, once.values)
 
     def test_symplectic_relabeling(self):
