@@ -26,10 +26,8 @@ from .wigner import (
     KIND_CHARACTERISTIC,
     KIND_WIGNER,
     PhaseGrid,
-    char_from_wigner,
     characteristic,
     metaplectic_image_grid,
-    operator_from_char,
     self_correlation,
     wigner_from_char,
     wigner_pure,

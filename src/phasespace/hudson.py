@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from collections import Counter
 from collections.abc import Iterator
@@ -98,9 +99,8 @@ from .qudit import StateVector, normalize_rows, omega_table
 from .wigner import (
     KIND_WIGNER,
     PhaseGrid,
-    char_from_wigner,
     lag_products,
-    operator_from_char,
+    operator_from_wigner,
     wigner_block,
     wigner_workspace,
 )
@@ -391,12 +391,14 @@ def verify_hudson(
     random and two-point states must dip below -tol. The report is a pure
     function of (dim, samples, seed, tol, two_point_samples).
 
-    tol must be finite and nonnegative: with a negative or NaN tol no sample
-    could fail the negativity check, so the report would certify nothing, and
-    with an infinite one every sample would fail. The sample counts must be
-    nonnegative and at most 2^32, the number of substream indices. They and
-    the seed are stored as ints and tol as a float, so the report is JSON-ready.
+    tol must be a finite, nonnegative real number: with a negative or NaN tol no
+    sample could fail the negativity check, so the report would certify nothing,
+    and with an infinite one every sample would fail. The seed must be
+    nonnegative; the sample counts too, and at most 2^32 (the substream indices).
+    All three are stored as ints and tol as a float, so the report is JSON-ready.
     """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise TypeError(f"tol must be a real number, got {type(tol).__name__}")
     seed, samples, two_point_samples = map(operator.index, (seed, samples, two_point_samples))
     tol = float(tol)
     if not (math.isfinite(tol) and tol >= 0):
@@ -405,6 +407,8 @@ def verify_hudson(
         raise ValueError(f"sample counts must be nonnegative, got {samples!r} and {two_point_samples!r}")
     if max(samples, two_point_samples) > _MASK32 + 1:
         raise ValueError(f"sample counts must be at most 2^32, got {samples!r} and {two_point_samples!r}")
+    if seed < 0:
+        raise ValueError(f"seeds must be nonnegative, got {seed!r}")
     failures = _Failures()
     d = dim.d
     # one Wigner workspace for the largest sample chunk handed out below
@@ -552,15 +556,15 @@ def single_point_infeasibility(dim: PrimeDim) -> bool:
     """True iff the Wigner grid concentrated at the origin (value 1) cannot
     come from a positive semidefinite operator.
 
-    The grid is inverted to a characteristic function, the operator is
-    reassembled as a Weyl sum, and its spectrum is examined: a negative
-    eigenvalue below -POINT_MASS_TOL certifies infeasibility.
+    The grid is inverted to its operator in one transform (operator_from_wigner,
+    the parity |q> -> |-q>) and its spectrum is examined: a negative eigenvalue
+    below -POINT_MASS_TOL certifies infeasibility.
     """
     d = dim.d
     vals = np.zeros((d, d), dtype=complex)
     vals[0, 0] = 1.0
     grid = PhaseGrid(dim, vals, KIND_WIGNER)
-    rho = operator_from_char(char_from_wigner(grid)).mat
+    rho = operator_from_wigner(grid).mat
     herm_gap = float(np.max(np.abs(rho - rho.conj().T)))
     if herm_gap > 1e-12:
         raise RuntimeError(f"reconstructed operator is not Hermitian (gap {herm_gap:.3e})")

@@ -12,7 +12,10 @@ and for a pure state psi (with 2^-1 = (d+1)/2):
 
 The two Wigner routes agree entrywise; for fixed q the row W(., q) is the
 Fourier transform of the self-correlation row K(q, .). Grids are indexed
-values[p][q].
+values[p][q]. The second formula holds for any operator rho, with
+rho[q + 2^-1 x, q - 2^-1 x] for K(q, x); operator_from_wigner inverts it:
+
+    rho[q + 2^-1 x, q - 2^-1 x] = sum_p omega^(p x) W(p, q)
 
 The pure-state route runs on (n, d) amplitude blocks, one state per row,
 in real arithmetic over half the lags. With x = 2u the self-correlation row
@@ -89,8 +92,7 @@ class CorrelationTable:
 def characteristic(rho: DenseOperator) -> PhaseGrid:
     """Xi(xi, x) = (1/d) tr( w(xi, x)^dagger rho ).
 
-    The mirror of operator_from_char: w(a, x) has its entry
-    omega^(a (k + 2^-1 x)) at (k + x, k), so with j = k + 2^-1 x
+    w(a, x) has its entry omega^(a (k + 2^-1 x)) at (k + x, k), so with j = k + 2^-1 x
     Xi(a, x) = (1/d) sum_j omega^(-a j) G[x, j], G[x, j] = rho[j + 2^-1 x, j - 2^-1 x],
     a DFT over j of the gathered rows.
     """
@@ -102,45 +104,30 @@ def characteristic(rho: DenseOperator) -> PhaseGrid:
     return PhaseGrid(rho.dim, (G @ dft_matrix(d)).T, KIND_CHARACTERISTIC)
 
 
-def _symplectic_fourier(values: np.ndarray) -> np.ndarray:
-    """d F G^T conj(F) for a grid G: both directions of the symplectic
-    Fourier transform take this form, as two d x d matrix products."""
-    d = values.shape[0]
-    f = dft_matrix(d)
-    return d * (f @ values.T @ f.conj())
-
-
 def wigner_from_char(xi: PhaseGrid) -> PhaseGrid:
-    """Symplectic Fourier transform W(p,q) = (1/d) sum omega^(q xi - p x) Xi(xi, x)."""
-    if xi.kind != KIND_CHARACTERISTIC:
-        raise ValueError("input grid must be a characteristic function")
-    return PhaseGrid(xi.dim, _symplectic_fourier(xi.values), KIND_WIGNER)
-
-
-def char_from_wigner(grid: PhaseGrid) -> PhaseGrid:
-    """Inverse of wigner_from_char: Xi(xi, x) = (1/d) sum omega^(p x - q xi) W(p, q)."""
-    if grid.kind != KIND_WIGNER:
-        raise ValueError("input grid must be a Wigner function")
-    return PhaseGrid(grid.dim, _symplectic_fourier(grid.values), KIND_CHARACTERISTIC)
-
-
-def operator_from_char(xi: PhaseGrid) -> DenseOperator:
-    """Reassemble the operator: rho = sum_{xi, x} Xi(xi, x) w(xi, x).
-
-    w(a, x) is monomial, with its entry omega^(a (k + 2^-1 x)) at (k + x, k),
-    so rho[k + x, k] = D[x, k + 2^-1 x] with D[x, j] = sum_a Xi(a, x) omega^(a j),
-    a DFT over a for each x.
-    """
+    """Symplectic Fourier transform W(p,q) = (1/d) sum omega^(q xi - p x) Xi(xi, x),
+    as d F Xi^T conj(F): two d x d matrix products."""
     if xi.kind != KIND_CHARACTERISTIC:
         raise ValueError("input grid must be a characteristic function")
     d = xi.dim.d
-    h = half(xi.dim)
-    D = d * (xi.values.T @ dft_matrix(d).conj())
-    k = np.arange(d)[None, :]
-    x = np.arange(d)[:, None]
+    f = dft_matrix(d)
+    return PhaseGrid(xi.dim, d * (f @ xi.values.T @ f.conj()), KIND_WIGNER)
+
+
+def operator_from_wigner(grid: PhaseGrid) -> DenseOperator:
+    """The operator rho whose Wigner function is the grid: one DFT product
+    D[q, x] = sum_p W(p, q) omega^(p x) = rho[q + 2^-1 x, q - 2^-1 x], scattered
+    back; (q, x) -> (q + 2^-1 x, q - 2^-1 x) is a bijection of Z_d^2."""
+    if grid.kind != KIND_WIGNER:
+        raise ValueError("input grid must be a Wigner function")
+    d = grid.dim.d
+    h = half(grid.dim)
+    D = d * (grid.values.T @ dft_matrix(d).conj())
+    q = np.arange(d)[:, None]
+    x = np.arange(d)[None, :]
     mat = np.empty((d, d), dtype=complex)
-    mat[(k + x) % d, k] = D[x, (k + h * x) % d]
-    return DenseOperator(xi.dim, mat)
+    mat[(q + h * x) % d, (q - h * x) % d] = D
+    return DenseOperator(grid.dim, mat)
 
 
 def _lag_factors(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

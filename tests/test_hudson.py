@@ -322,11 +322,13 @@ class TestVerifyHudson:
         doc = json.loads(json.dumps(report.to_dict()))  # raises TypeError on a numpy scalar
         assert doc == verify_hudson(PrimeDim(3), 5, 2, float(np.float32(1e-9)), 4).to_dict()
 
-    @pytest.mark.parametrize("args", [(5.0, 1, 5), (5, 1.0, 5), (5, 1, 5.0)])
+    # (samples, seed, two_point_samples, tol); a tol must be a real number, as d is
+    @pytest.mark.parametrize("args", [(5.0, 1, 5, 1e-9), (5, 1.0, 5, 1e-9), (5, 1, 5.0, 1e-9),
+                                      (2, 1, 0, "1e-9"), (2, 1, 0, True)])
     def test_float_counts_and_seeds_raise_before_any_work(self, args, monkeypatch):
         monkeypatch.setattr(hudson, "stabilizer_blocks", lambda d: pytest.fail("states built before the check"))
         with pytest.raises(TypeError):
-            verify_hudson(PrimeDim(3), *args[:2], two_point_samples=args[2])
+            verify_hudson(PrimeDim(3), *args[:2], two_point_samples=args[2], tol=args[3])
 
     def test_failure_path_is_recorded(self):
         # an absurd negativity demand cannot be met: |W| <= 1/d < 0.5
@@ -398,6 +400,9 @@ class TestVerifyHudson:
         assert report.passed
         assert report.random_max_min_wigner == 0.0
         assert report.two_point_max_min_wigner == 0.0
+        # no stream is hashed, but a negative seed is still rejected
+        with pytest.raises(ValueError, match="seeds must be nonnegative"):
+            verify_hudson(PrimeDim(3), samples=0, seed=-1, two_point_samples=0)
 
 
 class TestOverlapBound:

@@ -16,12 +16,10 @@ from phasespace import (
     PrimeDim,
     StateVector,
     SymplecticMatrix,
-    char_from_wigner,
     characteristic,
     cli,
     haar_sample,
     metaplectic,
-    operator_from_char,
     projector,
     self_correlation,
     sl2_enumerate,
@@ -32,7 +30,7 @@ from phasespace import (
 )
 from phasespace.clifford import stabilizer_blocks
 from phasespace import hudson
-from phasespace.wigner import wigner_block, wigner_workspace
+from phasespace.wigner import operator_from_wigner, wigner_block, wigner_workspace
 
 from oracles import (
     DIMS,
@@ -113,9 +111,7 @@ class TestWignerTransforms:
         with pytest.raises(ValueError):
             wigner_from_char(wig)
         with pytest.raises(ValueError):
-            char_from_wigner(char)
-        with pytest.raises(ValueError):
-            operator_from_char(wig)
+            operator_from_wigner(char)
         with pytest.raises(ValueError):
             metaplectic_image_grid(char, SymplecticMatrix(dim, 0, -1, 1, 0))
 
@@ -190,36 +186,41 @@ class TestWignerTransforms:
             assert abs(np.sum(vals**2) - 1.0 / dim.d) < 1e-10
 
     @pytest.mark.parametrize("dim", DIMS)
-    def test_char_wigner_round_trip(self, dim):
-        xi = characteristic(_random_hermitian(dim, 11))
-        back = char_from_wigner(wigner_from_char(xi))
-        assert np.max(np.abs(back.values - xi.values)) < 1e-12
-
-    @pytest.mark.parametrize("dim", DIMS)
     def test_operator_round_trip(self, dim):
         rho = _random_hermitian(dim, 13)
-        back = operator_from_char(characteristic(rho))
+        back = operator_from_wigner(wigner_from_char(characteristic(rho)))
         assert np.max(np.abs(back.mat - rho.mat)) < 1e-12
 
+    @pytest.mark.parametrize("d", PRIMES_TO_101)
+    def test_pure_grid_inverts_to_the_projector(self, d):
+        psi = haar_sample(PrimeDim(d), 17, 0)
+        assert np.max(np.abs(operator_from_wigner(wigner_pure(psi)).mat - projector(psi).mat)) < 1e-14
 
-def _einsum_transform(values, sign):
-    """sign=+1: wigner_from_char, W(p,q) = (1/d) sum omega^(q xi - p x) Xi(xi, x);
-    sign=-1: char_from_wigner, Xi(xi,x) = (1/d) sum omega^(p x - q xi) W(p, q)."""
+    @pytest.mark.parametrize("d", PRIMES_TO_101)
+    def test_point_mass_inverts_to_the_parity(self, d):
+        # A(0) = (1/d) sum_v w(v) maps |q> to |-q>
+        vals = np.zeros((d, d))
+        vals[0, 0] = 1.0
+        parity = np.eye(d)[(-np.arange(d)) % d]
+        rho = operator_from_wigner(PhaseGrid(PrimeDim(d), vals, KIND_WIGNER)).mat
+        assert np.max(np.abs(rho - parity)) <= 1e-15
+
+
+def _einsum_transform(values):
+    """wigner_from_char, W(p,q) = (1/d) sum omega^(q xi - p x) Xi(xi, x)."""
     d = values.shape[0]
     jk = np.outer(np.arange(d), np.arange(d))
     omega = np.exp(2j * np.pi * jk / d)
-    if sign > 0:
-        return np.einsum("qj,px,jx->pq", omega, omega.conj(), values) / d
-    return np.einsum("px,qj,pq->jx", omega, omega.conj(), values) / d
+    return np.einsum("qj,px,jx->pq", omega, omega.conj(), values) / d
 
 
-def _weyl_sum(xi):
-    """rho = sum_{xi, x} Xi(xi, x) w(xi, x) from d^2 dense Weyl matrices."""
-    dim = xi.dim
-    mat = np.zeros((dim.d, dim.d), dtype=complex)
-    for a, x in itertools.product(range(dim.d), repeat=2):
-        mat += xi.values[a, x] * weyl(dim, a, x).mat
-    return mat
+def _phase_point_sum(grid):
+    """rho = sum_v W(v) w(v) A(0) w(v)^dagger with A(0) = (1/d) sum_u w(u),
+    from dense Weyl matrices."""
+    dim = grid.dim
+    weyls = {v: weyl(dim, *v).mat for v in all_points(dim)}
+    origin = sum(weyls.values()) / dim.d
+    return sum(grid.values[v] * w @ origin @ w.conj().T for v, w in weyls.items())
 
 
 def _weyl_traces(rho):
@@ -238,17 +239,14 @@ class TestTransformOracles:
         rng = np.random.default_rng(d)
         vals = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         char = PhaseGrid(dim, vals, KIND_CHARACTERISTIC)
-        wig = PhaseGrid(dim, vals, KIND_WIGNER)
-        assert np.max(np.abs(wigner_from_char(char).values - _einsum_transform(vals, +1))) < 1e-12
-        assert np.max(np.abs(char_from_wigner(wig).values - _einsum_transform(vals, -1))) < 1e-12
+        assert np.max(np.abs(wigner_from_char(char).values - _einsum_transform(vals))) < 1e-12
 
     @pytest.mark.parametrize("d", [3, 5, 7, 11])
-    def test_monomial_reassembly_matches_weyl_sum(self, d):
+    def test_scatter_matches_phase_point_sum(self, d):
         dim = PrimeDim(d)
         rng = np.random.default_rng(d + 1)
-        xi = PhaseGrid(dim, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
-                       KIND_CHARACTERISTIC)
-        assert np.max(np.abs(operator_from_char(xi).mat - _weyl_sum(xi))) < 1e-12
+        wig = PhaseGrid(dim, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), KIND_WIGNER)
+        assert np.max(np.abs(operator_from_wigner(wig).mat - _phase_point_sum(wig))) < 1e-12
 
     @pytest.mark.parametrize("d", [3, 5, 7, 11])
     def test_diagonal_gather_matches_weyl_traces(self, d):
