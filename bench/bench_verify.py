@@ -14,7 +14,7 @@ handed back to the system and faulted in again.
   * verify_hudson(PrimeDim(d), 1000 samples, seed 7, 100 two-point samples)
     at d = 3, 5, 7, 31, 61, 101 and 401;
   * the stabilizer pass alone, verify_hudson with both sample counts 0 (its
-    point-mass step included), at d = 101, 401 and 601;
+    point-mass step included), at d = 101, 401, 601 and 1009;
   * at d = 61, on one block of 1000 Haar rows: the grid minima of the whole
     block at once, the grid minima in verify's row chunks (through one reused
     workspace), and the sample-overlap step, which
@@ -52,7 +52,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 5
 VERIFY_DIMS = (3, 5, 7, 31, 61, 101, 401)
-STABILIZER_PASS_DIMS = (101, 401, 601)
+STABILIZER_PASS_DIMS = (101, 401, 601, 1009)
 SAMPLES, TWO_POINT, SEED = 1000, 100, 7
 KERNEL_D, KERNEL_ROWS = 61, 1000
 SAMPLER_DIMS = (7, 61)

@@ -51,13 +51,12 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 #                so memory grows as d^3.
 #   metaplectic  d = 1009: JSON 4.5-4.9 s, 318 MB; CSV 4.3-4.4 s, 95 MB. The
 #                self-check is O(d^3), 0.8 s of it, so the artifact sets the cost.
-#   verify       d = 151: 0.5-0.6 s, 42 MB; d = 401: 5.8-5.9 s, 71 MB (BLAS on
-#                1 thread). Only two stabilizer states get a Wigner grid and
-#                every row an O(d) check, so the stabilizer pass grows as d^3:
-#                1.9-2.1 s at d = 401, mostly building the family and its
-#                per-row statistics. The 1100 samples take the rest, a real
-#                half-lag Wigner product each (O(d^3)), with the chirp DFT of
-#                the overlap check skipped by its O(d) bound.
+#   verify       d = 401: 3.8-4.5 s, 71 MB (BLAS on 1 thread). The stabilizer
+#                pass reads two blocks of the family and takes 0.05 s of it
+#                (0.5 s at d = 1009, mostly the point-mass inverse). The 1100
+#                samples take the rest, a real half-lag Wigner product each
+#                (O(d^3)), with the chirp DFT of the overlap check skipped by
+#                its O(d) bound.
 MAX_D = {"wigner": 2003, "stabilizers": 101, "metaplectic": 1009, "verify": 401}
 # Largest accepted --samples and --two-point: time grows linearly in the counts,
 # memory stays flat. Measured as above with both counts at the cap: d = 3

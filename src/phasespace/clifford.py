@@ -111,7 +111,6 @@ def stabilizer_overlaps(amps: np.ndarray) -> np.ndarray:
     """
     n, d = amps.shape
     q = np.arange(d)
-    chirps = omega_table(d)[np.outer(q, -(q * q)) % d]  # [theta, q]
-    chirped = amps[:, None, :] * chirps  # [n, theta, q]
+    chirped = amps[:, None, :] * omega_table(d)[np.outer(q, -(q * q)) % d]  # [n, theta, q]
     sums = np.abs(chirped.reshape(n * d, d) @ dft_matrix(d)).reshape(n, d * d)
     return np.maximum(np.abs(amps).max(axis=1), sums.max(axis=1) * np.sqrt(d))

@@ -4,8 +4,9 @@ Residues are plain Python ints, and a phase-space point is a plain pair
 (p, q) of them. SymplecticMatrix reduces every entry to {0, ..., d-1} on
 construction, with operator.index(x) % d, so representations are unique and
 equality is structural. PrimeDim and SymplecticMatrix store any integer type
-as Python ints and reject floats. Every type here is immutable and hashable;
-all operations are pure functions on Python integers, never on floats.
+as Python ints and raise TypeError on floats. Every type here is immutable
+and hashable; all operations are pure functions on Python integers, never on
+floats.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class PrimeDim:
 
     def __post_init__(self) -> None:
         if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
-            raise ValueError(f"d must be an integer, got {type(self.d).__name__}")
+            raise TypeError(f"d must be an integer, got {type(self.d).__name__}")
         object.__setattr__(self, "d", operator.index(self.d))
         if not _is_odd_prime(self.d):
             raise ValueError(f"d must be an odd prime >= 3, got {self.d!r}")

@@ -123,10 +123,12 @@ def circulant(f: CyclicFunction) -> DenseOperator:
 
 def stabilizer_stack(d: int) -> np.ndarray:
     """All d(d+1) stabilizer states as explicit rows: basis states, then
-    d^(-1/2) exp(2 pi i (theta q^2 + x q) / d) in (theta, x) order."""
+    d^(-1/2) exp(2 pi i (theta q^2 + x q) / d) in (theta, x) order. The
+    exponent is reduced mod d first: unreduced, its rounding error grows as
+    d^2 and passes 1e-12 at d = 89."""
     q = np.arange(d)
     rows = [np.eye(d)[k] for k in range(d)]
-    rows += [np.exp(2j * np.pi * (t * q * q + x * q) / d) / np.sqrt(d) for t in range(d) for x in range(d)]
+    rows += [np.exp(2j * np.pi * ((t * q * q + x * q) % d) / d) / np.sqrt(d) for t in range(d) for x in range(d)]
     return np.array(rows)
 
 

@@ -361,7 +361,9 @@ class TestStabilizerMatchAgainstStack:
         assert not _matches([amp])[0]
         assert _matches([amp], tol=1e-4)[0]
 
-    @pytest.mark.parametrize("dim", DIMS)
+    # every listed row against a second construction, which verify_hudson
+    # leaves to this test: it reads only the first two blocks
+    @pytest.mark.parametrize("dim", [PrimeDim(p) for p in PRIMES_TO_101])
     def test_blocks_follow_the_enumeration(self, dim):
         blocks = list(stabilizer_blocks(dim.d))
         assert len(blocks) == dim.d + 1

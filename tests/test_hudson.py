@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasespace import (
+    DenseOperator,
     PrimeDim,
     StateVector,
     haar_sample,
@@ -324,7 +325,7 @@ class TestVerifyHudson:
 
     # (samples, seed, two_point_samples, tol); a tol must be a real number, as d is
     @pytest.mark.parametrize("args", [(5.0, 1, 5, 1e-9), (5, 1.0, 5, 1e-9), (5, 1, 5.0, 1e-9),
-                                      (2, 1, 0, "1e-9"), (2, 1, 0, True)])
+                                      (2, 1, 0, "1e-9"), (2, 1, 0, True), (True, False, 0, 1e-9)])
     def test_float_counts_and_seeds_raise_before_any_work(self, args, monkeypatch):
         monkeypatch.setattr(hudson, "stabilizer_blocks", lambda d: pytest.fail("states built before the check"))
         with pytest.raises(TypeError):
@@ -647,6 +648,28 @@ class TestStabilizerCertificate:
         assert verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0).passed
         assert rows == [2]
 
+    @pytest.mark.parametrize("d", [3, 7, 61, 211])
+    def test_lemma6_maxima_are_those_of_every_quadratic_row(self, d):
+        # the row theta = 0, x = 1 holds every entry of the quadratic rows, so
+        # its spread and offset are their maxima over all d^2 rows, exactly
+        m = np.abs(np.concatenate(list(stabilizer_blocks(d))[1:]))
+        report = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
+        assert report.lemma6_max_modulus_spread == float((m.max(axis=1) - m.min(axis=1)).max())
+        assert report.lemma6_max_modulus_offset == float(np.abs(m - 1.0 / math.sqrt(d)).max())
+
+    def test_stabilizer_pass_draws_two_blocks(self, monkeypatch):
+        blocks = hudson.stabilizer_blocks
+
+        def first_two(d):
+            family = blocks(d)
+            yield next(family)
+            yield next(family)
+            pytest.fail("verify_hudson drew a third stabilizer block")
+
+        monkeypatch.setattr(hudson, "stabilizer_blocks", first_two)
+        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
+        assert report.passed and report.stabilizer_count == 56
+
 
 def _perturbed_blocks(monkeypatch, block_index, row, change):
     """Make verify_hudson read stabilizer block block_index with change applied to its row."""
@@ -668,11 +691,6 @@ def _verify_keeping_every_message(monkeypatch, d=7):
     return verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
 
 
-def _orbit_breakers(report):
-    """The stabilizer indices whose Clifford-orbit law failed."""
-    return [int(m.split()[1]) for m in report.failures if "breaks the Clifford-orbit law" in m]
-
-
 def _add(amp):
     amp[1] += 1e-6
     return amp
@@ -689,36 +707,18 @@ def _nan(amp):
 
 
 class TestStabilizerFaultInjection:
-    """verify_hudson computes grids for |0> (stabilizer 0) and the uniform
-    state (stabilizer d) only; every other row is caught by its O(d) residual
-    against the Clifford orbit of its base."""
-
-    @pytest.mark.parametrize(
-        "block_index,row,change",
-        [(0, 3, _add), (2, 1, _add), (7, 6, _add), (2, 1, _turn), (7, 6, _turn), (3, 0, _add), (3, 0, _turn)],
-    )
-    def test_perturbed_row_breaks_the_orbit_law(self, monkeypatch, block_index, row, change):
-        # row 0 of block 3 is the representative of theta = 2: no grid sees it
-        _perturbed_blocks(monkeypatch, block_index, row, change)
-        report = _verify_keeping_every_message(monkeypatch)
-        assert report.passed is False and report.failures_total >= 1
-        idx = 7 * block_index + row
-        assert report.failures[0].startswith(f"stabilizer {idx} breaks the Clifford-orbit law of its base by ")
-        assert _orbit_breakers(report) == [idx]
-        if change is _turn:  # moduli unchanged: nothing but the orbit law sees it
-            assert report.failures_total == 1
-        assert report.stabilizer_line_deviation <= 1e-12
+    """verify_hudson reads |0> (stabilizer 0) and the uniform state
+    (stabilizer d) for the grids, and stabilizer d + 1 for the lemma
+    statistics of the quadratic rows; a fault in a base reaches every row
+    of its family."""
 
     @pytest.mark.parametrize("block_index,change", [(0, _add), (1, _add), (1, _turn)])
     def test_perturbed_representative_is_off_its_line(self, monkeypatch, block_index, change):
-        # a base: its own grid leaves its line, and every other row of its
-        # orbit breaks the orbit law against it
         _perturbed_blocks(monkeypatch, block_index, 0, change)
         report = _verify_keeping_every_message(monkeypatch)
         assert report.passed is False
         assert report.stabilizer_line_deviation > 1e-12
         assert report.failures[0].startswith(f"stabilizer {7 * block_index} is off its exact Wigner line by ")
-        assert _orbit_breakers(report) == (list(range(1, 7)) if block_index == 0 else list(range(8, 56)))
 
     @pytest.mark.parametrize("block_index", [0, 1])
     def test_nan_in_a_base_fails_the_run(self, monkeypatch, block_index):
@@ -730,11 +730,11 @@ class TestStabilizerFaultInjection:
 
     @pytest.mark.parametrize("block_index", [0, 3])
     def test_negative_block_reports_each_row_where_its_own_grid_dips(self, monkeypatch, block_index):
-        # the rows built by the orbit law from a perturbed base: block 0 from
-        # |0> by shifts; block 3, with the whole quadratic family, from the
-        # uniform state by chirps and boosts. Each row carries its base's
-        # minimum at the base's argmin moved along q, or sheared and moved
-        # along p, which must be the row's own FFT argmin.
+        # the family rebuilt from a perturbed base by the Clifford orbit:
+        # block 0 from |0> by shifts; block 3, with the whole quadratic
+        # family, from the uniform state by chirps and boosts. Each row carries
+        # its base's minimum at the base's argmin moved along q, or sheared and
+        # moved along p, which must be the row's own FFT argmin.
         d = 7
         q = np.arange(d)
         family = list(hudson.stabilizer_blocks(d))
@@ -748,7 +748,6 @@ class TestStabilizerFaultInjection:
                 family[theta + 1] = np.exp(2j * np.pi * (q[:, None] * q + theta * q * q) / d) * amp
         monkeypatch.setattr(hudson, "stabilizer_blocks", lambda d: iter(family))
         report = _verify_keeping_every_message(monkeypatch, d)
-        assert _orbit_breakers(report) == []
         rows = np.concatenate(family)
         rebuilt = range(d) if base == 0 else range(d, d * (d + 1))
         dips = [m for m in report.failures if "Wigner minimum" in m]
@@ -759,24 +758,14 @@ class TestStabilizerFaultInjection:
             assert message.endswith(f" at {where}")
             assert abs(float(_FLOAT.findall(message)[0]) - value) <= 1e-12
 
-    def test_block_of_another_theta_breaks_the_orbit_law(self, monkeypatch):
-        # block theta = 2 holds the states of theta = 3: each row is a
-        # stabilizer state with flat moduli, so only the orbit law sees it
-        blocks = hudson.stabilizer_blocks
-
-        def mislabelled(d):
-            family = list(blocks(d))
-            family[3] = family[4]
-            return family
-
-        monkeypatch.setattr(hudson, "stabilizer_blocks", mislabelled)
-        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
-        assert report.passed is False and report.failures_total == 7
-        assert _orbit_breakers(report) == list(range(21, 28))
-        assert report.stabilizer_line_deviation <= 1e-12
-
 
 class TestSinglePointInfeasibility:
     @pytest.mark.parametrize("dim", DIMS)
     def test_point_mass_is_infeasible(self, dim):
         assert single_point_infeasibility(dim)
+
+    def test_positive_semidefinite_operator_is_not_certified(self, monkeypatch):
+        # I/d takes no negative value on the witness, so the step must say False
+        monkeypatch.setattr(hudson, "operator_from_wigner",
+                            lambda grid: DenseOperator(grid.dim, np.eye(grid.dim.d) / grid.dim.d))
+        assert single_point_infeasibility(PrimeDim(7)) is False

@@ -30,7 +30,7 @@ class TestPrimeDim:
 
     def test_rejects_non_integer(self):
         for bad, kind in [("3", "str"), (3.0, "float"), (True, "bool"), (np.float64(5), "float64")]:
-            with pytest.raises(ValueError, match=f"d must be an integer, got {kind}$"):
+            with pytest.raises(TypeError, match=f"d must be an integer, got {kind}$"):
                 PrimeDim(bad)
 
     def test_all_points_covers_grid(self):
