@@ -17,8 +17,9 @@ handed back to the system and faulted in again.
     point-mass step included), at d = 101, 401, 601 and 1009;
   * at d = 61, on one block of 1000 Haar rows: the grid minima of the whole
     block at once, the grid minima in verify's row chunks (through one reused
-    workspace), and the sample-overlap step, which
-    decides for each row whether it matches a stabilizer state;
+    workspace), the same chunks through verify's float32 screen
+    (hudson._sample_minima, in a tree that has it), and the sample-overlap
+    step, which decides for each row whether it matches a stabilizer state;
   * at d = 7 and 61, the seeded samplers that draw verify's blocks:
     1000 Haar rows (hudson._haar_rows) and 100 two-point rows
     (hudson._two_point_rows), seeding included.
@@ -53,7 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 5
 VERIFY_DIMS = (3, 5, 7, 31, 61, 101, 401)
 STABILIZER_PASS_DIMS = (101, 401, 601, 1009)
-SAMPLES, TWO_POINT, SEED = 1000, 100, 7
+SAMPLES, TWO_POINT, SEED, TOL = 1000, 100, 7, 1e-9
 KERNEL_D, KERNEL_ROWS = 61, 1000
 SAMPLER_DIMS = (7, 61)
 
@@ -83,7 +84,10 @@ def sampler(hudson, name: str, d: int, stream: int, n: int):
 def kernels(ps) -> dict:
     """The per-sample kernels on one block of KERNEL_ROWS Haar rows at KERNEL_D:
     the grid minima of the whole block, the same in verify's row chunks through
-    one reused workspace, and verify's stabilizer-match step."""
+    one reused workspace, those chunks through the float32 screen with verify's
+    running maximum and default tol, and verify's stabilizer-match step."""
+    import math
+
     import numpy as np
 
     hudson, wigner = ps.hudson, ps.wigner
@@ -95,10 +99,20 @@ def kernels(ps) -> dict:
     def chunked_minima():
         return [wigner.wigner_block(amps[rows], out=work).min(axis=(1, 2)) for rows in chunks]
 
+    def screened_chunk_minima():
+        beta, best = hudson._screen_bound(KERNEL_D), -math.inf
+        for rows in chunks:
+            best = max(best, float(hudson._sample_minima(amps[rows], work, min(best, -TOL), beta).max()))
+        return best
+
     assert not np.any(hudson._stabilizer_matches(amps))
-    return {"wigner_minima": timed(lambda: wigner.wigner_block(amps).min(axis=(1, 2))),
-            "chunked_minima": timed(chunked_minima),
-            "sample_overlap_step": timed(lambda: hudson._stabilizer_matches(amps))}
+    cases = {"wigner_minima": timed(lambda: wigner.wigner_block(amps).min(axis=(1, 2))),
+             "chunked_minima": timed(chunked_minima)}
+    if hasattr(hudson, "_sample_minima"):
+        assert screened_chunk_minima() == max(float(m.max()) for m in chunked_minima())
+        cases["screened_chunk_minima"] = timed(screened_chunk_minima)
+    cases["sample_overlap_step"] = timed(lambda: hudson._stabilizer_matches(amps))
+    return cases
 
 
 def samplers(ps) -> dict:

@@ -47,6 +47,49 @@ Indices lie in [0, 2^32): verify_hudson rejects a sample count above 2^32,
 and haar_sample and two_point_sample raise ValueError past it, as they do
 for a negative seed or index.
 
+The sample minima are screened in float32 (_sample_minima). Only two facts of
+a stream's float64 minima reach the report: which rows are at least -tol (the
+failures) and the largest of them. So every chunk after a stream's first gets
+its grids in float32 first, and is recomputed in float64, by the same
+wigner_block(amps, out=work) call, only when the float32 minima m32 cannot
+prove that max m32 + beta(d) lies below both -tol and the largest float64
+minimum of the stream so far; otherwise every row's float64 minimum is below
+both, and the chunk neither fails nor moves the maximum. The first chunk
+always runs in float64, since it sets the first maximum, so at d <= 7, where
+each stream is one chunk, nothing runs in float32. The report is therefore
+bit for bit the one all-float64 chunks give. At d = 61 verify computes 63
+of its 65 sample chunks in float32 and 6 to 11 in float64, the two first
+chunks among them (seeds 1, 7 and 42).
+
+beta(d) (_screen_bound) bounds |W32 - W64| on every grid entry of a sample
+row, so |min W32 - min W64| <= beta(d) too. It is derived with Higham's model
+(Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1):
+fl(x op y) = (x op y)(1 + delta) with |delta| <= u, u = 2^-24 in float32 and
+2^-53 in float64, and gamma_n = n u / (1 - n u). One entry is sum_j P_j F_j
+over d + 1 reals: P holds the (Re, Im) pairs of the lags L(q, u), F a column
+of wigner._real_dft(d, ...). Compare both precisions with that sum taken
+exactly on the float64 factor:
+
+  * the terms are small: |F_j| <= 2/d, |Re L| + |Im L| <= sqrt(2) |L|, and by
+    Cauchy-Schwarz sum_u |L(q, u)| <= |psi|^2 <= s, the largest squared norm
+    a row of qudit.normalize_rows can have, (1 + NORM_TOL) / (1 - gamma_2d);
+    so sum_j |P_j F_j| <= 2 sqrt(2) s / d;
+  * float32 rounds the amplitudes and then the complex product, a relative
+    (1 + u)^2 (1 + sqrt(2) gamma_2) - 1 on each lag, about (2 + 2 sqrt(2)) u;
+    it rounds the factor, u, and its sum of d + 1 terms adds gamma_{d+1}
+    (for any order of summation, blocked or fused);
+  * float64 starts from exact amplitudes and factor: a relative
+    (1 + sqrt(2) gamma_2)(1 + gamma_{d+1}) - 1;
+  * underflow, outside the model, adds at most 2^-150 to a float32 product
+    or conversion, (d + 16) 2^-150 to an entry in all;
+  * the bound itself is evaluated in float64 without cancellation, and a
+    factor 1 + 2^-40 covers its own rounding.
+
+The errors of the two sides add: beta(d) is about 2 sqrt(2)(1 + 7/d) u32,
+1.9e-7 at d = 61 and 1.7e-7 at d = 401, and at most 5.6e-7, at d = 3. The
+measured |min W32 - min W64| is about 2e-9 at d = 61 and 4e-10 at d = 401,
+while one chunk's minima at d = 61 spread over about 2e-3.
+
 A sample matches a stabilizer state when its stabilizer_overlaps value is at
 least 1 - STABILIZER_MATCH_TOL. That value costs a chirp DFT, O(d^3) per
 sample, so an O(d) bound comes first: a quadratic-phase state has modulus
@@ -94,7 +137,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .clifford import stabilizer_blocks, stabilizer_overlaps
-from .qudit import StateVector, normalize_rows
+from .qudit import NORM_TOL, StateVector, normalize_rows
 from .wigner import (
     KIND_WIGNER,
     PhaseGrid,
@@ -152,6 +195,45 @@ def _stabilizer_matches(amps: np.ndarray) -> np.ndarray:
     if gated.any():
         matched[gated] = stabilizer_overlaps(amps[gated]) >= threshold
     return matched
+
+
+def _screen_bound(d: int) -> float:
+    """beta(d): a bound on |W32 - W64| over every grid entry of a sample row,
+    wigner_block on the row as complex64 against complex128 (see the module
+    docstring for the derivation)."""
+    u, v = 2.0**-24, 2.0**-53  # unit roundoff of float32 and float64
+
+    def gamma(n: int, r: float) -> float:
+        return n * r / (1 - n * r)
+
+    def compound(*errors: float) -> float:
+        """(1 + e_1)(1 + e_2)... - 1, evaluated without cancellation."""
+        return math.expm1(sum(map(math.log1p, errors)))
+
+    # float32: the two rounded amplitudes, the complex product, the rounded
+    # factor, the sum of d + 1 terms; float64: the last two but the factor's
+    single = compound(u, u, math.sqrt(2) * gamma(2, u), u, gamma(d + 1, u))
+    double = compound(math.sqrt(2) * gamma(2, v), gamma(d + 1, v))
+    norm = (1 + NORM_TOL) / (1 - gamma(2 * d, v))
+    bound = 2 * math.sqrt(2) / d * norm * (single + double) + (d + 16) * 2.0**-150
+    # every step above has a relative error of at most about 2^-53, and there
+    # are fewer than 40 of them
+    return bound * (1 + 2.0**-40)
+
+
+def _sample_minima(amps: np.ndarray, work: np.ndarray, ceiling: float, beta: float) -> np.ndarray:
+    """Per row of a sample chunk, its float64 Wigner minimum, or an upper
+    bound on it below ceiling: wigner_block(amps, out=work) runs in float64
+    unless the float32 minima m32 prove max m32 + beta < ceiling, and then
+    m32 + beta, in float64, is returned. verify_hudson passes min(-tol, the
+    stream's largest minimum so far), so a screened chunk neither fails nor
+    moves the maximum, and -inf for the first chunk, which the screen can
+    never skip (module docstring)."""
+    if ceiling > -math.inf:
+        bounds = wigner_block(amps.astype(np.complex64), out=work).min(axis=(1, 2)).astype(np.float64) + beta
+        if bounds.max() < ceiling:  # written so that NaN falls through to float64
+            return bounds
+    return wigner_block(amps, out=work).min(axis=(1, 2))
 
 
 def support_rows(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,6 +497,7 @@ def verify_hudson(
     d = dim.d
     # one Wigner workspace for the largest sample chunk handed out below
     work = wigner_workspace(min(_chunk_rows(d), max(samples, two_point_samples)), d)
+    beta = _screen_bound(d)
 
     # Two rows of the first two blocks stand for the whole family (see the
     # module docstring): the bases |0> and uniform get a grid, and |0> and the
@@ -481,7 +564,7 @@ def verify_hudson(
     random_max_min = -math.inf
     for indices, words in _seeded_chunks(samples, d, seed, _HAAR_STREAM):
         amps = _haar_rows(d, words)
-        minima = wigner_block(amps, out=work).min(axis=(1, 2))
+        minima = _sample_minima(amps, work, min(random_max_min, -tol), beta)
         nonneg = minima >= -tol
         matched = _stabilizer_matches(amps)
         random_max_min = max(random_max_min, float(minima.max()))
@@ -496,7 +579,7 @@ def verify_hudson(
     two_point_all_negative = True
     two_point_max_min = -math.inf
     for indices, words in _seeded_chunks(two_point_samples, d, seed, _TWO_POINT_STREAM):
-        minima = wigner_block(_two_point_rows(d, words), out=work).min(axis=(1, 2))
+        minima = _sample_minima(_two_point_rows(d, words), work, min(two_point_max_min, -tol), beta)
         nonneg = minima >= -tol
         two_point_max_min = max(two_point_max_min, float(minima.max()))
         two_point_all_negative = two_point_all_negative and not nonneg.any()

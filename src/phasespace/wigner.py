@@ -34,6 +34,14 @@ of it; without out it allocates one for the block. hudson.verify_hudson
 allocates one workspace per call for its largest sample chunk and reuses it
 for every chunk. wigner_pure is the n = 1 case.
 
+wigner_block takes its precision from its input. A complex128 block (and any
+other but complex64) runs in float64: complex128 lag products, a float64
+factor, dgemm. A complex64 block runs in float32 throughout: complex64 lag
+products, a float32 copy of the factor, sgemm, float32 grids. Both write into
+the same float64 workspace, the float32 block through a float32 view of it,
+so one workspace serves both and the float32 block uses half its bytes.
+hudson.verify_hudson screens its sample chunks in float32 this way.
+
 Covariance (checked against wigner_pure of the transformed state for every
 v and every S at d = 3 and 5 by acceptance criteria 4 and 5;
 metaplectic_image_grid computes the second):
@@ -154,25 +162,28 @@ def lag_products(amps: np.ndarray) -> np.ndarray:
     return ahead * behind
 
 
-@lru_cache(maxsize=1)
-def _real_dft(d: int) -> np.ndarray:
-    """The real right factor of wigner_block, (d + 1) x d: row 2u holds
-    c_u cos(4 pi p u / d) / d and row 2u + 1 holds c_u sin(4 pi p u / d) / d,
-    with c_0 = 1 and c_u = 2 above. One gather from the (cos, sin) pairs of
-    omega_table on the residues 2 u p mod d. Only the last d is kept: at
-    d = 2003 the factor is 32 MB.
+@lru_cache(maxsize=2)
+def _real_dft(d: int, dtype: type) -> np.ndarray:
+    """The real right factor of wigner_block, (d + 1) x d, in dtype (float64,
+    or float32 for a complex64 block): row 2u holds c_u cos(4 pi p u / d) / d
+    and row 2u + 1 holds c_u sin(4 pi p u / d) / d, with c_0 = 1 and c_u = 2
+    above. One gather from the (cos, sin) pairs of omega_table on the residues
+    2 u p mod d, in float64; the float32 factor is that one rounded. Two are
+    kept, both dtypes at one d: at d = 2003 the float64 factor is 32 MB.
     """
     u = np.arange(d + 1) // 2
     pairs = omega_table(d).view(np.float64)  # [2 k], [2 k + 1] -> cos, sin of 2 pi k / d
     factor = pairs[2 * (2 * u[:, None] * np.arange(d) % d) + np.arange(d + 1)[:, None] % 2]
     factor *= np.where(u > 0, 2.0, 1.0)[:, None] / d
+    factor = factor.astype(dtype, copy=False)
     factor.setflags(write=False)
     return factor
 
 
 def wigner_workspace(n: int, d: int) -> np.ndarray:
     """Scratch for wigner_block(amps, out=...) on blocks of up to n rows of
-    length d: n d (d + 1) reals for the lag pairs, then n d^2 for the grids."""
+    length d: n d (d + 1) float64 reals for the lag pairs, then n d^2 for the
+    grids. A complex64 block reads it as float32, so fits in its first half."""
     return np.empty(n * d * (2 * d + 1))
 
 
@@ -183,20 +194,28 @@ def wigner_block(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     reals, times _real_dft(d): one real matrix product for the block.
     The Im L(q, 0) column meets a zero sine row.
 
+    A complex64 block gets float32 grids, from complex64 lag products and
+    sgemm; every other block gets float64 grids, from complex128 lag products
+    and dgemm (see the module docstring).
+
     The lag pairs and the grids are written into the front of out, a
-    wigner_workspace for at least n rows (by default a new one for n), and
-    the grids returned are a view of it, overwritten by the next call on the
-    same workspace.
+    wigner_workspace for at least n rows (by default a new one for n), read
+    as float32 for a complex64 block, and the grids returned are a view of
+    it, overwritten by the next call on the same workspace.
     """
     n, d = amps.shape
     if out is None:
         out = wigner_workspace(n, d)
+    if amps.dtype == np.complex64:
+        out, real, lags = out.view(np.float32), np.float32, np.complex64
+    else:
+        real, lags = np.float64, np.complex128
     split = n * d * (d + 1)
     # a workspace for fewer rows fails these reshapes with ValueError
     pairs = out[:split].reshape(n * d, d + 1)
-    np.multiply(*_lag_factors(amps), out=pairs.view(complex).reshape(n, d, (d + 1) // 2))
+    np.multiply(*_lag_factors(amps), out=pairs.view(lags).reshape(n, d, (d + 1) // 2))
     grids = out[split:split + n * d * d].reshape(n * d, d)
-    np.matmul(pairs, _real_dft(d), out=grids)
+    np.matmul(pairs, _real_dft(d, real), out=grids)
     return grids.reshape(n, d, d)
 
 

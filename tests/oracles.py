@@ -6,8 +6,9 @@ object the package computes another way (weyl builds w(p, q) entrywise; the
 Fourier predicates never form a circulant matrix; the Wigner kernels use one
 real matrix product over half the lags, not complex arithmetic over all of them),
 or a helper that only the tests need (all_points, act, compose,
-translated_grid, haar_rows, two_point_rows, wigner_minima). Phase-space
-points are (p, q) tuples of ints.
+translated_grid, haar_rows, two_point_rows, wigner_minima). chunked_minima
+replays verify_hudson's sample minima all in float64, as verify computed
+them before its float32 screen. Phase-space points are (p, q) tuples of ints.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from phasespace import CyclicFunction, DenseOperator, PrimeDim, SymplecticMatrix, hudson, omega_table
 from phasespace.bochner import PREDICATE_TOL
 from phasespace.qudit import dft_matrix
-from phasespace.wigner import wigner_block
+from phasespace.wigner import wigner_block, wigner_workspace
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]
@@ -159,3 +160,18 @@ def complex_wigner_block(amps: np.ndarray) -> np.ndarray:
     x = np.arange(d)[None, :]
     lags = amps[:, (q + h * x) % d] * np.conj(amps[:, (q - h * x) % d])  # [n, q, x]
     return (lags.reshape(n * d, d) @ dft_matrix(d)).reshape(n, d, d)
+
+
+def chunked_minima(d: int, samples: int, two_point: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 Wigner minima of verify_hudson's Haar and two-point
+    samples, every chunk computed as verify_hudson computed it before its
+    float32 screen: hudson._seeded_chunks, the chunk's rows, then
+    wigner_block(rows, out=work) on one workspace sized as verify sizes it."""
+    work = wigner_workspace(min(hudson._chunk_rows(d), max(samples, two_point)), d)
+    minima = []
+    for n, stream, rows in ((samples, hudson._HAAR_STREAM, hudson._haar_rows),
+                            (two_point, hudson._TWO_POINT_STREAM, hudson._two_point_rows)):
+        chunks = [wigner_block(rows(d, words), out=work).min(axis=(1, 2))
+                  for _, words in hudson._seeded_chunks(n, d, seed, stream)]
+        minima.append(np.concatenate(chunks) if chunks else np.empty(0))
+    return minima[0], minima[1]

@@ -23,6 +23,7 @@ from phasespace import (
     weyl,
 )
 from phasespace import hudson
+from phasespace.cli import MAX_D
 from phasespace.clifford import stabilizer_overlaps
 from phasespace.hudson import (
     MAX_FAILURE_MESSAGES,
@@ -35,7 +36,16 @@ from phasespace.hudson import (
 from phasespace.qudit import normalize_rows
 from phasespace.wigner import wigner_block
 
-from oracles import DIMS, PRIMES_TO_101, fft_wigner, haar_rows, stabilizer_stack, two_point_rows, wigner_minima
+from oracles import (
+    DIMS,
+    PRIMES_TO_101,
+    chunked_minima,
+    fft_wigner,
+    haar_rows,
+    stabilizer_stack,
+    two_point_rows,
+    wigner_minima,
+)
 
 
 def _block(states):
@@ -594,6 +604,160 @@ class TestVerifyAgainstPerStateReference:
         _assert_reports_match(got, want)
 
 
+def _screen_rows(d, kind, seed, n):
+    """n sample-like unit rows through normalize_rows: Haar or two-point rows
+    of seed, basis rows, or basis rows nudged by 10^-(3 + seed % 6) times a
+    Haar row, whose minima lie near zero."""
+    if kind == "haar":
+        return haar_rows(d, seed, range(n))
+    if kind == "two_point":
+        return two_point_rows(d, seed, range(n))
+    basis = np.eye(d, dtype=complex)[(seed + np.arange(n) * (d // n + 1)) % d]
+    if kind == "basis":
+        return normalize_rows(basis)
+    return normalize_rows(basis + 10.0 ** -(3 + seed % 6) * haar_rows(d, seed, range(n)))
+
+
+def _replayed_report(d, samples, seed, tol, two_point):
+    """verify_hudson's report with its sample fields taken from the all-float64
+    chunked replay; the samples match no stabilizer state."""
+    haar, pair = chunked_minima(d, samples, two_point, seed)
+    doc = verify_hudson(PrimeDim(d), 0, seed, tol, two_point_samples=0).to_dict()
+    failures = list(doc["failures"])
+    failures += [f"random sample {i} has Wigner minimum {m!r} >= -{tol!r}"
+                 for i, m in enumerate(haar.tolist()) if m >= -tol]
+    failures += [f"two-point sample {i} has Wigner minimum {m!r} >= -{tol!r}"
+                 for i, m in enumerate(pair.tolist()) if m >= -tol]
+    total = doc["failures_total"] + len(failures) - len(doc["failures"])
+    doc.update(random_samples=samples, random_all_negative=not (haar >= -tol).any(),
+               random_max_min_wigner=float(haar.max()) if samples else 0.0,
+               two_point_samples=two_point, two_point_all_negative=not (pair >= -tol).any(),
+               two_point_max_min_wigner=float(pair.max()) if two_point else 0.0,
+               failures=failures[:MAX_FAILURE_MESSAGES], failures_total=total, passed=total == 0)
+    return doc
+
+
+def _spy_blocks(monkeypatch):
+    """Record the amplitude block of every wigner_block call verify_hudson makes."""
+    blocks = []
+    grids = hudson.wigner_block
+
+    def spied(amps, **kwargs):
+        blocks.append(amps.copy())
+        return grids(amps, **kwargs)
+
+    monkeypatch.setattr(hudson, "wigner_block", spied)
+    return blocks
+
+
+class TestFloat32Screen:
+    """verify_hudson screens every sample chunk after a stream's first in
+    float32 and recomputes it in float64 unless max m32 + beta(d) is below
+    -tol and the stream's largest minimum so far; the report is the all-float64 one."""
+
+    @given(d=st.sampled_from(PRIMES_TO_101 + [211, 401]),
+           kind=st.sampled_from(["haar", "two_point", "basis", "nearly_basis"]),
+           seed=st.integers(0, 2**32))
+    @example(d=61, kind="haar", seed=7)
+    @example(d=3, kind="nearly_basis", seed=2)
+    @example(d=401, kind="two_point", seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_bound_covers_every_float32_entry(self, d, kind, seed):
+        amps = _screen_rows(d, kind, seed, 3)
+        beta = hudson._screen_bound(d)
+        double = wigner_block(amps)
+        single = wigner_block(amps.astype(np.complex64))
+        assert single.dtype == np.float32
+        assert np.abs(single - double).max() <= beta
+        assert np.abs(single.min(axis=(1, 2)) - double.min(axis=(1, 2))).max() <= beta
+
+    def test_bound_stays_far_inside_the_margins(self):
+        # the largest sampled minima lie about 0.2/d below zero (4.8e-4 at the cap)
+        primes = [p for p in range(3, MAX_D["verify"] + 1) if all(p % f for f in range(2, p))]
+        assert all(hudson._screen_bound(d) <= 1e-6 for d in primes)
+
+    @pytest.mark.parametrize("d,seed,samples,two_point", [
+        (31, 1, 1000, 100), (31, 42, 1000, 100), (61, 1, 1000, 100), (61, 7, 1000, 100),
+        (61, 42, 1000, 100), (101, 7, 1000, 100), (101, 3, 1000, 100), (211, 7, 300, 40),
+    ])
+    def test_report_equals_the_float64_replay(self, d, seed, samples, two_point):
+        want = _replayed_report(d, samples, seed, 1e-9, two_point)
+        assert want["passed"]
+        assert verify_hudson(PrimeDim(d), samples, seed, two_point_samples=two_point).to_dict() == want
+
+    @pytest.mark.parametrize("d,stream", [(31, 0), (61, 0), (61, 1), (101, 0), (211, 0), (211, 1)])
+    def test_tol_at_a_later_chunks_minimum_fails_with_the_float64_value(self, d, stream):
+        # -tol is exactly the largest float64 minimum of the fourth chunk, so
+        # that chunk fails, and the screen cannot decide it
+        samples, two_point, seed = (1000, 100, 5) if d < 211 else (300, 40, 5)
+        step = hudson._chunk_rows(d)
+        minima = chunked_minima(d, samples, two_point, seed)[stream]
+        tol = -float(minima[3 * step:4 * step].max())
+        want = _replayed_report(d, samples, seed, tol, two_point)
+        assert not want["passed"]
+        assert verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=two_point).to_dict() == want
+
+    def test_row_within_beta_of_tol_takes_the_float64_path(self, monkeypatch):
+        # Every row of the third chunk becomes one Haar row psi of the first
+        # two chunks, below their largest minimum, whose float32 minimum lies
+        # below its float64 one. With -tol at the float64 minimum, a screen
+        # without beta would skip the chunk; with beta it recomputes it and
+        # reports the float64 value.
+        d, seed, samples = 61, 7, 60
+        step = hudson._chunk_rows(d)
+        rows = haar_rows(d, seed, range(2 * step))
+        double = wigner_block(rows).min(axis=(1, 2))
+        single = wigner_block(rows.astype(np.complex64)).min(axis=(1, 2)).astype(np.float64)
+        assert np.abs(single - double).max() > 0  # the rounding the bound is for
+        candidates = np.flatnonzero((double < double.max()) & (single < double))
+        psi = int(candidates[np.argmax(double[candidates])])
+        tol = -float(double[psi])
+        assert single[psi] < -tol and single[psi] < double.max()
+        assert -tol - single[psi] <= hudson._screen_bound(d)
+        third = np.repeat(rows[psi:psi + 1], step, axis=0)
+        third_words = _seed_words(seed, _HAAR_STREAM, range(2 * step, 3 * step))
+        haar = hudson._haar_rows
+        monkeypatch.setattr(hudson, "_haar_rows", lambda d, words: (
+            third.copy() if np.array_equal(words, third_words) else haar(d, words)))
+        blocks = _spy_blocks(monkeypatch)
+        report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=0)
+        assert any(b.dtype == np.complex128 and np.array_equal(b, third) for b in blocks)
+        # the first message of the chunk (the list keeps MAX_FAILURE_MESSAGES)
+        value = float(double[psi])
+        assert f"random sample {2 * step} has Wigner minimum {value!r} >= -{tol!r}" in report.failures
+        assert repr(value) != repr(float(single[psi]))
+        assert report.failures_total >= step
+
+    def test_later_chunks_run_as_complex64_at_d61(self, monkeypatch):
+        d, seed = 61, 7
+        blocks = _spy_blocks(monkeypatch)
+        assert verify_hudson(PrimeDim(d), 1000, seed).passed
+        chunks = [rows(d, words) for stream, rows in ((_HAAR_STREAM, hudson._haar_rows),
+                                                      (hudson._TWO_POINT_STREAM, hudson._two_point_rows))
+                  for k, (_, words) in enumerate(hudson._seeded_chunks(1000 if stream == _HAAR_STREAM else 100,
+                                                                        d, seed, stream)) if k > 0]
+        screened = [b for b in blocks if b.dtype == np.complex64]
+        assert len(screened) == len(chunks) == 63
+        for block, rows in zip(screened, chunks):
+            assert np.array_equal(block, rows.astype(np.complex64))
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_no_complex64_block_runs_at_small_d(self, monkeypatch, d):
+        # at d <= 7 each stream is one chunk, which always runs in float64
+        blocks = _spy_blocks(monkeypatch)
+        assert verify_hudson(PrimeDim(d), 1000, 7).passed
+        assert len(blocks) == 3 and all(b.dtype == np.complex128 for b in blocks)
+
+    def test_nan_minima_fall_through_to_float64(self):
+        d = 61
+        amps = haar_rows(d, 1, range(4))
+        amps[2, 5] = np.nan
+        work = hudson.wigner_workspace(4, d)
+        minima = hudson._sample_minima(amps, work, -1e-3, hudson._screen_bound(d))
+        assert minima.dtype == np.float64 and np.isnan(minima[2])
+        assert np.array_equal(minima[[0, 1, 3]], wigner_block(amps[[0, 1, 3]]).min(axis=(1, 2)))
+
+
 class TestStabilizerCertificate:
     """The facts verify_hudson rests on when it computes only the grids of
     its two bases, |0> and the uniform state: every row's grid is its block
@@ -637,16 +801,9 @@ class TestStabilizerCertificate:
     @pytest.mark.parametrize("d", [3, 61, 257])
     def test_stabilizer_pass_computes_two_grids(self, monkeypatch, d):
         # from d = 257 on a sample chunk is one row; the two bases are one block
-        rows = []
-        grids = hudson.wigner_block
-
-        def spied(amps, **kwargs):
-            rows.append(len(amps))
-            return grids(amps, **kwargs)
-
-        monkeypatch.setattr(hudson, "wigner_block", spied)
+        blocks = _spy_blocks(monkeypatch)
         assert verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0).passed
-        assert rows == [2]
+        assert [len(b) for b in blocks] == [2]
 
     @pytest.mark.parametrize("d", [3, 7, 61, 211])
     def test_lemma6_maxima_are_those_of_every_quadratic_row(self, d):

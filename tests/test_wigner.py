@@ -30,7 +30,7 @@ from phasespace import (
 )
 from phasespace.clifford import stabilizer_blocks
 from phasespace import hudson
-from phasespace.wigner import operator_from_wigner, wigner_block, wigner_workspace
+from phasespace.wigner import _real_dft, operator_from_wigner, wigner_block, wigner_workspace
 
 from oracles import (
     DIMS,
@@ -308,6 +308,21 @@ class TestWignerWorkspace:
             assert np.abs(grids - complex_wigner_block(amps[rows]).real).max() <= 1e-12
             # a new workspace per call gives the same floats as the reused one
             assert np.array_equal(grids, wigner_block(amps[rows]))
+
+    @pytest.mark.parametrize("d", [3, 7, 61])
+    def test_complex64_block_reads_the_workspace_as_float32(self, d):
+        amps = np.concatenate([haar_rows(d, 2, range(5)), two_point_rows(d, 2, range(3))])
+        work = wigner_workspace(len(amps), d)
+        double = wigner_block(amps, out=work).copy()
+        single = wigner_block(amps.astype(np.complex64), out=work)
+        assert single.dtype == np.float32 and np.shares_memory(single, work)
+        assert np.array_equal(single, wigner_block(amps.astype(np.complex64)))
+        assert np.abs(single - double).max() <= hudson._screen_bound(d)
+        # the float32 block leaves nothing behind that the float64 one reads
+        assert np.array_equal(wigner_block(amps, out=work), double)
+        factor = _real_dft(d, np.float32)
+        assert factor.dtype == np.float32 and not factor.flags.writeable
+        assert np.array_equal(factor, _real_dft(d, np.float64).astype(np.float32))
 
     def test_calls_without_out_share_no_memory(self):
         amps = haar_rows(7, 2, range(3))
