@@ -2,7 +2,7 @@
 
 Usage:
 
-    python bench/bench_verify.py [--src DIR] [--label NAME] [--output PATH]
+    python bench/bench_verify.py [--src DIR] [--parent DIR] [--label NAME] [--output PATH]
 
 The script imports phasespace from DIR (default: src/ of this checkout),
 pins BLAS to one thread, and times each case with time.perf_counter. A case
@@ -12,24 +12,34 @@ cost this process (resource.getrusage), which show allocator churn: memory
 handed back to the system and faulted in again.
 
   * verify_hudson(PrimeDim(d), 1000 samples, seed 7, 100 two-point samples)
-    at d = 3, 5, 7, 31, 61, 101 and 401;
+    at d = 3, 5, 7, 31, 61, 101, 401 and 601 (601 is past the CLI cap);
   * the stabilizer pass alone, verify_hudson with both sample counts 0 (its
     point-mass step included), at d = 101, 401, 601 and 1009;
-  * at d = 61, on one block of 1000 Haar rows: the grid minima of the whole
+  * at d = 61, on one stream of 1000 Haar rows: the grid minima of the whole
     block at once, the grid minima in verify's row chunks (through one reused
-    workspace), the same chunks through verify's float32 screen
-    (hudson._sample_minima, in a tree that has it), and the sample-overlap
-    step, which decides for each row whether it matches a stabilizer state;
+    workspace), verify's own pass over the stream, which keeps its largest
+    float64 minimum (hudson._block_minima over its sample blocks, or in an
+    older tree the float32 chunk screen hudson._sample_minima), and the
+    sample-overlap step, which decides for each row whether it matches a
+    stabilizer state;
   * at d = 7 and 61, the seeded samplers that draw verify's blocks:
     1000 Haar rows (hudson._haar_rows) and 100 two-point rows
     (hudson._two_point_rows), seeding included.
 
 The results are stored under the key NAME in the output file (default
 BENCH_verify.json at the root of this checkout). Other keys already in the
-file are kept, so two trees can be recorded side by side, for example
+file are kept.
 
-    python bench/bench_verify.py --src ../parent/src --label parent
-    python bench/bench_verify.py --label change
+With --parent DIR a second tree, the parent, is imported from DIR into the
+same process, and every case runs on both trees in turn, call by call: the
+parent first on even repeats and the change first on odd ones, so that the
+host's slow and fast spells fall on both alike. The parent's results go
+under the key "parent", the change's under NAME, and each case of the change
+also records paired_ratio, the median over the repeats of its time over the
+parent's in the same repeat. For example
+
+    git archive HEAD~1 | tar -x -C ../parent
+    python bench/bench_verify.py --parent ../parent/src
 
 Each entry also records nproc and the numpy and Python versions.
 """
@@ -42,7 +52,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import importlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -51,28 +63,24 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-REPEATS = 5
-VERIFY_DIMS = (3, 5, 7, 31, 61, 101, 401)
+REPEATS = 7
+VERIFY_DIMS = (3, 5, 7, 31, 61, 101, 401, 601)
 STABILIZER_PASS_DIMS = (101, 401, 601, 1009)
 SAMPLES, TWO_POINT, SEED, TOL = 1000, 100, 7, 1e-9
 KERNEL_D, KERNEL_ROWS = 61, 1000
 SAMPLER_DIMS = (7, 61)
 
 
-def timed(fn) -> dict:
-    """One warm-up call, then REPEATS calls: the median and every wall time,
-    and the minor page faults and system CPU seconds of each call."""
-    fn()
-    times, faults, system = [], [], []
-    for _ in range(REPEATS):
-        before = resource.getrusage(resource.RUSAGE_SELF)
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-        after = resource.getrusage(resource.RUSAGE_SELF)
-        faults.append(after.ru_minflt - before.ru_minflt)
-        system.append(after.ru_stime - before.ru_stime)
-    return {"median_s": statistics.median(times), "times_s": times, "minor_faults": faults, "system_s": system}
+def load(src: Path):
+    """phasespace imported from src as modules of its own: those of an earlier
+    load leave sys.modules first, so that two trees live in one process."""
+    for name in [n for n in sys.modules if n == "phasespace" or n.startswith("phasespace.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src.resolve()))
+    try:
+        return importlib.import_module("phasespace")
+    finally:
+        sys.path.pop(0)
 
 
 def sampler(hudson, name: str, d: int, stream: int, n: int):
@@ -81,101 +89,135 @@ def sampler(hudson, name: str, d: int, stream: int, n: int):
     return lambda: rows(d, hudson._seed_words(SEED, stream, range(n)))
 
 
-def kernels(ps) -> dict:
-    """The per-sample kernels on one block of KERNEL_ROWS Haar rows at KERNEL_D:
-    the grid minima of the whole block, the same in verify's row chunks through
-    one reused workspace, those chunks through the float32 screen with verify's
-    running maximum and default tol, and verify's stabilizer-match step."""
-    import math
+def stream_minima(hudson, amps):
+    """A call of verify's pass over one stream of rows at TOL, returning the
+    stream's largest float64 minimum: _block_minima over its sample blocks,
+    or the float32 chunk screen of a tree from before it."""
+    n, d = amps.shape
+    work = hudson.wigner_workspace(min(hudson._chunk_rows(d), n), d)
+    beta = hudson._screen_bound(d)
+    if hasattr(hudson, "_block_minima"):
+        step = hudson._block_rows(d)
 
+        def run():
+            best = -math.inf
+            for i in range(0, n, step):
+                best = hudson._block_minima(amps[i:i + step], work, best, TOL, beta)[1]
+            return best
+    else:
+        step = hudson._chunk_rows(d)
+
+        def run():
+            best = -math.inf
+            for i in range(0, n, step):
+                best = max(best, float(hudson._sample_minima(amps[i:i + step], work, min(best, -TOL), beta).max()))
+            return best
+    return run
+
+
+def cases(ps) -> dict[tuple[str, ...], object]:
+    """Every case as (path in the output entry) -> call, for one tree."""
     import numpy as np
 
     hudson, wigner = ps.hudson, ps.wigner
+    out = {}
+    for d in VERIFY_DIMS:
+        dim = ps.PrimeDim(d)
+        out["verify_hudson", "by_d", str(d)] = (
+            lambda dim=dim: ps.verify_hudson(dim, SAMPLES, SEED, two_point_samples=TWO_POINT))
+    for d in STABILIZER_PASS_DIMS:
+        dim = ps.PrimeDim(d)
+        out["stabilizer_pass", "by_d", str(d)] = lambda dim=dim: ps.verify_hudson(dim, 0, SEED, two_point_samples=0)
+
+    kernels = f"kernels_d{KERNEL_D}_{KERNEL_ROWS}_haar_rows"
     amps = sampler(hudson, "_haar_rows", KERNEL_D, hudson._HAAR_STREAM, KERNEL_ROWS)()
     step = hudson._chunk_rows(KERNEL_D)
-    chunks = [slice(i, i + step) for i in range(0, KERNEL_ROWS, step)]
     work = wigner.wigner_workspace(step, KERNEL_D)
 
     def chunked_minima():
-        return [wigner.wigner_block(amps[rows], out=work).min(axis=(1, 2)) for rows in chunks]
+        return [wigner.wigner_block(amps[i:i + step], out=work).min(axis=(1, 2)) for i in range(0, KERNEL_ROWS, step)]
 
-    def screened_chunk_minima():
-        beta, best = hudson._screen_bound(KERNEL_D), -math.inf
-        for rows in chunks:
-            best = max(best, float(hudson._sample_minima(amps[rows], work, min(best, -TOL), beta).max()))
-        return best
-
+    passed = stream_minima(hudson, amps)
+    assert passed() == max(float(m.max()) for m in chunked_minima())
     assert not np.any(hudson._stabilizer_matches(amps))
-    cases = {"wigner_minima": timed(lambda: wigner.wigner_block(amps).min(axis=(1, 2))),
-             "chunked_minima": timed(chunked_minima)}
-    if hasattr(hudson, "_sample_minima"):
-        assert screened_chunk_minima() == max(float(m.max()) for m in chunked_minima())
-        cases["screened_chunk_minima"] = timed(screened_chunk_minima)
-    cases["sample_overlap_step"] = timed(lambda: hudson._stabilizer_matches(amps))
-    return cases
+    out[kernels, "wigner_minima"] = lambda: wigner.wigner_block(amps).min(axis=(1, 2))
+    out[kernels, "chunked_minima"] = chunked_minima
+    out[kernels, "stream_minima"] = passed
+    out[kernels, "sample_overlap_step"] = lambda: hudson._stabilizer_matches(amps)
+
+    for d in SAMPLER_DIMS:
+        out["samplers_by_d", str(d), f"haar_rows_{SAMPLES}"] = sampler(
+            hudson, "_haar_rows", d, hudson._HAAR_STREAM, SAMPLES)
+        out["samplers_by_d", str(d), f"two_point_rows_{TWO_POINT}"] = sampler(
+            hudson, "_two_point_rows", d, hudson._TWO_POINT_STREAM, TWO_POINT)
+    return out
 
 
-def samplers(ps) -> dict:
-    """The Haar and two-point samplers on blocks of SAMPLES and TWO_POINT rows,
-    as verify_hudson draws them at small d (one chunk each)."""
-    hudson = ps.hudson
-    return {
-        str(d): {
-            f"haar_rows_{SAMPLES}": timed(sampler(hudson, "_haar_rows", d, hudson._HAAR_STREAM, SAMPLES)),
-            f"two_point_rows_{TWO_POINT}": timed(
-                sampler(hudson, "_two_point_rows", d, hudson._TWO_POINT_STREAM, TWO_POINT)),
-        }
-        for d in SAMPLER_DIMS
-    }
+def measure(calls: dict[str, object]) -> dict[str, dict]:
+    """One warm-up call per tree, then REPEATS rounds of one call per tree,
+    the trees in turn (reversed on odd rounds): per tree the median and every
+    wall time, and the minor page faults and system CPU seconds of each call."""
+    for fn in calls.values():
+        fn()
+    entries = {label: {"times_s": [], "minor_faults": [], "system_s": []} for label in calls}
+    for r in range(REPEATS):
+        for label in (list(calls) if r % 2 == 0 else list(calls)[::-1]):
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            start = time.perf_counter()
+            calls[label]()
+            entries[label]["times_s"].append(time.perf_counter() - start)
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            entries[label]["minor_faults"].append(after.ru_minflt - before.ru_minflt)
+            entries[label]["system_s"].append(after.ru_stime - before.ru_stime)
+    for entry in entries.values():
+        entry["median_s"] = statistics.median(entry["times_s"])
+    return entries
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory that holds phasespace/")
+    parser.add_argument("--parent", type=Path, default=None,
+                        help="directory that holds the parent's phasespace/, timed in turn with --src")
     parser.add_argument("--label", default="change", help="key of this run in the output file")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_verify.json")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
-    import phasespace as ps
 
-    verify = {}
-    for d in VERIFY_DIMS:
-        dim = ps.PrimeDim(d)
-        verify[str(d)] = timed(lambda: ps.verify_hudson(dim, SAMPLES, SEED, two_point_samples=TWO_POINT))
-        entry = verify[str(d)]
-        print(f"verify_hudson d = {d}: {entry['median_s']:.4f} s, minor faults {entry['minor_faults']},"
-              f" system {statistics.median(entry['system_s']):.4f} s", file=sys.stderr)
-    stabilizer_pass = {}
-    for d in STABILIZER_PASS_DIMS:
-        dim = ps.PrimeDim(d)
-        stabilizer_pass[str(d)] = timed(lambda: ps.verify_hudson(dim, 0, SEED, two_point_samples=0))
-        print(f"stabilizer pass d = {d}: {stabilizer_pass[str(d)]['median_s']:.4f} s", file=sys.stderr)
-    kernel = kernels(ps)
-    for name, entry in kernel.items():
-        print(f"{name} d = {KERNEL_D}, {KERNEL_ROWS} rows: {entry['median_s']:.4f} s", file=sys.stderr)
-    sampler = samplers(ps)
-    for d, entries in sampler.items():
-        for name, entry in entries.items():
-            print(f"{name} d = {d}: {entry['median_s']:.4f} s", file=sys.stderr)
+    trees = {"parent": load(args.parent)} if args.parent else {}
+    trees[args.label] = load(args.src)
+    calls = {label: cases(ps) for label, ps in trees.items()}
+    entries = {label: {} for label in trees}
+    for path, call in calls[args.label].items():
+        timed = measure({label: tree_calls[path] for label, tree_calls in calls.items() if path in tree_calls})
+        if len(timed) == 2:
+            pairs = zip(timed["parent"]["times_s"], timed[args.label]["times_s"])
+            timed[args.label]["paired_ratio"] = statistics.median(change / parent for parent, change in pairs)
+        for label, entry in timed.items():
+            node = entries[label]
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = entry
+        print("/".join(path) + ":", ", ".join(f"{label} {entry['median_s']:.4f} s" for label, entry in timed.items()),
+              f"(ratio {timed[args.label]['paired_ratio']:.3f})" if len(timed) == 2 else "",
+              f"minor faults {timed[args.label]['minor_faults']}", file=sys.stderr)
 
     doc = json.loads(args.output.read_text()) if args.output.exists() else {}
-    doc[args.label] = {
-        "machine": {
-            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-            "blas_threads": 1,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-        "repeats": REPEATS,
-        "verify_hudson": {
-            "samples": SAMPLES, "two_point_samples": TWO_POINT, "seed": SEED, "by_d": verify,
-        },
-        "stabilizer_pass": {"samples": 0, "two_point_samples": 0, "seed": SEED, "by_d": stabilizer_pass},
-        f"kernels_d{KERNEL_D}_{KERNEL_ROWS}_haar_rows": kernel,
-        "samplers_by_d": sampler,
-    }
+    for label, entry in entries.items():
+        entry["verify_hudson"].update(samples=SAMPLES, two_point_samples=TWO_POINT, seed=SEED)
+        entry["stabilizer_pass"].update(samples=0, two_point_samples=0, seed=SEED)
+        doc[label] = {
+            "machine": {
+                "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+                "blas_threads": 1,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+            },
+            "repeats": REPEATS,
+            "interleaved_with": [other for other in trees if other != label],
+            **entry,
+        }
     args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

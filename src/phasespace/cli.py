@@ -51,13 +51,14 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 #                so memory grows as d^3.
 #   metaplectic  d = 1009: JSON 4.5-4.9 s, 318 MB; CSV 4.3-4.4 s, 95 MB. The
 #                self-check is O(d^3), 0.8 s of it, so the artifact sets the cost.
-#   verify       d = 401: 1.3-1.8 s, 74 MB (BLAS on 1 thread). The stabilizer
-#                pass reads two blocks of the family and takes 0.05 s of it
-#                (0.5 s at d = 1009, mostly the point-mass inverse). The 1100
-#                samples take the rest, a real half-lag Wigner product each
-#                (O(d^3)), 1098 of them screened in float32 and 11-15 run in
-#                float64, with the chirp DFT of the overlap check skipped by
-#                its O(d) bound.
+#   verify       d = 401: 0.75-0.83 s, 75 MB (BLAS on 1 thread). The
+#                stabilizer pass reads two blocks of the family and takes
+#                0.03 s of it (0.3-0.4 s at d = 1009, mostly the point-mass
+#                inverse). The 1100 samples take the rest, a real half-lag
+#                Wigner product each (O(d^3)): float32 minima over q ranges
+#                bound 1098 of them, of which 102-128 reach the last range,
+#                and 8-9 run whole in float64, with the chirp DFT of the
+#                overlap check skipped by its O(d) bound.
 MAX_D = {"wigner": 2003, "stabilizers": 101, "metaplectic": 1009, "verify": 401}
 # Largest accepted --samples and --two-point: time grows linearly in the counts,
 # memory stays flat. Measured as above with both counts at the cap: d = 3

@@ -23,14 +23,15 @@ passes iff the count is zero.
 
 The battery runs on (n, d) amplitude blocks, one state per row: the two
 stabilizer bases, and the samples drawn from their per-index substreams.
-verify_hudson alone sets n for the samples: it hands the block kernels chunks
-of at most CHUNK_ELEMENTS / d^2 of them. The Wigner grids of every sample
-chunk, with their lag products, go into one wigner.wigner_workspace that
-verify_hudson allocates per call for the largest chunk and reuses: about 1 MB
-at d = 61, which would otherwise be handed back to the system at the end of
-each chunk and faulted in again by the next. clifford.stabilizer_overlaps and
-modulus_violations build temporaries of at most n d^2 entries for the block
-they are given. Each sample stream is hashed once per call (_seeded_chunks).
+verify_hudson alone sets n for the samples: it draws them in blocks of whole
+chunks, and hands the O(d^3) kernels chunks of at most CHUNK_ELEMENTS / d^2
+of them. The Wigner grids of every sample chunk or q range, with their lag
+products, go into one wigner.wigner_workspace that verify_hudson allocates
+per call for the largest chunk and reuses: about 1 MB at d = 61, which would
+otherwise be handed back to the system at the end of each chunk and faulted
+in again by the next. clifford.stabilizer_overlaps and modulus_violations
+build temporaries of at most n d^2 entries for the block they are given.
+Each sample stream is hashed once per call (_seeded_blocks).
 The per-index substreams are the package's one seeding scheme, and haar_sample
 and two_point_sample replay one sample as a StateVector, hashing its index.
 
@@ -47,19 +48,40 @@ Indices lie in [0, 2^32): verify_hudson rejects a sample count above 2^32,
 and haar_sample and two_point_sample raise ValueError past it, as they do
 for a negative seed or index.
 
-The sample minima are screened in float32 (_sample_minima). Only two facts of
-a stream's float64 minima reach the report: which rows are at least -tol (the
-failures) and the largest of them. So every chunk after a stream's first gets
-its grids in float32 first, and is recomputed in float64, by the same
-wigner_block(amps, out=work) call, only when the float32 minima m32 cannot
-prove that max m32 + beta(d) lies below both -tol and the largest float64
-minimum of the stream so far; otherwise every row's float64 minimum is below
-both, and the chunk neither fails nor moves the maximum. The first chunk
-always runs in float64, since it sets the first maximum, so at d <= 7, where
-each stream is one chunk, nothing runs in float32. The report is therefore
-bit for bit the one all-float64 chunks give. At d = 61 verify computes 63
-of its 65 sample chunks in float32 and 6 to 11 in float64, the two first
-chunks among them (seeds 1, 7 and 42).
+The sample minima are bounded in float32 and certified in float64
+(_block_minima). Only two facts of a stream's float64 minima reach the
+report: which rows are at least -tol (the failures) and the largest of them.
+verify_hudson draws each stream in blocks of whole chunks (_block_rows: 119
+rows, 7 chunks, at d = 61), and each block runs two phases.
+
+  * Bound. The float32 minima of a row are taken over the q ranges
+    [0, d/8), [d/8, d/4), [d/4, d/2) and [d/2, d) in turn (wigner._wigner_rows
+    on the one workspace), and its running upper bound min W32 + beta(d),
+    added in float64, is kept. A range runs only on the rows still open:
+    those whose bound still reaches ceiling = min(best, -tol), best being
+    the largest float64 minimum of the stream so far. A NaN bound stays open.
+  * Certify. A stream's first chunk runs whole in float64 before any bound,
+    since it sets the first best. After the ranges, while a row is open, the
+    chunk that holds the largest open bound runs whole in float64, and best
+    rises to its largest minimum.
+
+Every float64 minimum comes from wigner_block(amps[chunk], out=work) on one
+of the chunks _chunk_rows(d) cuts the stream into: the same call on the same
+rows as when every chunk ran in float64. A dropped row returns its bound, and
+it can neither fail nor be the maximum. Its float64 minimum is at most its
+bound, which lies below ceiling, so below -tol, and below the best of that
+moment, which only rises. So every row at least -tol stays open until its
+chunk runs in float64, and so does the row with the stream's largest
+minimum, whose bound is at least that minimum; the report is bit for bit the
+one all-float64 chunks give. A bound over some of the ranges is an upper
+bound already: the minimum over every q is at most the minimum over a part.
+
+At d <= 7 each stream is one chunk, so no bound runs. At d = 61 (seeds 1, 7
+and 42) the first range takes the 1,066 rows after the two first chunks, 110
+to 141 rows reach the last range, the float32 work is a third of the full
+grids, and 5 to 8 of the 65 chunks run in float64, the two first among them.
+At d = 401, 102 to 128 of the 1,100 rows reach the last range and 8 or 9
+one-row chunks run in float64.
 
 beta(d) (_screen_bound) bounds |W32 - W64| on every grid entry of a sample
 row, so |min W32 - min W64| <= beta(d) too. It is derived with Higham's model
@@ -85,10 +107,13 @@ exactly on the float64 factor:
   * the bound itself is evaluated in float64 without cancellation, and a
     factor 1 + 2^-40 covers its own rounding.
 
-The errors of the two sides add: beta(d) is about 2 sqrt(2)(1 + 7/d) u32,
-1.9e-7 at d = 61 and 1.7e-7 at d = 401, and at most 5.6e-7, at d = 3. The
-measured |min W32 - min W64| is about 2e-9 at d = 61 and 4e-10 at d = 401,
-while one chunk's minima at d = 61 spread over about 2e-3.
+A grid entry on a q range of wigner._wigner_rows is the same sum: the lag
+pairs of its row q against the same column of the factor, d + 1 terms, so
+beta(d) covers it however the product is blocked. The errors of the two
+sides add: beta(d) is about 2 sqrt(2)(1 + 7/d) u32, 1.9e-7 at d = 61 and
+1.7e-7 at d = 401, and at most 5.6e-7, at d = 3. The measured
+|min W32 - min W64| is about 2e-9 at d = 61 and 4e-10 at d = 401, while one
+chunk's minima at d = 61 spread over about 2e-3.
 
 A sample matches a stabilizer state when its stabilizer_overlaps value is at
 least 1 - STABILIZER_MATCH_TOL. That value costs a chirp DFT, O(d^3) per
@@ -141,6 +166,7 @@ from .qudit import NORM_TOL, StateVector, normalize_rows
 from .wigner import (
     KIND_WIGNER,
     PhaseGrid,
+    _wigner_rows,
     lag_products,
     operator_from_wigner,
     wigner_block,
@@ -166,6 +192,14 @@ def _chunk_rows(d: int) -> int:
     return max(1, CHUNK_ELEMENTS // (d * d))
 
 
+def _block_rows(d: int) -> int:
+    """The rows in one sample block at dimension d: the most whole chunks
+    whose amplitudes number at most CHUNK_ELEMENTS / 8 (128 KiB as
+    complex128), and at least one chunk. 119 rows (7 chunks) at d = 61."""
+    step = _chunk_rows(d)
+    return max(1, CHUNK_ELEMENTS // 8 // (step * d)) * step
+
+
 def modulus_violations(moduli: np.ndarray) -> np.ndarray:
     """For each row m of an (n, d) block of moduli, the number of pairs
     (q, x) with m(q)^2 < m(q - x) m(q + x) - LEMMA_TOL."""
@@ -187,13 +221,16 @@ def _overlap_bound(amps: np.ndarray) -> np.ndarray:
 def _stabilizer_matches(amps: np.ndarray) -> np.ndarray:
     """Per row of an (n, d) block, whether its stabilizer_overlaps value is at
     least 1 - STABILIZER_MATCH_TOL. The chirp DFT runs only on the rows whose
-    _overlap_bound, inflated by 4 d eps for rounding in both, reaches that."""
+    _overlap_bound, inflated by 4 d eps for rounding in both, reaches that,
+    at most _chunk_rows(d) of them per call."""
     n, d = amps.shape
     threshold = 1.0 - STABILIZER_MATCH_TOL
-    gated = _overlap_bound(amps) * (1.0 + 4 * d * np.finfo(float).eps) >= threshold
+    gated = np.flatnonzero(_overlap_bound(amps) * (1.0 + 4 * d * np.finfo(float).eps) >= threshold)
     matched = np.zeros(n, dtype=bool)
-    if gated.any():
-        matched[gated] = stabilizer_overlaps(amps[gated]) >= threshold
+    step = _chunk_rows(d)  # the chirp DFT builds (rows, d, d) temporaries
+    for i in range(0, len(gated), step):
+        rows = gated[i:i + step]
+        matched[rows] = stabilizer_overlaps(amps[rows]) >= threshold
     return matched
 
 
@@ -221,19 +258,47 @@ def _screen_bound(d: int) -> float:
     return bound * (1 + 2.0**-40)
 
 
-def _sample_minima(amps: np.ndarray, work: np.ndarray, ceiling: float, beta: float) -> np.ndarray:
-    """Per row of a sample chunk, its float64 Wigner minimum, or an upper
-    bound on it below ceiling: wigner_block(amps, out=work) runs in float64
-    unless the float32 minima m32 prove max m32 + beta < ceiling, and then
-    m32 + beta, in float64, is returned. verify_hudson passes min(-tol, the
-    stream's largest minimum so far), so a screened chunk neither fails nor
-    moves the maximum, and -inf for the first chunk, which the screen can
-    never skip (module docstring)."""
-    if ceiling > -math.inf:
-        bounds = wigner_block(amps.astype(np.complex64), out=work).min(axis=(1, 2)).astype(np.float64) + beta
-        if bounds.max() < ceiling:  # written so that NaN falls through to float64
-            return bounds
-    return wigner_block(amps, out=work).min(axis=(1, 2))
+def _block_minima(amps: np.ndarray, work: np.ndarray, best: float, tol: float,
+                  beta: float) -> tuple[np.ndarray, float]:
+    """Per row of a block of whole sample chunks, its float64 Wigner minimum,
+    or an upper bound on it below both -tol and the stream's largest float64
+    minimum; and that largest minimum, best before the block (-inf for a
+    stream's first block) and after it. The bound and certify phases, and why
+    a dropped row can neither fail nor be the maximum, are in the module
+    docstring."""
+    n, d = amps.shape
+    step = _chunk_rows(d)
+    minima = np.full(n, math.inf)  # upper bounds, exact once certified
+    certified = np.zeros(n, dtype=bool)
+
+    def certify(start: int) -> None:
+        nonlocal best
+        rows = slice(start, start + step)
+        minima[rows] = wigner_block(amps[rows], out=work).min(axis=(1, 2))
+        certified[rows] = True
+        best = max(best, float(minima[rows].max()))
+
+    def still_open() -> np.ndarray:
+        # written so that a NaN bound stays open
+        return np.flatnonzero(~certified & ~(minima < min(best, -tol)))
+
+    if best == -math.inf:  # a stream's first chunk sets the first best
+        certify(0)
+    # bound: the float32 minima of the open rows over four q ranges in turn
+    single = amps.astype(np.complex64)
+    edges = [d * k // 8 for k in (0, 1, 2, 4, 8)]
+    for start, stop in ((a, b) for a, b in zip(edges, edges[1:]) if b > a):
+        if not len(rows := still_open()):
+            break
+        batch = 2 * work.size // ((stop - start) * (2 * d + 1))  # rows whose range fits work as float32
+        for i in range(0, len(rows), batch):
+            part = rows[i:i + batch]
+            grids = _wigner_rows(single[part], start, stop, work)
+            minima[part] = np.minimum(minima[part], grids.min(axis=(1, 2)).astype(np.float64) + beta)
+    # certify: the chunk of the largest open bound, until none is open
+    while len(rows := still_open()):
+        certify(int(rows[np.argmax(minima[rows])]) // step * step)
+    return minima, best
 
 
 def support_rows(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,15 +411,15 @@ def _substream(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_words_type()(words)))
 
 
-def _seeded_chunks(n: int, d: int, seed: int, stream: int) -> Iterator[tuple[range, np.ndarray]]:
-    """range(n) of one sample stream in chunks of _chunk_rows(d) indices, as
-    (indices, words) pairs, words being the chunk's rows of _seed_words. The
-    words are hashed in blocks of whole chunks, at most CHUNK_ELEMENTS indices
-    (2 MiB) each: one block per stream at the default counts, flat memory."""
-    step = _chunk_rows(d)
-    block = CHUNK_ELEMENTS // step * step
-    for start in range(0, n, block):
-        indices = range(start, min(start + block, n))
+def _seeded_blocks(n: int, d: int, seed: int, stream: int) -> Iterator[tuple[range, np.ndarray]]:
+    """range(n) of one sample stream in blocks of _block_rows(d) indices, as
+    (indices, words) pairs, words being the block's rows of _seed_words. The
+    words are hashed in runs of whole blocks, at most CHUNK_ELEMENTS indices
+    (2 MiB) each: one run per stream at the default counts, flat memory."""
+    step = _block_rows(d)
+    run = max(1, CHUNK_ELEMENTS // step) * step
+    for start in range(0, n, run):
+        indices = range(start, min(start + run, n))
         words = _seed_words(seed, stream, indices)
         for i in range(0, len(indices), step):
             yield indices[i : i + step], words[i : i + step]
@@ -367,7 +432,12 @@ def _haar_rows(d: int, words: np.ndarray) -> np.ndarray:
     raw = np.empty((len(words), 2, d))
     for k, row in enumerate(words):
         _substream(row).standard_normal(out=raw[k])
-    return normalize_rows(raw[:, 0] + 1j * raw[:, 1])
+    # the same floats as raw[:, 0] + 1j * raw[:, 1], built in place, and raw
+    # let go before normalize_rows copies the block
+    amps = 1j * raw[:, 1]
+    amps += raw[:, 0]
+    del raw
+    return normalize_rows(amps)
 
 
 def _two_point_rows(d: int, words: np.ndarray) -> np.ndarray:
@@ -495,7 +565,8 @@ def verify_hudson(
         raise ValueError(f"seeds must be nonnegative, got {seed!r}")
     failures = _Failures()
     d = dim.d
-    # one Wigner workspace for the largest sample chunk handed out below
+    # one Wigner workspace for the largest sample chunk handed out below,
+    # which every q-range batch of the float32 bound fits too
     work = wigner_workspace(min(_chunk_rows(d), max(samples, two_point_samples)), d)
     beta = _screen_bound(d)
 
@@ -562,12 +633,11 @@ def verify_hudson(
     random_all_negative = True
     random_all_nonstabilizer = True
     random_max_min = -math.inf
-    for indices, words in _seeded_chunks(samples, d, seed, _HAAR_STREAM):
+    for indices, words in _seeded_blocks(samples, d, seed, _HAAR_STREAM):
         amps = _haar_rows(d, words)
-        minima = _sample_minima(amps, work, min(random_max_min, -tol), beta)
+        minima, random_max_min = _block_minima(amps, work, random_max_min, tol, beta)
         nonneg = minima >= -tol
         matched = _stabilizer_matches(amps)
-        random_max_min = max(random_max_min, float(minima.max()))
         random_all_negative = random_all_negative and not nonneg.any()
         random_all_nonstabilizer = random_all_nonstabilizer and not matched.any()
         for k in np.nonzero(nonneg | matched)[0].tolist():
@@ -578,10 +648,9 @@ def verify_hudson(
 
     two_point_all_negative = True
     two_point_max_min = -math.inf
-    for indices, words in _seeded_chunks(two_point_samples, d, seed, _TWO_POINT_STREAM):
-        minima = _sample_minima(_two_point_rows(d, words), work, min(two_point_max_min, -tol), beta)
+    for indices, words in _seeded_blocks(two_point_samples, d, seed, _TWO_POINT_STREAM):
+        minima, two_point_max_min = _block_minima(_two_point_rows(d, words), work, two_point_max_min, tol, beta)
         nonneg = minima >= -tol
-        two_point_max_min = max(two_point_max_min, float(minima.max()))
         two_point_all_negative = two_point_all_negative and not nonneg.any()
         for k in np.nonzero(nonneg)[0].tolist():
             failures.add(f"two-point sample {indices[k]} has Wigner minimum {float(minima[k])!r} >= -{tol!r}")

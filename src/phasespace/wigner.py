@@ -40,7 +40,10 @@ factor, dgemm. A complex64 block runs in float32 throughout: complex64 lag
 products, a float32 copy of the factor, sgemm, float32 grids. Both write into
 the same float64 workspace, the float32 block through a float32 view of it,
 so one workspace serves both and the float32 block uses half its bytes.
-hudson.verify_hudson screens its sample chunks in float32 this way.
+_wigner_rows computes the rows q in [start, stop) alone, the same lag pairs
+and product on those rows, into the front of the workspace;
+hudson.verify_hudson bounds its sample minima in float32 this way, one q
+range at a time.
 
 Covariance (checked against wigner_pure of the transformed state for every
 v and every S at d = 3 and 5 by acceptance criteria 4 and 5;
@@ -138,18 +141,22 @@ def operator_from_wigner(grid: PhaseGrid) -> DenseOperator:
     return DenseOperator(grid.dim, mat)
 
 
-def _lag_factors(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two (n, d, (d+1)/2) factors of lag_products: A[n, q + u] and
-    conj(A[n, q - u]), strided views into the rows repeated three times, so
-    that their product is one pass over the result with no gather."""
+def _lag_factors(amps: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two (n, stop - start, (d+1)/2) factors of lag_products on the rows
+    q in [start, stop): A[n, q + u] and conj(A[n, q - u]), strided views that
+    both step forward along u, so that their product is one pass with
+    contiguous inner loops and no gather. The first reads the rows written
+    twice; the second a conjugated window of the columns it reads, held
+    backwards from column stop - 1 down, so its q axis steps back."""
     n, d = amps.shape
     lags = (d + 1) // 2
-    tripled = np.concatenate([amps, amps, amps], axis=1)  # [n, d + j] -> A[n, j mod d]
-    row, col = tripled.strides
-    # both views start at column d; along u one steps forward, the other back
-    ahead = np.ndarray((n, d, lags), tripled.dtype, tripled, d * col, (row, col, col))
-    behind = np.ndarray((n, d, lags), tripled.dtype, np.conj(tripled), d * col, (row, col, -col))
-    return ahead, behind
+    rows, width = stop - start, stop - start + lags - 1
+    doubled = np.concatenate([amps, amps], axis=1)  # [n, k] -> A[n, k mod d]
+    # [n, j] -> conj A[n, stop - 1 - j], for j < width
+    behind = np.conjugate(doubled[:, stop - 1 + d:start + d - lags:-1])
+    row, col = doubled.strides
+    return (np.ndarray((n, rows, lags), doubled.dtype, doubled, start * col, (row, col, col)),
+            np.ndarray((n, rows, lags), behind.dtype, behind, (rows - 1) * col, (behind.strides[0], -col, col)))
 
 
 def lag_products(amps: np.ndarray) -> np.ndarray:
@@ -158,7 +165,7 @@ def lag_products(amps: np.ndarray) -> np.ndarray:
 
     For amplitudes this is the self-correlation K(q, x) at x = 2u.
     """
-    ahead, behind = _lag_factors(amps)
+    ahead, behind = _lag_factors(amps, 0, amps.shape[1])
     return ahead * behind
 
 
@@ -204,19 +211,28 @@ def wigner_block(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     it, overwritten by the next call on the same workspace.
     """
     n, d = amps.shape
-    if out is None:
-        out = wigner_workspace(n, d)
+    return _wigner_rows(amps, 0, d, wigner_workspace(n, d) if out is None else out)
+
+
+def _wigner_rows(amps: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """The rows q in [start, stop) of wigner_block(amps, out=out), indexed
+    [n, q - start, p]: the same lag pairs and the same real product, on
+    those rows alone. Each entry is the same sum of d + 1 terms as in the
+    whole grid. A block of n rows fills n (stop - start) (2d + 1) reals of
+    out, float64 or, for a complex64 block, float32."""
+    n, d = amps.shape
     if amps.dtype == np.complex64:
         out, real, lags = out.view(np.float32), np.float32, np.complex64
     else:
         real, lags = np.float64, np.complex128
-    split = n * d * (d + 1)
-    # a workspace for fewer rows fails these reshapes with ValueError
-    pairs = out[:split].reshape(n * d, d + 1)
-    np.multiply(*_lag_factors(amps), out=pairs.view(lags).reshape(n, d, (d + 1) // 2))
-    grids = out[split:split + n * d * d].reshape(n * d, d)
+    rows = n * (stop - start)
+    split = rows * (d + 1)
+    # a workspace too small for the block fails these reshapes with ValueError
+    pairs = out[:split].reshape(rows, d + 1)
+    np.multiply(*_lag_factors(amps, start, stop), out=pairs.view(lags).reshape(n, stop - start, (d + 1) // 2))
+    grids = out[split:split + rows * d].reshape(rows, d)
     np.matmul(pairs, _real_dft(d, real), out=grids)
-    return grids.reshape(n, d, d)
+    return grids.reshape(n, stop - start, d)
 
 
 def self_correlation(psi: StateVector) -> CorrelationTable:

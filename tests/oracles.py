@@ -165,13 +165,14 @@ def complex_wigner_block(amps: np.ndarray) -> np.ndarray:
 def chunked_minima(d: int, samples: int, two_point: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The float64 Wigner minima of verify_hudson's Haar and two-point
     samples, every chunk computed as verify_hudson computed it before its
-    float32 screen: hudson._seeded_chunks, the chunk's rows, then
+    float32 screen: each stream cut into chunks of hudson._chunk_rows(d)
+    indices, each chunk's rows drawn on their own, then
     wigner_block(rows, out=work) on one workspace sized as verify sizes it."""
-    work = wigner_workspace(min(hudson._chunk_rows(d), max(samples, two_point)), d)
+    step = hudson._chunk_rows(d)
+    work = wigner_workspace(min(step, max(samples, two_point)), d)
     minima = []
-    for n, stream, rows in ((samples, hudson._HAAR_STREAM, hudson._haar_rows),
-                            (two_point, hudson._TWO_POINT_STREAM, hudson._two_point_rows)):
-        chunks = [wigner_block(rows(d, words), out=work).min(axis=(1, 2))
-                  for _, words in hudson._seeded_chunks(n, d, seed, stream)]
+    for n, rows in ((samples, haar_rows), (two_point, two_point_rows)):
+        chunks = [wigner_block(rows(d, seed, range(i, min(i + step, n))), out=work).min(axis=(1, 2))
+                  for i in range(0, n, step)]
         minima.append(np.concatenate(chunks) if chunks else np.empty(0))
     return minima[0], minima[1]

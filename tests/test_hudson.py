@@ -272,14 +272,14 @@ class TestSampling:
         b = two_point_sample(dim, 42, 0)
         assert abs(np.vdot(a.amp, b.amp)) < 1 - 1e-6
 
-    def test_seeded_chunks_are_the_row_chunks_with_their_words(self):
-        # three hash blocks of 3,855 chunks of 17 rows, the last one short
-        d, n = 61, 2 * 65535 + 20
-        step = hudson._chunk_rows(d)
-        assert step == 17
-        got = list(hudson._seeded_chunks(n, d, 5, 1))
-        assert [(r.start, r.stop) for r, _ in got] == [(i, min(i + step, n)) for i in range(0, n, step)]
-        for indices, words in got[3853:3857] + got[-2:]:
+    def test_seeded_blocks_are_whole_chunks_with_their_words(self):
+        # three hash runs of 550 blocks of 7 chunks of 17 rows, the last one short
+        d, n = 61, 2 * 65450 + 20
+        step, block = hudson._chunk_rows(d), hudson._block_rows(d)
+        assert (step, block) == (17, 119)
+        got = list(hudson._seeded_blocks(n, d, 5, 1))
+        assert [(r.start, r.stop) for r, _ in got] == [(i, min(i + block, n)) for i in range(0, n, block)]
+        for indices, words in got[548:552] + got[-2:]:
             assert np.array_equal(words, _seed_words(5, 1, indices))
 
     def test_verify_hashes_each_stream_once(self, monkeypatch):
@@ -638,7 +638,8 @@ def _replayed_report(d, samples, seed, tol, two_point):
 
 
 def _spy_blocks(monkeypatch):
-    """Record the amplitude block of every wigner_block call verify_hudson makes."""
+    """Record the amplitude block of every wigner_block call verify_hudson
+    makes: the two bases, and each sample chunk it certifies in float64."""
     blocks = []
     grids = hudson.wigner_block
 
@@ -650,10 +651,44 @@ def _spy_blocks(monkeypatch):
     return blocks
 
 
+def _spy_ranges(monkeypatch):
+    """Record (rows, start, stop, range minima) of every q-range call of the
+    float32 bound: the complex64 rows, the q range and each row's float32
+    minimum over it."""
+    calls = []
+    grids = hudson._wigner_rows
+
+    def spied(amps, start, stop, out):
+        result = grids(amps, start, stop, out)
+        calls.append((amps.copy(), start, stop, result.min(axis=(1, 2))))
+        return result
+
+    monkeypatch.setattr(hudson, "_wigner_rows", spied)
+    return calls
+
+
+def _patched_haar_rows(monkeypatch, seed, change):
+    """Make every draw of Haar rows, in verify's blocks or the replay's chunks,
+    return change[i] as the row of each index i that change (a dict of index
+    -> row) holds, found by its substream words."""
+    haar = hudson._haar_rows
+    keyed = {i: _seed_words(seed, _HAAR_STREAM, [i])[0] for i in change}
+
+    def patched(d, words):
+        rows = haar(d, words)
+        for i, key in keyed.items():
+            rows[(words == key).all(axis=1)] = change[i]
+        return rows
+
+    monkeypatch.setattr(hudson, "_haar_rows", patched)
+
+
 class TestFloat32Screen:
-    """verify_hudson screens every sample chunk after a stream's first in
-    float32 and recomputes it in float64 unless max m32 + beta(d) is below
-    -tol and the stream's largest minimum so far; the report is the all-float64 one."""
+    """verify_hudson bounds every sample row after a stream's first chunk
+    by its float32 minima over four q ranges plus beta(d), drops the rows
+    whose bound falls below -tol and the stream's largest minimum so far,
+    and computes in float64, by whole chunks, those that stay open; the
+    report is the all-float64 one."""
 
     @given(d=st.sampled_from(PRIMES_TO_101 + [211, 401]),
            kind=st.sampled_from(["haar", "two_point", "basis", "nearly_basis"]),
@@ -679,6 +714,8 @@ class TestFloat32Screen:
     @pytest.mark.parametrize("d,seed,samples,two_point", [
         (31, 1, 1000, 100), (31, 42, 1000, 100), (61, 1, 1000, 100), (61, 7, 1000, 100),
         (61, 42, 1000, 100), (101, 7, 1000, 100), (101, 3, 1000, 100), (211, 7, 300, 40),
+        # streams that end with a chunk, inside one, with a block, inside one
+        (61, 7, 1, 1), (61, 7, 17, 17), (61, 7, 18, 18), (61, 7, 119, 119), (61, 7, 120, 120),
     ])
     def test_report_equals_the_float64_replay(self, d, seed, samples, two_point):
         want = _replayed_report(d, samples, seed, 1e-9, two_point)
@@ -700,9 +737,9 @@ class TestFloat32Screen:
     def test_row_within_beta_of_tol_takes_the_float64_path(self, monkeypatch):
         # Every row of the third chunk becomes one Haar row psi of the first
         # two chunks, below their largest minimum, whose float32 minimum lies
-        # below its float64 one. With -tol at the float64 minimum, a screen
-        # without beta would skip the chunk; with beta it recomputes it and
-        # reports the float64 value.
+        # below its float64 one. With -tol at the float64 minimum, a bound
+        # without beta would drop the rows; with beta they stay open, and the
+        # chunk is computed in float64 and reports the float64 value.
         d, seed, samples = 61, 7, 60
         step = hudson._chunk_rows(d)
         rows = haar_rows(d, seed, range(2 * step))
@@ -715,10 +752,7 @@ class TestFloat32Screen:
         assert single[psi] < -tol and single[psi] < double.max()
         assert -tol - single[psi] <= hudson._screen_bound(d)
         third = np.repeat(rows[psi:psi + 1], step, axis=0)
-        third_words = _seed_words(seed, _HAAR_STREAM, range(2 * step, 3 * step))
-        haar = hudson._haar_rows
-        monkeypatch.setattr(hudson, "_haar_rows", lambda d, words: (
-            third.copy() if np.array_equal(words, third_words) else haar(d, words)))
+        _patched_haar_rows(monkeypatch, seed, {i: rows[psi] for i in range(2 * step, 3 * step)})
         blocks = _spy_blocks(monkeypatch)
         report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=0)
         assert any(b.dtype == np.complex128 and np.array_equal(b, third) for b in blocks)
@@ -729,33 +763,104 @@ class TestFloat32Screen:
         assert report.failures_total >= step
 
     def test_later_chunks_run_as_complex64_at_d61(self, monkeypatch):
+        # the first q range takes every row after each stream's first chunk,
+        # as complex64; each later range only the rows still open
         d, seed = 61, 7
-        blocks = _spy_blocks(monkeypatch)
+        calls = _spy_ranges(monkeypatch)
         assert verify_hudson(PrimeDim(d), 1000, seed).passed
-        chunks = [rows(d, words) for stream, rows in ((_HAAR_STREAM, hudson._haar_rows),
-                                                      (hudson._TWO_POINT_STREAM, hudson._two_point_rows))
-                  for k, (_, words) in enumerate(hudson._seeded_chunks(1000 if stream == _HAAR_STREAM else 100,
-                                                                        d, seed, stream)) if k > 0]
-        screened = [b for b in blocks if b.dtype == np.complex64]
-        assert len(screened) == len(chunks) == 63
-        for block, rows in zip(screened, chunks):
-            assert np.array_equal(block, rows.astype(np.complex64))
+        step = hudson._chunk_rows(d)
+        later = np.concatenate([haar_rows(d, seed, range(step, 1000)), two_point_rows(d, seed, range(step, 100))])
+        first = [rows for rows, start, _, _ in calls if start == 0]
+        assert np.array_equal(np.concatenate(first), later.astype(np.complex64))
+        assert all(rows.dtype == np.complex64 for rows, _, _, _ in calls)
+        edges = [(0, 7), (7, 15), (15, 30), (30, 61)]
+        counts = [sum(len(rows) for rows, *q, _ in calls if tuple(q) == edge) for edge in edges]
+        assert counts[0] == 983 + 83 and counts == sorted(counts, reverse=True) and counts[-1] < counts[0] // 4
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_no_complex64_block_runs_at_small_d(self, monkeypatch, d):
         # at d <= 7 each stream is one chunk, which always runs in float64
-        blocks = _spy_blocks(monkeypatch)
+        blocks, calls = _spy_blocks(monkeypatch), _spy_ranges(monkeypatch)
         assert verify_hudson(PrimeDim(d), 1000, 7).passed
         assert len(blocks) == 3 and all(b.dtype == np.complex128 for b in blocks)
+        assert calls == []
 
-    def test_nan_minima_fall_through_to_float64(self):
+    def test_float64_grids_are_whole_chunks_at_d61(self, monkeypatch):
+        # past the two bases, every float64 grid is one of the chunks that
+        # _chunk_rows cuts a stream into, each stream's first chunk first:
+        # 5 of the 59 Haar chunks and 2 of the 6 two-point chunks at seed 7
+        d, seed = 61, 7
+        blocks = _spy_blocks(monkeypatch)
+        assert verify_hudson(PrimeDim(d), 1000, seed).passed
+        step = hudson._chunk_rows(d)
+        streams = (("haar", haar_rows(d, seed, range(1000))), ("two_point", two_point_rows(d, seed, range(100))))
+        chunks = [(name, k) for b in blocks[1:] for name, rows in streams
+                  for k in range(0, len(rows), step) if np.array_equal(b, rows[k:k + step])]
+        assert len(chunks) == len(blocks) - 1
+        assert chunks == [("haar", 0), ("haar", 51), ("haar", 323), ("haar", 646), ("haar", 714),
+                          ("two_point", 0), ("two_point", 51)]
+
+    def test_row_dipping_only_in_the_last_q_range_stays_open_to_it(self, monkeypatch):
+        # A two-point state on 49 and 51 has its only negative entries on the
+        # row q = 50, in [d/2, d): its bound stays above -tol through the first
+        # three ranges. Nearly a basis state, its minimum (about -3e-5) lies
+        # above every Haar minimum; with -tol there it fails, so its chunk must
+        # be computed in float64 after the last range.
+        d, seed, samples, index = 61, 7, 200, 130
+        psi = np.zeros(d, dtype=complex)
+        psi[[49, 51]] = [math.sqrt(1 - 1e-6), 1e-3j]
+        minimum = wigner_block(psi[None]).min(axis=(1, 2))
+        assert minimum[0] < 0 and np.flatnonzero(wigner_block(psi[None])[0].min(axis=1) < 0).tolist() == [50]
+        tol = -float(minimum[0])
+        _patched_haar_rows(monkeypatch, seed, {index: psi})
+        calls = _spy_ranges(monkeypatch)
+        report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=0).to_dict()
+        assert report == _replayed_report(d, samples, seed, tol, 0)
+        assert report["failures"][0].startswith(f"random sample {index} has Wigner minimum ")
+        ranges = [start for rows, start, _, _ in calls if (rows == psi.astype(np.complex64)).all(axis=1).any()]
+        assert ranges == [0, 7, 15, 30]
+
+    def test_dropped_rows_carry_their_float32_bound_in_float64(self, monkeypatch):
+        # each dropped row returns min W32 over the ranges it ran, plus beta,
+        # added in float64: below min(best, -tol) and at least its float64 minimum
+        d, tol = 61, 1e-9
+        step = hudson._chunk_rows(d)
+        amps = haar_rows(d, 3, range(hudson._block_rows(d)))
+        beta = hudson._screen_bound(d)
+        work = hudson.wigner_workspace(step, d)
+        blocks, calls = _spy_blocks(monkeypatch), _spy_ranges(monkeypatch)
+        minima, best = hudson._block_minima(amps, work, -math.inf, tol, beta)
+        exact = wigner_block(amps).min(axis=(1, 2))
+        single = amps.astype(np.complex64)
+        lowest = np.full(len(amps), np.inf, dtype=np.float32)
+        for rows, _, _, range_minima in calls:
+            at = [int(np.flatnonzero((single == row).all(axis=1))[0]) for row in rows]
+            lowest[at] = np.minimum(lowest[at], range_minima)
+        dropped = np.ones(len(amps), dtype=bool)
+        for block in blocks:
+            start = int(np.flatnonzero((amps == block[0]).all(axis=1))[0])
+            dropped[start:start + step] = False
+        assert best == float(exact.max()) and 0 < dropped.sum() < len(amps) - step
+        assert np.all(minima[dropped] < min(best, -tol))
+        assert np.array_equal(minima[dropped], lowest[dropped].astype(np.float64) + beta)
+        assert np.all(minima[dropped] >= exact[dropped])
+        assert np.array_equal(minima[~dropped], exact[~dropped])
+
+    def test_nan_minima_fall_through_to_float64(self, monkeypatch):
+        # a NaN row's bound is NaN, which never drops it: its chunk runs in
+        # float64 and the row keeps its NaN minimum
         d = 61
-        amps = haar_rows(d, 1, range(4))
-        amps[2, 5] = np.nan
-        work = hudson.wigner_workspace(4, d)
-        minima = hudson._sample_minima(amps, work, -1e-3, hudson._screen_bound(d))
-        assert minima.dtype == np.float64 and np.isnan(minima[2])
-        assert np.array_equal(minima[[0, 1, 3]], wigner_block(amps[[0, 1, 3]]).min(axis=(1, 2)))
+        step = hudson._chunk_rows(d)
+        amps = haar_rows(d, 1, range(hudson._block_rows(d)))
+        amps[2 * step + 5, 5] = np.nan
+        blocks = _spy_blocks(monkeypatch)
+        work = hudson.wigner_workspace(step, d)
+        minima, best = hudson._block_minima(amps, work, -math.inf, 1e-3, hudson._screen_bound(d))
+        assert any(np.array_equal(b, amps[2 * step:3 * step], equal_nan=True) for b in blocks)
+        assert minima.dtype == np.float64 and np.isnan(minima[2 * step + 5])
+        assert np.isnan(minima).sum() == 1 and math.isfinite(best)
+        chunk = wigner_block(amps[2 * step:3 * step]).min(axis=(1, 2))
+        assert np.array_equal(minima[2 * step:3 * step], chunk, equal_nan=True)
 
 
 class TestStabilizerCertificate:

@@ -30,7 +30,8 @@ from phasespace import (
 )
 from phasespace.clifford import stabilizer_blocks
 from phasespace import hudson
-from phasespace.wigner import _real_dft, operator_from_wigner, wigner_block, wigner_workspace
+from phasespace.wigner import (_real_dft, _wigner_rows, lag_products, operator_from_wigner, wigner_block,
+                               wigner_workspace)
 
 from oracles import (
     DIMS,
@@ -273,8 +274,12 @@ class TestWignerMinima:
             assert abs(minima[i] - fft_wigner(amps[i]).min()) <= 1e-12
 
     def test_large_d_blocks_span_several_chunks(self):
-        assert len(list(hudson._seeded_chunks(40, 61, 0, 0))) == 3
-        assert len(list(hudson._seeded_chunks(1000, 7, 0, 0))) == 1
+        # a sample block is whole chunks: 7 of 17 rows at d = 61, 20 of one
+        # row at d = 401, and one chunk, the whole default stream, at d = 7
+        assert [hudson._block_rows(d) // hudson._chunk_rows(d) for d in (7, 61, 401)] == [1, 7, 20]
+        assert [len(r) for r, _ in hudson._seeded_blocks(40, 61, 0, 0)] == [40]
+        assert [len(r) for r, _ in hudson._seeded_blocks(1000, 7, 0, 0)] == [1000]
+        assert [len(r) for r, _ in hudson._seeded_blocks(50, 401, 0, 0)] == [20, 20, 10]
 
     @pytest.mark.parametrize("d", PRIMES_TO_101)
     def test_real_route_matches_complex_route(self, d):
@@ -323,6 +328,27 @@ class TestWignerWorkspace:
         factor = _real_dft(d, np.float32)
         assert factor.dtype == np.float32 and not factor.flags.writeable
         assert np.array_equal(factor, _real_dft(d, np.float64).astype(np.float32))
+
+    @pytest.mark.parametrize("d", [3, 7, 11, 61])
+    def test_q_ranges_write_the_lag_products_of_their_rows(self, d):
+        # lag_products is the gathered definition bit for bit, in both
+        # precisions; the rows [start, stop) write exactly its slice into the
+        # workspace, and their grids are those rows of the whole grids
+        amps = np.concatenate([haar_rows(d, 4, range(5)), two_point_rows(d, 4, range(3))])
+        q, u = np.arange(d)[:, None], np.arange((d + 1) // 2)
+        ranges = [(0, d), (0, d // 8 + 1), (d // 8, d // 4 + 1), (d // 4, d // 2), (d // 2, d), (d - 1, d)]
+        for block, tol in ((amps, 1e-15), (amps.astype(np.complex64), hudson._screen_bound(d))):
+            lags = lag_products(block)
+            assert lags.dtype == block.dtype
+            assert np.array_equal(lags, block[:, (q + u) % d] * np.conj(block[:, (q - u) % d]))
+            work = wigner_workspace(len(block), d)
+            whole = wigner_block(block).copy()
+            for start, stop in ranges:
+                grids = _wigner_rows(block, start, stop, work)
+                assert grids.shape == (len(block), stop - start, d) and np.shares_memory(grids, work)
+                pairs = work.view(grids.dtype)[:len(block) * (stop - start) * (d + 1)].view(block.dtype)
+                assert np.array_equal(pairs.reshape(len(block), stop - start, -1), lags[:, start:stop])
+                assert np.abs(grids - whole[:, start:stop]).max() <= tol
 
     def test_calls_without_out_share_no_memory(self):
         amps = haar_rows(7, 2, range(3))
