@@ -15,6 +15,8 @@ handed back to the system and faulted in again.
     at d = 3, 5, 7, 31, 61, 101, 401 and 601 (601 is past the CLI cap);
   * the stabilizer pass alone, verify_hudson with both sample counts 0 (its
     point-mass step included), at d = 101, 401, 601 and 1009;
+  * the point-mass step alone, hudson.single_point_infeasibility, at d = 61,
+    401 and 1009;
   * at d = 61, on one stream of 1000 Haar rows: the grid minima of the whole
     block at once, the grid minima in verify's row chunks (through one reused
     workspace), verify's own pass over the stream, which keeps its largest
@@ -66,6 +68,7 @@ ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 7
 VERIFY_DIMS = (3, 5, 7, 31, 61, 101, 401, 601)
 STABILIZER_PASS_DIMS = (101, 401, 601, 1009)
+POINT_MASS_DIMS = (61, 401, 1009)
 SAMPLES, TWO_POINT, SEED, TOL = 1000, 100, 7, 1e-9
 KERNEL_D, KERNEL_ROWS = 61, 1000
 SAMPLER_DIMS = (7, 61)
@@ -128,6 +131,8 @@ def cases(ps) -> dict[tuple[str, ...], object]:
     for d in STABILIZER_PASS_DIMS:
         dim = ps.PrimeDim(d)
         out["stabilizer_pass", "by_d", str(d)] = lambda dim=dim: ps.verify_hudson(dim, 0, SEED, two_point_samples=0)
+    for d in POINT_MASS_DIMS:
+        out["point_mass_step", "by_d", str(d)] = lambda dim=ps.PrimeDim(d): hudson.single_point_infeasibility(dim)
 
     kernels = f"kernels_d{KERNEL_D}_{KERNEL_ROWS}_haar_rows"
     amps = sampler(hudson, "_haar_rows", KERNEL_D, hudson._HAAR_STREAM, KERNEL_ROWS)()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import dft_matrix
+from .qudit import _freeze, dft_matrix
 from .zmod import PrimeDim
 
 PREDICATE_TOL = 1e-9
@@ -34,11 +34,7 @@ class CyclicFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=complex)
-        if values.shape != (self.dim.d,):
-            raise ValueError(f"function must have shape ({self.dim.d},)")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze(self, "values", self.values, (self.dim.d,), "function")
 
 
 def has_nonneg_fourier(f: CyclicFunction) -> bool:

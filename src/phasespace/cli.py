@@ -53,8 +53,9 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 #                self-check is O(d^3), 0.8 s of it, so the artifact sets the cost.
 #   verify       d = 401: 0.75-0.83 s, 75 MB (BLAS on 1 thread). The
 #                stabilizer pass reads two blocks of the family and takes
-#                0.03 s of it (0.3-0.4 s at d = 1009, mostly the point-mass
-#                inverse). The 1100 samples take the rest, a real half-lag
+#                0.02 s of it (0.13-0.19 s at d = 1009, about half of it the
+#                two base grids; the point-mass step reads one row of its
+#                witness's grid, under 1 ms). The 1100 samples take the rest, a real half-lag
 #                Wigner product each (O(d^3)): float32 minima over q ranges
 #                bound 1098 of them, of which 102-128 reach the last range,
 #                and 8-9 run whole in float64, with the chirp DFT of the
@@ -302,10 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         payload, code = _RUNNERS[args.command](args)
         _emit(payload, args)
         return code
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,8 @@ verify_hudson runs, for one dimension d, the full battery:
     |psi(q)|^2 >= |psi(q - x)| |psi(q + x)| holds pairwise, the support size
     is 1 or d, and full-support states have constant modulus d^(-1/2);
   * the Wigner grid concentrated at the origin comes from no density
-    operator (single_point_infeasibility), recorded as point_mass_infeasible.
+    operator, read off one entry of a witness's grid
+    (single_point_infeasibility), recorded as point_mass_infeasible.
 
 Sample i is drawn from a substream keyed by (seed, stream, i), so reports
 are reproducible and independent of evaluation order. Every sub-check
@@ -59,7 +60,8 @@ rows, 7 chunks, at d = 61), and each block runs two phases.
     on the one workspace), and its running upper bound min W32 + beta(d),
     added in float64, is kept. A range runs only on the rows still open:
     those whose bound still reaches ceiling = min(best, -tol), best being
-    the largest float64 minimum of the stream so far. A NaN bound stays open.
+    the largest float64 minimum of the stream so far. A NaN bound stays open,
+    and a NaN float64 minimum fails its row and leaves best to the others.
   * Certify. A stream's first chunk runs whole in float64 before any bound,
     since it sets the first best. After the ranges, while a row is open, the
     chunk that holds the largest open bound runs whole in float64, and best
@@ -163,15 +165,7 @@ import numpy as np
 
 from .clifford import stabilizer_blocks, stabilizer_overlaps
 from .qudit import NORM_TOL, StateVector, normalize_rows
-from .wigner import (
-    KIND_WIGNER,
-    PhaseGrid,
-    _wigner_rows,
-    lag_products,
-    operator_from_wigner,
-    wigner_block,
-    wigner_workspace,
-)
+from .wigner import _wigner_rows, lag_products, wigner_block, wigner_workspace
 from .zmod import PrimeDim
 
 SUPPORT_THRESHOLD = 1e-8
@@ -276,7 +270,7 @@ def _block_minima(amps: np.ndarray, work: np.ndarray, best: float, tol: float,
         rows = slice(start, start + step)
         minima[rows] = wigner_block(amps[rows], out=work).min(axis=(1, 2))
         certified[rows] = True
-        best = max(best, float(minima[rows].max()))
+        best = float(np.fmax.reduce(minima[rows], initial=best))  # the largest non-NaN minimum
 
     def still_open() -> np.ndarray:
         # written so that a NaN bound stays open
@@ -636,7 +630,7 @@ def verify_hudson(
     for indices, words in _seeded_blocks(samples, d, seed, _HAAR_STREAM):
         amps = _haar_rows(d, words)
         minima, random_max_min = _block_minima(amps, work, random_max_min, tol, beta)
-        nonneg = minima >= -tol
+        nonneg = ~(minima < -tol)  # written so that a NaN minimum fails too
         matched = _stabilizer_matches(amps)
         random_all_negative = random_all_negative and not nonneg.any()
         random_all_nonstabilizer = random_all_nonstabilizer and not matched.any()
@@ -650,7 +644,7 @@ def verify_hudson(
     two_point_max_min = -math.inf
     for indices, words in _seeded_blocks(two_point_samples, d, seed, _TWO_POINT_STREAM):
         minima, two_point_max_min = _block_minima(_two_point_rows(d, words), work, two_point_max_min, tol, beta)
-        nonneg = minima >= -tol
+        nonneg = ~(minima < -tol)
         two_point_all_negative = two_point_all_negative and not nonneg.any()
         for k in np.nonzero(nonneg)[0].tolist():
             failures.add(f"two-point sample {indices[k]} has Wigner minimum {float(minima[k])!r} >= -{tol!r}")
@@ -690,20 +684,15 @@ def single_point_infeasibility(dim: PrimeDim) -> bool:
     """True iff the Wigner grid concentrated at the origin (value 1) cannot
     come from a positive semidefinite operator.
 
-    The grid is inverted to its operator A in one transform
-    (operator_from_wigner, the parity |q> -> |-q>), and A is tried on the
-    witness v = |1> - |-1>, which the parity sends to -v: <v|A|v> / <v|v>
-    below -POINT_MASS_TOL, no value of a positive semidefinite operator,
-    certifies infeasibility.
+    That grid's operator A is the parity |q> -> |-q>, which sends the unit
+    witness v = (|1> - |-1>) / sqrt(2) to -v. Operators pair through their
+    grids, <v|A|v> = tr(A |v><v|) = d sum W_A W_v (Gross 2006), so for the
+    point mass <v|A|v> = d W_v(0, 0): one entry of the witness's grid, from
+    its q = 0 row alone. A value below -POINT_MASS_TOL, which no positive
+    semidefinite operator takes, certifies infeasibility; it is -1.
     """
     d = dim.d
-    vals = np.zeros((d, d), dtype=complex)
-    vals[0, 0] = 1.0
-    grid = PhaseGrid(dim, vals, KIND_WIGNER)
-    rho = operator_from_wigner(grid).mat
-    herm_gap = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_gap > 1e-12:
-        raise RuntimeError(f"reconstructed operator is not Hermitian (gap {herm_gap:.3e})")
-    v = np.zeros(d)
-    v[1], v[-1] = 1.0, -1.0
-    return bool(np.vdot(v, rho @ v).real / 2 < -POINT_MASS_TOL)
+    v = np.zeros((1, d), dtype=complex)
+    v[0, 1], v[0, -1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    row = _wigner_rows(v, 0, 1, wigner_workspace(1, d))  # [0, 0, p] -> W_v(p, 0)
+    return bool(d * row[0, 0, 0] < -POINT_MASS_TOL)

@@ -33,6 +33,18 @@ def omega_table(d: int) -> np.ndarray:
     return table
 
 
+def _freeze(obj, field: str, values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Set obj.<field> to a read-only complex copy of values, its current
+    value, and return the copy; a shape other than shape raises ValueError.
+    The constructor step of every validated value type."""
+    values = np.array(values, dtype=complex)
+    if values.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}")
+    values.setflags(write=False)
+    object.__setattr__(obj, field, values)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A normalized pure state; amp[k] is the amplitude on |k>."""
@@ -41,14 +53,10 @@ class StateVector:
     amp: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.array(self.amp, dtype=complex)
-        if amp.shape != (self.dim.d,):
-            raise ValueError(f"amplitude vector must have shape ({self.dim.d},)")
+        amp = _freeze(self, "amp", self.amp, (self.dim.d,), "amplitude vector")
         # written so that a NaN norm fails the check too
         if not abs(np.vdot(amp, amp).real - 1.0) <= NORM_TOL:
             raise ValueError("state vector is not normalized")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amp", amp)
 
     @classmethod
     def normalized(cls, dim: PrimeDim, amp) -> StateVector:
@@ -73,11 +81,7 @@ class DenseOperator:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.mat, dtype=complex)
-        if mat.shape != (self.dim.d, self.dim.d):
-            raise ValueError(f"operator must have shape ({self.dim.d}, {self.dim.d})")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
+        _freeze(self, "mat", self.mat, (self.dim.d, self.dim.d), "operator")
 
     def apply(self, psi: StateVector) -> np.ndarray:
         """Raw matrix-vector product (no renormalization)."""

@@ -13,9 +13,10 @@ and for a pure state psi (with 2^-1 = (d+1)/2):
 The two Wigner routes agree entrywise; for fixed q the row W(., q) is the
 Fourier transform of the self-correlation row K(q, .). Grids are indexed
 values[p][q]. The second formula holds for any operator rho, with
-rho[q + 2^-1 x, q - 2^-1 x] for K(q, x); operator_from_wigner inverts it:
-
-    rho[q + 2^-1 x, q - 2^-1 x] = sum_p omega^(p x) W(p, q)
+rho[q + 2^-1 x, q - 2^-1 x] for K(q, x). Operators pair through their grids
+(Gross 2006), tr(A rho) = d sum_{p, q} W_A(p, q) W_rho(p, q), which
+hudson.single_point_infeasibility reads at one entry; no grid is inverted
+back to its operator here (the tests do that, as an oracle).
 
 The pure-state route runs on (n, d) amplitude blocks, one state per row,
 in real arithmetic over half the lags. With x = 2u the self-correlation row
@@ -60,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qudit import DenseOperator, StateVector, dft_matrix, omega_table
+from .qudit import DenseOperator, StateVector, _freeze, dft_matrix, omega_table
 from .zmod import PrimeDim, SymplecticMatrix, half
 
 KIND_WIGNER = "wigner"
@@ -78,11 +79,7 @@ class PhaseGrid:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_WIGNER, KIND_CHARACTERISTIC):
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        values = np.array(self.values, dtype=complex)
-        if values.shape != (self.dim.d, self.dim.d):
-            raise ValueError(f"grid must have shape ({self.dim.d}, {self.dim.d})")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze(self, "values", self.values, (self.dim.d, self.dim.d), "grid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +90,7 @@ class CorrelationTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=complex)
-        if values.shape != (self.dim.d, self.dim.d):
-            raise ValueError(f"table must have shape ({self.dim.d}, {self.dim.d})")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze(self, "values", self.values, (self.dim.d, self.dim.d), "table")
 
 
 def characteristic(rho: DenseOperator) -> PhaseGrid:
@@ -123,22 +116,6 @@ def wigner_from_char(xi: PhaseGrid) -> PhaseGrid:
     d = xi.dim.d
     f = dft_matrix(d)
     return PhaseGrid(xi.dim, d * (f @ xi.values.T @ f.conj()), KIND_WIGNER)
-
-
-def operator_from_wigner(grid: PhaseGrid) -> DenseOperator:
-    """The operator rho whose Wigner function is the grid: one DFT product
-    D[q, x] = sum_p W(p, q) omega^(p x) = rho[q + 2^-1 x, q - 2^-1 x], scattered
-    back; (q, x) -> (q + 2^-1 x, q - 2^-1 x) is a bijection of Z_d^2."""
-    if grid.kind != KIND_WIGNER:
-        raise ValueError("input grid must be a Wigner function")
-    d = grid.dim.d
-    h = half(grid.dim)
-    D = d * (grid.values.T @ dft_matrix(d).conj())
-    q = np.arange(d)[:, None]
-    x = np.arange(d)[None, :]
-    mat = np.empty((d, d), dtype=complex)
-    mat[(q + h * x) % d, (q - h * x) % d] = D
-    return DenseOperator(grid.dim, mat)
 
 
 def _lag_factors(amps: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:

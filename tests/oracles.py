@@ -4,16 +4,19 @@ and the dimension lists the test modules share.
 None of these is called by the package: each is the definitional form of an
 object the package computes another way (weyl builds w(p, q) entrywise; the
 Fourier predicates never form a circulant matrix; the Wigner kernels use one
-real matrix product over half the lags, not complex arithmetic over all of them),
-or a helper that only the tests need (all_points, act, compose,
-translated_grid, haar_rows, two_point_rows, wigner_minima). chunked_minima
-replays verify_hudson's sample minima all in float64, as verify computed
-them before its float32 screen. Phase-space points are (p, q) tuples of ints.
+real matrix product over half the lags, not complex arithmetic over all of
+them; the point-mass step pairs one entry of a grid where operator_from_wigner
+inverts the whole grid), or a helper that only the tests need (all_points,
+act, compose, translated_grid, haar_rows, two_point_rows, wigner_minima).
+chunked_minima replays verify_hudson's sample minima all in float64, as verify
+computed them before its float32 screen. Phase-space points are (p, q) tuples
+of ints.
 """
 
 import numpy as np
 
-from phasespace import CyclicFunction, DenseOperator, PrimeDim, SymplecticMatrix, hudson, omega_table
+from phasespace import (KIND_WIGNER, CyclicFunction, DenseOperator, PhaseGrid, PrimeDim, SymplecticMatrix, half,
+                        hudson, omega_table)
 from phasespace.bochner import PREDICATE_TOL
 from phasespace.qudit import dft_matrix
 from phasespace.wigner import wigner_block, wigner_workspace
@@ -143,6 +146,22 @@ def fft_wigner(amp: np.ndarray) -> np.ndarray:
     grid = np.fft.fft(amp[(q + h * x) % d] * np.conj(amp[(q - h * x) % d]), axis=1).T / d
     assert np.abs(grid.imag).max() <= 1e-12
     return grid.real
+
+
+def operator_from_wigner(grid: PhaseGrid) -> DenseOperator:
+    """The operator rho whose Wigner function is the grid: one DFT product
+    D[q, x] = sum_p W(p, q) omega^(p x) = rho[q + 2^-1 x, q - 2^-1 x], scattered
+    back; (q, x) -> (q + 2^-1 x, q - 2^-1 x) is a bijection of Z_d^2."""
+    if grid.kind != KIND_WIGNER:
+        raise ValueError("input grid must be a Wigner function")
+    d = grid.dim.d
+    h = half(grid.dim)
+    D = d * (grid.values.T @ dft_matrix(d).conj())
+    q = np.arange(d)[:, None]
+    x = np.arange(d)[None, :]
+    mat = np.empty((d, d), dtype=complex)
+    mat[(q + h * x) % d, (q - h * x) % d] = D
+    return DenseOperator(grid.dim, mat)
 
 
 def wigner_minima(amps: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasespace import (
-    DenseOperator,
+    KIND_WIGNER,
+    PhaseGrid,
     PrimeDim,
     StateVector,
     haar_sample,
@@ -29,6 +30,7 @@ from phasespace.hudson import (
     MAX_FAILURE_MESSAGES,
     STABILIZER_MATCH_TOL,
     _HAAR_STREAM,
+    _TWO_POINT_STREAM,
     _seed_words,
     modulus_violations,
     support_rows,
@@ -42,6 +44,7 @@ from oracles import (
     chunked_minima,
     fft_wigner,
     haar_rows,
+    operator_from_wigner,
     stabilizer_stack,
     two_point_rows,
     wigner_minima,
@@ -667,20 +670,32 @@ def _spy_ranges(monkeypatch):
     return calls
 
 
-def _patched_haar_rows(monkeypatch, seed, change):
-    """Make every draw of Haar rows, in verify's blocks or the replay's chunks,
-    return change[i] as the row of each index i that change (a dict of index
-    -> row) holds, found by its substream words."""
-    haar = hudson._haar_rows
-    keyed = {i: _seed_words(seed, _HAAR_STREAM, [i])[0] for i in change}
+def _without_witness(calls, d):
+    """The calls _spy_ranges recorded over one verify_hudson run, but the
+    point-mass step's. That step is the run's last q-range call, and the only
+    one in float64: the q = 0 row of its witness (|1> - |-1>) / sqrt(2)."""
+    witness = np.zeros((1, d), dtype=complex)
+    witness[0, [1, -1]] = [1 / math.sqrt(2), -1 / math.sqrt(2)]
+    rows, start, stop, _ = calls[-1]
+    assert rows.dtype == np.complex128 and np.array_equal(rows, witness) and (start, stop) == (0, 1)
+    return calls[:-1]
+
+
+def _patched_rows(monkeypatch, seed, change, stream=_HAAR_STREAM):
+    """Make every draw of the stream's rows (Haar by default), in verify's
+    blocks or the replay's chunks, return change[i] as the row of each index i
+    that change (a dict of index -> row) holds, found by its substream words."""
+    name = "_haar_rows" if stream == _HAAR_STREAM else "_two_point_rows"
+    draw = getattr(hudson, name)
+    keyed = {i: _seed_words(seed, stream, [i])[0] for i in change}
 
     def patched(d, words):
-        rows = haar(d, words)
+        rows = draw(d, words)
         for i, key in keyed.items():
             rows[(words == key).all(axis=1)] = change[i]
         return rows
 
-    monkeypatch.setattr(hudson, "_haar_rows", patched)
+    monkeypatch.setattr(hudson, name, patched)
 
 
 class TestFloat32Screen:
@@ -752,7 +767,7 @@ class TestFloat32Screen:
         assert single[psi] < -tol and single[psi] < double.max()
         assert -tol - single[psi] <= hudson._screen_bound(d)
         third = np.repeat(rows[psi:psi + 1], step, axis=0)
-        _patched_haar_rows(monkeypatch, seed, {i: rows[psi] for i in range(2 * step, 3 * step)})
+        _patched_rows(monkeypatch, seed, {i: rows[psi] for i in range(2 * step, 3 * step)})
         blocks = _spy_blocks(monkeypatch)
         report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=0)
         assert any(b.dtype == np.complex128 and np.array_equal(b, third) for b in blocks)
@@ -768,6 +783,7 @@ class TestFloat32Screen:
         d, seed = 61, 7
         calls = _spy_ranges(monkeypatch)
         assert verify_hudson(PrimeDim(d), 1000, seed).passed
+        calls = _without_witness(calls, d)
         step = hudson._chunk_rows(d)
         later = np.concatenate([haar_rows(d, seed, range(step, 1000)), two_point_rows(d, seed, range(step, 100))])
         first = [rows for rows, start, _, _ in calls if start == 0]
@@ -783,7 +799,7 @@ class TestFloat32Screen:
         blocks, calls = _spy_blocks(monkeypatch), _spy_ranges(monkeypatch)
         assert verify_hudson(PrimeDim(d), 1000, 7).passed
         assert len(blocks) == 3 and all(b.dtype == np.complex128 for b in blocks)
-        assert calls == []
+        assert _without_witness(calls, d) == []
 
     def test_float64_grids_are_whole_chunks_at_d61(self, monkeypatch):
         # past the two bases, every float64 grid is one of the chunks that
@@ -812,7 +828,7 @@ class TestFloat32Screen:
         minimum = wigner_block(psi[None]).min(axis=(1, 2))
         assert minimum[0] < 0 and np.flatnonzero(wigner_block(psi[None])[0].min(axis=1) < 0).tolist() == [50]
         tol = -float(minimum[0])
-        _patched_haar_rows(monkeypatch, seed, {index: psi})
+        _patched_rows(monkeypatch, seed, {index: psi})
         calls = _spy_ranges(monkeypatch)
         report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=0).to_dict()
         assert report == _replayed_report(d, samples, seed, tol, 0)
@@ -861,6 +877,31 @@ class TestFloat32Screen:
         assert np.isnan(minima).sum() == 1 and math.isfinite(best)
         chunk = wigner_block(amps[2 * step:3 * step]).min(axis=(1, 2))
         assert np.array_equal(minima[2 * step:3 * step], chunk, equal_nan=True)
+
+    @pytest.mark.parametrize("d,stream,index", [
+        (5, _HAAR_STREAM, 3), (5, _TWO_POINT_STREAM, 3),  # one chunk per stream, no bound
+        (61, _HAAR_STREAM, 130), (61, _TWO_POINT_STREAM, 40),  # past the first chunk, through the bound
+    ])
+    def test_nan_minimum_fails_its_sample(self, monkeypatch, d, stream, index):
+        # a NaN amplitude after normalize_rows: the row fails and is named, and
+        # each stream's max-minimum is the largest of its other, finite minima
+        seed, samples, two_point, tol = 7, 200, 100, 1e-9
+        amp = (haar_rows if stream == _HAAR_STREAM else two_point_rows)(d, seed, [index])[0]
+        amp[0] = np.nan
+        _patched_rows(monkeypatch, seed, {index: amp}, stream)
+        calls = _spy_ranges(monkeypatch)
+        report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=two_point)
+        label = "random sample" if stream == _HAAR_STREAM else "two-point sample"
+        assert not report.passed and report.failures == [f"{label} {index} has Wigner minimum nan >= -{tol!r}"]
+        haar, pair = chunked_minima(d, samples, two_point, seed)
+        assert np.flatnonzero(np.isnan(np.concatenate([haar, pair]))).tolist() == [
+            index if stream == _HAAR_STREAM else samples + index]
+        assert report.random_max_min_wigner == float(np.nanmax(haar)) > -math.inf
+        assert report.two_point_max_min_wigner == float(np.nanmax(pair)) > -math.inf
+        assert report.random_all_negative == (stream != _HAAR_STREAM)
+        assert report.two_point_all_negative == (stream == _HAAR_STREAM)
+        bounded = [rows for rows, start, _, _ in _without_witness(calls, d) if start == 0]
+        assert sum(np.isnan(rows).any(axis=1).sum() for rows in bounded) == (d == 61)
 
 
 class TestStabilizerCertificate:
@@ -1027,7 +1068,35 @@ class TestSinglePointInfeasibility:
         assert single_point_infeasibility(dim)
 
     def test_positive_semidefinite_operator_is_not_certified(self, monkeypatch):
-        # I/d takes no negative value on the witness, so the step must say False
-        monkeypatch.setattr(hudson, "operator_from_wigner",
-                            lambda grid: DenseOperator(grid.dim, np.eye(grid.dim.d) / grid.dim.d))
+        # with a nonnegative witness grid (here the flat 1/d^2 of I/d) the
+        # pairing d W_v(0, 0) is no negative value, so the step must say False
+        monkeypatch.setattr(hudson, "_wigner_rows",
+                            lambda amps, start, stop, out: np.full((len(amps), stop - start, amps.shape[1]),
+                                                                   amps.shape[1] ** -2.0))
         assert single_point_infeasibility(PrimeDim(7)) is False
+
+    @pytest.mark.parametrize("d", PRIMES_TO_101 + [401, 1009])
+    def test_witness_value_is_minus_one(self, monkeypatch, d):
+        # <v|A|v> = -1 for the parity A and the unit witness v, so the verdict
+        # flips between the tolerances 1 - 1e-12 and 1 + 1e-12
+        monkeypatch.setattr(hudson, "POINT_MASS_TOL", 1 - 1e-12)
+        assert single_point_infeasibility(PrimeDim(d)) is True
+        monkeypatch.setattr(hudson, "POINT_MASS_TOL", 1 + 1e-12)
+        assert single_point_infeasibility(PrimeDim(d)) is False
+
+    @given(d=st.sampled_from(PRIMES_TO_101), seed=st.integers(0, 2**32))
+    @example(d=101, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_operators_pair_through_their_grids(self, d, seed):
+        # <v|A_W|v> = d sum_{p, q} W(p, q) W_v(p, q) for a real grid W, its
+        # operator A_W and a unit v: the identity the point-mass step reads
+        # at the point mass
+        rng = np.random.default_rng(seed)
+        dim = PrimeDim(d)
+        grid = rng.standard_normal((d, d))
+        v = StateVector.normalized(dim, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        witness = wigner_block(v.amp[None])[0].T  # [p, q]
+        pairing = d * float((grid * witness).sum())
+        value = np.vdot(v.amp, operator_from_wigner(PhaseGrid(dim, grid, KIND_WIGNER)).mat @ v.amp)
+        scale = d * float(np.abs(grid * witness).sum())
+        assert abs(value - pairing) <= 1e-13 * d * scale

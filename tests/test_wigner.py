@@ -30,8 +30,7 @@ from phasespace import (
 )
 from phasespace.clifford import stabilizer_blocks
 from phasespace import hudson
-from phasespace.wigner import (_real_dft, _wigner_rows, lag_products, operator_from_wigner, wigner_block,
-                               wigner_workspace)
+from phasespace.wigner import _real_dft, _wigner_rows, lag_products, wigner_block, wigner_workspace
 
 from oracles import (
     DIMS,
@@ -42,6 +41,7 @@ from oracles import (
     compose,
     fft_wigner,
     haar_rows,
+    operator_from_wigner,
     translated_grid,
     two_point_rows,
     wigner_minima,
