@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: wigner, stabilizers, metaplectic, verify. Machine-readable
-artifacts (JSON by default, CSV via --format csv) go to stdout or --output;
-all human-oriented text goes to stderr. The verify CSV is written by
-csv.writer, so a value holding a comma or a quote is quoted; stabilizers
---amplitudes is JSON only. Exit codes: 0 success, 1 a verification check
-failed, 2 invalid input or usage.
+Subcommands: wigner, stabilizers, metaplectic, verify, each run by the
+handler its subparser names (run_wigner, ...), which checks --d and then its
+own options. Machine-readable artifacts (JSON by default, CSV via --format
+csv) go to stdout or --output; all human-oriented text goes to stderr. The
+verify CSV is written by csv.writer, so a value holding a comma or a quote is
+quoted; stabilizers --amplitudes is JSON only. Exit codes: 0 success, 1 a
+verification check failed, 2 invalid input or usage.
 
 The verify seed comes from --seed when given, else from the PHASESPACE_SEED
 environment variable, else defaults to 42; identical configurations produce
@@ -90,14 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--state", required=True, help="JSON array of d [re, im] amplitude pairs")
     p.add_argument("--normalize", action="store_true", help="rescale the input state to unit norm")
+    p.set_defaults(run=run_wigner)
 
     p = sub.add_parser("stabilizers", help="enumerate the d(d+1) stabilizer states")
     add_common(p)
     p.add_argument("--amplitudes", action="store_true", help="include amplitude arrays")
+    p.set_defaults(run=run_stabilizers)
 
     p = sub.add_parser("metaplectic", help="unitary implementing an SL(2, Z_d) element")
     add_common(p)
     p.add_argument("--matrix", required=True, help="entries a,b,c,e of [[a,b],[c,e]], det = 1 mod d")
+    p.set_defaults(run=run_metaplectic)
 
     p = sub.add_parser("verify", help="run the positivity certification battery")
     add_common(p)
@@ -106,57 +110,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="negativity threshold for sampled states")
     p.add_argument("--two-point", type=int, default=100, dest="two_point",
                    help="number of two-point-support samples")
+    p.set_defaults(run=run_verify)
     return parser
 
 
-def _resolve_args(args: argparse.Namespace) -> None:
-    """Check the parsed arguments and resolve them in place: args.dim becomes
-    the PrimeDim, args.matrix a tuple of four ints and args.seed the verify
-    seed. Invalid input raises CliError."""
-    # before PrimeDim: its trial division alone would hang on a huge --d
+def _prime_dim(args: argparse.Namespace) -> PrimeDim:
+    """The PrimeDim of --d, checked first against the subcommand's MAX_D:
+    PrimeDim's trial division alone would hang on a huge --d."""
     if args.d > MAX_D[args.command]:
         raise CliError(f"--d must be at most {MAX_D[args.command]} for {args.command}")
     try:
-        args.dim = PrimeDim(args.d)
+        return PrimeDim(args.d)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
-    if args.command == "metaplectic":
-        parts = args.matrix.split(",")
-        if len(parts) != 4:
-            raise CliError("--matrix expects four comma-separated integers a,b,c,e")
-        try:
-            args.matrix = tuple(int(part) for part in parts)
-        except ValueError:
-            raise CliError("--matrix entries must be integers") from None
 
-    if args.command == "verify":
-        if args.samples < 0 or args.two_point < 0:
-            raise CliError("sample counts must be nonnegative")
-        if max(args.samples, args.two_point) > MAX_SAMPLES:
-            raise CliError(f"sample counts must be at most {MAX_SAMPLES}")
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise CliError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
-        if args.seed is None:
-            raw = os.environ.get(SEED_ENV_VAR)
-            try:
-                args.seed = DEFAULT_SEED if raw is None else int(raw)
-            except ValueError:
-                raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-        if args.seed < 0:
-            raise CliError("seed must be nonnegative")
-
-    if args.command == "stabilizers" and args.amplitudes and args.format != "json":
-        raise CliError("--amplitudes needs --format json")
-
-
-def parse_state(args: argparse.Namespace) -> StateVector:
+def parse_state(args: argparse.Namespace, dim: PrimeDim) -> StateVector:
     """Parse the --state JSON into a StateVector, applying the norm policy."""
     try:
         raw = json.loads(args.state)
     except ValueError as exc:  # also an int literal past Python's digit limit
         raise CliError(f"--state is not valid JSON: {exc}") from None
-    d = args.dim.d
+    d = dim.d
     if not isinstance(raw, list) or len(raw) != d:
         raise CliError(f"--state must be a JSON array of {d} [re, im] pairs")
     amp = np.empty(d, dtype=complex)
@@ -181,7 +156,7 @@ def parse_state(args: argparse.Namespace) -> StateVector:
         raise CliError(
             f"--state has norm {norm!r}, more than {INPUT_NORM_TOL:g} from 1; pass --normalize to rescale"
         )
-    return StateVector.normalized(args.dim, amp)
+    return StateVector.normalized(dim, amp)
 
 
 def _complex_pairs(mat: np.ndarray) -> list:
@@ -190,17 +165,21 @@ def _complex_pairs(mat: np.ndarray) -> list:
 
 
 def run_wigner(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
-    values = wigner_pure(parse_state(args)).values.real
+    dim = _prime_dim(args)
+    values = wigner_pure(parse_state(args, dim)).values.real
     if args.format == "csv":
         # one line per (p, q) in lexicographic order, made as _emit writes it and
         # converted one grid row at a time, so the d^2 floats are never all objects
         lines = (f"{p},{q},{v!r}" for p, row in enumerate(values) for q, v in enumerate(row.tolist()))
         return itertools.chain(["p,q,value"], lines), 0
-    return {"d": args.dim.d, "kind": KIND_WIGNER, "values": values.tolist()}, 0
+    return {"d": dim.d, "kind": KIND_WIGNER, "values": values.tolist()}, 0
 
 
 def run_stabilizers(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
-    descs = stabilizer_descriptors(args.dim)
+    dim = _prime_dim(args)
+    if args.amplitudes and args.format != "json":
+        raise CliError("--amplitudes needs --format json")
+    descs = stabilizer_descriptors(dim)
     if args.format == "csv":
         rows = ["index,kind,k,theta,x"]
         for i, desc in enumerate(descs):
@@ -209,10 +188,10 @@ def run_stabilizers(args: argparse.Namespace) -> tuple[dict | Iterable[str], int
             )
         return rows, 0
     if args.amplitudes:
-        rows = (row for block in stabilizer_blocks(args.dim.d) for row in _complex_pairs(block))
+        rows = (row for block in stabilizer_blocks(dim.d) for row in _complex_pairs(block))
         for desc, row in zip(descs, rows):
             desc["amplitudes"] = row
-    return {"d": args.dim.d, "count": len(descs), "states": descs}, 0
+    return {"d": dim.d, "count": len(descs), "states": descs}, 0
 
 
 def _conjugation_error(mu: np.ndarray, S: SymplecticMatrix) -> float:
@@ -231,9 +210,16 @@ def _conjugation_error(mu: np.ndarray, S: SymplecticMatrix) -> float:
 
 
 def run_metaplectic(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
-    a, b, c, e = args.matrix
+    dim = _prime_dim(args)
+    parts = args.matrix.split(",")
+    if len(parts) != 4:
+        raise CliError("--matrix expects four comma-separated integers a,b,c,e")
     try:
-        S = SymplecticMatrix(args.dim, a, b, c, e)
+        entries = [int(part) for part in parts]
+    except ValueError:
+        raise CliError("--matrix entries must be integers") from None
+    try:
+        S = SymplecticMatrix(dim, *entries)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     mu = metaplectic(S)
@@ -244,7 +230,7 @@ def run_metaplectic(args: argparse.Namespace) -> tuple[dict | Iterable[str], int
         lines = (f"{r},{c},{z.real!r},{z.imag!r}" for r, row in enumerate(mu.mat) for c, z in enumerate(row.tolist()))
         return itertools.chain(["row,col,re,im"], lines), 0 if passed else 1
     artifact = {
-        "d": args.dim.d,
+        "d": dim.d,
         "matrix": [[S.a, S.b], [S.c, S.e]],
         "unitary": _complex_pairs(mu.mat),
         "conjugation_max_error": err,
@@ -254,10 +240,24 @@ def run_metaplectic(args: argparse.Namespace) -> tuple[dict | Iterable[str], int
 
 
 def run_verify(args: argparse.Namespace) -> tuple[dict | Iterable[str], int]:
+    dim = _prime_dim(args)
+    if args.samples < 0 or args.two_point < 0:
+        raise CliError("sample counts must be nonnegative")
+    if max(args.samples, args.two_point) > MAX_SAMPLES:
+        raise CliError(f"sample counts must be at most {MAX_SAMPLES}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise CliError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR)
+        try:
+            seed = DEFAULT_SEED if raw is None else int(raw)
+        except ValueError:
+            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise CliError("seed must be nonnegative")
     start = time.perf_counter()
-    report = verify_hudson(
-        args.dim, args.samples, args.seed, tol=args.tol, two_point_samples=args.two_point
-    )
+    report = verify_hudson(dim, args.samples, seed, tol=args.tol, two_point_samples=args.two_point)
     duration = time.perf_counter() - start
     code = 0 if report.passed else 1
     artifact = report.to_dict()
@@ -284,14 +284,6 @@ def _emit(payload: dict | Iterable[str], args: argparse.Namespace) -> None:
             fh.writelines(f"{line}\n" for line in payload)
 
 
-_RUNNERS = {
-    "wigner": run_wigner,
-    "stabilizers": run_stabilizers,
-    "metaplectic": run_metaplectic,
-    "verify": run_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -299,14 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code) if exc.code is not None else 0
     try:
-        _resolve_args(args)
-        payload, code = _RUNNERS[args.command](args)
+        payload, code = args.run(args)
         _emit(payload, args)
         return code
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entrypoint() -> None:
-    sys.exit(main())

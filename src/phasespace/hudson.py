@@ -56,7 +56,7 @@ verify_hudson draws each stream in blocks of whole chunks (_block_rows: 119
 rows, 7 chunks, at d = 61), and each block runs two phases.
 
   * Bound. The float32 minima of a row are taken over the q ranges
-    [0, d/8), [d/8, d/4), [d/4, d/2) and [d/2, d) in turn (wigner._wigner_rows
+    [0, d/8), [d/8, d/4), [d/4, d/2) and [d/2, d) in turn (wigner.wigner_rows
     on the one workspace), and its running upper bound min W32 + beta(d),
     added in float64, is kept. A range runs only on the rows still open:
     those whose bound still reaches ceiling = min(best, -tol), best being
@@ -67,7 +67,7 @@ rows, 7 chunks, at d = 61), and each block runs two phases.
     chunk that holds the largest open bound runs whole in float64, and best
     rises to its largest minimum.
 
-Every float64 minimum comes from wigner_block(amps[chunk], out=work) on one
+Every float64 minimum comes from wigner_rows(amps[chunk], 0, d, work) on one
 of the chunks _chunk_rows(d) cuts the stream into: the same call on the same
 rows as when every chunk ran in float64. A dropped row returns its bound, and
 it can neither fail nor be the maximum. Its float64 minimum is at most its
@@ -109,7 +109,7 @@ exactly on the float64 factor:
   * the bound itself is evaluated in float64 without cancellation, and a
     factor 1 + 2^-40 covers its own rounding.
 
-A grid entry on a q range of wigner._wigner_rows is the same sum: the lag
+A grid entry on a q range of wigner.wigner_rows is the same sum: the lag
 pairs of its row q against the same column of the factor, d + 1 terms, so
 beta(d) covers it however the product is blocked. The errors of the two
 sides add: beta(d) is about 2 sqrt(2)(1 + 7/d) u32, 1.9e-7 at d = 61 and
@@ -165,7 +165,7 @@ import numpy as np
 
 from .clifford import stabilizer_blocks, stabilizer_overlaps
 from .qudit import NORM_TOL, StateVector, normalize_rows
-from .wigner import _wigner_rows, lag_products, wigner_block, wigner_workspace
+from .wigner import lag_products, wigner_rows, wigner_workspace
 from .zmod import PrimeDim
 
 SUPPORT_THRESHOLD = 1e-8
@@ -230,7 +230,7 @@ def _stabilizer_matches(amps: np.ndarray) -> np.ndarray:
 
 def _screen_bound(d: int) -> float:
     """beta(d): a bound on |W32 - W64| over every grid entry of a sample row,
-    wigner_block on the row as complex64 against complex128 (see the module
+    wigner_rows on the row as complex64 against complex128 (see the module
     docstring for the derivation)."""
     u, v = 2.0**-24, 2.0**-53  # unit roundoff of float32 and float64
 
@@ -268,7 +268,7 @@ def _block_minima(amps: np.ndarray, work: np.ndarray, best: float, tol: float,
     def certify(start: int) -> None:
         nonlocal best
         rows = slice(start, start + step)
-        minima[rows] = wigner_block(amps[rows], out=work).min(axis=(1, 2))
+        minima[rows] = wigner_rows(amps[rows], 0, d, work).min(axis=(1, 2))
         certified[rows] = True
         best = float(np.fmax.reduce(minima[rows], initial=best))  # the largest non-NaN minimum
 
@@ -287,7 +287,7 @@ def _block_minima(amps: np.ndarray, work: np.ndarray, best: float, tol: float,
         batch = 2 * work.size // ((stop - start) * (2 * d + 1))  # rows whose range fits work as float32
         for i in range(0, len(rows), batch):
             part = rows[i:i + batch]
-            grids = _wigner_rows(single[part], start, stop, work)
+            grids = wigner_rows(single[part], start, stop, work)
             minima[part] = np.minimum(minima[part], grids.min(axis=(1, 2)).astype(np.float64) + beta)
     # certify: the chunk of the largest open bound, until none is open
     while len(rows := still_open()):
@@ -504,7 +504,8 @@ class VerificationReport:
         return self.failures_total == 0
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        """asdict, JSON-ready: a non-finite float (-inf for an all-NaN stream) becomes None."""
+        doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in asdict(self).items()}
         doc["lemma5_support_sizes"] = {str(k): v for k, v in sorted(self.lemma5_support_sizes.items())}
         doc["passed"] = self.passed
         return doc
@@ -521,6 +522,12 @@ class _Failures:
         self.total += 1
         if len(self.messages) < MAX_FAILURE_MESSAGES:
             self.messages.append(message)
+
+
+def _dip_message(label: str, index: int, minimum: float, tol: float) -> str:
+    """The failure of a sample whose Wigner minimum is not below -tol."""
+    value = "no finite Wigner minimum" if math.isnan(minimum) else f"Wigner minimum {minimum!r} >= -{tol!r}"
+    return f"{label} {index} has {value}"
 
 
 def verify_hudson(
@@ -570,7 +577,7 @@ def verify_hudson(
     blocks = stabilizer_blocks(d)
     basis, quadratic = next(blocks), next(blocks)
     bases = np.array([basis[0], quadratic[0]])
-    grids = wigner_block(bases)  # [base, q, p]
+    grids = wigner_rows(bases, 0, d)  # [base, q, p]
     base_minima = grids.min(axis=(1, 2))
     base_argmins = grids.transpose(0, 2, 1).reshape(2, d * d).argmin(axis=1)  # first p * d + q
     base_violations = modulus_violations(np.abs(bases))
@@ -636,7 +643,7 @@ def verify_hudson(
         random_all_nonstabilizer = random_all_nonstabilizer and not matched.any()
         for k in np.nonzero(nonneg | matched)[0].tolist():
             if nonneg[k]:
-                failures.add(f"random sample {indices[k]} has Wigner minimum {float(minima[k])!r} >= -{tol!r}")
+                failures.add(_dip_message("random sample", indices[k], float(minima[k]), tol))
             if matched[k]:
                 failures.add(f"random sample {indices[k]} matches a stabilizer state")
 
@@ -647,7 +654,7 @@ def verify_hudson(
         nonneg = ~(minima < -tol)
         two_point_all_negative = two_point_all_negative and not nonneg.any()
         for k in np.nonzero(nonneg)[0].tolist():
-            failures.add(f"two-point sample {indices[k]} has Wigner minimum {float(minima[k])!r} >= -{tol!r}")
+            failures.add(_dip_message("two-point sample", indices[k], float(minima[k]), tol))
 
     point_mass = single_point_infeasibility(dim)
     if not point_mass:
@@ -694,5 +701,5 @@ def single_point_infeasibility(dim: PrimeDim) -> bool:
     d = dim.d
     v = np.zeros((1, d), dtype=complex)
     v[0, 1], v[0, -1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    row = _wigner_rows(v, 0, 1, wigner_workspace(1, d))  # [0, 0, p] -> W_v(p, 0)
+    row = wigner_rows(v, 0, 1)  # [0, 0, p] -> W_v(p, 0)
     return bool(d * row[0, 0, 0] < -POINT_MASS_TOL)

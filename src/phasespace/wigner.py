@@ -25,26 +25,23 @@ is L(q, u) = psi(q + u) conj(psi(q - u)), and L(q, -u) = conj L(q, u), so
     W(p, q) = (1/d) [ L(q, 0) + 2 sum_{u=1}^{(d-1)/2}
                       ( Re L(q, u) cos(4 pi p u / d) + Im L(q, u) sin(4 pi p u / d) ) ].
 
-lag_products returns only u = 0, ..., (d-1)/2, and wigner_block applies the
+lag_products returns only u = 0, ..., (d-1)/2, and wigner_rows applies the
 sum to every (state, q) row as one real matrix product: the (Re, Im) pairs
 of those lags against cos and sin rows gathered from omega_table on the
 integer residues 2 u p mod d. The grids are real by construction.
-wigner_block writes the (n, d, (d+1)/2) complex lag products and the
-(n, d, d) real grids into the front of a wigner_workspace and returns a view
-of it; without out it allocates one for the block. hudson.verify_hudson
-allocates one workspace per call for its largest sample chunk and reuses it
-for every chunk. wigner_pure is the n = 1 case.
+wigner_rows(amps, start, stop) computes the rows q in [start, stop) of the
+(n, d, d) grids, and start, stop = 0, d the whole grids; wigner_pure is the
+n = 1 case. It writes the complex lag products and the real grids of those
+rows into the front of a wigner_workspace and returns a view of it; without
+out it allocates one. hudson.verify_hudson allocates one workspace per call
+for its largest sample chunk and reuses it for every chunk and q range.
 
-wigner_block takes its precision from its input. A complex128 block (and any
+wigner_rows takes its precision from its input. A complex128 block (and any
 other but complex64) runs in float64: complex128 lag products, a float64
 factor, dgemm. A complex64 block runs in float32 throughout: complex64 lag
 products, a float32 copy of the factor, sgemm, float32 grids. Both write into
 the same float64 workspace, the float32 block through a float32 view of it,
 so one workspace serves both and the float32 block uses half its bytes.
-_wigner_rows computes the rows q in [start, stop) alone, the same lag pairs
-and product on those rows, into the front of the workspace;
-hudson.verify_hudson bounds its sample minima in float32 this way, one q
-range at a time.
 
 Covariance (checked against wigner_pure of the transformed state for every
 v and every S at d = 3 and 5 by acceptance criteria 4 and 5;
@@ -148,7 +145,7 @@ def lag_products(amps: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def _real_dft(d: int, dtype: type) -> np.ndarray:
-    """The real right factor of wigner_block, (d + 1) x d, in dtype (float64,
+    """The real right factor of wigner_rows, (d + 1) x d, in dtype (float64,
     or float32 for a complex64 block): row 2u holds c_u cos(4 pi p u / d) / d
     and row 2u + 1 holds c_u sin(4 pi p u / d) / d, with c_0 = 1 and c_u = 2
     above. One gather from the (cos, sin) pairs of omega_table on the residues
@@ -165,39 +162,30 @@ def _real_dft(d: int, dtype: type) -> np.ndarray:
 
 
 def wigner_workspace(n: int, d: int) -> np.ndarray:
-    """Scratch for wigner_block(amps, out=...) on blocks of up to n rows of
-    length d: n d (d + 1) float64 reals for the lag pairs, then n d^2 for the
-    grids. A complex64 block reads it as float32, so fits in its first half."""
+    """Scratch for wigner_rows(amps, start, stop, out) on blocks of up to n
+    rows of length d: n d (d + 1) float64 reals for the lag pairs, then n d^2
+    for the grids. A complex64 block reads it as float32, so fits in its first half."""
     return np.empty(n * d * (2 * d + 1))
 
 
-def wigner_block(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Real Wigner grids of a complex (n, d) block, indexed [n, q, p] (transposed).
-
-    The (Re, Im) pairs of lag_products, read in place as n d rows of d + 1
-    reals, times _real_dft(d): one real matrix product for the block.
-    The Im L(q, 0) column meets a zero sine row.
+def wigner_rows(amps: np.ndarray, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows q in [start, stop) of the real Wigner grids of a complex
+    (n, d) block, indexed [n, q - start, p] (transposed); start, stop = 0, d
+    gives the whole grids. The (Re, Im) pairs of lag_products on those rows,
+    read in place as n (stop - start) rows of d + 1 reals, times
+    _real_dft(d): one real matrix product, whose Im L(q, 0) column meets a
+    zero sine row. An entry is the same sum of d + 1 terms on any range.
 
     A complex64 block gets float32 grids, from complex64 lag products and
-    sgemm; every other block gets float64 grids, from complex128 lag products
-    and dgemm (see the module docstring).
-
-    The lag pairs and the grids are written into the front of out, a
-    wigner_workspace for at least n rows (by default a new one for n), read
-    as float32 for a complex64 block, and the grids returned are a view of
-    it, overwritten by the next call on the same workspace.
+    sgemm; every other block float64 grids, from complex128 lag products and
+    dgemm (see the module docstring). Both fill n (stop - start) (2d + 1)
+    reals at the front of out, a wigner_workspace for at least n rows (by
+    default a new one for n), read as float32 for a complex64 block; the
+    grids returned are a view of it, overwritten by the next call on it.
     """
     n, d = amps.shape
-    return _wigner_rows(amps, 0, d, wigner_workspace(n, d) if out is None else out)
-
-
-def _wigner_rows(amps: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """The rows q in [start, stop) of wigner_block(amps, out=out), indexed
-    [n, q - start, p]: the same lag pairs and the same real product, on
-    those rows alone. Each entry is the same sum of d + 1 terms as in the
-    whole grid. A block of n rows fills n (stop - start) (2d + 1) reals of
-    out, float64 or, for a complex64 block, float32."""
-    n, d = amps.shape
+    if out is None:
+        out = wigner_workspace(n, d)
     if amps.dtype == np.complex64:
         out, real, lags = out.view(np.float32), np.float32, np.complex64
     else:
@@ -224,12 +212,12 @@ def self_correlation(psi: StateVector) -> CorrelationTable:
 
 
 def wigner_pure(psi: StateVector) -> PhaseGrid:
-    """W(p, q) = (1/d) sum_x omega^(-p x) K(q, x), from the real wigner_block,
+    """W(p, q) = (1/d) sum_x omega^(-p x) K(q, x), from the real wigner_rows,
     so the imaginary part of its values is exactly zero. The real grid is
     copied out of its workspace first, so that the workspace (64 MB at
     d = 2003, against 32 MB for the grid) is freed before PhaseGrid makes
     its complex copy."""
-    return PhaseGrid(psi.dim, wigner_block(psi.amp[None])[0].T.copy(), KIND_WIGNER)
+    return PhaseGrid(psi.dim, wigner_rows(psi.amp[None], 0, psi.dim.d)[0].T.copy(), KIND_WIGNER)
 
 
 def metaplectic_image_grid(grid: PhaseGrid, S: SymplecticMatrix) -> PhaseGrid:

@@ -19,7 +19,7 @@ from phasespace import (KIND_WIGNER, CyclicFunction, DenseOperator, PhaseGrid, P
                         hudson, omega_table)
 from phasespace.bochner import PREDICATE_TOL
 from phasespace.qudit import dft_matrix
-from phasespace.wigner import wigner_block, wigner_workspace
+from phasespace.wigner import wigner_rows, wigner_workspace
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]
@@ -165,8 +165,8 @@ def operator_from_wigner(grid: PhaseGrid) -> DenseOperator:
 
 
 def wigner_minima(amps: np.ndarray) -> np.ndarray:
-    """Minimum of each row's wigner_block grid."""
-    return wigner_block(amps).min(axis=(1, 2))
+    """Minimum of each row's Wigner grid, from wigner_rows."""
+    return wigner_rows(amps, 0, amps.shape[1]).min(axis=(1, 2))
 
 
 def complex_wigner_block(amps: np.ndarray) -> np.ndarray:
@@ -186,12 +186,12 @@ def chunked_minima(d: int, samples: int, two_point: int, seed: int) -> tuple[np.
     samples, every chunk computed as verify_hudson computed it before its
     float32 screen: each stream cut into chunks of hudson._chunk_rows(d)
     indices, each chunk's rows drawn on their own, then
-    wigner_block(rows, out=work) on one workspace sized as verify sizes it."""
+    wigner_rows(rows, 0, d, work) on one workspace sized as verify sizes it."""
     step = hudson._chunk_rows(d)
     work = wigner_workspace(min(step, max(samples, two_point)), d)
     minima = []
     for n, rows in ((samples, haar_rows), (two_point, two_point_rows)):
-        chunks = [wigner_block(rows(d, seed, range(i, min(i + step, n))), out=work).min(axis=(1, 2))
+        chunks = [wigner_rows(rows(d, seed, range(i, min(i + step, n))), 0, d, work).min(axis=(1, 2))
                   for i in range(0, n, step)]
         minima.append(np.concatenate(chunks) if chunks else np.empty(0))
     return minima[0], minima[1]

@@ -2,12 +2,15 @@
 process where a test substitutes a function or checks a limit)."""
 
 import csv
+import importlib
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,14 @@ from phasespace import PrimeDim, sl2_enumerate, weyl
 from oracles import act, all_points, compose
 
 BASIS3 = "[[1,0],[0,0],[0,0]]"
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as a strict JSON parser does."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(*args, env_extra=None):
@@ -367,6 +378,39 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--d", "3", "--samples", "2", "--seed", "-3")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("d", [5, 61])
+    @pytest.mark.parametrize("stream", ["haar", "two_point"])
+    def test_all_nan_stream_writes_strict_artifacts(self, monkeypatch, capsys, d, stream):
+        # every row of one stream gets a NaN first amplitude after
+        # normalize_rows: at d = 61 its second chunk goes through the float32
+        # bound too. The run fails and names each row; the stream's
+        # max-minimum (-inf in the report) is null in both artifacts.
+        name, label, count, key, other = {
+            "haar": ("_haar_rows", "random sample", 30, "random", "two_point"),
+            "two_point": ("_two_point_rows", "two-point sample", 20, "two_point", "random"),
+        }[stream]
+        draw = getattr(hudson, name)
+
+        def poisoned(d, words):
+            rows = draw(d, words)
+            rows[:, 0] = np.nan
+            return rows
+
+        monkeypatch.setattr(hudson, name, poisoned)
+        args = ["verify", "--d", str(d), "--samples", "30", "--two-point", "20", "--seed", "7"]
+        assert cli.main(args) == 1
+        doc = strict_loads(capsys.readouterr().out)
+        assert cli.main([*args, "--format", "csv"]) == 1
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        table = {key: strict_loads(value) for key, value in rows[1:]}
+        for report in (table, doc):
+            report.pop("duration_seconds")
+        assert table == doc
+        assert doc["passed"] is False and doc["failures_total"] == count
+        named = [f"{label} {i} has no finite Wigner minimum" for i in range(count)]
+        assert doc["failures"] == named[:hudson.MAX_FAILURE_MESSAGES]
+        assert doc[f"{key}_max_min_wigner"] is None and doc[f"{other}_max_min_wigner"] < 0
+
 
 class TestSeedResolution:
     def test_default_seed(self):
@@ -432,6 +476,19 @@ class TestDimensionLimits:
         assert out == ""
         assert err == f"error: --d must be at most {cli.MAX_D[command]} for {command}\n"
 
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            (["metaplectic", "--d", "4", "--matrix", "1,2,3"], "d must be an odd prime >= 3, got 4"),
+            (["stabilizers", "--d", "103", "--amplitudes", "--format", "csv"], "--d must be at most 101 for stabilizers"),
+            (["verify", "--d", "409", "--samples", "-1", "--tol", "nan"], "--d must be at most 401 for verify"),
+            (["verify", "--d", "9", "--seed", "-1"], "d must be an odd prime >= 3, got 9"),
+        ],
+    )
+    def test_dimension_is_checked_before_the_other_options(self, args, error, capsys):
+        assert cli.main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
 
 class TestUsage:
     def test_one_process_runs_calls_in_sequence(self, tmp_path, monkeypatch, capsys):
@@ -465,3 +522,17 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert run_cli("wigner", "--d", "3").returncode == 2
+
+    @pytest.mark.parametrize("command,extra", [
+        ("wigner", ["--state", BASIS3]), ("stabilizers", []), ("metaplectic", ["--matrix", "1,0,0,1"]), ("verify", []),
+    ])
+    def test_each_subcommand_names_its_handler(self, command, extra):
+        args = cli.build_parser().parse_args([command, "--d", "3", *extra])
+        assert args.run is getattr(cli, f"run_{command}")
+
+    def test_console_script_is_main(self):
+        # [project.scripts] in pyproject.toml, read with a regex (no tomllib on 3.10)
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        module, name = re.fullmatch(r'phasespace = "([\w.]+):(\w+)"', section.strip()).groups()
+        assert getattr(importlib.import_module(module), name) is cli.main

@@ -36,7 +36,7 @@ from phasespace.hudson import (
     support_rows,
 )
 from phasespace.qudit import normalize_rows
-from phasespace.wigner import wigner_block
+from phasespace.wigner import wigner_rows
 
 from oracles import (
     DIMS,
@@ -330,6 +330,30 @@ class TestVerifyHudson:
         assert doc["lemma5_support_sizes"] == {"1": 3, "3": 9}
         assert doc["dim"] == 3
         assert doc["random_samples"] == 5
+
+    @pytest.mark.parametrize("d", [5, 61])
+    def test_non_finite_floats_are_null_in_to_dict(self, monkeypatch, d):
+        # an all-NaN Haar stream reports a max-minimum of -inf, and a NaN
+        # base a NaN stabilizer minimum; the attributes keep those floats,
+        # and to_dict writes each as None, so the document is strict JSON
+        draw = hudson._haar_rows
+
+        def poisoned(d, words):
+            rows = draw(d, words)
+            rows[:, 0] = np.nan
+            return rows
+
+        monkeypatch.setattr(hudson, "_haar_rows", poisoned)
+        _perturbed_blocks(monkeypatch, 0, 0, _nan)
+        monkeypatch.setattr(hudson, "MAX_FAILURE_MESSAGES", 10**6)
+        report = verify_hudson(PrimeDim(d), 3, 7, two_point_samples=0)
+        assert report.random_max_min_wigner == -math.inf and math.isnan(report.stabilizer_min_wigner)
+        assert report.failures[-3:] == [f"random sample {i} has no finite Wigner minimum" for i in range(3)]
+        doc = report.to_dict()
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+        nulls = {key for key, value in doc.items() if value is None}
+        assert nulls == {"random_max_min_wigner", "stabilizer_min_wigner", "stabilizer_line_deviation"}
+        assert doc["tol"] == report.tol and doc["two_point_max_min_wigner"] == 0.0
 
     def test_numpy_scalar_arguments_give_a_json_ready_report(self):
         report = verify_hudson(PrimeDim(np.int64(3)), np.int64(5), np.int64(2), np.float32(1e-9), np.int32(4))
@@ -640,45 +664,43 @@ def _replayed_report(d, samples, seed, tol, two_point):
     return doc
 
 
-def _spy_blocks(monkeypatch):
-    """Record the amplitude block of every wigner_block call verify_hudson
-    makes: the two bases, and each sample chunk it certifies in float64."""
-    blocks = []
-    grids = hudson.wigner_block
-
-    def spied(amps, **kwargs):
-        blocks.append(amps.copy())
-        return grids(amps, **kwargs)
-
-    monkeypatch.setattr(hudson, "wigner_block", spied)
-    return blocks
-
-
-def _spy_ranges(monkeypatch):
-    """Record (rows, start, stop, range minima) of every q-range call of the
-    float32 bound: the complex64 rows, the q range and each row's float32
-    minimum over it."""
+def _spy_kernel(monkeypatch):
+    """Record (rows, start, stop, minima) of every wigner_rows call: the
+    amplitude rows, the q range and each row's minimum over it. verify_hudson
+    makes whole-grid calls (start, stop = 0, d) in float64 on the two bases
+    and on each sample chunk it certifies, q-range calls in float32 for the
+    bound, and a last one on the point-mass witness's q = 0 row."""
     calls = []
-    grids = hudson._wigner_rows
+    grids = hudson.wigner_rows
 
-    def spied(amps, start, stop, out):
+    def spied(amps, start, stop, out=None):
         result = grids(amps, start, stop, out)
         calls.append((amps.copy(), start, stop, result.min(axis=(1, 2))))
         return result
 
-    monkeypatch.setattr(hudson, "_wigner_rows", spied)
+    monkeypatch.setattr(hudson, "wigner_rows", spied)
     return calls
 
 
+def _whole_grids(calls, d):
+    """The amplitude rows of the whole-grid calls _spy_kernel recorded."""
+    return [rows for rows, start, stop, _ in calls if (start, stop) == (0, d)]
+
+
 def _without_witness(calls, d):
-    """The calls _spy_ranges recorded over one verify_hudson run, but the
-    point-mass step's. That step is the run's last q-range call, and the only
-    one in float64: the q = 0 row of its witness (|1> - |-1>) / sqrt(2)."""
+    """The q-range calls _spy_kernel recorded over one verify_hudson run, but
+    the point-mass step's. That step is the run's last call, and the only
+    q-range call in float64: the q = 0 row of its witness (|1> - |-1>) / sqrt(2)."""
     witness = np.zeros((1, d), dtype=complex)
     witness[0, [1, -1]] = [1 / math.sqrt(2), -1 / math.sqrt(2)]
     rows, start, stop, _ = calls[-1]
     assert rows.dtype == np.complex128 and np.array_equal(rows, witness) and (start, stop) == (0, 1)
-    return calls[:-1]
+    return _q_ranges(calls[:-1], d)
+
+
+def _q_ranges(calls, d):
+    """The calls _spy_kernel recorded on part of the q rows."""
+    return [call for call in calls if call[1:3] != (0, d)]
 
 
 def _patched_rows(monkeypatch, seed, change, stream=_HAAR_STREAM):
@@ -715,8 +737,8 @@ class TestFloat32Screen:
     def test_bound_covers_every_float32_entry(self, d, kind, seed):
         amps = _screen_rows(d, kind, seed, 3)
         beta = hudson._screen_bound(d)
-        double = wigner_block(amps)
-        single = wigner_block(amps.astype(np.complex64))
+        double = wigner_rows(amps, 0, d)
+        single = wigner_rows(amps.astype(np.complex64), 0, d)
         assert single.dtype == np.float32
         assert np.abs(single - double).max() <= beta
         assert np.abs(single.min(axis=(1, 2)) - double.min(axis=(1, 2))).max() <= beta
@@ -758,8 +780,8 @@ class TestFloat32Screen:
         d, seed, samples = 61, 7, 60
         step = hudson._chunk_rows(d)
         rows = haar_rows(d, seed, range(2 * step))
-        double = wigner_block(rows).min(axis=(1, 2))
-        single = wigner_block(rows.astype(np.complex64)).min(axis=(1, 2)).astype(np.float64)
+        double = wigner_rows(rows, 0, d).min(axis=(1, 2))
+        single = wigner_rows(rows.astype(np.complex64), 0, d).min(axis=(1, 2)).astype(np.float64)
         assert np.abs(single - double).max() > 0  # the rounding the bound is for
         candidates = np.flatnonzero((double < double.max()) & (single < double))
         psi = int(candidates[np.argmax(double[candidates])])
@@ -768,9 +790,9 @@ class TestFloat32Screen:
         assert -tol - single[psi] <= hudson._screen_bound(d)
         third = np.repeat(rows[psi:psi + 1], step, axis=0)
         _patched_rows(monkeypatch, seed, {i: rows[psi] for i in range(2 * step, 3 * step)})
-        blocks = _spy_blocks(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
         report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=0)
-        assert any(b.dtype == np.complex128 and np.array_equal(b, third) for b in blocks)
+        assert any(b.dtype == np.complex128 and np.array_equal(b, third) for b in _whole_grids(calls, d))
         # the first message of the chunk (the list keeps MAX_FAILURE_MESSAGES)
         value = float(double[psi])
         assert f"random sample {2 * step} has Wigner minimum {value!r} >= -{tol!r}" in report.failures
@@ -781,7 +803,7 @@ class TestFloat32Screen:
         # the first q range takes every row after each stream's first chunk,
         # as complex64; each later range only the rows still open
         d, seed = 61, 7
-        calls = _spy_ranges(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
         assert verify_hudson(PrimeDim(d), 1000, seed).passed
         calls = _without_witness(calls, d)
         step = hudson._chunk_rows(d)
@@ -796,8 +818,9 @@ class TestFloat32Screen:
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_no_complex64_block_runs_at_small_d(self, monkeypatch, d):
         # at d <= 7 each stream is one chunk, which always runs in float64
-        blocks, calls = _spy_blocks(monkeypatch), _spy_ranges(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
         assert verify_hudson(PrimeDim(d), 1000, 7).passed
+        blocks = _whole_grids(calls, d)
         assert len(blocks) == 3 and all(b.dtype == np.complex128 for b in blocks)
         assert _without_witness(calls, d) == []
 
@@ -806,8 +829,9 @@ class TestFloat32Screen:
         # _chunk_rows cuts a stream into, each stream's first chunk first:
         # 5 of the 59 Haar chunks and 2 of the 6 two-point chunks at seed 7
         d, seed = 61, 7
-        blocks = _spy_blocks(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
         assert verify_hudson(PrimeDim(d), 1000, seed).passed
+        blocks = _whole_grids(calls, d)
         step = hudson._chunk_rows(d)
         streams = (("haar", haar_rows(d, seed, range(1000))), ("two_point", two_point_rows(d, seed, range(100))))
         chunks = [(name, k) for b in blocks[1:] for name, rows in streams
@@ -825,15 +849,16 @@ class TestFloat32Screen:
         d, seed, samples, index = 61, 7, 200, 130
         psi = np.zeros(d, dtype=complex)
         psi[[49, 51]] = [math.sqrt(1 - 1e-6), 1e-3j]
-        minimum = wigner_block(psi[None]).min(axis=(1, 2))
-        assert minimum[0] < 0 and np.flatnonzero(wigner_block(psi[None])[0].min(axis=1) < 0).tolist() == [50]
+        minimum = wigner_rows(psi[None], 0, d).min(axis=(1, 2))
+        assert minimum[0] < 0 and np.flatnonzero(wigner_rows(psi[None], 0, d)[0].min(axis=1) < 0).tolist() == [50]
         tol = -float(minimum[0])
         _patched_rows(monkeypatch, seed, {index: psi})
-        calls = _spy_ranges(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
         report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=0).to_dict()
         assert report == _replayed_report(d, samples, seed, tol, 0)
         assert report["failures"][0].startswith(f"random sample {index} has Wigner minimum ")
-        ranges = [start for rows, start, _, _ in calls if (rows == psi.astype(np.complex64)).all(axis=1).any()]
+        ranges = [start for rows, start, _, _ in _without_witness(calls, d)
+                  if (rows == psi.astype(np.complex64)).all(axis=1).any()]
         assert ranges == [0, 7, 15, 30]
 
     def test_dropped_rows_carry_their_float32_bound_in_float64(self, monkeypatch):
@@ -844,9 +869,10 @@ class TestFloat32Screen:
         amps = haar_rows(d, 3, range(hudson._block_rows(d)))
         beta = hudson._screen_bound(d)
         work = hudson.wigner_workspace(step, d)
-        blocks, calls = _spy_blocks(monkeypatch), _spy_ranges(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
         minima, best = hudson._block_minima(amps, work, -math.inf, tol, beta)
-        exact = wigner_block(amps).min(axis=(1, 2))
+        blocks, calls = _whole_grids(calls, d), _q_ranges(calls, d)
+        exact = wigner_rows(amps, 0, d).min(axis=(1, 2))
         single = amps.astype(np.complex64)
         lowest = np.full(len(amps), np.inf, dtype=np.float32)
         for rows, _, _, range_minima in calls:
@@ -869,13 +895,13 @@ class TestFloat32Screen:
         step = hudson._chunk_rows(d)
         amps = haar_rows(d, 1, range(hudson._block_rows(d)))
         amps[2 * step + 5, 5] = np.nan
-        blocks = _spy_blocks(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
         work = hudson.wigner_workspace(step, d)
         minima, best = hudson._block_minima(amps, work, -math.inf, 1e-3, hudson._screen_bound(d))
-        assert any(np.array_equal(b, amps[2 * step:3 * step], equal_nan=True) for b in blocks)
+        assert any(np.array_equal(b, amps[2 * step:3 * step], equal_nan=True) for b in _whole_grids(calls, d))
         assert minima.dtype == np.float64 and np.isnan(minima[2 * step + 5])
         assert np.isnan(minima).sum() == 1 and math.isfinite(best)
-        chunk = wigner_block(amps[2 * step:3 * step]).min(axis=(1, 2))
+        chunk = wigner_rows(amps[2 * step:3 * step], 0, d).min(axis=(1, 2))
         assert np.array_equal(minima[2 * step:3 * step], chunk, equal_nan=True)
 
     @pytest.mark.parametrize("d,stream,index", [
@@ -889,10 +915,10 @@ class TestFloat32Screen:
         amp = (haar_rows if stream == _HAAR_STREAM else two_point_rows)(d, seed, [index])[0]
         amp[0] = np.nan
         _patched_rows(monkeypatch, seed, {index: amp}, stream)
-        calls = _spy_ranges(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
         report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=two_point)
         label = "random sample" if stream == _HAAR_STREAM else "two-point sample"
-        assert not report.passed and report.failures == [f"{label} {index} has Wigner minimum nan >= -{tol!r}"]
+        assert not report.passed and report.failures == [f"{label} {index} has no finite Wigner minimum"]
         haar, pair = chunked_minima(d, samples, two_point, seed)
         assert np.flatnonzero(np.isnan(np.concatenate([haar, pair]))).tolist() == [
             index if stream == _HAAR_STREAM else samples + index]
@@ -919,9 +945,9 @@ class TestStabilizerCertificate:
         back = (k - k[:, None]) % d  # [x, j] -> j - x
         step = hudson._chunk_rows(d)
         for b, block in enumerate(stabilizer_blocks(d)):
-            rep = wigner_block(block[:1])[0]  # [q, p]
+            rep = wigner_rows(block[:1], 0, d)[0]  # [q, p]
             for rows in (slice(i, i + step) for i in range(0, d, step)):
-                grids = wigner_block(block[rows])  # [x, q, p]
+                grids = wigner_rows(block[rows], 0, d)  # [x, q, p]
                 if b == 0:  # |x>: translated along q, on the line q = x
                     rolled, line = rep[back[rows]], (k[rows, None] == k)[:, :, None]
                 else:  # (theta, x): translated along p, on the line p = 2 theta q + x
@@ -938,18 +964,18 @@ class TestStabilizerCertificate:
         # W_theta(p, q) = W_uniform(p - 2 theta q, q), on integer residues
         k = np.arange(d)
         reps = np.array([block[0] for block in list(stabilizer_blocks(d))[1:]])
-        uniform = wigner_block(reps[:1])[0]  # [q, p]
+        uniform = wigner_rows(reps[:1], 0, d)[0]  # [q, p]
         sheared = (k - 2 * k[:, None, None] * k[:, None]) % d  # [theta, q, p] -> p - 2 theta q
         step = hudson._chunk_rows(d)
         for rows in (slice(i, i + step) for i in range(0, d, step)):
-            assert np.abs(wigner_block(reps[rows]) - uniform[k[:, None], sheared[rows]]).max() <= 1e-12
+            assert np.abs(wigner_rows(reps[rows], 0, d) - uniform[k[:, None], sheared[rows]]).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [3, 61, 257])
     def test_stabilizer_pass_computes_two_grids(self, monkeypatch, d):
         # from d = 257 on a sample chunk is one row; the two bases are one block
-        blocks = _spy_blocks(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
         assert verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0).passed
-        assert [len(b) for b in blocks] == [2]
+        assert [len(b) for b in _whole_grids(calls, d)] == [2]
 
     @pytest.mark.parametrize("d", [3, 7, 61, 211])
     def test_lemma6_maxima_are_those_of_every_quadratic_row(self, d):
@@ -1070,8 +1096,8 @@ class TestSinglePointInfeasibility:
     def test_positive_semidefinite_operator_is_not_certified(self, monkeypatch):
         # with a nonnegative witness grid (here the flat 1/d^2 of I/d) the
         # pairing d W_v(0, 0) is no negative value, so the step must say False
-        monkeypatch.setattr(hudson, "_wigner_rows",
-                            lambda amps, start, stop, out: np.full((len(amps), stop - start, amps.shape[1]),
+        monkeypatch.setattr(hudson, "wigner_rows",
+                            lambda amps, start, stop, out=None: np.full((len(amps), stop - start, amps.shape[1]),
                                                                    amps.shape[1] ** -2.0))
         assert single_point_infeasibility(PrimeDim(7)) is False
 
@@ -1095,7 +1121,7 @@ class TestSinglePointInfeasibility:
         dim = PrimeDim(d)
         grid = rng.standard_normal((d, d))
         v = StateVector.normalized(dim, rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        witness = wigner_block(v.amp[None])[0].T  # [p, q]
+        witness = wigner_rows(v.amp[None], 0, d)[0].T  # [p, q]
         pairing = d * float((grid * witness).sum())
         value = np.vdot(v.amp, operator_from_wigner(PhaseGrid(dim, grid, KIND_WIGNER)).mat @ v.amp)
         scale = d * float(np.abs(grid * witness).sum())

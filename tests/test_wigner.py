@@ -30,7 +30,7 @@ from phasespace import (
 )
 from phasespace.clifford import stabilizer_blocks
 from phasespace import hudson
-from phasespace.wigner import _real_dft, _wigner_rows, lag_products, wigner_block, wigner_workspace
+from phasespace.wigner import _real_dft, lag_products, wigner_rows, wigner_workspace
 
 from oracles import (
     DIMS,
@@ -155,7 +155,7 @@ class TestWignerTransforms:
     @given(d=st.sampled_from(PRIMES_TO_101), seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(deadline=None)
     def test_pure_grid_is_exactly_real(self, d, seed, data):
-        # the grid comes from the real wigner_block, so run_wigner writes
+        # the grid comes from the real wigner_rows, so run_wigner writes
         # values.real with no residue to check
         dim = PrimeDim(d)
         block = next(itertools.islice(stabilizer_blocks(d), data.draw(st.integers(0, d)), None))
@@ -289,7 +289,7 @@ class TestWignerMinima:
         basis, quadratic = blocks[0][[0, d // 2, d - 1]], blocks[1][[0, 1]]
         amps = np.concatenate([haar_rows(d, d, range(4)), two_point_rows(d, d, range(4)),
                                basis, quadratic, blocks[d // 2 + 1][[0, d - 1]]])
-        grids = wigner_block(amps)
+        grids = wigner_rows(amps, 0, d)
         oracle = complex_wigner_block(amps)
         assert grids.dtype == np.float64 and grids.shape == (len(amps), d, d)
         assert np.abs(oracle.imag).max() <= 1e-12
@@ -297,7 +297,8 @@ class TestWignerMinima:
 
 
 class TestWignerWorkspace:
-    """wigner_block(amps, out=work), as verify_hudson runs it on every sample chunk."""
+    """wigner_rows(amps, start, stop, work), as verify_hudson runs it on every
+    sample chunk and q range."""
 
     @pytest.mark.parametrize("d", [3, 7, 61])
     def test_out_equals_fresh_grids_bitwise(self, d):
@@ -307,24 +308,24 @@ class TestWignerWorkspace:
         work = wigner_workspace(len(amps) + 4, d)
         work.fill(np.nan)
         for rows in (slice(0, 10), slice(3, 10), slice(9, 10)):
-            grids = wigner_block(amps[rows], out=work)
+            grids = wigner_rows(amps[rows], 0, d, work)
             assert np.shares_memory(grids, work)
             assert grids.shape == (len(amps[rows]), d, d)
             assert np.abs(grids - complex_wigner_block(amps[rows]).real).max() <= 1e-12
             # a new workspace per call gives the same floats as the reused one
-            assert np.array_equal(grids, wigner_block(amps[rows]))
+            assert np.array_equal(grids, wigner_rows(amps[rows], 0, d))
 
     @pytest.mark.parametrize("d", [3, 7, 61])
     def test_complex64_block_reads_the_workspace_as_float32(self, d):
         amps = np.concatenate([haar_rows(d, 2, range(5)), two_point_rows(d, 2, range(3))])
         work = wigner_workspace(len(amps), d)
-        double = wigner_block(amps, out=work).copy()
-        single = wigner_block(amps.astype(np.complex64), out=work)
+        double = wigner_rows(amps, 0, d, work).copy()
+        single = wigner_rows(amps.astype(np.complex64), 0, d, work)
         assert single.dtype == np.float32 and np.shares_memory(single, work)
-        assert np.array_equal(single, wigner_block(amps.astype(np.complex64)))
+        assert np.array_equal(single, wigner_rows(amps.astype(np.complex64), 0, d))
         assert np.abs(single - double).max() <= hudson._screen_bound(d)
         # the float32 block leaves nothing behind that the float64 one reads
-        assert np.array_equal(wigner_block(amps, out=work), double)
+        assert np.array_equal(wigner_rows(amps, 0, d, work), double)
         factor = _real_dft(d, np.float32)
         assert factor.dtype == np.float32 and not factor.flags.writeable
         assert np.array_equal(factor, _real_dft(d, np.float64).astype(np.float32))
@@ -342,9 +343,9 @@ class TestWignerWorkspace:
             assert lags.dtype == block.dtype
             assert np.array_equal(lags, block[:, (q + u) % d] * np.conj(block[:, (q - u) % d]))
             work = wigner_workspace(len(block), d)
-            whole = wigner_block(block).copy()
+            whole = wigner_rows(block, 0, d).copy()
             for start, stop in ranges:
-                grids = _wigner_rows(block, start, stop, work)
+                grids = wigner_rows(block, start, stop, work)
                 assert grids.shape == (len(block), stop - start, d) and np.shares_memory(grids, work)
                 pairs = work.view(grids.dtype)[:len(block) * (stop - start) * (d + 1)].view(block.dtype)
                 assert np.array_equal(pairs.reshape(len(block), stop - start, -1), lags[:, start:stop])
@@ -352,16 +353,16 @@ class TestWignerWorkspace:
 
     def test_calls_without_out_share_no_memory(self):
         amps = haar_rows(7, 2, range(3))
-        first = wigner_block(amps)
+        first = wigner_rows(amps, 0, 7)
         kept = first.copy()
-        second = wigner_block(amps[::-1])
+        second = wigner_rows(amps[::-1], 0, 7)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
 
     def test_out_too_small_raises(self):
         amps = haar_rows(7, 2, range(3))
         with pytest.raises(ValueError):
-            wigner_block(amps, out=wigner_workspace(2, 7))
+            wigner_rows(amps, 0, 7, wigner_workspace(2, 7))
 
 
 class TestSelfCorrelation:
