@@ -14,7 +14,7 @@ handed back to the system and faulted in again.
   * verify_hudson(PrimeDim(d), 1000 samples, seed 7, 100 two-point samples)
     at d = 3, 5, 7, 31, 61, 101, 401 and 601 (601 is past the CLI cap);
   * the stabilizer pass alone, verify_hudson with both sample counts 0 (its
-    point-mass step included), at d = 101, 401, 601 and 1009;
+    point-mass step included), at d = 101, 401, 601, 1009 and 2003;
   * the point-mass step alone, hudson.single_point_infeasibility, at d = 61,
     401 and 1009;
   * at d = 61, on one stream of 1000 Haar rows: the grid minima of the whole
@@ -67,7 +67,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 7
 VERIFY_DIMS = (3, 5, 7, 31, 61, 101, 401, 601)
-STABILIZER_PASS_DIMS = (101, 401, 601, 1009)
+STABILIZER_PASS_DIMS = (101, 401, 601, 1009, 2003)
 POINT_MASS_DIMS = (61, 401, 1009)
 SAMPLES, TWO_POINT, SEED, TOL = 1000, 100, 7, 1e-9
 KERNEL_D, KERNEL_ROWS = 61, 1000

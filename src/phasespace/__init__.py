@@ -34,9 +34,8 @@ from .wigner import (
 )
 from .clifford import (
     metaplectic,
-    stabilizer_blocks,
-    stabilizer_descriptors,
     stabilizer_overlaps,
+    stabilizer_rows,
 )
 from .bochner import (
     CyclicFunction,

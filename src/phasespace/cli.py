@@ -31,7 +31,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import __version__
-from .clifford import metaplectic, stabilizer_blocks, stabilizer_descriptors
+from .clifford import metaplectic, stabilizer_rows
 from .hudson import verify_hudson
 from .qudit import StateVector, weyl
 from .wigner import KIND_WIGNER, wigner_pure
@@ -52,15 +52,14 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 #                so memory grows as d^3.
 #   metaplectic  d = 1009: JSON 4.5-4.9 s, 318 MB; CSV 4.3-4.4 s, 95 MB. The
 #                self-check is O(d^3), 0.8 s of it, so the artifact sets the cost.
-#   verify       d = 401: 0.75-0.83 s, 75 MB (BLAS on 1 thread). The
-#                stabilizer pass reads two blocks of the family and takes
-#                0.02 s of it (0.13-0.19 s at d = 1009, about half of it the
-#                two base grids; the point-mass step reads one row of its
-#                witness's grid, under 1 ms). The 1100 samples take the rest, a real half-lag
-#                Wigner product each (O(d^3)): float32 minima over q ranges
-#                bound 1098 of them, of which 102-128 reach the last range,
-#                and 8-9 run whole in float64, with the chirp DFT of the
-#                overlap check skipped by its O(d) bound.
+#   verify       d = 401: 0.48-0.66 s, 45 MB (BLAS on 1 thread). The
+#                stabilizer pass builds three rows of the family and takes
+#                0.02 s (0.07-0.1 s and 84 MB at d = 1009, mostly two base
+#                grids), the point-mass step under 1 ms. The 1100 samples take
+#                the rest, a real half-lag Wigner product each (O(d^3)):
+#                float32 minima over q ranges bound 1098 of them, of which
+#                102-128 reach the last range, and 8-9 run whole in float64,
+#                with the chirp DFT of the overlap check skipped by its O(d) bound.
 MAX_D = {"wigner": 2003, "stabilizers": 101, "metaplectic": 1009, "verify": 401}
 # Largest accepted --samples and --two-point: time grows linearly in the counts,
 # memory stays flat. Measured as above with both counts at the cap: d = 3
@@ -179,19 +178,18 @@ def run_stabilizers(args: argparse.Namespace) -> tuple[dict | Iterable[str], int
     dim = _prime_dim(args)
     if args.amplitudes and args.format != "json":
         raise CliError("--amplitudes needs --format json")
-    descs = stabilizer_descriptors(dim)
+    d = dim.d
+    # stabilizer i as clifford.stabilizer_rows indexes it: |i> for i < d, then (theta, x) = divmod(i - d, d)
+    descs = [{"kind": "basis", "k": k} for k in range(d)]
+    descs += [{"kind": "quadratic", "theta": i // d, "x": i % d} for i in range(d * d)]
     if args.format == "csv":
-        rows = ["index,kind,k,theta,x"]
-        for i, desc in enumerate(descs):
-            rows.append(
-                f"{i},{desc['kind']},{desc.get('k', '')},{desc.get('theta', '')},{desc.get('x', '')}"
-            )
-        return rows, 0
+        lines = (f"{i},{s['kind']},{s.get('k', '')},{s.get('theta', '')},{s.get('x', '')}" for i, s in enumerate(descs))
+        return ["index,kind,k,theta,x", *lines], 0
     if args.amplitudes:
-        rows = (row for block in stabilizer_blocks(dim.d) for row in _complex_pairs(block))
-        for desc, row in zip(descs, rows):
-            desc["amplitudes"] = row
-    return {"d": dim.d, "count": len(descs), "states": descs}, 0
+        for start in range(0, len(descs), d):  # one block of d rows at a time
+            for desc, row in zip(descs[start:start + d], _complex_pairs(stabilizer_rows(d, range(start, start + d)))):
+                desc["amplitudes"] = row
+    return {"d": d, "count": len(descs), "states": descs}, 0
 
 
 def _conjugation_error(mu: np.ndarray, S: SymplecticMatrix) -> float:

@@ -28,9 +28,10 @@ position basis states together with the d^2 quadratic-phase states
     psi(q) = d^(-1/2) omega^(theta q^2 + x q),
 
 d(d+1) states in total (an orbit of |0> under the Clifford group; the test
-suite certifies this by brute-force orbit closure). stabilizer_blocks yields
-them as d + 1 blocks of d amplitude rows, so no caller has to hold all of
-them at once.
+suite certifies this by brute-force orbit closure). Index i names |i> for
+i < d and otherwise the quadratic state (theta, x) = divmod(i - d, d).
+stabilizer_rows builds just the rows of the indices asked for, so no caller
+holds the whole family: hudson.verify_hudson asks for three.
 
 stabilizer_overlaps never builds that family. The largest overlap of psi
 with a stabilizer state is
@@ -49,12 +50,12 @@ whose bound comes within rounding of a match.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import operator
 
 import numpy as np
 
 from .qudit import DenseOperator, dft_matrix, omega_table
-from .zmod import PrimeDim, SymplecticMatrix, half
+from .zmod import SymplecticMatrix, half
 
 
 def metaplectic(S: SymplecticMatrix) -> DenseOperator:
@@ -81,24 +82,21 @@ def metaplectic(S: SymplecticMatrix) -> DenseOperator:
 # ---------------------------------------------------------------------------
 
 
-def stabilizer_blocks(d: int) -> Iterator[np.ndarray]:
-    """The d(d+1) stabilizer states as d + 1 (d, d) amplitude blocks: the
-    basis states, then for each theta the quadratic-phase states
-    x = 0, ..., d-1, gathered from the root table at exact residues."""
-    yield np.eye(d, dtype=complex)
+def stabilizer_rows(d: int, indices) -> np.ndarray:
+    """The stabilizer states of the given indices as an (n, d) amplitude
+    block: row i is |i> for i < d, and otherwise the quadratic state with
+    (theta, x) = divmod(i - d, d), gathered from the root table at exact
+    residues. An index outside [0, d(d+1)) raises ValueError."""
+    idx = [operator.index(i) for i in indices]
+    if idx and not (min(idx) >= 0 and max(idx) < d * (d + 1)):
+        raise ValueError(f"stabilizer indices must lie in [0, {d * (d + 1)})")
+    i = np.array(idx, dtype=np.intp)
+    theta, x = np.divmod(i - d, d)
     q = np.arange(d)
-    xq = np.outer(q, q)  # [x, q] -> x q
-    for theta in range(d):
-        yield omega_table(d)[(theta * q * q + xq) % d] / np.sqrt(d)
-
-
-def stabilizer_descriptors(dim: PrimeDim) -> list[dict]:
-    """Descriptors aligned index-by-index with the rows of stabilizer_blocks."""
-    descs: list[dict] = [{"kind": "basis", "k": k} for k in range(dim.d)]
-    for theta in range(dim.d):
-        for x in range(dim.d):
-            descs.append({"kind": "quadratic", "theta": theta, "x": x})
-    return descs
+    rows = omega_table(d)[(theta[:, None] * (q * q) + x[:, None] * q) % d] / np.sqrt(d)
+    basis = i < d
+    rows[basis] = i[basis, None] == q  # |i>: 1 at column i
+    return rows
 
 
 def stabilizer_overlaps(amps: np.ndarray) -> np.ndarray:

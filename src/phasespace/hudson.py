@@ -3,8 +3,8 @@
 verify_hudson runs, for one dimension d, the full battery:
 
   * every enumerated stabilizer state has a nonnegative Wigner function
-    (minimum entry >= -1e-12), certified from the first two blocks of
-    clifford.stabilizer_blocks as described below;
+    (minimum entry >= -1e-12), certified from three rows of
+    clifford.stabilizer_rows as described below;
   * seeded Haar-random states all have a strictly negative minimum
     (below -tol) and are confirmed non-stabilizer;
   * seeded states supported on exactly two positions all have a strictly
@@ -133,23 +133,26 @@ of |0> (Gross 2006), and Wigner covariance moves each state's grid onto a
 line: (1/d) 1[q = k] for |k> and (1/d) 1[p = 2 theta q + x] for the
 quadratic-phase state (theta, x), as
 
-    row k of block 0         = |0> moved to k: the grid moves by k along q
-    row x of block theta + 1 = omega^(x q) omega^(theta q^2) uniform: the grid
-                               is sheared p -> p + 2 theta q, then moved by x along p
+    stabilizer k < d           = |0> moved to k: the grid moves by k along q
+    stabilizer d + theta d + x = omega^(x q) omega^(theta q^2) uniform: the grid
+                                 is sheared p -> p + 2 theta q, then moved by x along p
 
-So the whole family is nonnegative with two bases, and verify_hudson reads
-only blocks 0 and 1 of clifford.stabilizer_blocks. The bases |0> (row 0 of
-block 0, line q = 0) and the uniform state (row 0 of block 1, line p = 0) get
-a numeric grid, which gives each base's minimum, first argmin and largest
-deviation from its line (the report's stabilizer_line_deviation, at most
-STABILIZER_NONNEG_TOL), and their modulus-inequality counts. Support, spread
-and offset are computed on |0> for the d basis rows and on the row theta = 0,
-x = 1 for the d^2 quadratic rows: every quadratic row gathers its entries
-from omega_table(d) / sqrt(d), and that row holds every entry, so its spread
-and offset are the family's maxima. Each row carries its base's values, and a
-negative row reports its base's argmin moved as above. The laws above are
+So the whole family is nonnegative with two bases, and verify_hudson asks
+clifford.stabilizer_rows for stabilizers 0, d and d + 1 alone. The bases |0>
+(stabilizer 0, line q = 0) and the uniform state (stabilizer d, line p = 0)
+get a numeric grid: each base's minimum, its largest deviation from its line
+(the report's stabilizer_line_deviation, at most STABILIZER_NONNEG_TOL), a
+negative base's first argmin, and their modulus-inequality counts. Support,
+spread and offset are computed on |0> for the d basis rows and on stabilizer
+d + 1 (theta = 0, x = 1) for the d^2 quadratic rows: every quadratic row
+gathers its entries from omega_table(d) / sqrt(d), and that row holds every
+entry, so its spread and offset are the family's maxima. Each value is kept
+once per base and weighted by the rows it stands for; a failing base writes
+its line failure once and its other failures for every row of its index
+range, a negative row at its base's argmin moved as above. The laws above are
 identities on integer residues, so nothing at run time re-checks them; the
-test suite checks them, and every listed row against a second construction.
+test suite checks them, and every index of stabilizer_rows against a second
+construction.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .clifford import stabilizer_blocks, stabilizer_overlaps
+from .clifford import stabilizer_overlaps, stabilizer_rows
 from .qudit import NORM_TOL, StateVector, normalize_rows
 from .wigner import lag_products, wigner_rows, wigner_workspace
 from .zmod import PrimeDim
@@ -566,37 +569,31 @@ def verify_hudson(
         raise ValueError(f"seeds must be nonnegative, got {seed!r}")
     failures = _Failures()
     d = dim.d
-    # one Wigner workspace for the largest sample chunk handed out below,
-    # which every q-range batch of the float32 bound fits too
-    work = wigner_workspace(min(_chunk_rows(d), max(samples, two_point_samples)), d)
-    beta = _screen_bound(d)
 
-    # Two rows of the first two blocks stand for the whole family (see the
-    # module docstring): the bases |0> and uniform get a grid, and |0> and the
-    # row theta = 0, x = 1 the O(d) lemma statistics.
-    blocks = stabilizer_blocks(d)
-    basis, quadratic = next(blocks), next(blocks)
-    bases = np.array([basis[0], quadratic[0]])
-    grids = wigner_rows(bases, 0, d)  # [base, q, p]
+    # Three rows stand for the whole family (see the module docstring): the bases
+    # |0> and uniform (stabilizers 0 and d) get a grid, and |0> and stabilizer
+    # d + 1 the O(d) lemma statistics; family counts the rows each base stands for.
+    rows = stabilizer_rows(d, [0, d, d + 1])
+    family = np.array([d, d * d])
+    grids = wigner_rows(rows[:2], 0, d)  # [base, q, p]
     base_minima = grids.min(axis=(1, 2))
-    base_argmins = grids.transpose(0, 2, 1).reshape(2, d * d).argmin(axis=1)  # first p * d + q
-    base_violations = modulus_violations(np.abs(bases))
+    positive = base_minima >= -STABILIZER_NONNEG_TOL
+    argmins = {b: int(grids[b].T.argmin()) for b in np.flatnonzero(~positive).tolist()}  # first p * d + q
     grids[0, 0, :] -= 1.0 / d
     grids[1, :, 0] -= 1.0 / d
-    line_deviation = np.abs(grids).max(axis=(1, 2))
-    m = np.abs([basis[0], quadratic[1]])
-    inside, base_stable = support_rows(m)
-    base_spread = m.max(axis=1) - m.min(axis=1)
-    base_offset = np.abs(m - 1.0 / math.sqrt(d)).max(axis=1)
-    family = np.repeat([0, 1], [d, d * d])  # the base of each row
-    minima, violations, size, stable, spread, offset = (
-        a[family] for a in (base_minima, base_violations, inside.sum(axis=1), base_stable, base_spread, base_offset))
+    line_deviation = np.abs(grids, out=grids).max(axis=(1, 2))
+    del grids  # the base grids' workspace goes before the samples' comes
+    violations = modulus_violations(np.abs(rows[:2]))
+    m = np.abs(rows[[0, 2]])
+    inside, stable = support_rows(m)
+    size = inside.sum(axis=1)
+    spread = m.max(axis=1) - m.min(axis=1)
+    offset = np.abs(m - 1.0 / math.sqrt(d)).max(axis=1)
     full = size == d
 
     # the lemma checks apply to states that passed positivity
-    positive = minima >= -STABILIZER_NONNEG_TOL
-    lemma4_violations = int(violations[positive].sum())
-    counts = np.bincount(size[positive])
+    lemma4_violations = int((violations * family)[positive].sum())
+    counts = np.bincount(size[positive], weights=family[positive])
     sizes = {k: int(counts[k]) for k in np.flatnonzero(counts).tolist()}
     guard_stable = bool(stable[positive].all())
     spread_checked = full & positive
@@ -604,32 +601,39 @@ def verify_hudson(
     max_offset = float(offset[spread_checked].max(initial=0.0))
 
     # written so that NaN fails too
-    line_failed = np.zeros(d * (d + 1), dtype=bool)
-    line_failed[[0, d]] = ~(line_deviation <= STABILIZER_NONNEG_TOL)
+    line_failed = ~(line_deviation <= STABILIZER_NONNEG_TOL)
     lemma_failed = ((violations > 0) | ~stable | ((size != 1) & ~full)
                     | (full & ((spread > LEMMA_TOL) | (offset > LEMMA_TOL))))
-    for idx in np.nonzero(line_failed | ~positive | lemma_failed)[0].tolist():
-        b, x = divmod(idx, d)
-        if line_failed[idx]:
-            failures.add(f"stabilizer {idx} is off its exact Wigner line by {float(line_deviation[family[idx]])!r}")
-        if not positive[idx]:
-            # the row's grid is its base's, moved along q by k for |k>, and
-            # sheared p -> p + 2 theta q, then moved along p by x, for (theta, x)
-            p, q = divmod(int(base_argmins[family[idx]]), d)
-            where = (p, (q + x) % d) if b == 0 else ((p + 2 * (b - 1) * q + x) % d, q)
-            failures.add(f"stabilizer {idx} has Wigner minimum {float(minima[idx])!r} at {where}")
+    for b in np.flatnonzero(line_failed | ~positive | lemma_failed).tolist():
+        first, stop = b * d, b * d + int(family[b])  # the index range of the base's rows
+        if line_failed[b]:
+            failures.add(f"stabilizer {first} is off its exact Wigner line by {float(line_deviation[b])!r}")
+        if not positive[b]:
+            p, q = divmod(argmins[b], d)
+            for idx in range(first, stop):
+                # the row's grid is its base's, moved along q by k for |k>, and
+                # sheared p -> p + 2 theta q, then moved along p by x, for (theta, x)
+                theta, x = divmod(idx - d, d)
+                where = (p, (q + idx) % d) if b == 0 else ((p + 2 * theta * q + x) % d, q)
+                failures.add(f"stabilizer {idx} has Wigner minimum {float(base_minima[b])!r} at {where}")
             continue
-        if violations[idx]:
-            failures.add(f"stabilizer {idx} violates the modulus inequality {int(violations[idx])} times")
-        if not stable[idx]:
-            failures.add(f"support threshold guard tripped on stabilizer {idx}; run inconclusive")
-        if not (size[idx] == 1 or full[idx]):
-            failures.add(f"stabilizer {idx} has support size {int(size[idx])}, expected 1 or {d}")
-        elif full[idx]:
-            if spread[idx] > LEMMA_TOL:
-                failures.add(f"stabilizer {idx} has modulus spread {float(spread[idx])!r}")
-            if offset[idx] > LEMMA_TOL:
-                failures.add(f"stabilizer {idx} modulus is off d^-1/2 by {float(offset[idx])!r}")
+        for idx in range(first, stop if lemma_failed[b] else first):
+            if violations[b]:
+                failures.add(f"stabilizer {idx} violates the modulus inequality {int(violations[b])} times")
+            if not stable[b]:
+                failures.add(f"support threshold guard tripped on stabilizer {idx}; run inconclusive")
+            if not (size[b] == 1 or full[b]):
+                failures.add(f"stabilizer {idx} has support size {int(size[b])}, expected 1 or {d}")
+            elif full[b]:
+                if spread[b] > LEMMA_TOL:
+                    failures.add(f"stabilizer {idx} has modulus spread {float(spread[b])!r}")
+                if offset[b] > LEMMA_TOL:
+                    failures.add(f"stabilizer {idx} modulus is off d^-1/2 by {float(offset[b])!r}")
+
+    # one Wigner workspace for the largest sample chunk handed out below,
+    # which every q-range batch of the float32 bound fits too
+    work = wigner_workspace(min(_chunk_rows(d), max(samples, two_point_samples)), d)
+    beta = _screen_bound(d)
 
     random_all_negative = True
     random_all_nonstabilizer = True

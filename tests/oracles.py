@@ -8,9 +8,10 @@ real matrix product over half the lags, not complex arithmetic over all of
 them; the point-mass step pairs one entry of a grid where operator_from_wigner
 inverts the whole grid), or a helper that only the tests need (all_points,
 act, compose, translated_grid, haar_rows, two_point_rows, wigner_minima).
-chunked_minima replays verify_hudson's sample minima all in float64, as verify
-computed them before its float32 screen. Phase-space points are (p, q) tuples
-of ints.
+stabilizer_blocks keeps the construction stabilizer_rows replaced, as the
+bit-for-bit reference of its rows, and chunked_minima replays verify_hudson's
+sample minima all in float64, as verify computed them before its float32
+screen. Phase-space points are (p, q) tuples of ints.
 """
 
 import numpy as np
@@ -134,6 +135,16 @@ def stabilizer_stack(d: int) -> np.ndarray:
     rows = [np.eye(d)[k] for k in range(d)]
     rows += [np.exp(2j * np.pi * ((t * q * q + x * q) % d) / d) / np.sqrt(d) for t in range(d) for x in range(d)]
     return np.array(rows)
+
+
+def stabilizer_blocks(d: int) -> list[np.ndarray]:
+    """The d(d+1) stabilizer states as d + 1 (d, d) blocks, built as the
+    package built them before stabilizer_rows: np.eye for the basis states,
+    then for each theta one gather from omega_table at the residues
+    theta q^2 + x q mod d. stabilizer_rows must match it bit for bit."""
+    q = np.arange(d)
+    xq = np.outer(q, q)  # [x, q] -> x q
+    return [np.eye(d, dtype=complex)] + [omega_table(d)[(theta * q * q + xq) % d] / np.sqrt(d) for theta in range(d)]
 
 
 def fft_wigner(amp: np.ndarray) -> np.ndarray:

@@ -29,8 +29,8 @@ from phasespace import (
     projector,
     single_point_infeasibility,
     sl2_enumerate,
-    stabilizer_blocks,
     stabilizer_overlaps,
+    stabilizer_rows,
     verify_hudson,
     weyl,
     wigner_from_char,
@@ -66,7 +66,7 @@ def test_criterion_01_stabilizer_nonnegativity():
     worst = math.inf
     counts = {}
     for dim in DIMS:
-        amps = np.concatenate(list(stabilizer_blocks(dim.d)))
+        amps = stabilizer_rows(dim.d, range(dim.d * (dim.d + 1)))
         counts[dim.d] = len(amps)
         minima = wigner_minima(amps)
         worst = min(worst, float(minima.min()))
@@ -273,7 +273,7 @@ def test_criterion_09_positive_states_satisfy_the_structure_lemmas():
     details = []
     for dim in DIMS:
         d = dim.d
-        amps = np.concatenate(list(stabilizer_blocks(dim.d)))
+        amps = stabilizer_rows(dim.d, range(dim.d * (dim.d + 1)))
         minima = wigner_minima(amps)
         assert np.all(minima >= -1e-12)
         m = np.abs(amps)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasespace import DenseOperator, SymplecticMatrix, cli, hudson, metaplectic, stabilizer_blocks
+from phasespace import DenseOperator, SymplecticMatrix, cli, hudson, metaplectic, stabilizer_rows
 from phasespace import PrimeDim, sl2_enumerate, weyl
 
 from oracles import act, all_points, compose
@@ -168,17 +168,17 @@ class TestStabilizersCommand:
 
     def test_listing_builds_no_states(self, monkeypatch, capsys):
         # without --amplitudes only the descriptors are read
-        def no_blocks(d):
+        def no_rows(d, indices):
             raise AssertionError("stabilizer amplitudes built for a descriptor listing")
 
-        monkeypatch.setattr(cli, "stabilizer_blocks", no_blocks)
+        monkeypatch.setattr(cli, "stabilizer_rows", no_rows)
         assert cli.main(["stabilizers", "--d", "5"]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 30
 
     def test_amplitudes_follow_the_enumeration(self, capsys):
         assert cli.main(["stabilizers", "--d", "5", "--amplitudes"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        want = [[[z.real, z.imag] for z in amp] for amp in np.concatenate(list(stabilizer_blocks(5)))]
+        want = [[[z.real, z.imag] for z in amp] for amp in stabilizer_rows(5, range(30))]
         assert [rec["amplitudes"] for rec in doc["states"]] == want
 
     def test_csv_listing(self):

@@ -11,19 +11,20 @@ from phasespace import (
     PrimeDim,
     StateVector,
     SymplecticMatrix,
+    cli,
     haar_sample,
     half,
     metaplectic,
     omega_table,
     sl2_enumerate,
-    stabilizer_blocks,
-    stabilizer_descriptors,
     stabilizer_overlaps,
+    stabilizer_rows,
     weyl,
 )
 from phasespace.hudson import STABILIZER_MATCH_TOL
 
-from oracles import DIMS, PRIMES_TO_101, act, all_points, compose, projective_equal, stabilizer_stack
+from oracles import (DIMS, PRIMES_TO_101, act, all_points, compose, projective_equal, stabilizer_blocks,
+                     stabilizer_stack)
 
 LARGE_PRIMES = [p for p in range(11, 102) if all(p % f for f in range(2, p))]
 
@@ -181,7 +182,7 @@ class TestCliffordElement:
 
 def _family(dim):
     """The d(d+1) stabilizer states as one stack of amplitude rows."""
-    return np.concatenate(list(stabilizer_blocks(dim.d)))
+    return stabilizer_rows(dim.d, range(dim.d * (dim.d + 1)))
 
 
 def _matches(amps, tol=STABILIZER_MATCH_TOL):
@@ -221,17 +222,23 @@ class TestStabilizerStates:
 
     @pytest.mark.parametrize("dim", [PrimeDim(p) for p in PRIMES_TO_101])
     def test_descriptors_align(self, dim):
-        # every row against its descriptor's closed form, the exponent reduced mod d
+        # every index of stabilizer_rows against the closed form of the
+        # descriptor the stabilizers command lists for it, the exponent
+        # reduced mod d: |i> for i < d, else (theta, x) = divmod(i - d, d)
         d = dim.d
         states = _family(dim)
-        descs = stabilizer_descriptors(dim)
-        assert len(states) == len(descs)
+        doc, _ = cli.run_stabilizers(cli.build_parser().parse_args(["stabilizers", "--d", str(d)]))
+        descs = doc["states"]
+        assert len(states) == len(descs) == d * (d + 1)
         q = np.arange(d)
-        for amp, desc in zip(states, descs):
-            if desc["kind"] == "basis":
-                expected = np.eye(d)[desc["k"]]
+        for i, (amp, desc) in enumerate(zip(states, descs)):
+            theta, x = divmod(i - d, d)
+            if i < d:
+                assert desc == {"kind": "basis", "k": i}
+                expected = np.eye(d)[i]
             else:
-                expected = np.exp(2j * np.pi * ((desc["theta"] * q * q + desc["x"] * q) % d) / d) / np.sqrt(d)
+                assert desc == {"kind": "quadratic", "theta": theta, "x": x}
+                expected = np.exp(2j * np.pi * ((theta * q * q + x * q) % d) / d) / np.sqrt(d)
             assert np.abs(amp - expected).max() <= 1e-15
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -361,11 +368,24 @@ class TestStabilizerMatchAgainstStack:
         assert not _matches([amp])[0]
         assert _matches([amp], tol=1e-4)[0]
 
-    # every listed row against a second construction, which verify_hudson
-    # leaves to this test: it reads only the first two blocks
+    # every index against two more constructions, which verify_hudson leaves
+    # to this test: it asks for three rows. The gather of the d + 1 blocks
+    # stabilizer_rows replaced must give the same bits, compared as uint64
     @pytest.mark.parametrize("dim", [PrimeDim(p) for p in PRIMES_TO_101])
     def test_blocks_follow_the_enumeration(self, dim):
-        blocks = list(stabilizer_blocks(dim.d))
-        assert len(blocks) == dim.d + 1
-        assert all(block.shape == (dim.d, dim.d) for block in blocks)
-        assert np.max(np.abs(np.concatenate(blocks) - stabilizer_stack(dim.d))) < 1e-12
+        d = dim.d
+        rows = stabilizer_rows(d, range(d * (d + 1)))
+        assert rows.shape == (d * (d + 1), d) and rows.dtype == complex
+        assert np.array_equal(rows.view(np.uint64), np.concatenate(stabilizer_blocks(d)).view(np.uint64))
+        assert np.max(np.abs(rows - stabilizer_stack(d))) < 1e-12
+        # any index set, in any order and with repeats, gives those rows
+        picked = np.random.default_rng(d).integers(0, d * (d + 1), 2 * d)
+        assert np.array_equal(stabilizer_rows(d, picked.tolist()).view(np.uint64), rows[picked].view(np.uint64))
+
+    @pytest.mark.parametrize("indices", [[-1], [0, 12], [12], [3, -5, 1], [2**70]])
+    def test_index_out_of_range_raises(self, indices):
+        with pytest.raises(ValueError, match=r"stabilizer indices must lie in \[0, 12\)"):
+            stabilizer_rows(3, indices)
+
+    def test_no_index_gives_no_rows(self):
+        assert stabilizer_rows(5, []).shape == (0, 5)

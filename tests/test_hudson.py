@@ -18,7 +18,7 @@ from phasespace import (
     StateVector,
     haar_sample,
     single_point_infeasibility,
-    stabilizer_blocks,
+    stabilizer_rows,
     two_point_sample,
     verify_hudson,
     weyl,
@@ -83,7 +83,7 @@ def _violations_oracle(amp, tol=1e-12):
 class TestModulusInequality:
     @pytest.mark.parametrize("dim", DIMS)
     def test_stabilizers_have_no_violations(self, dim):
-        counts = modulus_violations(np.abs(np.concatenate(list(stabilizer_blocks(dim.d)))))
+        counts = modulus_violations(np.abs(stabilizer_rows(dim.d, range(dim.d * (dim.d + 1)))))
         assert counts.shape == (dim.d * (dim.d + 1),)
         assert not counts.any()
 
@@ -148,7 +148,7 @@ class TestConstantModulus:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_quadratic_stabilizers_are_flat(self, dim):
-        m = np.abs(np.concatenate(list(stabilizer_blocks(dim.d)))[dim.d :])
+        m = np.abs(stabilizer_rows(dim.d, range(dim.d, dim.d * (dim.d + 1))))
         inside, _ = support_rows(m)
         assert inside.all()
         assert np.all(m.max(axis=1) - m.min(axis=1) < 1e-15)
@@ -344,7 +344,7 @@ class TestVerifyHudson:
             return rows
 
         monkeypatch.setattr(hudson, "_haar_rows", poisoned)
-        _perturbed_blocks(monkeypatch, 0, 0, _nan)
+        _perturbed_rows(monkeypatch, 0, _nan)
         monkeypatch.setattr(hudson, "MAX_FAILURE_MESSAGES", 10**6)
         report = verify_hudson(PrimeDim(d), 3, 7, two_point_samples=0)
         assert report.random_max_min_wigner == -math.inf and math.isnan(report.stabilizer_min_wigner)
@@ -364,7 +364,7 @@ class TestVerifyHudson:
     @pytest.mark.parametrize("args", [(5.0, 1, 5, 1e-9), (5, 1.0, 5, 1e-9), (5, 1, 5.0, 1e-9),
                                       (2, 1, 0, "1e-9"), (2, 1, 0, True), (True, False, 0, 1e-9)])
     def test_float_counts_and_seeds_raise_before_any_work(self, args, monkeypatch):
-        monkeypatch.setattr(hudson, "stabilizer_blocks", lambda d: pytest.fail("states built before the check"))
+        monkeypatch.setattr(hudson, "stabilizer_rows", lambda d, indices: pytest.fail("states built before the check"))
         with pytest.raises(TypeError):
             verify_hudson(PrimeDim(3), *args[:2], two_point_samples=args[2], tol=args[3])
 
@@ -425,7 +425,7 @@ class TestVerifyHudson:
         def drawn(*args):
             raise AssertionError("states built before the counts were checked")
 
-        for name in ("stabilizer_blocks", "_haar_rows", "_two_point_rows"):
+        for name in ("stabilizer_rows", "_haar_rows", "_two_point_rows"):
             monkeypatch.setattr(hudson, name, drawn)
         with pytest.raises(ValueError, match=r"at most 2\^32"):
             verify_hudson(PrimeDim(3), samples=samples, seed=1, two_point_samples=two_point)
@@ -944,7 +944,8 @@ class TestStabilizerCertificate:
         k = np.arange(d)
         back = (k - k[:, None]) % d  # [x, j] -> j - x
         step = hudson._chunk_rows(d)
-        for b, block in enumerate(stabilizer_blocks(d)):
+        for b in range(d + 1):  # stabilizers b d, ..., b d + d - 1
+            block = stabilizer_rows(d, range(b * d, (b + 1) * d))
             rep = wigner_rows(block[:1], 0, d)[0]  # [q, p]
             for rows in (slice(i, i + step) for i in range(0, d, step)):
                 grids = wigner_rows(block[rows], 0, d)  # [x, q, p]
@@ -963,7 +964,7 @@ class TestStabilizerCertificate:
     def test_representatives_are_the_uniform_grid_sheared(self, d):
         # W_theta(p, q) = W_uniform(p - 2 theta q, q), on integer residues
         k = np.arange(d)
-        reps = np.array([block[0] for block in list(stabilizer_blocks(d))[1:]])
+        reps = stabilizer_rows(d, range(d, d * (d + 1), d))
         uniform = wigner_rows(reps[:1], 0, d)[0]  # [q, p]
         sheared = (k - 2 * k[:, None, None] * k[:, None]) % d  # [theta, q, p] -> p - 2 theta q
         step = hudson._chunk_rows(d)
@@ -981,37 +982,37 @@ class TestStabilizerCertificate:
     def test_lemma6_maxima_are_those_of_every_quadratic_row(self, d):
         # the row theta = 0, x = 1 holds every entry of the quadratic rows, so
         # its spread and offset are their maxima over all d^2 rows, exactly
-        m = np.abs(np.concatenate(list(stabilizer_blocks(d))[1:]))
+        m = np.abs(stabilizer_rows(d, range(d, d * (d + 1))))
         report = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
         assert report.lemma6_max_modulus_spread == float((m.max(axis=1) - m.min(axis=1)).max())
         assert report.lemma6_max_modulus_offset == float(np.abs(m - 1.0 / math.sqrt(d)).max())
 
-    def test_stabilizer_pass_draws_two_blocks(self, monkeypatch):
-        blocks = hudson.stabilizer_blocks
+    @pytest.mark.parametrize("d", [3, 7, 61])
+    def test_stabilizer_pass_asks_for_three_rows(self, monkeypatch, d):
+        asked = []
 
-        def first_two(d):
-            family = blocks(d)
-            yield next(family)
-            yield next(family)
-            pytest.fail("verify_hudson drew a third stabilizer block")
+        def spy(d, indices):
+            asked.append(list(indices))
+            return stabilizer_rows(d, indices)
 
-        monkeypatch.setattr(hudson, "stabilizer_blocks", first_two)
-        report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
-        assert report.passed and report.stabilizer_count == 56
+        monkeypatch.setattr(hudson, "stabilizer_rows", spy)
+        report = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
+        assert report.passed and report.stabilizer_count == d * (d + 1)
+        assert asked == [[0, d, d + 1]]
 
 
-def _perturbed_blocks(monkeypatch, block_index, row, change):
-    """Make verify_hudson read stabilizer block block_index with change applied to its row."""
-    blocks = hudson.stabilizer_blocks
+def _perturbed_rows(monkeypatch, index, change):
+    """Make verify_hudson read stabilizer index with change applied to it."""
+    rows = hudson.stabilizer_rows
 
-    def perturbed(d):
-        for b, block in enumerate(blocks(d)):
-            if b == block_index:
-                block = block.copy()
-                block[row] = change(block[row])
-            yield block
+    def perturbed(d, indices):
+        block = rows(d, indices)
+        for k, i in enumerate(indices):
+            if i == index:
+                block[k] = change(block[k])
+        return block
 
-    monkeypatch.setattr(hudson, "stabilizer_blocks", perturbed)
+    monkeypatch.setattr(hudson, "stabilizer_rows", perturbed)
 
 
 def _verify_keeping_every_message(monkeypatch, d=7):
@@ -1043,17 +1044,22 @@ class TestStabilizerFaultInjection:
 
     @pytest.mark.parametrize("block_index,change", [(0, _add), (1, _add), (1, _turn)])
     def test_perturbed_representative_is_off_its_line(self, monkeypatch, block_index, change):
-        _perturbed_blocks(monkeypatch, block_index, 0, change)
+        _perturbed_rows(monkeypatch, 7 * block_index, change)
+        # at the default message cap too, the fault reaches every row its base
+        # stands for, 7 basis rows or 49 quadratic ones, and its line
+        total = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0).failures_total
+        assert total == (8, 50)[block_index]
         report = _verify_keeping_every_message(monkeypatch)
-        assert report.passed is False
+        assert report.passed is False and report.failures_total == total
         assert report.stabilizer_line_deviation > 1e-12
         assert report.failures[0].startswith(f"stabilizer {7 * block_index} is off its exact Wigner line by ")
 
     @pytest.mark.parametrize("block_index", [0, 1])
     def test_nan_in_a_base_fails_the_run(self, monkeypatch, block_index):
-        _perturbed_blocks(monkeypatch, block_index, 0, _nan)
+        _perturbed_rows(monkeypatch, 7 * block_index, _nan)
         report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
         assert report.passed is False and not report.stabilizers_all_nonneg
+        assert report.failures_total == (8, 50)[block_index]
         assert math.isnan(report.stabilizer_min_wigner) and math.isnan(report.stabilizer_line_deviation)
         assert report.failures[0] == f"stabilizer {7 * block_index} is off its exact Wigner line by nan"
 
@@ -1066,18 +1072,21 @@ class TestStabilizerFaultInjection:
         # moved along p, which must be the row's own FFT argmin.
         d = 7
         q = np.arange(d)
-        family = list(hudson.stabilizer_blocks(d))
+        rows = stabilizer_rows(d, range(d * (d + 1)))
         base = min(block_index, 1)
         rng = np.random.default_rng(block_index)
-        amp = family[base][0] + 1e-3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        amp = rows[base * d] + 1e-3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         if base == 0:
-            family[0] = np.array([np.roll(amp, k) for k in q])
+            rows[:d] = [np.roll(amp, k) for k in q]
         else:
             for theta in q:
-                family[theta + 1] = np.exp(2j * np.pi * (q[:, None] * q + theta * q * q) / d) * amp
-        monkeypatch.setattr(hudson, "stabilizer_blocks", lambda d: iter(family))
+                start = d + theta * d
+                rows[start:start + d] = np.exp(2j * np.pi * (q[:, None] * q + theta * q * q) / d) * amp
+        monkeypatch.setattr(hudson, "stabilizer_rows", lambda d, indices: rows[list(indices)])
+        total = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0).failures_total
+        assert total == (8, 50)[base]  # every rebuilt row dips, and the base is off its line
         report = _verify_keeping_every_message(monkeypatch, d)
-        rows = np.concatenate(family)
+        assert report.failures_total == total
         rebuilt = range(d) if base == 0 else range(d, d * (d + 1))
         dips = [m for m in report.failures if "Wigner minimum" in m]
         assert len(dips) == len(rebuilt)

@@ -28,7 +28,7 @@ from phasespace import (
     wigner_from_char,
     wigner_pure,
 )
-from phasespace.clifford import stabilizer_blocks
+from phasespace.clifford import stabilizer_rows
 from phasespace import hudson
 from phasespace.wigner import _real_dft, lag_products, wigner_rows, wigner_workspace
 
@@ -158,8 +158,7 @@ class TestWignerTransforms:
         # the grid comes from the real wigner_rows, so run_wigner writes
         # values.real with no residue to check
         dim = PrimeDim(d)
-        block = next(itertools.islice(stabilizer_blocks(d), data.draw(st.integers(0, d)), None))
-        stabilizer = block[data.draw(st.integers(0, d - 1))]
+        stabilizer = stabilizer_rows(d, [data.draw(st.integers(0, d * (d + 1) - 1))])[0]
         for psi in (haar_sample(dim, seed, 0), StateVector(dim, stabilizer)):
             assert not wigner_pure(psi).values.imag.any()
 
@@ -284,11 +283,12 @@ class TestWignerMinima:
     @pytest.mark.parametrize("d", PRIMES_TO_101)
     def test_real_route_matches_complex_route(self, d):
         # the real product over half the lags against the complex DFT of all
-        # of them, on Haar, two-point, basis and quadratic-phase rows
-        blocks = list(stabilizer_blocks(d))
-        basis, quadratic = blocks[0][[0, d // 2, d - 1]], blocks[1][[0, 1]]
-        amps = np.concatenate([haar_rows(d, d, range(4)), two_point_rows(d, d, range(4)),
-                               basis, quadratic, blocks[d // 2 + 1][[0, d - 1]]])
+        # of them, on Haar, two-point, basis and quadratic-phase rows: the
+        # basis rows 0, d // 2 and d - 1, and (theta, x) = (0, 0), (0, 1),
+        # (d // 2, 0) and (d // 2, d - 1)
+        chirp = d + d // 2 * d
+        stabilizers = stabilizer_rows(d, [0, d // 2, d - 1, d, d + 1, chirp, chirp + d - 1])
+        amps = np.concatenate([haar_rows(d, d, range(4)), two_point_rows(d, d, range(4)), stabilizers])
         grids = wigner_rows(amps, 0, d)
         oracle = complex_wigner_block(amps)
         assert grids.dtype == np.float64 and grids.shape == (len(amps), d, d)
@@ -303,7 +303,7 @@ class TestWignerWorkspace:
     @pytest.mark.parametrize("d", [3, 7, 61])
     def test_out_equals_fresh_grids_bitwise(self, d):
         amps = np.concatenate([haar_rows(d, 2, range(5)), two_point_rows(d, 2, range(3)),
-                               list(stabilizer_blocks(d))[1][:2]])
+                               stabilizer_rows(d, [d, d + 1])])
         # stale NaN in a workspace made for more rows than any block below
         work = wigner_workspace(len(amps) + 4, d)
         work.fill(np.nan)
