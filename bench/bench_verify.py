@@ -24,9 +24,11 @@ handed back to the system and faulted in again.
     older tree the float32 chunk screen hudson._sample_minima), and the
     sample-overlap step, which decides for each row whether it matches a
     stabilizer state;
-  * at d = 7 and 61, the seeded samplers that draw verify's blocks:
-    1000 Haar rows (hudson._haar_rows) and 100 two-point rows
-    (hudson._two_point_rows), seeding included.
+  * at d = 3, 5, 7, 13 and 61, the seeded samplers that draw verify's
+    blocks: 1000 Haar rows (hudson._haar_rows) and 100 two-point rows
+    (hudson._two_point_rows), seeding included. Each also records
+    per_row_share, the share of its rows that numpy's per-row path draws
+    (1 where the tree has no vector path or does not use it at that d).
 
 The results are stored under the key NAME in the output file (default
 BENCH_verify.json at the root of this checkout). Other keys already in the
@@ -36,12 +38,13 @@ With --parent DIR a second tree, the parent, is imported from DIR into the
 same process, and every case runs on both trees in turn, call by call: the
 parent first on even repeats and the change first on odd ones, so that the
 host's slow and fast spells fall on both alike. The parent's results go
-under the key "parent", the change's under NAME, and each case of the change
-also records paired_ratio, the median over the repeats of its time over the
-parent's in the same repeat. For example
+under the key "parent NAME", the change's under NAME, so that each pair
+keeps its own keys, and each case of the change also records paired_ratio,
+the median over the repeats of its time over the parent's in the same
+repeat. For example
 
     git archive HEAD~1 | tar -x -C ../parent
-    python bench/bench_verify.py --parent ../parent/src
+    python bench/bench_verify.py --parent ../parent/src --label "change $(git rev-parse --short HEAD~1)"
 
 Each entry also records nproc and the numpy and Python versions.
 """
@@ -71,7 +74,7 @@ STABILIZER_PASS_DIMS = (101, 401, 601, 1009, 2003)
 POINT_MASS_DIMS = (61, 401, 1009)
 SAMPLES, TWO_POINT, SEED, TOL = 1000, 100, 7, 1e-9
 KERNEL_D, KERNEL_ROWS = 61, 1000
-SAMPLER_DIMS = (7, 61)
+SAMPLER_DIMS = (3, 5, 7, 13, 61)
 
 
 def load(src: Path):
@@ -90,6 +93,25 @@ def sampler(hudson, name: str, d: int, stream: int, n: int):
     """A call of hudson.<name> drawing indices range(n) of SEED, seeding included."""
     rows = getattr(hudson, name)
     return lambda: rows(d, hudson._seed_words(SEED, stream, range(n)))
+
+
+def per_row_share(hudson, d: int, stream: int, n: int) -> float:
+    """The share of rows range(n) of SEED that the sampler of stream draws on
+    numpy's per-row path: those that leave the vector path's fast draws, or
+    all of them where the tree has no vector path or the block does not take it."""
+    if not hasattr(hudson, "_vector_table"):
+        return 1.0
+    words = hudson._seed_words(SEED, stream, range(n))
+    haar = stream == hudson._HAAR_STREAM
+    table = hudson._vector_table(words, 2 * d if haar else 6)
+    if table is None:
+        return 1.0
+    if haar:
+        fast = hudson._fast_normals(hudson._pcg64(words, 2 * d), table)[1]
+    else:
+        outputs = hudson._pcg64(words, 6)
+        fast = hudson._fast_pairs(outputs, d)[1] & hudson._fast_normals(outputs[:, 2:], table)[1]
+    return float(1 - fast.mean())
 
 
 def stream_minima(hudson, amps):
@@ -196,14 +218,15 @@ def main(argv=None) -> int:
 
     import numpy as np
 
-    trees = {"parent": load(args.parent)} if args.parent else {}
+    parent_key = f"parent {args.label}"
+    trees = {parent_key: load(args.parent)} if args.parent else {}
     trees[args.label] = load(args.src)
     calls = {label: cases(ps) for label, ps in trees.items()}
     entries = {label: {} for label in trees}
     for path, call in calls[args.label].items():
         timed = measure({label: tree_calls[path] for label, tree_calls in calls.items() if path in tree_calls})
         if len(timed) == 2:
-            pairs = zip(timed["parent"]["times_s"], timed[args.label]["times_s"])
+            pairs = zip(timed[parent_key]["times_s"], timed[args.label]["times_s"])
             timed[args.label]["paired_ratio"] = statistics.median(change / parent for parent, change in pairs)
         for label, entry in timed.items():
             node = entries[label]
@@ -218,6 +241,12 @@ def main(argv=None) -> int:
     for label, entry in entries.items():
         entry["verify_hudson"].update(samples=SAMPLES, two_point_samples=TWO_POINT, seed=SEED)
         entry["stabilizer_pass"].update(samples=0, two_point_samples=0, seed=SEED)
+        hudson = trees[label].hudson
+        for d in SAMPLER_DIMS:
+            rows = entry["samplers_by_d"][str(d)]
+            rows[f"haar_rows_{SAMPLES}"]["per_row_share"] = per_row_share(hudson, d, hudson._HAAR_STREAM, SAMPLES)
+            rows[f"two_point_rows_{TWO_POINT}"]["per_row_share"] = per_row_share(
+                hudson, d, hudson._TWO_POINT_STREAM, TWO_POINT)
         doc[label] = {
             "machine": {
                 "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),

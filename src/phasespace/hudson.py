@@ -37,17 +37,62 @@ The per-index substreams are the package's one seeding scheme, and haar_sample
 and two_point_sample replay one sample as a StateVector, hashing its index.
 
 The substream of (seed, stream, i) is numpy's PCG64 seeded as
-np.random.SeedSequence([seed, stream, i]) would seed it, but the
-SeedSequence hash is not run once per sample. _seed_words computes its
-generate_state(4, np.uint64) words for a whole block in one pass of uint32
-array arithmetic: the entropy is the little-endian 32-bit words of seed and
-stream, of any size, then i as one word, hashed into a pool of four words and
-read out with numpy's published constants. Each row then seeds numpy's own
-PCG64 through _Words, a stand-in SeedSequence that returns it. The draws are
-the same floats as through SeedSequence, which the tests use as the oracle.
-Indices lie in [0, 2^32): verify_hudson rejects a sample count above 2^32,
-and haar_sample and two_point_sample raise ValueError past it, as they do
-for a negative seed or index.
+np.random.SeedSequence([seed, stream, i]) would seed it, and a sample's
+draws are those of np.random.Generator on it, bit for bit, which the tests
+use as the oracle; but neither the SeedSequence hash nor a Generator runs
+once per sample. _seed_words computes the generate_state(4, np.uint64) words
+(w0, w1, w2, w3) for a whole block in one pass of uint32 array arithmetic:
+the entropy is the little-endian 32-bit words of seed and stream, of any
+size, then i as one word, hashed into a pool of four words and read out with
+numpy's published constants. Indices lie in [0, 2^32): verify_hudson rejects
+a sample count above 2^32, and haar_sample and two_point_sample raise
+ValueError past it, as they do for a negative seed or index.
+
+A block of at least _VECTOR_ROWS rows of at most _VECTOR_DRAWS draws each
+(Haar rows at d <= 13, two-point rows at every d) then takes the vector path,
+on uint64 arrays over the whole block:
+
+  * PCG64 (O'Neill, "PCG: a family of simple fast space-efficient
+    statistically good algorithms", 2014) steps s -> s M + inc mod 2^128.
+    numpy seeds it with s = 0 and inc = (w2:w3) 2 + 1, steps, adds (w0:w1)
+    and steps again; each draw steps, then outputs XSL-RR: hi ^ lo rotated
+    right by hi >> 58. So the state of draw j is
+    M^(j+1) ((w0:w1) + inc) + (1 + M + ... + M^j) inc, and _pcg64 computes
+    every state of a block in one pass, in 64-bit limbs that wrap as C's do.
+  * standard_normal, a 256-layer ziggurat (Marsaglia and Tsang, J. Stat.
+    Softw. 5(8), 2000), takes idx = r & 0xFF, the sign from bit 8 and
+    rabs = (r >> 9) & (2^52 - 1) of a draw r, and returns x = +-rabs wi[idx]
+    at once if rabs < ki[idx]. Otherwise it takes a slow path that draws
+    again. _fast_normals forms x by the same float64 product.
+  * choice(d, 2, replace=False) runs Floyd's algorithm: a in [0, d - 2] from
+    the low half of the first output (next_uint32 buffers the high half),
+    b in [0, d - 1] from its high half, b = d - 1 if b == a; then its shuffle
+    draws one bit from the low half of the second output, and 0 orders the
+    pair [b, a]. Each is Lemire's draw, m = u n for a 32-bit u and n values:
+    the result is m >> 32 unless the low word of m is below n, where the
+    rejection test starts. The four normals come from the next four outputs.
+
+numpy does not export its ziggurat table, so _normal_table reads wi from it
+once per process: from 256 crafted states whose next output is idx | 1 << 9,
+standard_normal returns 1 * wi[idx] exactly (ki[1] is 0, and the slow path's
+wedge test accepts that draw too). numpy's ki[i] is 2^52 wi[i - 1] / wi[i]
+for i >= 2, 2^52 wi[255] / wi[0] for i = 0, and 0 for i = 1, rounded down
+(measured: the floor of the float64 quotient is its ki or one below). The
+float64 quotient is within 1/2 of 2^52 times the exact ratio of the rounded
+entries, and the rounding of the entries moves that ratio by at most 1 more,
+so the floor minus _KI_MARGIN = 2 is a lower bound on ki; the tests check it
+against numpy's exact ki, found by bisection on crafted states. A row stays
+on the vector path only if every draw of it is below its bound, which numpy
+takes on its fast path to the same float, and every Lemire draw of it is
+short of the rejection test; then it is the row numpy draws. Every other row,
+and every row of a block that does not take the vector path, numpy draws
+itself: a Generator on numpy's own PCG64, seeded from the row's words through
+_Words, a stand-in SeedSequence that returns them (_substream). A self-check guards the numpy
+version: _normal_table draws a fixed block, 16 rows of 26 normals and 16
+pairs at d = 5, on both paths, and on any mismatch it returns None and every
+row takes the per-row path. At d = 3, 5, 7 and 13, 6-9, 11, 16 and 29 % of
+the Haar rows take it, and about 6.6 % of the two-point rows; at d = 17 the
+vector path gains nothing, and past it the per-row path is faster.
 
 The sample minima are bounded in float32 and certified in float64
 (_block_minima). Only two facts of a stream's float64 minima reach the
@@ -158,10 +203,11 @@ construction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -404,8 +450,166 @@ def _words_type() -> type:
 
 
 def _substream(words: np.ndarray) -> np.random.Generator:
-    """The generator of one substream, from its row of _seed_words."""
+    """The generator of one substream, from its row of _seed_words: numpy's
+    per-row path."""
     return np.random.Generator(np.random.PCG64(_words_type()(words)))
+
+
+# numpy's PCG64 (pcg64.h): a 128-bit LCG state -> state * _PCG_MULT + inc,
+# held here as (hi, lo) pairs of uint64 arrays, and the XSL-RR output
+_MASK64 = (1 << 64) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Rows of at most this many draws take the vector path. The share of rows
+# that leave its fast paths grows with the draws, and each costs a per-row
+# draw besides: on verify's blocks of Haar rows the vector path took 0.49,
+# 0.71 and 0.82 of the per-row path's time at d = 7, 11 and 13, 0.99 at d = 17
+# (34 draws) and 1.08 at d = 19 (2-core machine, paired medians).
+_VECTOR_DRAWS = 26
+# Blocks of fewer rows take the per-row path, a single replayed sample among
+# them: the vector path costs about 0.06-0.1 ms a block, and pays from about 9
+# two-point rows and 30 Haar rows at d = 5.
+_VECTOR_ROWS = 16
+# The floor of the quotient that derives ki from wi lies at most this far
+# above numpy's ki (see the module docstring)
+_KI_MARGIN = 2
+
+
+def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a * b mod 2^128 on (hi, lo) pairs of uint64 arrays, broadcast: the high
+    word of lo * lo from 32-bit limbs, uint64 products wrapping as C's do."""
+    (ah, al), (bh, bl) = a, b
+    a0, a1, b0, b1 = al & _MASK32, al >> 32, bl & _MASK32, bl >> 32
+    t = a0 * b0
+    u = a1 * b0 + (t >> 32)
+    w = a0 * b1 + (u & _MASK32)
+    return a1 * b1 + (u >> 32) + (w >> 32) + ah * bl + al * bh, al * bl
+
+
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2^128 on (hi, lo) pairs of uint64 arrays."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+@functools.cache
+def _jumps(draws: int) -> tuple:
+    """(M^(j+1), 1 + M + ... + M^j) mod 2^128 for j = 1..draws, as (hi, lo)
+    uint64 rows, M being _PCG_MULT."""
+    mask, power, total, jumps = (1 << 128) - 1, _PCG_MULT, 1, []
+    for _ in range(draws):
+        total, power = (total + power) & mask, power * _PCG_MULT & mask
+        jumps.append((power, total))
+    return tuple((np.array([v >> 64 for v in vs], np.uint64), np.array([v & _MASK64 for v in vs], np.uint64))
+                 for vs in zip(*jumps))
+
+
+def _pcg64(words: np.ndarray, draws: int) -> np.ndarray:
+    """The first draws outputs of numpy's PCG64 seeded from each row
+    (w0, w1, w2, w3) of a block of _seed_words, (n, draws) uint64. Seeding sets
+    state 0 and inc = (w2:w3) 2 + 1, steps, adds (w0:w1) and steps, and each
+    draw steps, so the state of draw j is M^(j+1) ((w0:w1) + inc) +
+    (1 + M + ... + M^j) inc: every state of the block in one pass."""
+    w0, w1, w2, w3 = (words[:, k, None] for k in range(4))
+    inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    powers, sums = _jumps(draws)
+    hi, lo = _add128(_mul128(_add128((w0, w1), inc), powers), _mul128(inc, sums))
+    # XSL-RR: hi ^ lo rotated right by the top 6 bits of hi
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << (64 - rot & 63)
+
+
+def _fast_normals(outputs: np.ndarray, table: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's standard_normal on each of the (n, draws) outputs by its fast
+    path, x = +-rabs wi[idx]; and per row whether every draw takes it,
+    rabs < ki[idx] with ki the derived lower bound."""
+    wi, ki = table
+    idx = (outputs & 0xFF).astype(np.intp)
+    rabs = outputs >> 9 & (1 << 52) - 1
+    values = rabs.astype(np.float64) * wi[idx]
+    np.negative(values, out=values, where=(outputs & 0x100).astype(bool))
+    return values, (rabs < ki[idx]).all(axis=1)
+
+
+def _fast_pairs(outputs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's choice(d, 2, replace=False) from each row's first two outputs:
+    per row the pair, and whether no Lemire draw reached its rejection test.
+    Floyd's two steps draw a in [0, d - 2] from the low half of the first
+    output and b in [0, d - 1] from its high half (next_uint32 buffers the
+    high half), b = d - 1 if b == a; the shuffle's one draw in [0, 1], from
+    the low half of the second output, swaps them to [b, a] if 0."""
+
+    def lemire(halves: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+        m = halves * np.uint64(bound)
+        return m >> 32, (m & _MASK32) < bound
+
+    a, ra = lemire(outputs[:, 0] & _MASK32, d - 1)
+    b, rb = lemire(outputs[:, 0] >> 32, d)
+    swap, rs = lemire(outputs[:, 1] & _MASK32, 2)
+    b = np.where(b == a, d - 1, b)
+    pos = np.where((swap == 0)[:, None], np.stack((b, a), axis=1), np.stack((a, b), axis=1))
+    return pos.astype(np.intp), ~(ra | rb | rs)
+
+
+def _normal_draws(words: np.ndarray, count: int, table: tuple | None) -> np.ndarray:
+    """(n, count) standard normals, row k from the substream of words[k]: on
+    the vector path with table, numpy's per-row path for the other rows."""
+    n = len(words)
+    raw, fast = _fast_normals(_pcg64(words, count), table) if table else (np.empty((n, count)), np.zeros(n, bool))
+    for k in np.flatnonzero(~fast).tolist():
+        _substream(words[k]).standard_normal(out=raw[k])
+    return raw
+
+
+def _pair_draws(words: np.ndarray, d: int, table: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, choice(d, 2, replace=False) then 4 standard normals, row k
+    from the substream of words[k]: on the vector path with table, numpy's
+    per-row path for the other rows."""
+    n = len(words)
+    if table:
+        outputs = _pcg64(words, 6)
+        pos, fast = _fast_pairs(outputs, d)
+        raw, normal = _fast_normals(outputs[:, 2:], table)
+        fast &= normal
+    else:
+        pos, raw, fast = np.empty((n, 2), dtype=np.intp), np.empty((n, 4)), np.zeros(n, bool)
+    for k in np.flatnonzero(~fast).tolist():
+        rng = _substream(words[k])
+        pos[k] = rng.choice(d, size=2, replace=False)
+        rng.standard_normal(out=raw[k])
+    return pos, raw
+
+
+def _vector_table(words: np.ndarray, draws: int) -> tuple | None:
+    """_normal_table() for a block of words whose rows take draws draws each,
+    if it takes the vector path: at most _VECTOR_DRAWS draws a row and at least
+    _VECTOR_ROWS rows. None sends every row to the per-row path."""
+    return _normal_table() if draws <= _VECTOR_DRAWS and len(words) >= _VECTOR_ROWS else None
+
+
+@functools.cache
+def _normal_table() -> tuple[np.ndarray, np.ndarray] | None:
+    """(wi, ki) of numpy's standard_normal fast path, wi read from numpy and ki
+    the derived lower bounds; None, and every row on numpy's per-row path, if
+    the vector path fails its self-check (see the module docstring). Read and
+    checked once per process, in about 2 ms."""
+    rng = _substream(np.zeros(4, dtype=np.uint64))
+    inverse = pow(_PCG_MULT, -1, 1 << 128)
+    state = {"state": 0, "inc": 1}
+    wi = np.empty(256)
+    for idx in range(256):
+        # inc 1: the next state is (0 : idx | 1 << 9), which XSL-RR outputs as
+        # it is: index idx, sign +, rabs 1. ki[1] is 0, and the slow path's
+        # wedge test accepts the draw too.
+        state["state"] = ((idx | 1 << 9) - 1) * inverse % (1 << 128)
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        wi[idx] = rng.standard_normal()
+    ratios = np.concatenate(([wi[255] / wi[0], 0.0], wi[1:-1] / wi[2:]))
+    table = wi, np.maximum(np.floor(ratios * 2.0**52) - _KI_MARGIN, 0).astype(np.uint64)
+    # the self-check block: every row of it on both paths
+    words = _seed_words(0, _HAAR_STREAM, range(16))
+    same = (np.array_equal(_normal_draws(words, _VECTOR_DRAWS, table), _normal_draws(words, _VECTOR_DRAWS, None))
+            and all(map(np.array_equal, _pair_draws(words, 5, table), _pair_draws(words, 5, None))))
+    return table if same else None
 
 
 def _seeded_blocks(n: int, d: int, seed: int, stream: int) -> Iterator[tuple[range, np.ndarray]]:
@@ -426,13 +630,11 @@ def _haar_rows(d: int, words: np.ndarray) -> np.ndarray:
     """Haar-random unit rows; row k takes 2d standard normals (real parts,
     then imaginary parts) from the substream of words[k], a row of
     _seed_words for the Haar stream."""
-    raw = np.empty((len(words), 2, d))
-    for k, row in enumerate(words):
-        _substream(row).standard_normal(out=raw[k])
-    # the same floats as raw[:, 0] + 1j * raw[:, 1], built in place, and raw
+    raw = _normal_draws(words, 2 * d, _vector_table(words, 2 * d))
+    # the same floats as raw[:, :d] + 1j * raw[:, d:], built in place, and raw
     # let go before normalize_rows copies the block
-    amps = 1j * raw[:, 1]
-    amps += raw[:, 0]
+    amps = 1j * raw[:, d:]
+    amps += raw[:, :d]
     del raw
     return normalize_rows(amps)
 
@@ -442,15 +644,10 @@ def _two_point_rows(d: int, words: np.ndarray) -> np.ndarray:
     (choice without replacement), then 4 standard normals (real parts, then
     imaginary parts) from the substream of words[k], a row of _seed_words
     for the two-point stream."""
+    pos, raw = _pair_draws(words, d, _vector_table(words, 6))
     n = len(words)
-    pos = np.empty((n, 2), dtype=np.intp)
-    raw = np.empty((n, 2, 2))
-    for k, row in enumerate(words):
-        rng = _substream(row)
-        pos[k] = rng.choice(d, size=2, replace=False)
-        rng.standard_normal(out=raw[k])
     amps = np.zeros((n, d), dtype=complex)
-    amps[np.arange(n)[:, None], pos] = raw[:, 0] + 1j * raw[:, 1]
+    amps[np.arange(n)[:, None], pos] = raw[:, :2] + 1j * raw[:, 2:]
     return normalize_rows(amps)
 
 
@@ -521,10 +718,12 @@ class _Failures:
         self.messages: list[str] = []
         self.total = 0
 
-    def add(self, message: str) -> None:
-        self.total += 1
-        if len(self.messages) < MAX_FAILURE_MESSAGES:
-            self.messages.append(message)
+    def add(self, count: int, messages: Iterable[str]) -> None:
+        """Count count failures; messages yields their messages in order and
+        is read only as far as the kept messages go, so a failing base costs
+        O(MAX_FAILURE_MESSAGES) however many rows it stands for."""
+        self.total += count
+        self.messages += itertools.islice(messages, max(0, MAX_FAILURE_MESSAGES - len(self.messages)))
 
 
 def _dip_message(label: str, index: int, minimum: float, tol: float) -> str:
@@ -605,30 +804,33 @@ def verify_hudson(
     lemma_failed = ((violations > 0) | ~stable | ((size != 1) & ~full)
                     | (full & ((spread > LEMMA_TOL) | (offset > LEMMA_TOL))))
     for b in np.flatnonzero(line_failed | ~positive | lemma_failed).tolist():
-        first, stop = b * d, b * d + int(family[b])  # the index range of the base's rows
+        members = range(b * d, b * d + int(family[b]))  # the index range of the base's rows
         if line_failed[b]:
-            failures.add(f"stabilizer {first} is off its exact Wigner line by {float(line_deviation[b])!r}")
+            failures.add(1, [f"stabilizer {members[0]} is off its exact Wigner line by {float(line_deviation[b])!r}"])
         if not positive[b]:
             p, q = divmod(argmins[b], d)
-            for idx in range(first, stop):
+            minimum = float(base_minima[b])
+
+            def where(idx: int) -> tuple[int, int]:
                 # the row's grid is its base's, moved along q by k for |k>, and
                 # sheared p -> p + 2 theta q, then moved along p by x, for (theta, x)
                 theta, x = divmod(idx - d, d)
-                where = (p, (q + idx) % d) if b == 0 else ((p + 2 * theta * q + x) % d, q)
-                failures.add(f"stabilizer {idx} has Wigner minimum {float(base_minima[b])!r} at {where}")
+                return (p, (q + idx) % d) if b == 0 else ((p + 2 * theta * q + x) % d, q)
+
+            failures.add(len(members), (f"stabilizer {idx} has Wigner minimum {minimum!r} at {where(idx)}"
+                                       for idx in members))
             continue
-        for idx in range(first, stop if lemma_failed[b] else first):
-            if violations[b]:
-                failures.add(f"stabilizer {idx} violates the modulus inequality {int(violations[b])} times")
-            if not stable[b]:
-                failures.add(f"support threshold guard tripped on stabilizer {idx}; run inconclusive")
-            if not (size[b] == 1 or full[b]):
-                failures.add(f"stabilizer {idx} has support size {int(size[b])}, expected 1 or {d}")
-            elif full[b]:
-                if spread[b] > LEMMA_TOL:
-                    failures.add(f"stabilizer {idx} has modulus spread {float(spread[b])!r}")
-                if offset[b] > LEMMA_TOL:
-                    failures.add(f"stabilizer {idx} modulus is off d^-1/2 by {float(offset[b])!r}")
+        # each failed lemma check, as a template of the row index {0} and its value {1}
+        checks = [(template, value) for failed, template, value in (
+            (violations[b] > 0, "stabilizer {0} violates the modulus inequality {1} times", int(violations[b])),
+            (not stable[b], "support threshold guard tripped on stabilizer {0}; run inconclusive", None),
+            (not (size[b] == 1 or full[b]), "stabilizer {0} has support size {1}, expected 1 or " + str(d),
+             int(size[b])),
+            (full[b] and spread[b] > LEMMA_TOL, "stabilizer {0} has modulus spread {1!r}", float(spread[b])),
+            (full[b] and offset[b] > LEMMA_TOL, "stabilizer {0} modulus is off d^-1/2 by {1!r}", float(offset[b])),
+        ) if failed]
+        failures.add(len(checks) * len(members), (template.format(idx, value)
+                                                   for idx in members for template, value in checks))
 
     # one Wigner workspace for the largest sample chunk handed out below,
     # which every q-range batch of the float32 bound fits too
@@ -647,9 +849,9 @@ def verify_hudson(
         random_all_nonstabilizer = random_all_nonstabilizer and not matched.any()
         for k in np.nonzero(nonneg | matched)[0].tolist():
             if nonneg[k]:
-                failures.add(_dip_message("random sample", indices[k], float(minima[k]), tol))
+                failures.add(1, [_dip_message("random sample", indices[k], float(minima[k]), tol)])
             if matched[k]:
-                failures.add(f"random sample {indices[k]} matches a stabilizer state")
+                failures.add(1, [f"random sample {indices[k]} matches a stabilizer state"])
 
     two_point_all_negative = True
     two_point_max_min = -math.inf
@@ -658,11 +860,11 @@ def verify_hudson(
         nonneg = ~(minima < -tol)
         two_point_all_negative = two_point_all_negative and not nonneg.any()
         for k in np.nonzero(nonneg)[0].tolist():
-            failures.add(_dip_message("two-point sample", indices[k], float(minima[k]), tol))
+            failures.add(1, [_dip_message("two-point sample", indices[k], float(minima[k]), tol)])
 
     point_mass = single_point_infeasibility(dim)
     if not point_mass:
-        failures.add("the point mass at the origin is not certified infeasible")
+        failures.add(1, ["the point mass at the origin is not certified infeasible"])
 
     return VerificationReport(
         dim=d,

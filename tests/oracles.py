@@ -7,7 +7,9 @@ Fourier predicates never form a circulant matrix; the Wigner kernels use one
 real matrix product over half the lags, not complex arithmetic over all of
 them; the point-mass step pairs one entry of a grid where operator_from_wigner
 inverts the whole grid), or a helper that only the tests need (all_points,
-act, compose, translated_grid, haar_rows, two_point_rows, wigner_minima).
+act, compose, translated_grid, haar_rows, two_point_rows, wigner_minima,
+crafted_draws). exact_ki finds numpy's own ziggurat bounds by probing its
+generator, where the package derives lower bounds on them from its wi.
 stabilizer_blocks keeps the construction stabilizer_rows replaced, as the
 bit-for-bit reference of its rows, and chunked_minima replays verify_hudson's
 sample minima all in float64, as verify computed them before its float32
@@ -83,6 +85,40 @@ def haar_rows(d: int, seed: int, indices) -> np.ndarray:
 def two_point_rows(d: int, seed: int, indices) -> np.ndarray:
     """verify_hudson's two-point rows for the given indices of seed."""
     return hudson._two_point_rows(d, hudson._seed_words(seed, hudson._TWO_POINT_STREAM, indices))
+
+
+def crafted_draws(rng: np.random.Generator, first: int, second: int | None = None) -> np.random.Generator:
+    """rng with its PCG64 re-pointed so that its next raw outputs are first
+    (then second), and returned. A state (0 : r), high word 0, outputs r as it
+    is under XSL-RR, so the state set is (0 : first) stepped back, with inc 1,
+    or with the increment that steps (0 : first) to (0 : second)."""
+    mod = 1 << 128
+    inc = 1 if second is None else (second - first * hudson._PCG_MULT) % mod
+    state = (first - inc) * pow(hudson._PCG_MULT, -1, mod) % mod
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def exact_ki() -> np.ndarray:
+    """numpy's ki: for each index idx of its standard_normal ziggurat, the
+    least rabs whose draw leaves the fast path, found by bisection. A draw
+    idx | rabs << 9 on the fast path steps the generator once, to the state
+    (0 : draw); any other path draws again."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    ki = np.empty(256, dtype=np.uint64)
+    for idx in range(256):
+        lo, hi = 0, 1 << 52  # every rabs below lo is fast; hi is not
+        while lo < hi:
+            mid = (lo + hi) // 2
+            draw = idx | mid << 9
+            crafted_draws(rng, draw).standard_normal()
+            if rng.bit_generator.state["state"]["state"] == draw:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki[idx] = lo
+    return ki
 
 
 def autocorrelation(f: CyclicFunction) -> np.ndarray:

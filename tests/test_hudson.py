@@ -27,6 +27,7 @@ from phasespace import hudson
 from phasespace.cli import MAX_D
 from phasespace.clifford import stabilizer_overlaps
 from phasespace.hudson import (
+    LEMMA_TOL,
     MAX_FAILURE_MESSAGES,
     STABILIZER_MATCH_TOL,
     _HAAR_STREAM,
@@ -42,6 +43,8 @@ from oracles import (
     DIMS,
     PRIMES_TO_101,
     chunked_minima,
+    crafted_draws,
+    exact_ki,
     fft_wigner,
     haar_rows,
     operator_from_wigner,
@@ -295,6 +298,129 @@ class TestSampling:
         monkeypatch.setattr(hudson, "_seed_words", counted)
         verify_hudson(PrimeDim(61), samples=1000, seed=7, two_point_samples=100)
         assert calls == [(0, 1000), (1, 100)]
+
+
+class TestVectorSamplers:
+    """The vector path (numpy's PCG64 over whole blocks, the fast paths of
+    standard_normal and choice) draws what numpy's Generator draws, bit for
+    bit, and leaves every other row to numpy's per-row path."""
+
+    def test_self_check_passes_on_this_numpy(self):
+        assert hudson._normal_table() is not None
+
+    def test_derived_ki_bounds_numpys_exact_ki(self):
+        # at most numpy's ki, and below it by at most the margin plus one, the
+        # floor of a rounded quotient
+        exact, ki = exact_ki(), hudson._normal_table()[1]
+        assert np.all(ki <= exact)
+        assert np.all(exact - ki <= hudson._KI_MARGIN + 1)
+
+    def test_fast_normals_at_the_last_fast_rabs_equal_numpys(self):
+        # every index, both signs, rabs just below the derived ki (or 0 where it is 0)
+        table = hudson._normal_table()
+        rng = np.random.Generator(np.random.PCG64(0))
+        rabs = np.maximum(table[1].astype(np.int64) - 1, 0)
+        draws = [idx | sign << 8 | int(rabs[idx]) << 9 for idx in range(256) for sign in (0, 1)]
+        values, fast = hudson._fast_normals(np.array(draws, dtype=np.uint64)[:, None], table)
+        assert fast.sum() == 2 * 255  # all but index 1, whose ki is 0
+        for draw, value, on_path in zip(draws, values[:, 0], fast):
+            expected = crafted_draws(rng, draw).standard_normal()
+            if on_path:
+                assert value == expected and math.copysign(1, value) == math.copysign(1, expected)
+
+    @pytest.mark.parametrize("d", [3, 5, 61, 401])
+    def test_pair_flags_and_order_against_choice(self, d):
+        # uint32 halves at the edges of each Lemire draw's rejection test: the
+        # flag is raised exactly when a leftover falls below its bound, and
+        # every unflagged pair, b == a and both shuffle bits among them, is
+        # the pair Generator.choice draws from the same outputs
+        def halves(bound):
+            edge = -(-(1 << 32) // bound)  # the least x with x bound >= 2^32
+            return [0, 1, edge - 1, edge, edge + 1, (1 << 31) - 1, 1 << 31, (1 << 32) - 1]
+
+        def rejects(x, bound):
+            return x * bound % (1 << 32) < bound
+
+        rng = np.random.Generator(np.random.PCG64(0))
+        cases = [(a, b, s) for a in halves(d - 1) for b in halves(d) for s in halves(2)]
+        outputs = np.array([[b << 32 | a, 0x9E3779B9 << 32 | s] for a, b, s in cases], dtype=np.uint64)
+        pos, fast = hudson._fast_pairs(outputs, d)
+        flagged = [rejects(a, d - 1) or rejects(b, d) or rejects(s, 2) for a, b, s in cases]
+        assert list(~fast) == flagged and any(flagged) and not all(flagged)
+        orders = set()
+        for (first, second), pair, on_path in zip(outputs.tolist(), pos.tolist(), fast):
+            if on_path:
+                assert pair == crafted_draws(rng, first, second).choice(d, size=2, replace=False).tolist()
+                orders.add(pair[0] < pair[1])
+        assert orders == {True, False}
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**70),
+        start=st.integers(min_value=0, max_value=2**32 - 300),
+        d=st.sampled_from([3, 5, 7, 11, 13, 61]),
+    )
+    @settings(max_examples=12, deadline=None)
+    @example(seed=2**64 + 11, start=2**32 - 300, d=5)  # the last indices, a seed past 64 bits
+    def test_blocks_equal_generator_rows(self, seed, start, d):
+        indices = range(start, start + 300)
+        haar, two = haar_rows(d, seed, indices), two_point_rows(d, seed, indices)
+        for k, i in enumerate(indices):
+            assert np.array_equal(haar[k], _oracle_haar(d, seed, i))
+            assert np.array_equal(two[k], _oracle_two_point(d, seed, i))
+        # both kinds of row are in the block: those the fast paths draw whole,
+        # and those that leave them for numpy's per-row path
+        table = hudson._normal_table()
+        blocks = [hudson._pcg64(_seed_words(seed, _TWO_POINT_STREAM, indices), 6)]
+        if 2 * d <= hudson._VECTOR_DRAWS:
+            blocks.append(hudson._pcg64(_seed_words(seed, _HAAR_STREAM, indices), 2 * d))
+        for k, outputs in enumerate(blocks):
+            fast = hudson._fast_normals(outputs[:, 2 * (k == 0):], table)[1]
+            if k == 0:
+                fast &= hudson._fast_pairs(outputs, d)[1]
+            assert fast.any() and not fast.all()
+
+    @pytest.mark.parametrize("d,rows,vector", [
+        (3, 200, True), (13, 200, True), (17, 200, False), (61, 200, False), (5, 16, True), (5, 15, False)])
+    def test_haar_rows_take_the_vector_path_up_to_the_cutovers(self, monkeypatch, d, rows, vector):
+        per_row, fast_normals = [], hudson._fast_normals
+        substream = hudson._substream
+        monkeypatch.setattr(hudson, "_substream", lambda words: per_row.append(1) or substream(words))
+        outcome = []
+        monkeypatch.setattr(hudson, "_fast_normals",
+                            lambda outputs, table: outcome.append(r := fast_normals(outputs, table)) or r)
+        haar_rows(d, 3, range(rows))
+        if vector:
+            assert len(outcome) == 1 and len(per_row) == np.count_nonzero(~outcome[0][1]) > 0
+        else:
+            assert outcome == [] and len(per_row) == rows
+
+    def test_single_samples_take_the_per_row_path(self, monkeypatch):
+        monkeypatch.setattr(hudson, "_pcg64", None)  # the vector path would call it
+        dim = PrimeDim(5)
+        assert np.array_equal(haar_sample(dim, 4, 9).amp, _oracle_haar(5, 4, 9))
+        assert np.array_equal(two_point_sample(dim, 4, 9).amp, _oracle_two_point(5, 4, 9))
+
+    def test_failed_self_check_leaves_every_block_unchanged(self, monkeypatch):
+        indices = range(300)
+        before = {d: (haar_rows(d, 5, indices), two_point_rows(d, 5, indices)) for d in (3, 7, 13, 61)}
+        calls, fast_normals = [], hudson._fast_normals
+
+        def off_by_one(outputs, table):
+            calls.append(len(outputs))
+            values, fast = fast_normals(outputs, table)
+            return values + 1.0, fast
+
+        monkeypatch.setattr(hudson, "_fast_normals", off_by_one)
+        hudson._normal_table.cache_clear()
+        try:
+            assert hudson._normal_table() is None
+            calls.clear()
+            for d, (haar, two) in before.items():
+                assert np.array_equal(haar_rows(d, 5, indices), haar)
+                assert np.array_equal(two_point_rows(d, 5, indices), two)
+            assert calls == []  # every row took numpy's per-row path
+        finally:
+            hudson._normal_table.cache_clear()
 
 
 class TestVerifyHudson:
@@ -1095,6 +1221,54 @@ class TestStabilizerFaultInjection:
             assert message.startswith(f"stabilizer {idx} has Wigner minimum ")
             assert message.endswith(f" at {where}")
             assert abs(float(_FLOAT.findall(message)[0]) - value) <= 1e-12
+
+
+class TestFailingBaseAtScale:
+    """A failing base stands for d or d^2 rows: each is counted, and only the
+    kept messages are formatted. The totals and messages are those of the
+    loop that formatted one message per row, recorded at d = 401."""
+
+    @staticmethod
+    def _verify_counting_pulls(monkeypatch, d):
+        pulled, add = [], hudson._Failures.add
+
+        def counted(self, count, messages):
+            pulled.append(0)
+
+            def tally():
+                for message in messages:
+                    pulled[-1] += 1
+                    yield message
+
+            add(self, count, tally())
+
+        monkeypatch.setattr(hudson._Failures, "add", counted)
+        report = verify_hudson(PrimeDim(d), samples=0, seed=7, two_point_samples=0)
+        assert max(pulled) <= MAX_FAILURE_MESSAGES
+        return report
+
+    @pytest.mark.parametrize("base,total,where", [
+        (0, 402, lambda k: (0, k)),
+        (1, 160802, lambda k: (k, 0)),
+    ])
+    def test_nan_base_counts_every_row(self, monkeypatch, base, total, where):
+        d = 401
+        _perturbed_rows(monkeypatch, base * d, _nan)
+        report = self._verify_counting_pulls(monkeypatch, d)
+        assert report.failures_total == total == 1 + (d, d * d)[base]
+        assert report.failures == [f"stabilizer {base * d} is off its exact Wigner line by nan"] + [
+            f"stabilizer {base * d + k} has Wigner minimum nan at {where(k)}" for k in range(19)]
+
+    def test_lemma_failure_counts_every_check_of_every_row(self, monkeypatch):
+        d = 401
+        _perturbed_rows(monkeypatch, d + 1, _add)
+        report = self._verify_counting_pulls(monkeypatch, d)
+        assert report.failures_total == 321602 == 2 * d * d
+        spread, offset = report.lemma6_max_modulus_spread, report.lemma6_max_modulus_offset
+        assert spread > LEMMA_TOL and offset > LEMMA_TOL
+        assert report.failures == [message for k in range(10) for message in (
+            f"stabilizer {d + k} has modulus spread {spread!r}",
+            f"stabilizer {d + k} modulus is off d^-1/2 by {offset!r}")]
 
 
 class TestSinglePointInfeasibility:
