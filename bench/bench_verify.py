@@ -102,15 +102,10 @@ def per_row_share(hudson, d: int, stream: int, n: int) -> float:
     if not hasattr(hudson, "_vector_table"):
         return 1.0
     words = hudson._seed_words(SEED, stream, range(n))
-    haar = stream == hudson._HAAR_STREAM
-    table = hudson._vector_table(words, 2 * d if haar else 6)
-    if table is None:
-        return 1.0
-    if haar:
-        fast = hudson._fast_normals(hudson._pcg64(words, 2 * d), table)[1]
+    if stream == hudson._HAAR_STREAM:
+        fast = hudson._normal_draws(words, 2 * d, hudson._vector_table(2 * d))[1]
     else:
-        outputs = hudson._pcg64(words, 6)
-        fast = hudson._fast_pairs(outputs, d)[1] & hudson._fast_normals(outputs[:, 2:], table)[1]
+        fast = hudson._pair_draws(words, d, hudson._vector_table(6))[2]
     return float(1 - fast.mean())
 
 

@@ -48,9 +48,9 @@ numpy's published constants. Indices lie in [0, 2^32): verify_hudson rejects
 a sample count above 2^32, and haar_sample and two_point_sample raise
 ValueError past it, as they do for a negative seed or index.
 
-A block of at least _VECTOR_ROWS rows of at most _VECTOR_DRAWS draws each
-(Haar rows at d <= 13, two-point rows at every d) then takes the vector path,
-on uint64 arrays over the whole block:
+A block of rows of at most _VECTOR_DRAWS draws each (Haar rows at d <= 13,
+two-point rows at every d) then takes the vector path, on uint64 arrays over
+the whole block:
 
   * PCG64 (O'Neill, "PCG: a family of simple fast space-efficient
     statistically good algorithms", 2014) steps s -> s M + inc mod 2^128.
@@ -465,10 +465,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # 0.71 and 0.82 of the per-row path's time at d = 7, 11 and 13, 0.99 at d = 17
 # (34 draws) and 1.08 at d = 19 (2-core machine, paired medians).
 _VECTOR_DRAWS = 26
-# Blocks of fewer rows take the per-row path, a single replayed sample among
-# them: the vector path costs about 0.06-0.1 ms a block, and pays from about 9
-# two-point rows and 30 Haar rows at d = 5.
-_VECTOR_ROWS = 16
 # The floor of the quotient that derives ki from wi lies at most this far
 # above numpy's ki (see the module docstring)
 _KI_MARGIN = 2
@@ -550,20 +546,22 @@ def _fast_pairs(outputs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pos.astype(np.intp), ~(ra | rb | rs)
 
 
-def _normal_draws(words: np.ndarray, count: int, table: tuple | None) -> np.ndarray:
+def _normal_draws(words: np.ndarray, count: int, table: tuple | None) -> tuple[np.ndarray, np.ndarray]:
     """(n, count) standard normals, row k from the substream of words[k]: on
-    the vector path with table, numpy's per-row path for the other rows."""
+    the vector path with table, numpy's per-row path for the other rows; and
+    per row whether the vector path drew it."""
     n = len(words)
     raw, fast = _fast_normals(_pcg64(words, count), table) if table else (np.empty((n, count)), np.zeros(n, bool))
     for k in np.flatnonzero(~fast).tolist():
         _substream(words[k]).standard_normal(out=raw[k])
-    return raw
+    return raw, fast
 
 
-def _pair_draws(words: np.ndarray, d: int, table: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+def _pair_draws(words: np.ndarray, d: int, table: tuple | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row, choice(d, 2, replace=False) then 4 standard normals, row k
     from the substream of words[k]: on the vector path with table, numpy's
-    per-row path for the other rows."""
+    per-row path for the other rows; and per row whether the vector path
+    drew it."""
     n = len(words)
     if table:
         outputs = _pcg64(words, 6)
@@ -576,14 +574,14 @@ def _pair_draws(words: np.ndarray, d: int, table: tuple | None) -> tuple[np.ndar
         rng = _substream(words[k])
         pos[k] = rng.choice(d, size=2, replace=False)
         rng.standard_normal(out=raw[k])
-    return pos, raw
+    return pos, raw, fast
 
 
-def _vector_table(words: np.ndarray, draws: int) -> tuple | None:
-    """_normal_table() for a block of words whose rows take draws draws each,
-    if it takes the vector path: at most _VECTOR_DRAWS draws a row and at least
-    _VECTOR_ROWS rows. None sends every row to the per-row path."""
-    return _normal_table() if draws <= _VECTOR_DRAWS and len(words) >= _VECTOR_ROWS else None
+def _vector_table(draws: int) -> tuple | None:
+    """_normal_table() for rows of draws draws each if they take the vector
+    path, at most _VECTOR_DRAWS draws a row; None sends every row to the
+    per-row path."""
+    return _normal_table() if draws <= _VECTOR_DRAWS else None
 
 
 @functools.cache
@@ -607,8 +605,8 @@ def _normal_table() -> tuple[np.ndarray, np.ndarray] | None:
     table = wi, np.maximum(np.floor(ratios * 2.0**52) - _KI_MARGIN, 0).astype(np.uint64)
     # the self-check block: every row of it on both paths
     words = _seed_words(0, _HAAR_STREAM, range(16))
-    same = (np.array_equal(_normal_draws(words, _VECTOR_DRAWS, table), _normal_draws(words, _VECTOR_DRAWS, None))
-            and all(map(np.array_equal, _pair_draws(words, 5, table), _pair_draws(words, 5, None))))
+    same = (np.array_equal(_normal_draws(words, _VECTOR_DRAWS, table)[0], _normal_draws(words, _VECTOR_DRAWS, None)[0])
+            and all(map(np.array_equal, _pair_draws(words, 5, table)[:2], _pair_draws(words, 5, None)[:2])))
     return table if same else None
 
 
@@ -630,7 +628,7 @@ def _haar_rows(d: int, words: np.ndarray) -> np.ndarray:
     """Haar-random unit rows; row k takes 2d standard normals (real parts,
     then imaginary parts) from the substream of words[k], a row of
     _seed_words for the Haar stream."""
-    raw = _normal_draws(words, 2 * d, _vector_table(words, 2 * d))
+    raw = _normal_draws(words, 2 * d, _vector_table(2 * d))[0]
     # the same floats as raw[:, :d] + 1j * raw[:, d:], built in place, and raw
     # let go before normalize_rows copies the block
     amps = 1j * raw[:, d:]
@@ -644,7 +642,7 @@ def _two_point_rows(d: int, words: np.ndarray) -> np.ndarray:
     (choice without replacement), then 4 standard normals (real parts, then
     imaginary parts) from the substream of words[k], a row of _seed_words
     for the two-point stream."""
-    pos, raw = _pair_draws(words, d, _vector_table(words, 6))
+    pos, raw, _ = _pair_draws(words, d, _vector_table(6))
     n = len(words)
     amps = np.zeros((n, d), dtype=complex)
     amps[np.arange(n)[:, None], pos] = raw[:, :2] + 1j * raw[:, 2:]

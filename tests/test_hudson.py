@@ -369,36 +369,26 @@ class TestVectorSamplers:
             assert np.array_equal(two[k], _oracle_two_point(d, seed, i))
         # both kinds of row are in the block: those the fast paths draw whole,
         # and those that leave them for numpy's per-row path
-        table = hudson._normal_table()
-        blocks = [hudson._pcg64(_seed_words(seed, _TWO_POINT_STREAM, indices), 6)]
+        masks = [hudson._pair_draws(_seed_words(seed, _TWO_POINT_STREAM, indices), d, hudson._vector_table(6))[2]]
         if 2 * d <= hudson._VECTOR_DRAWS:
-            blocks.append(hudson._pcg64(_seed_words(seed, _HAAR_STREAM, indices), 2 * d))
-        for k, outputs in enumerate(blocks):
-            fast = hudson._fast_normals(outputs[:, 2 * (k == 0):], table)[1]
-            if k == 0:
-                fast &= hudson._fast_pairs(outputs, d)[1]
+            words = _seed_words(seed, _HAAR_STREAM, indices)
+            masks.append(hudson._normal_draws(words, 2 * d, hudson._vector_table(2 * d))[1])
+        for fast in masks:
             assert fast.any() and not fast.all()
 
-    @pytest.mark.parametrize("d,rows,vector", [
-        (3, 200, True), (13, 200, True), (17, 200, False), (61, 200, False), (5, 16, True), (5, 15, False)])
-    def test_haar_rows_take_the_vector_path_up_to_the_cutovers(self, monkeypatch, d, rows, vector):
+    @pytest.mark.parametrize("d,vector", [(3, True), (13, True), (17, False), (61, False)])
+    def test_haar_rows_take_the_vector_path_up_to_the_cutover(self, monkeypatch, d, vector):
         per_row, fast_normals = [], hudson._fast_normals
         substream = hudson._substream
         monkeypatch.setattr(hudson, "_substream", lambda words: per_row.append(1) or substream(words))
         outcome = []
         monkeypatch.setattr(hudson, "_fast_normals",
                             lambda outputs, table: outcome.append(r := fast_normals(outputs, table)) or r)
-        haar_rows(d, 3, range(rows))
+        haar_rows(d, 3, range(200))
         if vector:
             assert len(outcome) == 1 and len(per_row) == np.count_nonzero(~outcome[0][1]) > 0
         else:
-            assert outcome == [] and len(per_row) == rows
-
-    def test_single_samples_take_the_per_row_path(self, monkeypatch):
-        monkeypatch.setattr(hudson, "_pcg64", None)  # the vector path would call it
-        dim = PrimeDim(5)
-        assert np.array_equal(haar_sample(dim, 4, 9).amp, _oracle_haar(5, 4, 9))
-        assert np.array_equal(two_point_sample(dim, 4, 9).amp, _oracle_two_point(5, 4, 9))
+            assert outcome == [] and len(per_row) == 200
 
     def test_failed_self_check_leaves_every_block_unchanged(self, monkeypatch):
         indices = range(300)
