@@ -20,15 +20,16 @@ handed back to the system and faulted in again.
   * at d = 61, on one stream of 1000 Haar rows: the grid minima of the whole
     block at once, the grid minima in verify's row chunks (through one reused
     workspace), verify's own pass over the stream, which keeps its largest
-    float64 minimum (hudson._block_minima over its sample blocks, or in an
-    older tree the float32 chunk screen hudson._sample_minima), and the
+    float64 minimum (hudson._block_minima over its sample blocks), and the
     sample-overlap step, which decides for each row whether it matches a
     stabilizer state;
-  * at d = 3, 5, 7, 13 and 61, the seeded samplers that draw verify's
-    blocks: 1000 Haar rows (hudson._haar_rows) and 100 two-point rows
-    (hudson._two_point_rows), seeding included. Each also records
-    per_row_share, the share of its rows that numpy's per-row path draws
-    (1 where the tree has no vector path or does not use it at that d).
+  * at d = 3, 5, 7, 13 and 61, the seeded sampler that draws verify's
+    blocks, hudson._sample_rows: 1000 Haar rows and 100 two-point rows,
+    seeding included. Each also records per_row_share, the share of its rows
+    that numpy's per-row path draws (1 where the block does not take the
+    vector path at that d). A tree from before _sample_rows (a9251fb) has one
+    sampler per stream, _haar_rows and _two_point_rows, which return no
+    per-row mask: its cases time those, and its per_row_share is null.
 
 The results are stored under the key NAME in the output file (default
 BENCH_verify.json at the root of this checkout). Other keys already in the
@@ -89,49 +90,41 @@ def load(src: Path):
         sys.path.pop(0)
 
 
-def sampler(hudson, name: str, d: int, stream: int, n: int):
-    """A call of hudson.<name> drawing indices range(n) of SEED, seeding included."""
-    rows = getattr(hudson, name)
-    return lambda: rows(d, hudson._seed_words(SEED, stream, range(n)))
+def sample_rows(hudson, d: int, stream: int, words):
+    """hudson._sample_rows(d, stream, words): the unit rows and their per-row
+    fast mask. A tree from before it has a sampler per stream and no mask."""
+    if hasattr(hudson, "_sample_rows"):
+        return hudson._sample_rows(d, stream, words)
+    draw = hudson._haar_rows if stream == hudson._HAAR_STREAM else hudson._two_point_rows
+    return draw(d, words), None
 
 
-def per_row_share(hudson, d: int, stream: int, n: int) -> float:
-    """The share of rows range(n) of SEED that the sampler of stream draws on
-    numpy's per-row path: those that leave the vector path's fast draws, or
-    all of them where the tree has no vector path or the block does not take it."""
-    if not hasattr(hudson, "_vector_table"):
-        return 1.0
-    words = hudson._seed_words(SEED, stream, range(n))
-    if stream == hudson._HAAR_STREAM:
-        fast = hudson._normal_draws(words, 2 * d, hudson._vector_table(2 * d))[1]
-    else:
-        fast = hudson._pair_draws(words, d, hudson._vector_table(6))[2]
-    return float(1 - fast.mean())
+def sampler(hudson, d: int, stream: int, n: int):
+    """A call of the sampler drawing indices range(n) of SEED, seeding included."""
+    return lambda: sample_rows(hudson, d, stream, hudson._seed_words(SEED, stream, range(n)))
+
+
+def per_row_share(hudson, d: int, stream: int, n: int) -> float | None:
+    """The share of rows range(n) of SEED of stream that numpy's per-row path
+    draws: those that leave the vector path's fast draws, or all of them where
+    the block does not take it. None where the sampler returns no mask."""
+    fast = sampler(hudson, d, stream, n)()[1]
+    return None if fast is None else float(1 - fast.mean())
 
 
 def stream_minima(hudson, amps):
     """A call of verify's pass over one stream of rows at TOL, returning the
-    stream's largest float64 minimum: _block_minima over its sample blocks,
-    or the float32 chunk screen of a tree from before it."""
+    stream's largest float64 minimum: _block_minima over its sample blocks."""
     n, d = amps.shape
     work = hudson.wigner_workspace(min(hudson._chunk_rows(d), n), d)
     beta = hudson._screen_bound(d)
-    if hasattr(hudson, "_block_minima"):
-        step = hudson._block_rows(d)
+    step = hudson._block_rows(d)
 
-        def run():
-            best = -math.inf
-            for i in range(0, n, step):
-                best = hudson._block_minima(amps[i:i + step], work, best, TOL, beta)[1]
-            return best
-    else:
-        step = hudson._chunk_rows(d)
-
-        def run():
-            best = -math.inf
-            for i in range(0, n, step):
-                best = max(best, float(hudson._sample_minima(amps[i:i + step], work, min(best, -TOL), beta).max()))
-            return best
+    def run():
+        best = -math.inf
+        for i in range(0, n, step):
+            best = hudson._block_minima(amps[i:i + step], work, best, TOL, beta)[1]
+        return best
     return run
 
 
@@ -152,32 +145,26 @@ def cases(ps) -> dict[tuple[str, ...], object]:
         out["point_mass_step", "by_d", str(d)] = lambda dim=ps.PrimeDim(d): hudson.single_point_infeasibility(dim)
 
     kernels = f"kernels_d{KERNEL_D}_{KERNEL_ROWS}_haar_rows"
-    amps = sampler(hudson, "_haar_rows", KERNEL_D, hudson._HAAR_STREAM, KERNEL_ROWS)()
+    amps = sampler(hudson, KERNEL_D, hudson._HAAR_STREAM, KERNEL_ROWS)()[0]
     step = hudson._chunk_rows(KERNEL_D)
     work = wigner.wigner_workspace(step, KERNEL_D)
 
-    def grids(rows, out=None):
-        """The whole Wigner grids of rows; a tree from before wigner_rows has wigner_block."""
-        if hasattr(wigner, "wigner_rows"):
-            return wigner.wigner_rows(rows, 0, KERNEL_D, out)
-        return wigner.wigner_block(rows, out=out)
-
     def chunked_minima():
-        return [grids(amps[i:i + step], work).min(axis=(1, 2)) for i in range(0, KERNEL_ROWS, step)]
+        return [wigner.wigner_rows(amps[i:i + step], 0, KERNEL_D, work).min(axis=(1, 2))
+                for i in range(0, KERNEL_ROWS, step)]
 
     passed = stream_minima(hudson, amps)
     assert passed() == max(float(m.max()) for m in chunked_minima())
     assert not np.any(hudson._stabilizer_matches(amps))
-    out[kernels, "wigner_minima"] = lambda: grids(amps).min(axis=(1, 2))
+    out[kernels, "wigner_minima"] = lambda: wigner.wigner_rows(amps, 0, KERNEL_D).min(axis=(1, 2))
     out[kernels, "chunked_minima"] = chunked_minima
     out[kernels, "stream_minima"] = passed
     out[kernels, "sample_overlap_step"] = lambda: hudson._stabilizer_matches(amps)
 
     for d in SAMPLER_DIMS:
-        out["samplers_by_d", str(d), f"haar_rows_{SAMPLES}"] = sampler(
-            hudson, "_haar_rows", d, hudson._HAAR_STREAM, SAMPLES)
+        out["samplers_by_d", str(d), f"haar_rows_{SAMPLES}"] = sampler(hudson, d, hudson._HAAR_STREAM, SAMPLES)
         out["samplers_by_d", str(d), f"two_point_rows_{TWO_POINT}"] = sampler(
-            hudson, "_two_point_rows", d, hudson._TWO_POINT_STREAM, TWO_POINT)
+            hudson, d, hudson._TWO_POINT_STREAM, TWO_POINT)
     return out
 
 

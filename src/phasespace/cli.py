@@ -62,9 +62,8 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 #                with the chirp DFT of the overlap check skipped by its O(d) bound.
 MAX_D = {"wigner": 2003, "stabilizers": 101, "metaplectic": 1009, "verify": 401}
 # Largest accepted --samples and --two-point: time grows linearly in the counts,
-# memory stays flat. Measured as above with both counts at the cap: d = 3
-# 1.4-2.0 s, 42 MB, mostly the per-sample PCG64 seeding and the two-point
-# choice of positions; d = 101 38 s, 40 MB, mostly the Wigner products.
+# memory stays flat. Measured as above with both counts at the cap: d = 3 0.45-0.47 s
+# and 45 MB, mostly the draws; d = 101 7.0-7.1 s and 44 MB, 4.2 s minima, 2.4 s draws.
 MAX_SAMPLES = 100_000
 
 

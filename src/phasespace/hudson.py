@@ -16,11 +16,11 @@ verify_hudson runs, for one dimension d, the full battery:
     operator, read off one entry of a witness's grid
     (single_point_infeasibility), recorded as point_mass_infeasible.
 
-Sample i is drawn from a substream keyed by (seed, stream, i), so reports
-are reproducible and independent of evaluation order. Every sub-check
-failure is counted in the report's failures_total, and the first
-MAX_FAILURE_MESSAGES of them are kept as messages in index order; a report
-passes iff the count is zero.
+Sample i is drawn from a substream keyed by (seed, stream, i), the
+package's one seeding scheme, so reports are reproducible and independent of
+evaluation order. Every sub-check failure is counted in the report's
+failures_total, and the first MAX_FAILURE_MESSAGES of them are kept as
+messages in index order; a report passes iff the count is zero.
 
 The battery runs on (n, d) amplitude blocks, one state per row: the two
 stabilizer bases, and the samples drawn from their per-index substreams.
@@ -32,9 +32,9 @@ per call for the largest chunk and reuses: about 1 MB at d = 61, which would
 otherwise be handed back to the system at the end of each chunk and faulted
 in again by the next. clifford.stabilizer_overlaps and modulus_violations
 build temporaries of at most n d^2 entries for the block they are given.
-Each sample stream is hashed once per call (_seeded_blocks).
-The per-index substreams are the package's one seeding scheme, and haar_sample
-and two_point_sample replay one sample as a StateVector, hashing its index.
+One sampler, _sample_rows, draws, assembles and flags a block of either
+stream; _seeded_blocks hashes each stream once per call and yields its
+blocks, and haar_sample and two_point_sample replay one sample, hashing its index.
 
 The substream of (seed, stream, i) is numpy's PCG64 seeded as
 np.random.SeedSequence([seed, stream, i]) would seed it, and a sample's
@@ -46,11 +46,12 @@ the entropy is the little-endian 32-bit words of seed and stream, of any
 size, then i as one word, hashed into a pool of four words and read out with
 numpy's published constants. Indices lie in [0, 2^32): verify_hudson rejects
 a sample count above 2^32, and haar_sample and two_point_sample raise
-ValueError past it, as they do for a negative seed or index.
+ValueError past it, as they do for a negative seed or index, and TypeError
+for a bool one.
 
 A block of rows of at most _VECTOR_DRAWS draws each (Haar rows at d <= 13,
-two-point rows at every d) then takes the vector path, on uint64 arrays over
-the whole block:
+two-point rows at every d) takes the vector path, on uint64 arrays over the
+whole block:
 
   * PCG64 (O'Neill, "PCG: a family of simple fast space-efficient
     statistically good algorithms", 2014) steps s -> s M + inc mod 2^128.
@@ -87,12 +88,13 @@ takes on its fast path to the same float, and every Lemire draw of it is
 short of the rejection test; then it is the row numpy draws. Every other row,
 and every row of a block that does not take the vector path, numpy draws
 itself: a Generator on numpy's own PCG64, seeded from the row's words through
-_Words, a stand-in SeedSequence that returns them (_substream). A self-check guards the numpy
-version: _normal_table draws a fixed block, 16 rows of 26 normals and 16
-pairs at d = 5, on both paths, and on any mismatch it returns None and every
-row takes the per-row path. At d = 3, 5, 7 and 13, 6-9, 11, 16 and 29 % of
-the Haar rows take it, and about 6.6 % of the two-point rows; at d = 17 the
-vector path gains nothing, and past it the per-row path is faster.
+_Words, a stand-in SeedSequence that returns them (_substream). A self-check
+guards the numpy version: _normal_table draws a fixed block, 16 Haar rows at
+d = 13 and 16 two-point rows at d = 5, on both paths, and on any mismatch it
+returns None and every row takes the per-row path. At d = 3, 5, 7 and 13,
+6-9, 11, 16 and 29 % of the Haar rows take it, and about 6.6 % of the
+two-point rows. Both paths stay: the vector path is faster at d <= 13, gains
+nothing at d = 17, and past it (d = 61, say) the per-row path is faster.
 
 The sample minima are bounded in float32 and certified in float64
 (_block_minima). Only two facts of a stream's float64 minima reach the
@@ -421,7 +423,9 @@ def _seed_words(seed: int, stream: int, indices) -> np.ndarray:
     """Row k is SeedSequence([seed, stream, indices[k]]).generate_state(4,
     np.uint64), computed for the whole block in one pass. The entropy is the
     32-bit words of seed, then stream, then the index as one uint32 column;
-    an index outside [0, 2^32) raises ValueError."""
+    a bool seed or index raises TypeError, an index outside [0, 2^32) ValueError."""
+    if isinstance(seed, bool) or not isinstance(indices, range) and bool in map(type, indices):
+        raise TypeError("seeds and sample indices must be integers, not bool")
     prefix = [np.array([w], dtype=np.uint32) for w in _int_words(seed) + _int_words(stream)]
     idx = [operator.index(i) for i in indices]
     if idx and not (min(idx) >= 0 and max(idx) <= _MASK32):
@@ -546,42 +550,30 @@ def _fast_pairs(outputs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pos.astype(np.intp), ~(ra | rb | rs)
 
 
-def _normal_draws(words: np.ndarray, count: int, table: tuple | None) -> tuple[np.ndarray, np.ndarray]:
-    """(n, count) standard normals, row k from the substream of words[k]: on
-    the vector path with table, numpy's per-row path for the other rows; and
-    per row whether the vector path drew it."""
-    n = len(words)
-    raw, fast = _fast_normals(_pcg64(words, count), table) if table else (np.empty((n, count)), np.zeros(n, bool))
-    for k in np.flatnonzero(~fast).tolist():
-        _substream(words[k]).standard_normal(out=raw[k])
-    return raw, fast
-
-
-def _pair_draws(words: np.ndarray, d: int, table: tuple | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row, choice(d, 2, replace=False) then 4 standard normals, row k
-    from the substream of words[k]: on the vector path with table, numpy's
-    per-row path for the other rows; and per row whether the vector path
-    drew it."""
-    n = len(words)
+def _sample_draws(d: int, stream: int, words: np.ndarray,
+                  table: tuple | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a block of stream's _seed_words: its positions (all d for Haar,
+    one shared arange; choice(d, 2, replace=False) for two-point), its 2d or 4
+    standard normals (real parts, then imaginary parts) and whether the vector
+    path drew it. table turns that path on; None sends every row to numpy's."""
+    n, haar = len(words), stream == _HAAR_STREAM
+    count = 2 * d if haar else 4
+    pos = np.arange(d) if haar else np.empty((n, 2), dtype=np.intp)
     if table:
-        outputs = _pcg64(words, 6)
-        pos, fast = _fast_pairs(outputs, d)
-        raw, normal = _fast_normals(outputs[:, 2:], table)
-        fast &= normal
+        outputs = _pcg64(words, count if haar else count + 2)
+        raw, fast = _fast_normals(outputs[:, -count:], table)
+        if not haar:
+            pos, paired = _fast_pairs(outputs, d)
+            fast &= paired
     else:
-        pos, raw, fast = np.empty((n, 2), dtype=np.intp), np.empty((n, 4)), np.zeros(n, bool)
+        raw, fast = np.empty((n, count)), np.zeros(n, bool)
     for k in np.flatnonzero(~fast).tolist():
         rng = _substream(words[k])
-        pos[k] = rng.choice(d, size=2, replace=False)
+        if not haar:
+            pos[k] = rng.choice(d, size=2, replace=False)
         rng.standard_normal(out=raw[k])
+        del rng  # freed before the next one is built, which is 1.5 % faster per row
     return pos, raw, fast
-
-
-def _vector_table(draws: int) -> tuple | None:
-    """_normal_table() for rows of draws draws each if they take the vector
-    path, at most _VECTOR_DRAWS draws a row; None sends every row to the
-    per-row path."""
-    return _normal_table() if draws <= _VECTOR_DRAWS else None
 
 
 @functools.cache
@@ -605,59 +597,52 @@ def _normal_table() -> tuple[np.ndarray, np.ndarray] | None:
     table = wi, np.maximum(np.floor(ratios * 2.0**52) - _KI_MARGIN, 0).astype(np.uint64)
     # the self-check block: every row of it on both paths
     words = _seed_words(0, _HAAR_STREAM, range(16))
-    same = (np.array_equal(_normal_draws(words, _VECTOR_DRAWS, table)[0], _normal_draws(words, _VECTOR_DRAWS, None)[0])
-            and all(map(np.array_equal, _pair_draws(words, 5, table)[:2], _pair_draws(words, 5, None)[:2])))
+    same = all(np.array_equal(a, b) for d, stream in ((_VECTOR_DRAWS // 2, _HAAR_STREAM), (5, _TWO_POINT_STREAM))
+               for a, b in zip(_sample_draws(d, stream, words, table)[:2], _sample_draws(d, stream, words, None)[:2]))
     return table if same else None
 
 
+def _sample_rows(d: int, stream: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit rows of stream from a block of its _seed_words, and per row
+    whether the vector path drew it: the one cutover sends the rows of at most
+    _VECTOR_DRAWS draws (2d Haar, 6 two-point) to that path."""
+    haar = stream == _HAAR_STREAM
+    table = _normal_table() if (2 * d if haar else 6) <= _VECTOR_DRAWS else None
+    pos, raw, fast = _sample_draws(d, stream, words, table)
+    if haar:
+        # the same floats as raw[:, :d] + 1j * raw[:, d:], built in place; raw goes before normalize_rows copies
+        amps = 1j * raw[:, d:]
+        amps += raw[:, :d]
+    else:
+        amps = np.zeros((len(words), d), dtype=complex)
+        amps[np.arange(len(words))[:, None], pos] = raw[:, :2] + 1j * raw[:, 2:]
+    del raw
+    return normalize_rows(amps), fast
+
+
 def _seeded_blocks(n: int, d: int, seed: int, stream: int) -> Iterator[tuple[range, np.ndarray]]:
-    """range(n) of one sample stream in blocks of _block_rows(d) indices, as
-    (indices, words) pairs, words being the block's rows of _seed_words. The
-    words are hashed in runs of whole blocks, at most CHUNK_ELEMENTS indices
-    (2 MiB) each: one run per stream at the default counts, flat memory."""
+    """range(n) of one stream as (indices, rows) pairs: blocks of _block_rows(d)
+    indices and their _sample_rows. The words are hashed in runs of whole blocks,
+    at most CHUNK_ELEMENTS indices (2 MiB) each: one run per stream by default."""
     step = _block_rows(d)
     run = max(1, CHUNK_ELEMENTS // step) * step
     for start in range(0, n, run):
         indices = range(start, min(start + run, n))
         words = _seed_words(seed, stream, indices)
         for i in range(0, len(indices), step):
-            yield indices[i : i + step], words[i : i + step]
-
-
-def _haar_rows(d: int, words: np.ndarray) -> np.ndarray:
-    """Haar-random unit rows; row k takes 2d standard normals (real parts,
-    then imaginary parts) from the substream of words[k], a row of
-    _seed_words for the Haar stream."""
-    raw = _normal_draws(words, 2 * d, _vector_table(2 * d))[0]
-    # the same floats as raw[:, :d] + 1j * raw[:, d:], built in place, and raw
-    # let go before normalize_rows copies the block
-    amps = 1j * raw[:, d:]
-    amps += raw[:, :d]
-    del raw
-    return normalize_rows(amps)
-
-
-def _two_point_rows(d: int, words: np.ndarray) -> np.ndarray:
-    """Unit rows supported on two positions; row k takes the positions
-    (choice without replacement), then 4 standard normals (real parts, then
-    imaginary parts) from the substream of words[k], a row of _seed_words
-    for the two-point stream."""
-    pos, raw, _ = _pair_draws(words, d, _vector_table(6))
-    n = len(words)
-    amps = np.zeros((n, d), dtype=complex)
-    amps[np.arange(n)[:, None], pos] = raw[:, :2] + 1j * raw[:, 2:]
-    return normalize_rows(amps)
+            yield indices[i : i + step], _sample_rows(d, stream, words[i : i + step])[0]
 
 
 def haar_sample(dim: PrimeDim, seed: int, index: int) -> StateVector:
     """Haar-random state i of the run; depends only on (seed, index)."""
-    return StateVector(dim, _haar_rows(dim.d, _seed_words(seed, _HAAR_STREAM, [index]))[0])
+    return StateVector(dim, _sample_rows(dim.d, _HAAR_STREAM, _seed_words(seed, _HAAR_STREAM, [index]))[0][0])
 
 
 def two_point_sample(dim: PrimeDim, seed: int, index: int) -> StateVector:
     """State supported on two uniformly chosen positions, amplitudes uniform
     on the unit sphere of the two-dimensional subspace."""
-    return StateVector(dim, _two_point_rows(dim.d, _seed_words(seed, _TWO_POINT_STREAM, [index]))[0])
+    words = _seed_words(seed, _TWO_POINT_STREAM, [index])
+    return StateVector(dim, _sample_rows(dim.d, _TWO_POINT_STREAM, words)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +707,6 @@ class _Failures:
         O(MAX_FAILURE_MESSAGES) however many rows it stands for."""
         self.total += count
         self.messages += itertools.islice(messages, max(0, MAX_FAILURE_MESSAGES - len(self.messages)))
-
-
-def _dip_message(label: str, index: int, minimum: float, tol: float) -> str:
-    """The failure of a sample whose Wigner minimum is not below -tol."""
-    value = "no finite Wigner minimum" if math.isnan(minimum) else f"Wigner minimum {minimum!r} >= -{tol!r}"
-    return f"{label} {index} has {value}"
 
 
 def verify_hudson(
@@ -835,30 +814,27 @@ def verify_hudson(
     work = wigner_workspace(min(_chunk_rows(d), max(samples, two_point_samples)), d)
     beta = _screen_bound(d)
 
-    random_all_negative = True
     random_all_nonstabilizer = True
-    random_max_min = -math.inf
-    for indices, words in _seeded_blocks(samples, d, seed, _HAAR_STREAM):
-        amps = _haar_rows(d, words)
-        minima, random_max_min = _block_minima(amps, work, random_max_min, tol, beta)
-        nonneg = ~(minima < -tol)  # written so that a NaN minimum fails too
-        matched = _stabilizer_matches(amps)
-        random_all_negative = random_all_negative and not nonneg.any()
-        random_all_nonstabilizer = random_all_nonstabilizer and not matched.any()
-        for k in np.nonzero(nonneg | matched)[0].tolist():
-            if nonneg[k]:
-                failures.add(1, [_dip_message("random sample", indices[k], float(minima[k]), tol)])
-            if matched[k]:
-                failures.add(1, [f"random sample {indices[k]} matches a stabilizer state"])
-
-    two_point_all_negative = True
-    two_point_max_min = -math.inf
-    for indices, words in _seeded_blocks(two_point_samples, d, seed, _TWO_POINT_STREAM):
-        minima, two_point_max_min = _block_minima(_two_point_rows(d, words), work, two_point_max_min, tol, beta)
-        nonneg = ~(minima < -tol)
-        two_point_all_negative = two_point_all_negative and not nonneg.any()
-        for k in np.nonzero(nonneg)[0].tolist():
-            failures.add(1, [_dip_message("two-point sample", indices[k], float(minima[k]), tol)])
+    all_negative, max_minima = [], []
+    for stream, n, label in ((_HAAR_STREAM, samples, "random sample"),
+                             (_TWO_POINT_STREAM, two_point_samples, "two-point sample")):
+        negative, best = True, -math.inf
+        for indices, amps in _seeded_blocks(n, d, seed, stream):
+            minima, best = _block_minima(amps, work, best, tol, beta)
+            nonneg = ~(minima < -tol)  # written so that a NaN minimum fails too
+            # only the Haar samples are matched against the stabilizer states
+            matched = _stabilizer_matches(amps) if stream == _HAAR_STREAM else np.zeros_like(nonneg)
+            negative = negative and not nonneg.any()
+            random_all_nonstabilizer = random_all_nonstabilizer and not matched.any()
+            for k in np.flatnonzero(nonneg | matched).tolist():
+                if nonneg[k]:
+                    m = float(minima[k])
+                    value = "no finite Wigner minimum" if math.isnan(m) else f"Wigner minimum {m!r} >= -{tol!r}"
+                    failures.add(1, [f"{label} {indices[k]} has {value}"])
+                if matched[k]:
+                    failures.add(1, [f"{label} {indices[k]} matches a stabilizer state"])
+        all_negative.append(negative)
+        max_minima.append(best if n else 0.0)
 
     point_mass = single_point_infeasibility(dim)
     if not point_mass:
@@ -874,12 +850,12 @@ def verify_hudson(
         stabilizer_min_wigner=float(base_minima.min()),
         stabilizer_line_deviation=float(line_deviation.max()),
         random_samples=samples,
-        random_all_negative=random_all_negative,
+        random_all_negative=all_negative[0],
         random_all_nonstabilizer=random_all_nonstabilizer,
-        random_max_min_wigner=random_max_min if samples else 0.0,
+        random_max_min_wigner=max_minima[0],
         two_point_samples=two_point_samples,
-        two_point_all_negative=two_point_all_negative,
-        two_point_max_min_wigner=two_point_max_min if two_point_samples else 0.0,
+        two_point_all_negative=all_negative[1],
+        two_point_max_min_wigner=max_minima[1],
         lemma4_violations=lemma4_violations,
         lemma5_support_sizes=sizes,
         lemma6_max_modulus_spread=max_spread,

@@ -7,7 +7,7 @@ Fourier predicates never form a circulant matrix; the Wigner kernels use one
 real matrix product over half the lags, not complex arithmetic over all of
 them; the point-mass step pairs one entry of a grid where operator_from_wigner
 inverts the whole grid), or a helper that only the tests need (all_points,
-act, compose, translated_grid, haar_rows, two_point_rows, wigner_minima,
+act, compose, translated_grid, sample_rows, wigner_minima,
 crafted_draws). exact_ki finds numpy's own ziggurat bounds by probing its
 generator, where the package derives lower bounds on them from its wi.
 stabilizer_blocks keeps the construction stabilizer_rows replaced, as the
@@ -77,14 +77,10 @@ def projective_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(abs(abs(np.trace(u.conj().T @ v)) - len(u)) <= tol)
 
 
-def haar_rows(d: int, seed: int, indices) -> np.ndarray:
-    """verify_hudson's Haar rows for the given indices of seed."""
-    return hudson._haar_rows(d, hudson._seed_words(seed, hudson._HAAR_STREAM, indices))
-
-
-def two_point_rows(d: int, seed: int, indices) -> np.ndarray:
-    """verify_hudson's two-point rows for the given indices of seed."""
-    return hudson._two_point_rows(d, hudson._seed_words(seed, hudson._TWO_POINT_STREAM, indices))
+def sample_rows(d: int, seed: int, stream: int, indices) -> np.ndarray:
+    """verify_hudson's unit rows of stream (hudson._HAAR_STREAM or
+    hudson._TWO_POINT_STREAM) for the given indices of seed."""
+    return hudson._sample_rows(d, stream, hudson._seed_words(seed, stream, indices))[0]
 
 
 def crafted_draws(rng: np.random.Generator, first: int, second: int | None = None) -> np.random.Generator:
@@ -237,8 +233,8 @@ def chunked_minima(d: int, samples: int, two_point: int, seed: int) -> tuple[np.
     step = hudson._chunk_rows(d)
     work = wigner_workspace(min(step, max(samples, two_point)), d)
     minima = []
-    for n, rows in ((samples, haar_rows), (two_point, two_point_rows)):
-        chunks = [wigner_rows(rows(d, seed, range(i, min(i + step, n))), 0, d, work).min(axis=(1, 2))
+    for n, stream in ((samples, hudson._HAAR_STREAM), (two_point, hudson._TWO_POINT_STREAM)):
+        chunks = [wigner_rows(sample_rows(d, seed, stream, range(i, min(i + step, n))), 0, d, work).min(axis=(1, 2))
                   for i in range(0, n, step)]
         minima.append(np.concatenate(chunks) if chunks else np.empty(0))
     return minima[0], minima[1]

@@ -37,7 +37,7 @@ from phasespace import (
     wigner_pure,
     half,
 )
-from phasespace.hudson import modulus_violations, support_rows
+from phasespace.hudson import _HAAR_STREAM, _TWO_POINT_STREAM, modulus_violations, support_rows
 
 from oracles import (
     DIMS,
@@ -46,12 +46,11 @@ from oracles import (
     circulant,
     compose,
     fourier,
-    haar_rows,
     has_constant_modulus_fourier,
     inverse_fourier,
+    sample_rows,
     symplectic_form,
     translated_grid,
-    two_point_rows,
     wigner_minima,
 )
 
@@ -91,7 +90,7 @@ def test_criterion_02_random_states_negative_and_nonstabilizer():
     details = []
     for dim in DIMS:
         start = time.perf_counter()
-        amps = haar_rows(dim.d, 42, range(1000))
+        amps = sample_rows(dim.d, 42, _HAAR_STREAM, range(1000))
         minima = wigner_minima(amps)
         max_min = float(minima.max())
         all_negative = bool(np.all(minima < -1e-9))
@@ -309,7 +308,7 @@ def test_criterion_10_two_point_states_are_negative():
     ok = True
     details = []
     for dim in DIMS:
-        amps = two_point_rows(dim.d, 42, range(100))
+        amps = sample_rows(dim.d, 42, _TWO_POINT_STREAM, range(100))
         inside, _ = support_rows(np.abs(amps))
         assert inside.sum(axis=1).tolist() == [2] * 100
         minima = wigner_minima(amps)

@@ -385,18 +385,19 @@ class TestVerifyCommand:
         # normalize_rows: at d = 61 its second chunk goes through the float32
         # bound too. The run fails and names each row; the stream's
         # max-minimum (-inf in the report) is null in both artifacts.
-        name, label, count, key, other = {
-            "haar": ("_haar_rows", "random sample", 30, "random", "two_point"),
-            "two_point": ("_two_point_rows", "two-point sample", 20, "two_point", "random"),
+        poisoned_stream, label, count, key, other = {
+            "haar": (hudson._HAAR_STREAM, "random sample", 30, "random", "two_point"),
+            "two_point": (hudson._TWO_POINT_STREAM, "two-point sample", 20, "two_point", "random"),
         }[stream]
-        draw = getattr(hudson, name)
+        draw = hudson._sample_rows
 
-        def poisoned(d, words):
-            rows = draw(d, words)
-            rows[:, 0] = np.nan
-            return rows
+        def poisoned(d, kind, words):
+            rows, fast = draw(d, kind, words)
+            if kind == poisoned_stream:
+                rows[:, 0] = np.nan
+            return rows, fast
 
-        monkeypatch.setattr(hudson, name, poisoned)
+        monkeypatch.setattr(hudson, "_sample_rows", poisoned)
         args = ["verify", "--d", str(d), "--samples", "30", "--two-point", "20", "--seed", "7"]
         assert cli.main(args) == 1
         doc = strict_loads(capsys.readouterr().out)

@@ -46,10 +46,9 @@ from oracles import (
     crafted_draws,
     exact_ki,
     fft_wigner,
-    haar_rows,
     operator_from_wigner,
+    sample_rows,
     stabilizer_stack,
-    two_point_rows,
     wigner_minima,
 )
 
@@ -66,7 +65,7 @@ class TestCheckPositivity:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_states_are_negative(self, dim):
-        minima = wigner_minima(haar_rows(dim.d, 5, range(10)))
+        minima = wigner_minima(sample_rows(dim.d, 5, _HAAR_STREAM, range(10)))
         assert len(minima) == 10
         assert np.all(minima < -1e-9)
 
@@ -98,7 +97,7 @@ class TestModulusInequality:
 
     @pytest.mark.parametrize("dim", [PrimeDim(5), PrimeDim(7)])
     def test_matches_nested_loop_oracle(self, dim):
-        amps = np.concatenate([haar_rows(dim.d, 8, range(5)), two_point_rows(dim.d, 8, range(5))])
+        amps = np.concatenate([sample_rows(dim.d, 8, stream, range(5)) for stream in (_HAAR_STREAM, _TWO_POINT_STREAM)])
         counts = modulus_violations(np.abs(amps))
         assert counts.tolist() == [_violations_oracle(amp) for amp in amps]
 
@@ -138,7 +137,7 @@ class TestSupportDichotomy:
         assert inside.sum(axis=1).tolist() == [1, 5, 5]  # the Haar state has full support
 
     def test_two_point_states_fail(self):
-        inside, _ = support_rows(np.abs(two_point_rows(5, 1, range(5))))
+        inside, _ = support_rows(np.abs(sample_rows(5, 1, _TWO_POINT_STREAM, range(5))))
         assert inside.sum(axis=1).tolist() == [2] * 5
 
 
@@ -220,7 +219,7 @@ class TestSampling:
     def test_draws_equal_seed_sequence_draws_exactly(self, seed):
         # indices up to the largest, 2^32 - 1, in one block, on both streams
         d = 5
-        haar, two = haar_rows(d, seed, INDEX_EDGES), two_point_rows(d, seed, INDEX_EDGES)
+        haar, two = (sample_rows(d, seed, stream, INDEX_EDGES) for stream in (_HAAR_STREAM, _TWO_POINT_STREAM))
         for k, i in enumerate(INDEX_EDGES):
             assert np.array_equal(haar[k], _oracle_haar(d, seed, i))
             assert np.array_equal(two[k], _oracle_two_point(d, seed, i))
@@ -253,6 +252,13 @@ class TestSampling:
             haar_sample(dim, -1, 0)
         with pytest.raises(ValueError):
             two_point_sample(dim, 1, -1)
+        # a bool is not a seed or an index, not even as the int it equals
+        for seed, indices in ((True, [0]), (1, [False]), (2, [0, True, 5]), (np.True_, [0]), (1, [np.False_])):
+            with pytest.raises(TypeError):
+                _seed_words(seed, 0, indices)
+        for sample, seed, index in ((haar_sample, True, 0), (haar_sample, 5, True), (two_point_sample, 3, False)):
+            with pytest.raises(TypeError, match="not bool"):
+                sample(dim, seed, index)
 
     def test_index_past_32_bits_raises(self):
         dim = PrimeDim(3)
@@ -266,7 +272,7 @@ class TestSampling:
     @pytest.mark.parametrize("d", [3, 61])
     def test_block_rows_equal_single_samples(self, d):
         dim = PrimeDim(d)
-        haar, two = haar_rows(d, 9, range(40)), two_point_rows(d, 9, range(40))
+        haar, two = sample_rows(d, 9, _HAAR_STREAM, range(40)), sample_rows(d, 9, _TWO_POINT_STREAM, range(40))
         for i in range(40):
             assert np.array_equal(haar[i], haar_sample(dim, 9, i).amp)
             assert np.array_equal(two[i], two_point_sample(dim, 9, i).amp)
@@ -285,8 +291,8 @@ class TestSampling:
         assert (step, block) == (17, 119)
         got = list(hudson._seeded_blocks(n, d, 5, 1))
         assert [(r.start, r.stop) for r, _ in got] == [(i, min(i + block, n)) for i in range(0, n, block)]
-        for indices, words in got[548:552] + got[-2:]:
-            assert np.array_equal(words, _seed_words(5, 1, indices))
+        for indices, rows in got[548:552] + got[-2:]:
+            assert np.array_equal(rows, sample_rows(d, 5, 1, indices))
 
     def test_verify_hashes_each_stream_once(self, monkeypatch):
         calls = []
@@ -363,36 +369,27 @@ class TestVectorSamplers:
     @example(seed=2**64 + 11, start=2**32 - 300, d=5)  # the last indices, a seed past 64 bits
     def test_blocks_equal_generator_rows(self, seed, start, d):
         indices = range(start, start + 300)
-        haar, two = haar_rows(d, seed, indices), two_point_rows(d, seed, indices)
-        for k, i in enumerate(indices):
-            assert np.array_equal(haar[k], _oracle_haar(d, seed, i))
-            assert np.array_equal(two[k], _oracle_two_point(d, seed, i))
-        # both kinds of row are in the block: those the fast paths draw whole,
-        # and those that leave them for numpy's per-row path
-        masks = [hudson._pair_draws(_seed_words(seed, _TWO_POINT_STREAM, indices), d, hudson._vector_table(6))[2]]
-        if 2 * d <= hudson._VECTOR_DRAWS:
-            words = _seed_words(seed, _HAAR_STREAM, indices)
-            masks.append(hudson._normal_draws(words, 2 * d, hudson._vector_table(2 * d))[1])
-        for fast in masks:
-            assert fast.any() and not fast.all()
+        for stream, oracle in ((_HAAR_STREAM, _oracle_haar), (_TWO_POINT_STREAM, _oracle_two_point)):
+            rows, fast = hudson._sample_rows(d, stream, _seed_words(seed, stream, indices))
+            for k, i in enumerate(indices):
+                assert np.array_equal(rows[k], oracle(d, seed, i))
+            # a block on the vector path holds both kinds of row: those the
+            # fast paths draw whole, and those that leave them for numpy's
+            # per-row path; past the cutover every row takes the per-row path
+            if stream == _TWO_POINT_STREAM or 2 * d <= hudson._VECTOR_DRAWS:
+                assert fast.any() and not fast.all()
+            else:
+                assert not fast.any()
 
     @pytest.mark.parametrize("d,vector", [(3, True), (13, True), (17, False), (61, False)])
-    def test_haar_rows_take_the_vector_path_up_to_the_cutover(self, monkeypatch, d, vector):
-        per_row, fast_normals = [], hudson._fast_normals
-        substream = hudson._substream
-        monkeypatch.setattr(hudson, "_substream", lambda words: per_row.append(1) or substream(words))
-        outcome = []
-        monkeypatch.setattr(hudson, "_fast_normals",
-                            lambda outputs, table: outcome.append(r := fast_normals(outputs, table)) or r)
-        haar_rows(d, 3, range(200))
-        if vector:
-            assert len(outcome) == 1 and len(per_row) == np.count_nonzero(~outcome[0][1]) > 0
-        else:
-            assert outcome == [] and len(per_row) == 200
+    def test_haar_rows_take_the_vector_path_up_to_the_cutover(self, d, vector):
+        fast = hudson._sample_rows(d, _HAAR_STREAM, _seed_words(3, _HAAR_STREAM, range(200)))[1]
+        assert (0 < np.count_nonzero(fast) < 200) if vector else not fast.any()
 
     def test_failed_self_check_leaves_every_block_unchanged(self, monkeypatch):
         indices = range(300)
-        before = {d: (haar_rows(d, 5, indices), two_point_rows(d, 5, indices)) for d in (3, 7, 13, 61)}
+        before = {(d, stream): sample_rows(d, 5, stream, indices)
+                  for d in (3, 7, 13, 61) for stream in (_HAAR_STREAM, _TWO_POINT_STREAM)}
         calls, fast_normals = [], hudson._fast_normals
 
         def off_by_one(outputs, table):
@@ -405,9 +402,8 @@ class TestVectorSamplers:
         try:
             assert hudson._normal_table() is None
             calls.clear()
-            for d, (haar, two) in before.items():
-                assert np.array_equal(haar_rows(d, 5, indices), haar)
-                assert np.array_equal(two_point_rows(d, 5, indices), two)
+            for (d, stream), rows in before.items():
+                assert np.array_equal(sample_rows(d, 5, stream, indices), rows)
             assert calls == []  # every row took numpy's per-row path
         finally:
             hudson._normal_table.cache_clear()
@@ -452,14 +448,15 @@ class TestVerifyHudson:
         # an all-NaN Haar stream reports a max-minimum of -inf, and a NaN
         # base a NaN stabilizer minimum; the attributes keep those floats,
         # and to_dict writes each as None, so the document is strict JSON
-        draw = hudson._haar_rows
+        draw = hudson._sample_rows
 
-        def poisoned(d, words):
-            rows = draw(d, words)
-            rows[:, 0] = np.nan
-            return rows
+        def poisoned(d, stream, words):
+            rows, fast = draw(d, stream, words)
+            if stream == _HAAR_STREAM:
+                rows[:, 0] = np.nan
+            return rows, fast
 
-        monkeypatch.setattr(hudson, "_haar_rows", poisoned)
+        monkeypatch.setattr(hudson, "_sample_rows", poisoned)
         _perturbed_rows(monkeypatch, 0, _nan)
         monkeypatch.setattr(hudson, "MAX_FAILURE_MESSAGES", 10**6)
         report = verify_hudson(PrimeDim(d), 3, 7, two_point_samples=0)
@@ -541,7 +538,7 @@ class TestVerifyHudson:
         def drawn(*args):
             raise AssertionError("states built before the counts were checked")
 
-        for name in ("stabilizer_rows", "_haar_rows", "_two_point_rows"):
+        for name in ("stabilizer_rows", "_sample_rows"):
             monkeypatch.setattr(hudson, name, drawn)
         with pytest.raises(ValueError, match=r"at most 2\^32"):
             verify_hudson(PrimeDim(3), samples=samples, seed=1, two_point_samples=two_point)
@@ -568,7 +565,7 @@ class TestOverlapBound:
         rng = np.random.default_rng(seed)
         dense = rng.standard_normal((8, d)) + 1j * rng.standard_normal((8, d))
         amps = np.concatenate([dense / np.linalg.norm(dense, axis=1, keepdims=True),
-                               stabilizer_stack(d), two_point_rows(d, seed, range(8))])
+                               stabilizer_stack(d), sample_rows(d, seed, _TWO_POINT_STREAM, range(8))])
         exact = stabilizer_overlaps(amps)
         assert np.all(hudson._overlap_bound(amps) >= exact - 1e-12)
         # the gate hands every stabilizer row on to the exact overlaps
@@ -578,21 +575,21 @@ class TestOverlapBound:
     def test_stabilizer_among_the_samples_is_matched(self, monkeypatch):
         d = 7
         stabilizer = stabilizer_stack(d)[d + 2 * d + 5]  # (theta, x) = (2, 5)
-        draw, exact = hudson._haar_rows, hudson.stabilizer_overlaps
+        draw, exact = hudson._sample_rows, hudson.stabilizer_overlaps
         checked = []
 
         sample_4 = _seed_words(3, _HAAR_STREAM, [4])[0]
 
-        def injected(d, words):
-            rows = draw(d, words)
+        def injected(d, stream, words):
+            rows, fast = draw(d, stream, words)
             rows[(words == sample_4).all(axis=1)] = stabilizer
-            return rows
+            return rows, fast
 
         def spied(amps):
             checked.append(len(amps))
             return exact(amps)
 
-        monkeypatch.setattr(hudson, "_haar_rows", injected)
+        monkeypatch.setattr(hudson, "_sample_rows", injected)
         monkeypatch.setattr(hudson, "stabilizer_overlaps", spied)
         report = verify_hudson(PrimeDim(d), samples=10, seed=3, two_point_samples=0)
         assert checked == [1]  # only the injected row reaches the chirp DFT
@@ -752,13 +749,13 @@ def _screen_rows(d, kind, seed, n):
     of seed, basis rows, or basis rows nudged by 10^-(3 + seed % 6) times a
     Haar row, whose minima lie near zero."""
     if kind == "haar":
-        return haar_rows(d, seed, range(n))
+        return sample_rows(d, seed, _HAAR_STREAM, range(n))
     if kind == "two_point":
-        return two_point_rows(d, seed, range(n))
+        return sample_rows(d, seed, _TWO_POINT_STREAM, range(n))
     basis = np.eye(d, dtype=complex)[(seed + np.arange(n) * (d // n + 1)) % d]
     if kind == "basis":
         return normalize_rows(basis)
-    return normalize_rows(basis + 10.0 ** -(3 + seed % 6) * haar_rows(d, seed, range(n)))
+    return normalize_rows(basis + 10.0 ** -(3 + seed % 6) * sample_rows(d, seed, _HAAR_STREAM, range(n)))
 
 
 def _replayed_report(d, samples, seed, tol, two_point):
@@ -823,17 +820,16 @@ def _patched_rows(monkeypatch, seed, change, stream=_HAAR_STREAM):
     """Make every draw of the stream's rows (Haar by default), in verify's
     blocks or the replay's chunks, return change[i] as the row of each index i
     that change (a dict of index -> row) holds, found by its substream words."""
-    name = "_haar_rows" if stream == _HAAR_STREAM else "_two_point_rows"
-    draw = getattr(hudson, name)
+    draw = hudson._sample_rows
     keyed = {i: _seed_words(seed, stream, [i])[0] for i in change}
 
-    def patched(d, words):
-        rows = draw(d, words)
+    def patched(d, kind, words):
+        rows, fast = draw(d, kind, words)
         for i, key in keyed.items():
             rows[(words == key).all(axis=1)] = change[i]
-        return rows
+        return rows, fast
 
-    monkeypatch.setattr(hudson, name, patched)
+    monkeypatch.setattr(hudson, "_sample_rows", patched)
 
 
 class TestFloat32Screen:
@@ -895,7 +891,7 @@ class TestFloat32Screen:
         # chunk is computed in float64 and reports the float64 value.
         d, seed, samples = 61, 7, 60
         step = hudson._chunk_rows(d)
-        rows = haar_rows(d, seed, range(2 * step))
+        rows = sample_rows(d, seed, _HAAR_STREAM, range(2 * step))
         double = wigner_rows(rows, 0, d).min(axis=(1, 2))
         single = wigner_rows(rows.astype(np.complex64), 0, d).min(axis=(1, 2)).astype(np.float64)
         assert np.abs(single - double).max() > 0  # the rounding the bound is for
@@ -923,7 +919,8 @@ class TestFloat32Screen:
         assert verify_hudson(PrimeDim(d), 1000, seed).passed
         calls = _without_witness(calls, d)
         step = hudson._chunk_rows(d)
-        later = np.concatenate([haar_rows(d, seed, range(step, 1000)), two_point_rows(d, seed, range(step, 100))])
+        later = np.concatenate([sample_rows(d, seed, _HAAR_STREAM, range(step, 1000)),
+                                sample_rows(d, seed, _TWO_POINT_STREAM, range(step, 100))])
         first = [rows for rows, start, _, _ in calls if start == 0]
         assert np.array_equal(np.concatenate(first), later.astype(np.complex64))
         assert all(rows.dtype == np.complex64 for rows, _, _, _ in calls)
@@ -949,7 +946,8 @@ class TestFloat32Screen:
         assert verify_hudson(PrimeDim(d), 1000, seed).passed
         blocks = _whole_grids(calls, d)
         step = hudson._chunk_rows(d)
-        streams = (("haar", haar_rows(d, seed, range(1000))), ("two_point", two_point_rows(d, seed, range(100))))
+        streams = (("haar", sample_rows(d, seed, _HAAR_STREAM, range(1000))),
+                   ("two_point", sample_rows(d, seed, _TWO_POINT_STREAM, range(100))))
         chunks = [(name, k) for b in blocks[1:] for name, rows in streams
                   for k in range(0, len(rows), step) if np.array_equal(b, rows[k:k + step])]
         assert len(chunks) == len(blocks) - 1
@@ -982,7 +980,7 @@ class TestFloat32Screen:
         # added in float64: below min(best, -tol) and at least its float64 minimum
         d, tol = 61, 1e-9
         step = hudson._chunk_rows(d)
-        amps = haar_rows(d, 3, range(hudson._block_rows(d)))
+        amps = sample_rows(d, 3, _HAAR_STREAM, range(hudson._block_rows(d)))
         beta = hudson._screen_bound(d)
         work = hudson.wigner_workspace(step, d)
         calls = _spy_kernel(monkeypatch)
@@ -1009,7 +1007,7 @@ class TestFloat32Screen:
         # float64 and the row keeps its NaN minimum
         d = 61
         step = hudson._chunk_rows(d)
-        amps = haar_rows(d, 1, range(hudson._block_rows(d)))
+        amps = sample_rows(d, 1, _HAAR_STREAM, range(hudson._block_rows(d)))
         amps[2 * step + 5, 5] = np.nan
         calls = _spy_kernel(monkeypatch)
         work = hudson.wigner_workspace(step, d)
@@ -1028,7 +1026,7 @@ class TestFloat32Screen:
         # a NaN amplitude after normalize_rows: the row fails and is named, and
         # each stream's max-minimum is the largest of its other, finite minima
         seed, samples, two_point, tol = 7, 200, 100, 1e-9
-        amp = (haar_rows if stream == _HAAR_STREAM else two_point_rows)(d, seed, [index])[0]
+        amp = sample_rows(d, seed, stream, [index])[0]
         amp[0] = np.nan
         _patched_rows(monkeypatch, seed, {index: amp}, stream)
         calls = _spy_kernel(monkeypatch)

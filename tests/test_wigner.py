@@ -30,6 +30,7 @@ from phasespace import (
 )
 from phasespace.clifford import stabilizer_rows
 from phasespace import hudson
+from phasespace.hudson import _HAAR_STREAM, _TWO_POINT_STREAM
 from phasespace.wigner import _real_dft, lag_products, wigner_rows, wigner_workspace
 
 from oracles import (
@@ -40,10 +41,9 @@ from oracles import (
     complex_wigner_block,
     compose,
     fft_wigner,
-    haar_rows,
     operator_from_wigner,
+    sample_rows,
     translated_grid,
-    two_point_rows,
     wigner_minima,
 )
 
@@ -288,7 +288,8 @@ class TestWignerMinima:
         # (d // 2, 0) and (d // 2, d - 1)
         chirp = d + d // 2 * d
         stabilizers = stabilizer_rows(d, [0, d // 2, d - 1, d, d + 1, chirp, chirp + d - 1])
-        amps = np.concatenate([haar_rows(d, d, range(4)), two_point_rows(d, d, range(4)), stabilizers])
+        samples = [sample_rows(d, d, stream, range(4)) for stream in (_HAAR_STREAM, _TWO_POINT_STREAM)]
+        amps = np.concatenate([*samples, stabilizers])
         grids = wigner_rows(amps, 0, d)
         oracle = complex_wigner_block(amps)
         assert grids.dtype == np.float64 and grids.shape == (len(amps), d, d)
@@ -302,8 +303,8 @@ class TestWignerWorkspace:
 
     @pytest.mark.parametrize("d", [3, 7, 61])
     def test_out_equals_fresh_grids_bitwise(self, d):
-        amps = np.concatenate([haar_rows(d, 2, range(5)), two_point_rows(d, 2, range(3)),
-                               stabilizer_rows(d, [d, d + 1])])
+        amps = np.concatenate([sample_rows(d, 2, _HAAR_STREAM, range(5)),
+                               sample_rows(d, 2, _TWO_POINT_STREAM, range(3)), stabilizer_rows(d, [d, d + 1])])
         # stale NaN in a workspace made for more rows than any block below
         work = wigner_workspace(len(amps) + 4, d)
         work.fill(np.nan)
@@ -317,7 +318,8 @@ class TestWignerWorkspace:
 
     @pytest.mark.parametrize("d", [3, 7, 61])
     def test_complex64_block_reads_the_workspace_as_float32(self, d):
-        amps = np.concatenate([haar_rows(d, 2, range(5)), two_point_rows(d, 2, range(3))])
+        amps = np.concatenate([sample_rows(d, 2, _HAAR_STREAM, range(5)),
+                               sample_rows(d, 2, _TWO_POINT_STREAM, range(3))])
         work = wigner_workspace(len(amps), d)
         double = wigner_rows(amps, 0, d, work).copy()
         single = wigner_rows(amps.astype(np.complex64), 0, d, work)
@@ -335,7 +337,8 @@ class TestWignerWorkspace:
         # lag_products is the gathered definition bit for bit, in both
         # precisions; the rows [start, stop) write exactly its slice into the
         # workspace, and their grids are those rows of the whole grids
-        amps = np.concatenate([haar_rows(d, 4, range(5)), two_point_rows(d, 4, range(3))])
+        amps = np.concatenate([sample_rows(d, 4, _HAAR_STREAM, range(5)),
+                               sample_rows(d, 4, _TWO_POINT_STREAM, range(3))])
         q, u = np.arange(d)[:, None], np.arange((d + 1) // 2)
         ranges = [(0, d), (0, d // 8 + 1), (d // 8, d // 4 + 1), (d // 4, d // 2), (d // 2, d), (d - 1, d)]
         for block, tol in ((amps, 1e-15), (amps.astype(np.complex64), hudson._screen_bound(d))):
@@ -352,7 +355,7 @@ class TestWignerWorkspace:
                 assert np.abs(grids - whole[:, start:stop]).max() <= tol
 
     def test_calls_without_out_share_no_memory(self):
-        amps = haar_rows(7, 2, range(3))
+        amps = sample_rows(7, 2, _HAAR_STREAM, range(3))
         first = wigner_rows(amps, 0, 7)
         kept = first.copy()
         second = wigner_rows(amps[::-1], 0, 7)
@@ -360,7 +363,7 @@ class TestWignerWorkspace:
         assert np.array_equal(first, kept)
 
     def test_out_too_small_raises(self):
-        amps = haar_rows(7, 2, range(3))
+        amps = sample_rows(7, 2, _HAAR_STREAM, range(3))
         with pytest.raises(ValueError):
             wigner_rows(amps, 0, 7, wigner_workspace(2, 7))
 
