@@ -27,9 +27,7 @@ handed back to the system and faulted in again.
     blocks, hudson._sample_rows: 1000 Haar rows and 100 two-point rows,
     seeding included. Each also records per_row_share, the share of its rows
     that numpy's per-row path draws (1 where the block does not take the
-    vector path at that d). A tree from before _sample_rows (a9251fb) has one
-    sampler per stream, _haar_rows and _two_point_rows, which return no
-    per-row mask: its cases time those, and its per_row_share is null.
+    vector path at that d).
 
 The results are stored under the key NAME in the output file (default
 BENCH_verify.json at the root of this checkout). Other keys already in the
@@ -42,10 +40,11 @@ host's slow and fast spells fall on both alike. The parent's results go
 under the key "parent NAME", the change's under NAME, so that each pair
 keeps its own keys, and each case of the change also records paired_ratio,
 the median over the repeats of its time over the parent's in the same
-repeat. For example
+repeat. NAME should name the commit the change's figures come from, for
+example
 
     git archive HEAD~1 | tar -x -C ../parent
-    python bench/bench_verify.py --parent ../parent/src --label "change $(git rev-parse --short HEAD~1)"
+    python bench/bench_verify.py --parent ../parent/src --label "change $(git rev-parse --short HEAD)"
 
 Each entry also records nproc and the numpy and Python versions.
 """
@@ -90,26 +89,17 @@ def load(src: Path):
         sys.path.pop(0)
 
 
-def sample_rows(hudson, d: int, stream: int, words):
-    """hudson._sample_rows(d, stream, words): the unit rows and their per-row
-    fast mask. A tree from before it has a sampler per stream and no mask."""
-    if hasattr(hudson, "_sample_rows"):
-        return hudson._sample_rows(d, stream, words)
-    draw = hudson._haar_rows if stream == hudson._HAAR_STREAM else hudson._two_point_rows
-    return draw(d, words), None
-
-
 def sampler(hudson, d: int, stream: int, n: int):
-    """A call of the sampler drawing indices range(n) of SEED, seeding included."""
-    return lambda: sample_rows(hudson, d, stream, hudson._seed_words(SEED, stream, range(n)))
+    """A call of hudson._sample_rows drawing indices range(n) of SEED, seeding
+    included: the unit rows and their per-row fast mask."""
+    return lambda: hudson._sample_rows(d, stream, hudson._seed_words(SEED, stream, range(n)))
 
 
-def per_row_share(hudson, d: int, stream: int, n: int) -> float | None:
+def per_row_share(hudson, d: int, stream: int, n: int) -> float:
     """The share of rows range(n) of SEED of stream that numpy's per-row path
     draws: those that leave the vector path's fast draws, or all of them where
-    the block does not take it. None where the sampler returns no mask."""
-    fast = sampler(hudson, d, stream, n)()[1]
-    return None if fast is None else float(1 - fast.mean())
+    the block does not take it."""
+    return float(1 - sampler(hudson, d, stream, n)()[1].mean())
 
 
 def stream_minima(hudson, amps):

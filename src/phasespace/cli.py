@@ -53,13 +53,13 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 #   metaplectic  d = 1009: JSON 4.5-4.9 s, 318 MB; CSV 4.3-4.4 s, 95 MB. The
 #                self-check is O(d^3), 0.8 s of it, so the artifact sets the cost.
 #   verify       d = 401: 0.48-0.66 s, 45 MB (BLAS on 1 thread). The
-#                stabilizer pass builds three rows of the family and takes
-#                0.02 s (0.07-0.1 s and 84 MB at d = 1009, mostly two base
-#                grids), the point-mass step under 1 ms. The 1100 samples take
-#                the rest, a real half-lag Wigner product each (O(d^3)):
-#                float32 minima over q ranges bound 1098 of them, of which
-#                102-128 reach the last range, and 8-9 run whole in float64,
-#                with the chirp DFT of the overlap check skipped by its O(d) bound.
+#                stabilizer pass builds three rows and two base grids, one
+#                at a time in the call's one workspace: 0.02 s (0.09-0.1 s
+#                and 66 MB at d = 1009), the point-mass step under 1 ms. The
+#                1100 samples take the rest, a real half-lag Wigner product
+#                each (O(d^3)): float32 minima over q ranges bound 1098, of
+#                which 102-128 reach the last range, and 8-9 run whole in
+#                float64, the overlap check's chirp DFT skipped by its O(d) bound.
 MAX_D = {"wigner": 2003, "stabilizers": 101, "metaplectic": 1009, "verify": 401}
 # Largest accepted --samples and --two-point: time grows linearly in the counts,
 # memory stays flat. Measured as above with both counts at the cap: d = 3 0.45-0.47 s

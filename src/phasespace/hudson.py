@@ -22,16 +22,16 @@ evaluation order. Every sub-check failure is counted in the report's
 failures_total, and the first MAX_FAILURE_MESSAGES of them are kept as
 messages in index order; a report passes iff the count is zero.
 
-The battery runs on (n, d) amplitude blocks, one state per row: the two
+The battery runs on (n, d) amplitude blocks, one state per row: the
 stabilizer bases, and the samples drawn from their per-index substreams.
 verify_hudson alone sets n for the samples: it draws them in blocks of whole
 chunks, and hands the O(d^3) kernels chunks of at most CHUNK_ELEMENTS / d^2
-of them. The Wigner grids of every sample chunk or q range, with their lag
-products, go into one wigner.wigner_workspace that verify_hudson allocates
-per call for the largest chunk and reuses: about 1 MB at d = 61, which would
-otherwise be handed back to the system at the end of each chunk and faulted
-in again by the next. clifford.stabilizer_overlaps and modulus_violations
-build temporaries of at most n d^2 entries for the block they are given.
+of them. Every Wigner grid it computes, with its lag products, goes into the
+one wigner.wigner_workspace it allocates per call, for its largest chunk or
+one row: each base's grid in turn, then each sample chunk or q range. That is
+about 1 MB at d = 61, reused rather than faulted in again for each chunk, and
+64 MB at d = 2003. clifford.stabilizer_overlaps and modulus_violations build
+temporaries of at most n d^2 entries for the block they are given.
 One sampler, _sample_rows, draws, assembles and flags a block of either
 stream; _seeded_blocks hashes each stream once per call and yields its
 blocks, and haar_sample and two_point_sample replay one sample, hashing its index.
@@ -751,14 +751,6 @@ def verify_hudson(
     # d + 1 the O(d) lemma statistics; family counts the rows each base stands for.
     rows = stabilizer_rows(d, [0, d, d + 1])
     family = np.array([d, d * d])
-    grids = wigner_rows(rows[:2], 0, d)  # [base, q, p]
-    base_minima = grids.min(axis=(1, 2))
-    positive = base_minima >= -STABILIZER_NONNEG_TOL
-    argmins = {b: int(grids[b].T.argmin()) for b in np.flatnonzero(~positive).tolist()}  # first p * d + q
-    grids[0, 0, :] -= 1.0 / d
-    grids[1, :, 0] -= 1.0 / d
-    line_deviation = np.abs(grids, out=grids).max(axis=(1, 2))
-    del grids  # the base grids' workspace goes before the samples' comes
     violations = modulus_violations(np.abs(rows[:2]))
     m = np.abs(rows[[0, 2]])
     inside, stable = support_rows(m)
@@ -766,6 +758,17 @@ def verify_hudson(
     spread = m.max(axis=1) - m.min(axis=1)
     offset = np.abs(m - 1.0 / math.sqrt(d)).max(axis=1)
     full = size == d
+    # the one Wigner workspace, once the lemma temporaries are gone: each base grid, then the sample chunks
+    work = wigner_workspace(max(1, min(_chunk_rows(d), max(samples, two_point_samples))), d)
+    base_minima, line_deviation, argmins = np.empty(2), np.empty(2), {}
+    for b, line in enumerate(((0, slice(None)), (slice(None), 0))):  # the lines q = 0 and p = 0
+        grid = wigner_rows(rows[b:b + 1], 0, d, work)[0]  # [q, p], overwritten by the next call
+        base_minima[b] = grid.min()
+        if not base_minima[b] >= -STABILIZER_NONNEG_TOL:
+            argmins[b] = int(grid.T.argmin())  # first p * d + q
+        grid[line] -= 1.0 / d
+        line_deviation[b] = np.abs(grid, out=grid).max()
+    positive = base_minima >= -STABILIZER_NONNEG_TOL
 
     # the lemma checks apply to states that passed positivity
     lemma4_violations = int((violations * family)[positive].sum())
@@ -809,9 +812,6 @@ def verify_hudson(
         failures.add(len(checks) * len(members), (template.format(idx, value)
                                                    for idx in members for template, value in checks))
 
-    # one Wigner workspace for the largest sample chunk handed out below,
-    # which every q-range batch of the float32 bound fits too
-    work = wigner_workspace(min(_chunk_rows(d), max(samples, two_point_samples)), d)
     beta = _screen_bound(d)
 
     random_all_nonstabilizer = True

@@ -33,8 +33,8 @@ wigner_rows(amps, start, stop) computes the rows q in [start, stop) of the
 (n, d, d) grids, and start, stop = 0, d the whole grids; wigner_pure is the
 n = 1 case. It writes the complex lag products and the real grids of those
 rows into the front of a wigner_workspace and returns a view of it; without
-out it allocates one. hudson.verify_hudson allocates one workspace per call
-for its largest sample chunk and reuses it for every chunk and q range.
+out it allocates a buffer for those rows alone. hudson.verify_hudson reuses
+one workspace per call for each base grid, then every sample chunk and q range.
 
 wigner_rows takes its precision from its input. A complex128 block (and any
 other but complex64) runs in float64: complex128 lag products, a float64
@@ -180,12 +180,12 @@ def wigner_rows(amps: np.ndarray, start: int, stop: int, out: np.ndarray | None 
     sgemm; every other block float64 grids, from complex128 lag products and
     dgemm (see the module docstring). Both fill n (stop - start) (2d + 1)
     reals at the front of out, a wigner_workspace for at least n rows (by
-    default a new one for n), read as float32 for a complex64 block; the
-    grids returned are a view of it, overwritten by the next call on it.
+    default a new buffer of that size), read as float32 for a complex64 block;
+    the grids returned are a view of it, overwritten by the next call on it.
     """
     n, d = amps.shape
     if out is None:
-        out = wigner_workspace(n, d)
+        out = np.empty(n * (stop - start) * (2 * d + 1))  # these rows alone
     if amps.dtype == np.complex64:
         out, real, lags = out.view(np.float32), np.float32, np.complex64
     else:

@@ -30,6 +30,8 @@ from phasespace.hudson import (
     LEMMA_TOL,
     MAX_FAILURE_MESSAGES,
     STABILIZER_MATCH_TOL,
+    STABILIZER_NONNEG_TOL,
+    SUPPORT_THRESHOLD,
     _HAAR_STREAM,
     _TWO_POINT_STREAM,
     _seed_words,
@@ -37,7 +39,7 @@ from phasespace.hudson import (
     support_rows,
 )
 from phasespace.qudit import normalize_rows
-from phasespace.wigner import wigner_rows
+from phasespace.wigner import wigner_rows, wigner_workspace
 
 from oracles import (
     DIMS,
@@ -930,16 +932,18 @@ class TestFloat32Screen:
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_no_complex64_block_runs_at_small_d(self, monkeypatch, d):
-        # at d <= 7 each stream is one chunk, which always runs in float64
+        # at d <= 7 each stream is one chunk, which always runs in float64,
+        # after the two one-row base grids
         calls = _spy_kernel(monkeypatch)
         assert verify_hudson(PrimeDim(d), 1000, 7).passed
         blocks = _whole_grids(calls, d)
-        assert len(blocks) == 3 and all(b.dtype == np.complex128 for b in blocks)
+        assert len(blocks) == 4 and all(b.dtype == np.complex128 for b in blocks)
+        assert [len(b) for b in blocks[:2]] == [1, 1]
         assert _without_witness(calls, d) == []
 
     def test_float64_grids_are_whole_chunks_at_d61(self, monkeypatch):
-        # past the two bases, every float64 grid is one of the chunks that
-        # _chunk_rows cuts a stream into, each stream's first chunk first:
+        # past the two one-row base grids, every float64 grid is one of the
+        # chunks that _chunk_rows cuts a stream into, each stream's first chunk first:
         # 5 of the 59 Haar chunks and 2 of the 6 two-point chunks at seed 7
         d, seed = 61, 7
         calls = _spy_kernel(monkeypatch)
@@ -948,9 +952,9 @@ class TestFloat32Screen:
         step = hudson._chunk_rows(d)
         streams = (("haar", sample_rows(d, seed, _HAAR_STREAM, range(1000))),
                    ("two_point", sample_rows(d, seed, _TWO_POINT_STREAM, range(100))))
-        chunks = [(name, k) for b in blocks[1:] for name, rows in streams
+        chunks = [(name, k) for b in blocks[2:] for name, rows in streams
                   for k in range(0, len(rows), step) if np.array_equal(b, rows[k:k + step])]
-        assert len(chunks) == len(blocks) - 1
+        assert len(chunks) == len(blocks) - 2
         assert chunks == [("haar", 0), ("haar", 51), ("haar", 323), ("haar", 646), ("haar", 714),
                           ("two_point", 0), ("two_point", 51)]
 
@@ -1087,10 +1091,48 @@ class TestStabilizerCertificate:
 
     @pytest.mark.parametrize("d", [3, 61, 257])
     def test_stabilizer_pass_computes_two_grids(self, monkeypatch, d):
-        # from d = 257 on a sample chunk is one row; the two bases are one block
+        # one grid per base, |0> then the uniform state, each a one-row call
+        # in the one workspace; from d = 257 on a sample chunk is one row too
         calls = _spy_kernel(monkeypatch)
         assert verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0).passed
-        assert [len(b) for b in _whole_grids(calls, d)] == [2]
+        blocks = _whole_grids(calls, d)
+        assert [len(b) for b in blocks] == [1, 1]
+        assert np.array_equal(np.concatenate(blocks), stabilizer_rows(d, [0, d]))
+
+    @pytest.mark.parametrize("d,samples,two_point", [(5, 1000, 100), (61, 1000, 100), (257, 3, 3), (401, 0, 0)])
+    def test_one_workspace_serves_every_grid(self, monkeypatch, d, samples, two_point):
+        # the base grids, the float64 chunks and the float32 q ranges all go
+        # through the call's one workspace; only the point-mass step's q = 0
+        # row, the run's last call, allocates its own
+        made, outs, grids = [], [], hudson.wigner_rows
+
+        def workspace(n, d):
+            made.append(wigner_workspace(n, d))
+            return made[-1]
+
+        def spied(amps, start, stop, out=None):
+            outs.append(out)
+            return grids(amps, start, stop, out)
+
+        monkeypatch.setattr(hudson, "wigner_workspace", workspace)
+        monkeypatch.setattr(hudson, "wigner_rows", spied)
+        assert verify_hudson(PrimeDim(d), samples, 7, two_point_samples=two_point).passed
+        assert len(made) == 1 and outs[-1] is None
+        assert len(outs) >= 3 and all(out is made[0] for out in outs[:-1])
+
+    def test_stabilizer_pass_holds_one_workspace_row(self):
+        # with no samples the one workspace is one row, d (2d + 1) floats
+        # (2.5 MiB at d = 401), taken after the lemma statistics' temporaries
+        # are freed; two rows for the two bases at once would take 4.9 MiB
+        d = 401
+        verify_hudson(PrimeDim(d), 0, 1, two_point_samples=0)  # the cached cos/sin factor
+        tracemalloc.start()
+        try:
+            assert verify_hudson(PrimeDim(d), 0, 1, two_point_samples=0).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20 < 2 * d * (2 * d + 1) * 8
 
     @pytest.mark.parametrize("d", [3, 7, 61, 211])
     def test_lemma6_maxima_are_those_of_every_quadratic_row(self, d):
@@ -1148,6 +1190,16 @@ def _turn(amp):
 def _nan(amp):
     amp[2] = np.nan
     return amp
+
+
+def _nudge(eps):
+    """A change that adds eps to amplitude 1."""
+
+    def change(amp):
+        amp[1] += eps
+        return amp
+
+    return change
 
 
 class TestStabilizerFaultInjection:
@@ -1209,6 +1261,49 @@ class TestStabilizerFaultInjection:
             assert message.startswith(f"stabilizer {idx} has Wigner minimum ")
             assert message.endswith(f" at {where}")
             assert abs(float(_FLOAT.findall(message)[0]) - value) <= 1e-12
+
+    @pytest.mark.parametrize("base,eps", [(0, 2e-11), (1, 4e-11)])
+    def test_base_minimum_just_below_the_tolerance_fails_positivity(self, monkeypatch, base, eps):
+        # a minimum in (-1e-11, -1e-12) is negative at STABILIZER_NONNEG_TOL
+        d = 7
+        _perturbed_rows(monkeypatch, base * d, _nudge(eps))
+        report = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
+        assert -10 * STABILIZER_NONNEG_TOL < report.stabilizer_min_wigner < -STABILIZER_NONNEG_TOL
+        assert report.stabilizers_all_nonneg is False and report.passed is False
+        assert report.failures_total == (8, 50)[base]  # its line, and every row of its family
+        assert report.failures[1].startswith(f"stabilizer {base * d} has Wigner minimum ")
+
+    @pytest.mark.parametrize("base,eps,count", [(0, 2e-12, 2), (1, 8e-12, 12)])
+    def test_modulus_violations_on_a_positive_base_count_its_family(self, monkeypatch, base, eps, count):
+        # a nudge that leaves the base's grid within STABILIZER_NONNEG_TOL of
+        # its line but breaks the modulus inequality by more than LEMMA_TOL:
+        # the base's count stands for the d or d^2 rows of its family
+        d = 7
+        _perturbed_rows(monkeypatch, base * d, _nudge(eps))
+        report = _verify_keeping_every_message(monkeypatch, d)
+        assert report.stabilizers_all_nonneg is True
+        assert -STABILIZER_NONNEG_TOL <= report.stabilizer_min_wigner < 0
+        assert report.stabilizer_line_deviation <= STABILIZER_NONNEG_TOL
+        assert report.lemma4_violations == count * (d, d * d)[base]
+        assert report.failures_total == (d, d * d)[base]
+        assert report.failures == [f"stabilizer {base * d + k} violates the modulus inequality {count} times"
+                                   for k in range((d, d * d)[base])]
+
+    def test_support_guard_on_a_positive_base_is_reported(self, monkeypatch):
+        # a modulus at the support threshold in stabilizer d + 1, whose base,
+        # the uniform state, stays positive: the guard trips for every
+        # quadratic row, and the report says the run is inconclusive
+        d = 7
+
+        def at_threshold(amp):
+            amp[1] = SUPPORT_THRESHOLD
+            return amp
+
+        _perturbed_rows(monkeypatch, d + 1, at_threshold)
+        report = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
+        assert report.stabilizers_all_nonneg is True
+        assert report.support_guard_stable is False and report.passed is False
+        assert report.failures[0] == f"support threshold guard tripped on stabilizer {d}; run inconclusive"
 
 
 class TestFailingBaseAtScale:

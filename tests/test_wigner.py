@@ -362,6 +362,19 @@ class TestWignerWorkspace:
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
 
+    @pytest.mark.parametrize("start,stop", [(0, 1), (2, 5), (0, 61)])
+    def test_call_without_out_allocates_its_rows_alone(self, start, stop):
+        # the point-mass step reads one q row of its witness's grid: its
+        # buffer is that row's 2d + 1 floats, not a whole grid's workspace
+        d = 61
+        amps = sample_rows(d, 2, _HAAR_STREAM, range(3))
+        grids = wigner_rows(amps, start, stop)
+        buffer = grids
+        while buffer.base is not None:
+            buffer = buffer.base
+        assert buffer.size == len(amps) * (stop - start) * (2 * d + 1)
+        assert np.array_equal(grids, wigner_rows(amps, start, stop, wigner_workspace(len(amps), d)))
+
     def test_out_too_small_raises(self):
         amps = sample_rows(7, 2, _HAAR_STREAM, range(3))
         with pytest.raises(ValueError):
