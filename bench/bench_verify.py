@@ -27,7 +27,15 @@ handed back to the system and faulted in again.
     blocks, hudson._sample_rows: 1000 Haar rows and 100 two-point rows,
     seeding included. Each also records per_row_share, the share of its rows
     that numpy's per-row path draws (1 where the block does not take the
-    vector path at that d).
+    vector path at that d);
+  * at d = 11 and 101, the covariance kernels, which verify does not call,
+    on Haar sample 0 of seed 7 and S = [[2, 1], [1, 1]]: metaplectic(S),
+    characteristic(projector(psi)), wigner_from_char of that grid,
+    metaplectic_image_grid of the Wigner grid under S, has_nonneg_fourier on
+    each of the d rows K(q, .) of self_correlation(psi), and sl2_enumerate
+    (1,030,200 elements at d = 101, about 3 s and 250 MB). At d = 11 a timed
+    call runs each kernel but sl2_enumerate COVARIANCE_LOOPS times in a row,
+    so that it lasts milliseconds rather than microseconds.
 
 The results are stored under the key NAME in the output file (default
 BENCH_verify.json at the root of this checkout). Other keys already in the
@@ -75,6 +83,8 @@ POINT_MASS_DIMS = (61, 401, 1009)
 SAMPLES, TWO_POINT, SEED, TOL = 1000, 100, 7, 1e-9
 KERNEL_D, KERNEL_ROWS = 61, 1000
 SAMPLER_DIMS = (3, 5, 7, 13, 61)
+COVARIANCE_DIMS = (11, 101)
+COVARIANCE_LOOPS = 100
 
 
 def load(src: Path):
@@ -155,6 +165,23 @@ def cases(ps) -> dict[tuple[str, ...], object]:
         out["samplers_by_d", str(d), f"haar_rows_{SAMPLES}"] = sampler(hudson, d, hudson._HAAR_STREAM, SAMPLES)
         out["samplers_by_d", str(d), f"two_point_rows_{TWO_POINT}"] = sampler(
             hudson, d, hudson._TWO_POINT_STREAM, TWO_POINT)
+
+    for d in COVARIANCE_DIMS:
+        dim = ps.PrimeDim(d)
+        psi, S = ps.haar_sample(dim, SEED, 0), ps.SymplecticMatrix(dim, 2, 1, 1, 1)
+        xi, grid = ps.characteristic(ps.projector(psi)), ps.wigner_pure(psi)
+        rows = [ps.CyclicFunction(dim, row) for row in ps.self_correlation(psi).values]
+        covariance = {
+            "metaplectic": lambda S=S: ps.metaplectic(S),
+            "characteristic": lambda psi=psi: ps.characteristic(ps.projector(psi)),
+            "wigner_from_char": lambda xi=xi: ps.wigner_from_char(xi),
+            "metaplectic_image_grid": lambda grid=grid, S=S: ps.metaplectic_image_grid(grid, S),
+            f"has_nonneg_fourier_{d}_rows": lambda rows=rows: [ps.has_nonneg_fourier(f) for f in rows],
+            "sl2_enumerate": lambda dim=dim: ps.sl2_enumerate(dim),
+        }
+        for name, call in covariance.items():
+            loops = COVARIANCE_LOOPS if d == 11 and name != "sl2_enumerate" else 1
+            out["covariance_by_d", str(d), name] = lambda call=call, loops=loops: [call() for _ in range(loops)]
     return out
 
 
@@ -213,6 +240,7 @@ def main(argv=None) -> int:
     for label, entry in entries.items():
         entry["verify_hudson"].update(samples=SAMPLES, two_point_samples=TWO_POINT, seed=SEED)
         entry["stabilizer_pass"].update(samples=0, two_point_samples=0, seed=SEED)
+        entry["covariance_by_d"].update(haar_sample=[SEED, 0], matrix=[2, 1, 1, 1], loops_at_d11=COVARIANCE_LOOPS)
         hudson = trees[label].hudson
         for d in SAMPLER_DIMS:
             rows = entry["samplers_by_d"][str(d)]

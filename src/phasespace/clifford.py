@@ -40,12 +40,12 @@ with a stabilizer state is
 
 and for each theta the inner sums over x are one DFT of the chirped row
 omega^(-theta q^2) psi(q); stabilizer_overlaps evaluates them exactly for a
-block of states, as one product with dft_matrix(d), which it builds per
-call, O(d^3) per state. Each
-quadratic term has modulus d^(-1/2) |psi(q)|, so by the triangle inequality
-the maximum is at most max(max_k |psi(k)|, d^(-1/2) sum_q |psi(q)|), an O(d)
-bound; hudson.verify_hudson runs stabilizer_overlaps only on the samples
-whose bound comes within rounding of a match.
+block of states, as one product with the cached dft_matrix(d), O(d^3) per
+state. Each quadratic term has modulus d^(-1/2) |psi(q)|, so by the triangle
+inequality the maximum is at most
+max(max_k |psi(k)|, d^(-1/2) sum_q |psi(q)|), an O(d) bound;
+hudson.verify_hudson runs stabilizer_overlaps only on the samples whose
+bound comes within rounding of a match.
 """
 
 from __future__ import annotations

@@ -109,28 +109,31 @@ rows, 7 chunks, at d = 61), and each block runs two phases.
     those whose bound still reaches ceiling = min(best, -tol), best being
     the largest float64 minimum of the stream so far. A NaN bound stays open,
     and a NaN float64 minimum fails its row and leaves best to the others.
-  * Certify. A stream's first chunk runs whole in float64 before any bound,
-    since it sets the first best. After the ranges, while a row is open, the
-    chunk that holds the largest open bound runs whole in float64, and best
-    rises to its largest minimum.
+  * Certify. Before any bound, a stream's chunks of _chunk_rows(d) rows run
+    whole in float64, in order, until the stream has a finite minimum (its
+    first chunk, unless every row of it is NaN), since that sets the first
+    best. After the ranges, while a row is open, the row with the largest
+    open bound runs alone in float64, and best rises to its minimum.
 
-Every float64 minimum comes from wigner_rows(amps[chunk], 0, d, work) on one
-of the chunks _chunk_rows(d) cuts the stream into: the same call on the same
-rows as when every chunk ran in float64. A dropped row returns its bound, and
+So every float64 minimum comes from wigner_rows(amps[rows], 0, d, work) on
+a whole chunk before the stream has a finite minimum and on one row after
+it: the same call on the same rows as when every row ran in float64 so
+(tests/oracles.chunked_minima). A dropped row returns its bound, and
 it can neither fail nor be the maximum. Its float64 minimum is at most its
 bound, which lies below ceiling, so below -tol, and below the best of that
-moment, which only rises. So every row at least -tol stays open until its
-chunk runs in float64, and so does the row with the stream's largest
-minimum, whose bound is at least that minimum; the report is bit for bit the
-one all-float64 chunks give. A bound over some of the ranges is an upper
+moment, which only rises. So every row at least -tol stays open until it
+runs in float64, and so does the row with the stream's largest minimum,
+whose bound is at least that minimum; the report is bit for bit the one the
+all-float64 calls give. A bound over some of the ranges is an upper
 bound already: the minimum over every q is at most the minimum over a part.
 
 At d <= 7 each stream is one chunk, so no bound runs. At d = 61 (seeds 1, 7
 and 42) the first range takes the 1,066 rows after the two first chunks, 110
 to 141 rows reach the last range, the float32 work is a third of the full
-grids, and 5 to 8 of the 65 chunks run in float64, the two first among them.
-At d = 401, 102 to 128 of the 1,100 rows reach the last range and 8 or 9
-one-row chunks run in float64.
+grids, and 3 to 6 single rows run in float64 besides the two first chunks
+(37 to 40 rows in all, against 85 to 133 when each open row's whole chunk
+ran). At d = 401, where a chunk is one row, 102 to 128 of the 1,100 rows
+reach the last range and 8 or 9 rows run in float64.
 
 beta(d) (_screen_bound) bounds |W32 - W64| on every grid entry of a sample
 row, so |min W32 - min W64| <= beta(d) too. It is derived with Higham's model
@@ -316,9 +319,8 @@ def _block_minima(amps: np.ndarray, work: np.ndarray, best: float, tol: float,
     minima = np.full(n, math.inf)  # upper bounds, exact once certified
     certified = np.zeros(n, dtype=bool)
 
-    def certify(start: int) -> None:
+    def certify(rows: slice) -> None:
         nonlocal best
-        rows = slice(start, start + step)
         minima[rows] = wigner_rows(amps[rows], 0, d, work).min(axis=(1, 2))
         certified[rows] = True
         best = float(np.fmax.reduce(minima[rows], initial=best))  # the largest non-NaN minimum
@@ -327,8 +329,10 @@ def _block_minima(amps: np.ndarray, work: np.ndarray, best: float, tol: float,
         # written so that a NaN bound stays open
         return np.flatnonzero(~certified & ~(minima < min(best, -tol)))
 
-    if best == -math.inf:  # a stream's first chunk sets the first best
-        certify(0)
+    for start in range(0, n, step):  # whole chunks until the stream has a finite minimum, the first best
+        if best > -math.inf:
+            break
+        certify(slice(start, start + step))
     # bound: the float32 minima of the open rows over four q ranges in turn
     single = amps.astype(np.complex64)
     edges = [d * k // 8 for k in (0, 1, 2, 4, 8)]
@@ -340,9 +344,10 @@ def _block_minima(amps: np.ndarray, work: np.ndarray, best: float, tol: float,
             part = rows[i:i + batch]
             grids = wigner_rows(single[part], start, stop, work)
             minima[part] = np.minimum(minima[part], grids.min(axis=(1, 2)).astype(np.float64) + beta)
-    # certify: the chunk of the largest open bound, until none is open
+    # certify: the row of the largest open bound, until none is open
     while len(rows := still_open()):
-        certify(int(rows[np.argmax(minima[rows])]) // step * step)
+        r = int(rows[np.argmax(minima[rows])])
+        certify(slice(r, r + 1))
     return minima, best
 
 
@@ -427,11 +432,16 @@ def _seed_words(seed: int, stream: int, indices) -> np.ndarray:
     if isinstance(seed, bool) or not isinstance(indices, range) and bool in map(type, indices):
         raise TypeError("seeds and sample indices must be integers, not bool")
     prefix = [np.array([w], dtype=np.uint32) for w in _int_words(seed) + _int_words(stream)]
-    idx = [operator.index(i) for i in indices]
-    if idx and not (min(idx) >= 0 and max(idx) <= _MASK32):
+    if isinstance(indices, range):  # bounded by its ends, and built without a Python int per index
+        ends = [indices[0], indices[-1]] if indices else []
+    else:
+        indices = ends = [operator.index(i) for i in indices]
+    if ends and not (min(ends) >= 0 and max(ends) <= _MASK32):
         raise ValueError("sample indices must lie in [0, 2^32)")
-    column = np.array(idx, dtype=np.uint32)
-    del idx  # 36 B per index as Python ints, against 4 in the column
+    if isinstance(indices, range):
+        column = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint32)
+    else:
+        column = np.array(indices, dtype=np.uint32)
     return _pool_state(prefix + [column], len(column))
 
 

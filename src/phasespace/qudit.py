@@ -132,8 +132,12 @@ def normalize_rows(amps: np.ndarray) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=2)
 def dft_matrix(d: int) -> np.ndarray:
     """F[x, p] = omega^(-p x) / d, gathered from the root table on exact
-    residues. Symmetric; callers build it once per call, it is not cached."""
+    residues. Symmetric and read-only: one gather per d, the last two d kept,
+    as wigner._real_dft keeps its factor."""
     k = np.arange(d)
-    return omega_table(d)[np.outer(k, -k) % d] / d
+    factor = omega_table(d)[np.outer(k, -k) % d] / d
+    factor.setflags(write=False)
+    return factor

@@ -148,15 +148,17 @@ def _real_dft(d: int, dtype: type) -> np.ndarray:
     """The real right factor of wigner_rows, (d + 1) x d, in dtype (float64,
     or float32 for a complex64 block): row 2u holds c_u cos(4 pi p u / d) / d
     and row 2u + 1 holds c_u sin(4 pi p u / d) / d, with c_0 = 1 and c_u = 2
-    above. One gather from the (cos, sin) pairs of omega_table on the residues
-    2 u p mod d, in float64; the float32 factor is that one rounded. Two are
-    kept, both dtypes at one d: at d = 2003 the float64 factor is 32 MB.
+    above. Each row pair is gathered from the (cos, sin) pairs of omega_table
+    on the residues 2 u p mod d and scaled in float64, then written in dtype,
+    so the float32 factor is the float64 one rounded; no temporary exceeds
+    one row pair. Two are kept, both dtypes at one d: at d = 2003 the float64
+    factor is 32 MB.
     """
-    u = np.arange(d + 1) // 2
-    pairs = omega_table(d).view(np.float64)  # [2 k], [2 k + 1] -> cos, sin of 2 pi k / d
-    factor = pairs[2 * (2 * u[:, None] * np.arange(d) % d) + np.arange(d + 1)[:, None] % 2]
-    factor *= np.where(u > 0, 2.0, 1.0)[:, None] / d
-    factor = factor.astype(dtype, copy=False)
+    p = np.arange(d)
+    pairs = omega_table(d).view(np.float64).reshape(d, 2)  # [k] -> cos, sin of 2 pi k / d
+    factor = np.empty((d + 1, d), dtype)
+    for u in range((d + 1) // 2):
+        np.multiply(pairs[2 * u * p % d].T, (2.0 if u else 1.0) / d, out=factor[2 * u:2 * u + 2])
     factor.setflags(write=False)
     return factor
 

@@ -11,8 +11,10 @@ act, compose, translated_grid, sample_rows, wigner_minima,
 crafted_draws). exact_ki finds numpy's own ziggurat bounds by probing its
 generator, where the package derives lower bounds on them from its wi.
 stabilizer_blocks keeps the construction stabilizer_rows replaced, as the
-bit-for-bit reference of its rows, and chunked_minima replays verify_hudson's
-sample minima all in float64, as verify computed them before its float32
+bit-for-bit reference of its rows, gathered_real_dft keeps the one gather
+wigner._real_dft made before it built its factor one row pair at a time,
+and chunked_minima replays verify_hudson's sample minima all in float64,
+each row by the call that certifies it in verify, without its float32
 screen. Phase-space points are (p, q) tuples of ints.
 """
 
@@ -207,6 +209,17 @@ def operator_from_wigner(grid: PhaseGrid) -> DenseOperator:
     return DenseOperator(grid.dim, mat)
 
 
+def gathered_real_dft(d: int, dtype: type) -> np.ndarray:
+    """wigner._real_dft(d, dtype) as one gather: every (cos, sin) pair of
+    omega_table at the residues 2 u p mod d through (d + 1) x d index arrays,
+    scaled in float64, then rounded to dtype."""
+    u = np.arange(d + 1) // 2
+    pairs = omega_table(d).view(np.float64)  # [2 k], [2 k + 1] -> cos, sin of 2 pi k / d
+    factor = pairs[2 * (2 * u[:, None] * np.arange(d) % d) + np.arange(d + 1)[:, None] % 2]
+    factor *= np.where(u > 0, 2.0, 1.0)[:, None] / d
+    return factor.astype(dtype, copy=False)
+
+
 def wigner_minima(amps: np.ndarray) -> np.ndarray:
     """Minimum of each row's Wigner grid, from wigner_rows."""
     return wigner_rows(amps, 0, amps.shape[1]).min(axis=(1, 2))
@@ -226,15 +239,21 @@ def complex_wigner_block(amps: np.ndarray) -> np.ndarray:
 
 def chunked_minima(d: int, samples: int, two_point: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The float64 Wigner minima of verify_hudson's Haar and two-point
-    samples, every chunk computed as verify_hudson computed it before its
-    float32 screen: each stream cut into chunks of hudson._chunk_rows(d)
+    samples, every row computed by the call that certifies it in verify_hudson,
+    with no float32 bound: each stream cut into chunks of hudson._chunk_rows(d)
     indices, each chunk's rows drawn on their own, then
-    wigner_rows(rows, 0, d, work) on one workspace sized as verify sizes it."""
+    wigner_rows(rows, 0, d, work) on each whole chunk, in order, until the
+    stream has a finite minimum, and on each later row alone, on one workspace
+    sized as verify sizes it."""
     step = hudson._chunk_rows(d)
     work = wigner_workspace(min(step, max(samples, two_point)), d)
     minima = []
     for n, stream in ((samples, hudson._HAAR_STREAM), (two_point, hudson._TWO_POINT_STREAM)):
-        chunks = [wigner_rows(sample_rows(d, seed, stream, range(i, min(i + step, n))), 0, d, work).min(axis=(1, 2))
-                  for i in range(0, n, step)]
+        chunks = []
+        for i in range(0, n, step):
+            rows = sample_rows(d, seed, stream, range(i, min(i + step, n)))
+            finite = any((chunk > -np.inf).any() for chunk in chunks)
+            chunks += [wigner_rows(part, 0, d, work).min(axis=(1, 2))
+                       for part in (np.split(rows, len(rows)) if finite else [rows])]
         minima.append(np.concatenate(chunks) if chunks else np.empty(0))
     return minima[0], minima[1]

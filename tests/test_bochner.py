@@ -174,6 +174,28 @@ class TestNonnegFourier:
     def test_zero_function_passes(self):
         assert has_nonneg_fourier(CyclicFunction(PrimeDim(3), np.zeros(3)))
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_entry_fails_without_raising(self, at):
+        # a NaN norm is not zero and a NaN symmetry gap raises nothing, so the
+        # NaN transform fails the test
+        vals = np.array([1.0, 0.5, 0.5], dtype=complex)
+        vals[at] = np.nan
+        assert has_nonneg_fourier(CyclicFunction(PrimeDim(3), vals)) is False
+
+    @pytest.mark.parametrize("d", [3, 11, 101])
+    def test_mirror_entry_off_only_in_phase_raises(self, d):
+        # f(-q) = conj(f(q)) but for a phase at one lag pair: the moduli agree
+        # to rounding, so only the reflection, not a modulus test, can tell
+        f = _hermitian_symmetrized(PrimeDim(d), d)
+        assert isinstance(has_nonneg_fourier(f), bool)
+        for q in (1, d // 2, d - 1):
+            vals = f.values.copy()
+            vals[q] *= np.exp(1e-3j)
+            assert abs(vals[q]) == pytest.approx(abs(vals[-q % d]), rel=1e-15)
+            with pytest.raises(ValueError, match="transform not real"):
+                has_nonneg_fourier(CyclicFunction(PrimeDim(d), vals))
+
     @pytest.mark.parametrize("dim", DIMS)
     def test_agrees_with_eigenvalue_oracle(self, dim):
         # Independent route: PSD test on the circulant of the rescaled f.

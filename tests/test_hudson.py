@@ -245,6 +245,15 @@ class TestSampling:
         indices = [index, index // 2**16, 0]
         assert np.array_equal(_seed_words(seed, stream, indices), _oracle_words(seed, stream, indices))
 
+    def test_range_and_list_give_the_same_words(self):
+        # a range is built with arange, a list index by index
+        for indices in (range(0), range(5), range(3, 40, 7), range(9, -1, -1), range(2**32 - 4, 2**32),
+                        range(2**32 - 1, 0, -(2**30)), range(100_000)):
+            assert np.array_equal(_seed_words(5, 1, indices), _seed_words(5, 1, list(indices)))
+        for indices in (range(-1, 3), range(2**32 - 2, 2**32 + 1), range(2, -3, -1)):
+            with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+                _seed_words(5, 1, indices)
+
     def test_negative_seed_or_index_raises(self):
         dim = PrimeDim(3)
         for seed, indices in ((-1, [0]), (1, [-1]), (1, [0, 2**32, -(2**40)]), (np.int64(-3), [0])):
@@ -838,7 +847,7 @@ class TestFloat32Screen:
     """verify_hudson bounds every sample row after a stream's first chunk
     by its float32 minima over four q ranges plus beta(d), drops the rows
     whose bound falls below -tol and the stream's largest minimum so far,
-    and computes in float64, by whole chunks, those that stay open; the
+    and computes in float64, one row at a time, those that stay open; the
     report is the all-float64 one."""
 
     @given(d=st.sampled_from(PRIMES_TO_101 + [211, 401]),
@@ -889,8 +898,8 @@ class TestFloat32Screen:
         # Every row of the third chunk becomes one Haar row psi of the first
         # two chunks, below their largest minimum, whose float32 minimum lies
         # below its float64 one. With -tol at the float64 minimum, a bound
-        # without beta would drop the rows; with beta they stay open, and the
-        # chunk is computed in float64 and reports the float64 value.
+        # without beta would drop the rows; with beta they stay open, and each
+        # is computed alone in float64 and reports the float64 value.
         d, seed, samples = 61, 7, 60
         step = hudson._chunk_rows(d)
         rows = sample_rows(d, seed, _HAAR_STREAM, range(2 * step))
@@ -902,11 +911,16 @@ class TestFloat32Screen:
         tol = -float(double[psi])
         assert single[psi] < -tol and single[psi] < double.max()
         assert -tol - single[psi] <= hudson._screen_bound(d)
-        third = np.repeat(rows[psi:psi + 1], step, axis=0)
         _patched_rows(monkeypatch, seed, {i: rows[psi] for i in range(2 * step, 3 * step)})
         calls = _spy_kernel(monkeypatch)
         report = verify_hudson(PrimeDim(d), samples, seed, tol, two_point_samples=0)
-        assert any(b.dtype == np.complex128 and np.array_equal(b, third) for b in _whole_grids(calls, d))
+        # past the two base grids: the first chunk whole, then one row per
+        # float64 call, each row of the third chunk among them, and psi itself
+        # if it lies in the second chunk, where it fails alike
+        blocks = _whole_grids(calls, d)[2:]
+        assert all(b.dtype == np.complex128 for b in blocks)
+        assert [len(b) for b in blocks] == [step] + [1] * (len(blocks) - 1)
+        assert sum(np.array_equal(b, rows[psi:psi + 1]) for b in blocks[1:]) == step + (psi >= step)
         # the first message of the chunk (the list keeps MAX_FAILURE_MESSAGES)
         value = float(double[psi])
         assert f"random sample {2 * step} has Wigner minimum {value!r} >= -{tol!r}" in report.failures
@@ -941,10 +955,11 @@ class TestFloat32Screen:
         assert [len(b) for b in blocks[:2]] == [1, 1]
         assert _without_witness(calls, d) == []
 
-    def test_float64_grids_are_whole_chunks_at_d61(self, monkeypatch):
-        # past the two one-row base grids, every float64 grid is one of the
-        # chunks that _chunk_rows cuts a stream into, each stream's first chunk first:
-        # 5 of the 59 Haar chunks and 2 of the 6 two-point chunks at seed 7
+    def test_float64_grids_are_first_chunks_then_single_rows_at_d61(self, monkeypatch):
+        # past the two one-row base grids, each stream's first float64 grid is
+        # its first chunk of _chunk_rows(d) rows, and every later one a single
+        # row: 4 of the 983 later Haar rows and 1 of the 83 later two-point
+        # rows at seed 7, one in each chunk that ran whole before
         d, seed = 61, 7
         calls = _spy_kernel(monkeypatch)
         assert verify_hudson(PrimeDim(d), 1000, seed).passed
@@ -952,11 +967,11 @@ class TestFloat32Screen:
         step = hudson._chunk_rows(d)
         streams = (("haar", sample_rows(d, seed, _HAAR_STREAM, range(1000))),
                    ("two_point", sample_rows(d, seed, _TWO_POINT_STREAM, range(100))))
-        chunks = [(name, k) for b in blocks[2:] for name, rows in streams
-                  for k in range(0, len(rows), step) if np.array_equal(b, rows[k:k + step])]
-        assert len(chunks) == len(blocks) - 2
-        assert chunks == [("haar", 0), ("haar", 51), ("haar", 323), ("haar", 646), ("haar", 714),
-                          ("two_point", 0), ("two_point", 51)]
+        found = [(name, k, len(b)) for b in blocks[2:] for name, rows in streams
+                 for k in range(len(rows)) if np.array_equal(b, rows[k:k + len(b)])]
+        assert len(found) == len(blocks) - 2
+        assert found == [("haar", 0, step), ("haar", 64, 1), ("haar", 332, 1), ("haar", 647, 1), ("haar", 726, 1),
+                         ("two_point", 0, step), ("two_point", 64, 1)]
 
     def test_row_dipping_only_in_the_last_q_range_stays_open_to_it(self, monkeypatch):
         # A two-point state on 49 and 51 has its only negative entries on the
@@ -981,7 +996,8 @@ class TestFloat32Screen:
 
     def test_dropped_rows_carry_their_float32_bound_in_float64(self, monkeypatch):
         # each dropped row returns min W32 over the ranges it ran, plus beta,
-        # added in float64: below min(best, -tol) and at least its float64 minimum
+        # added in float64: below min(best, -tol) and at least its float64
+        # minimum; the first chunk and each open row are computed in float64
         d, tol = 61, 1e-9
         step = hudson._chunk_rows(d)
         amps = sample_rows(d, 3, _HAAR_STREAM, range(hudson._block_rows(d)))
@@ -996,31 +1012,40 @@ class TestFloat32Screen:
         for rows, _, _, range_minima in calls:
             at = [int(np.flatnonzero((single == row).all(axis=1))[0]) for row in rows]
             lowest[at] = np.minimum(lowest[at], range_minima)
+        assert np.array_equal(blocks[0], amps[:step]) and all(len(b) == 1 for b in blocks[1:])
         dropped = np.ones(len(amps), dtype=bool)
-        for block in blocks:
-            start = int(np.flatnonzero((amps == block[0]).all(axis=1))[0])
-            dropped[start:start + step] = False
-        assert best == float(exact.max()) and 0 < dropped.sum() < len(amps) - step
+        dropped[:step] = False
+        for block in blocks[1:]:
+            dropped[(amps == block[0]).all(axis=1)] = False
+        # every one-row call certifies a row of its own, and at least one runs
+        assert best == float(exact.max()) and len(blocks) > 1
+        assert dropped.sum() == len(amps) - step - (len(blocks) - 1) > 0
         assert np.all(minima[dropped] < min(best, -tol))
         assert np.array_equal(minima[dropped], lowest[dropped].astype(np.float64) + beta)
         assert np.all(minima[dropped] >= exact[dropped])
         assert np.array_equal(minima[~dropped], exact[~dropped])
 
     def test_nan_minima_fall_through_to_float64(self, monkeypatch):
-        # a NaN row's bound is NaN, which never drops it: its chunk runs in
-        # float64 and the row keeps its NaN minimum
+        # a NaN row's bound is NaN, which never drops it: it runs alone in
+        # float64 and keeps its NaN minimum, and every row computed in float64
+        # gets the minimum of its own call
         d = 61
         step = hudson._chunk_rows(d)
         amps = sample_rows(d, 1, _HAAR_STREAM, range(hudson._block_rows(d)))
-        amps[2 * step + 5, 5] = np.nan
+        nan_row = 2 * step + 5
+        amps[nan_row, 5] = np.nan
         calls = _spy_kernel(monkeypatch)
         work = hudson.wigner_workspace(step, d)
         minima, best = hudson._block_minima(amps, work, -math.inf, 1e-3, hudson._screen_bound(d))
-        assert any(np.array_equal(b, amps[2 * step:3 * step], equal_nan=True) for b in _whole_grids(calls, d))
-        assert minima.dtype == np.float64 and np.isnan(minima[2 * step + 5])
+        blocks = _whole_grids(calls, d)
+        assert np.array_equal(blocks[0], amps[:step]) and all(len(b) == 1 for b in blocks[1:])
+        assert sum(np.array_equal(b, amps[nan_row:nan_row + 1], equal_nan=True) for b in blocks) == 1
+        assert minima.dtype == np.float64 and np.isnan(minima[nan_row])
         assert np.isnan(minima).sum() == 1 and math.isfinite(best)
-        chunk = wigner_rows(amps[2 * step:3 * step], 0, d).min(axis=(1, 2))
-        assert np.array_equal(minima[2 * step:3 * step], chunk, equal_nan=True)
+        assert np.array_equal(minima[:step], wigner_rows(amps[:step], 0, d).min(axis=(1, 2)))
+        for block in blocks[1:]:
+            r = next(k for k, row in enumerate(amps) if np.array_equal(row, block[0], equal_nan=True))
+            assert np.array_equal(minima[r:r + 1], wigner_rows(block, 0, d).min(axis=(1, 2)), equal_nan=True)
 
     @pytest.mark.parametrize("d,stream,index", [
         (5, _HAAR_STREAM, 3), (5, _TWO_POINT_STREAM, 3),  # one chunk per stream, no bound

@@ -18,6 +18,7 @@ from phasespace import (
     projector,
     weyl,
 )
+from phasespace.qudit import dft_matrix
 
 from oracles import DIMS, all_points, boost_op, shift_op, symplectic_form
 
@@ -51,6 +52,20 @@ class TestOmegaTable:
         assert abs(w**dim.d - 1.0) < 1e-14
         assert all(abs(w**k - 1.0) > 1e-3 for k in range(1, dim.d))
         assert abs(table[dim.d % dim.d] - 1.0) < 1e-15
+
+
+class TestDftMatrix:
+    def test_second_call_returns_the_same_read_only_array(self):
+        table = dft_matrix(11)
+        assert dft_matrix(11) is table and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("d", [3, 11, 101])
+    def test_equals_a_fresh_gather(self, d):
+        k = np.arange(d)
+        fresh = omega_table(d)[np.outer(k, -k) % d] / d
+        assert dft_matrix(d).tobytes() == fresh.tobytes()
 
 
 class TestStateVector:

@@ -41,6 +41,7 @@ from oracles import (
     complex_wigner_block,
     compose,
     fft_wigner,
+    gathered_real_dft,
     operator_from_wigner,
     sample_rows,
     translated_grid,
@@ -331,6 +332,14 @@ class TestWignerWorkspace:
         factor = _real_dft(d, np.float32)
         assert factor.dtype == np.float32 and not factor.flags.writeable
         assert np.array_equal(factor, _real_dft(d, np.float64).astype(np.float32))
+
+    @pytest.mark.parametrize("d", [3, 61, 2003])
+    def test_factor_equals_the_gathered_factor_bitwise(self, d):
+        # built one row pair at a time, the factor is the one gather bit for bit
+        for dtype in (np.float64, np.float32):
+            factor = _real_dft(d, dtype)
+            assert factor.dtype == dtype and factor.shape == (d + 1, d)
+            assert factor.tobytes() == gathered_real_dft(d, dtype).tobytes()
 
     @pytest.mark.parametrize("d", [3, 7, 11, 61])
     def test_q_ranges_write_the_lag_products_of_their_rows(self, d):
