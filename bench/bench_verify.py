@@ -1,4 +1,4 @@
-"""Wall time, page faults and system time of verify_hudson, its per-sample kernels and its samplers.
+"""Wall time, page faults and system time of phasespace verify, verify_hudson, its kernels and its samplers.
 
 Usage:
 
@@ -11,6 +11,13 @@ timed call also records the minor page faults and the system CPU seconds it
 cost this process (resource.getrusage), which show allocator churn: memory
 handed back to the system and faulted in again.
 
+  * `phasespace verify --samples 1000 --seed 7` (100 two-point samples, the
+    default) as a child process at d = 3, 5, 7, 31, 101 and 401, the end to
+    end time: interpreter start-up and imports included, the artifact
+    discarded. Its page faults and system time are the child's, and its peak
+    RSS (peak_rss_mb) is the VmHWM the child reads from /proc/self/status as
+    it exits: ru_maxrss would count this process's own peak, which a child
+    inherits at exec;
   * verify_hudson(PrimeDim(d), 1000 samples, seed 7, 100 two-point samples)
     at d = 3, 5, 7, 31, 61, 101, 401 and 601 (601 is past the CLI cap);
   * the stabilizer pass alone, verify_hudson with both sample counts 0 (its
@@ -20,9 +27,10 @@ handed back to the system and faulted in again.
   * at d = 61, on one stream of 1000 Haar rows: the grid minima of the whole
     block at once, the grid minima in verify's row chunks (through one reused
     workspace), verify's own pass over the stream, which keeps its largest
-    float64 minimum (hudson._block_minima over its sample blocks), and the
+    float64 minimum (hudson._block_minima over its sample blocks), the
     sample-overlap step, which decides for each row whether it matches a
-    stabilizer state;
+    stabilizer state, the lag products L(q, u) of the block (lag_products),
+    and the lemma-4 check on its moduli (hudson.modulus_violations);
   * at d = 3, 5, 7, 13 and 61, the seeded sampler that draws verify's
     blocks, hudson._sample_rows: 1000 Haar rows and 100 two-point rows,
     seeding included. Each also records per_row_share, the share of its rows
@@ -33,7 +41,8 @@ handed back to the system and faulted in again.
     characteristic(projector(psi)), wigner_from_char of that grid,
     metaplectic_image_grid of the Wigner grid under S, has_nonneg_fourier on
     each of the d rows K(q, .) of self_correlation(psi), and sl2_enumerate
-    (1,030,200 elements at d = 101, about 3 s and 250 MB). At d = 11 a timed
+    (1,030,200 elements at d = 101, about 2.5 s and 164 MB peak RSS in a
+    fresh process). At d = 11 a timed
     call runs each kernel but sl2_enumerate COVARIANCE_LOOPS times in a row,
     so that it lasts milliseconds rather than microseconds.
 
@@ -71,12 +80,14 @@ import math  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 7
+CLI_DIMS = (3, 5, 7, 31, 101, 401)
 VERIFY_DIMS = (3, 5, 7, 31, 61, 101, 401, 601)
 STABILIZER_PASS_DIMS = (101, 401, 601, 1009, 2003)
 POINT_MASS_DIMS = (61, 401, 1009)
@@ -97,6 +108,31 @@ def load(src: Path):
         return importlib.import_module("phasespace")
     finally:
         sys.path.pop(0)
+
+
+# `python -m phasespace ARGS` that writes its VmHWM line to stderr as it exits
+PEAK_PROBE = """import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write(next(l for l in open("/proc/self/status") if l.startswith("VmHWM:"))))
+runpy.run_module("phasespace", run_name="__main__", alter_sys=True)
+"""
+
+
+class ChildPeak(float):
+    """The peak RSS in MB of the child process a timed call ran."""
+
+
+def cli_verify(src: Path, d: int):
+    """A call of `phasespace verify` at d, run from src in a child process,
+    that returns the child's ChildPeak."""
+    argv = [sys.executable, "-c", PEAK_PROBE, "verify", "--d", str(d), "--samples", str(SAMPLES), "--seed", str(SEED)]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run():
+        child = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if child.returncode != 0:
+            raise RuntimeError(f"phasespace verify --d {d} exited {child.returncode}: {child.stderr}")
+        return ChildPeak(int(child.stderr.split()[-2]) / 1024)  # "VmHWM: N kB"
+    return run
 
 
 def sampler(hudson, d: int, stream: int, n: int):
@@ -134,6 +170,9 @@ def cases(ps) -> dict[tuple[str, ...], object]:
 
     hudson, wigner = ps.hudson, ps.wigner
     out = {}
+    src = Path(ps.__file__).resolve().parents[1]
+    for d in CLI_DIMS:
+        out["verify_cli", "by_d", str(d)] = cli_verify(src, d)
     for d in VERIFY_DIMS:
         dim = ps.PrimeDim(d)
         out["verify_hudson", "by_d", str(d)] = (
@@ -160,6 +199,9 @@ def cases(ps) -> dict[tuple[str, ...], object]:
     out[kernels, "chunked_minima"] = chunked_minima
     out[kernels, "stream_minima"] = passed
     out[kernels, "sample_overlap_step"] = lambda: hudson._stabilizer_matches(amps)
+    out[kernels, "lag_products"] = lambda: wigner.lag_products(amps)
+    moduli = np.abs(amps)
+    out[kernels, "modulus_violations"] = lambda: hudson.modulus_violations(moduli)
 
     for d in SAMPLER_DIMS:
         out["samplers_by_d", str(d), f"haar_rows_{SAMPLES}"] = sampler(hudson, d, hudson._HAAR_STREAM, SAMPLES)
@@ -185,22 +227,33 @@ def cases(ps) -> dict[tuple[str, ...], object]:
     return out
 
 
+def usage() -> tuple[int, float]:
+    """Minor page faults and system CPU seconds so far, of this process and
+    of its child processes that have exited."""
+    own, children = resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_minflt + children.ru_minflt, own.ru_stime + children.ru_stime
+
+
 def measure(calls: dict[str, object]) -> dict[str, dict]:
     """One warm-up call per tree, then REPEATS rounds of one call per tree,
     the trees in turn (reversed on odd rounds): per tree the median and every
-    wall time, and the minor page faults and system CPU seconds of each call."""
+    wall time, the minor page faults and system CPU seconds of each call,
+    those of its child processes included, and the peak RSS of a call that
+    returns its child's ChildPeak."""
     for fn in calls.values():
         fn()
     entries = {label: {"times_s": [], "minor_faults": [], "system_s": []} for label in calls}
     for r in range(REPEATS):
         for label in (list(calls) if r % 2 == 0 else list(calls)[::-1]):
-            before = resource.getrusage(resource.RUSAGE_SELF)
+            before = usage()
             start = time.perf_counter()
-            calls[label]()
+            result = calls[label]()
             entries[label]["times_s"].append(time.perf_counter() - start)
-            after = resource.getrusage(resource.RUSAGE_SELF)
-            entries[label]["minor_faults"].append(after.ru_minflt - before.ru_minflt)
-            entries[label]["system_s"].append(after.ru_stime - before.ru_stime)
+            after = usage()
+            entries[label]["minor_faults"].append(after[0] - before[0])
+            entries[label]["system_s"].append(after[1] - before[1])
+            if isinstance(result, ChildPeak):
+                entries[label].setdefault("peak_rss_mb", []).append(float(result))
     for entry in entries.values():
         entry["median_s"] = statistics.median(entry["times_s"])
     return entries
@@ -238,6 +291,7 @@ def main(argv=None) -> int:
 
     doc = json.loads(args.output.read_text()) if args.output.exists() else {}
     for label, entry in entries.items():
+        entry["verify_cli"].update(samples=SAMPLES, two_point_samples=TWO_POINT, seed=SEED)
         entry["verify_hudson"].update(samples=SAMPLES, two_point_samples=TWO_POINT, seed=SEED)
         entry["stabilizer_pass"].update(samples=0, two_point_samples=0, seed=SEED)
         entry["covariance_by_d"].update(haar_sample=[SEED, 0], matrix=[2, 1, 1, 1], loops_at_d11=COVARIANCE_LOOPS)

@@ -154,7 +154,7 @@ def parse_state(args: argparse.Namespace, dim: PrimeDim) -> StateVector:
         raise CliError(
             f"--state has norm {norm!r}, more than {INPUT_NORM_TOL:g} from 1; pass --normalize to rescale"
         )
-    return StateVector.normalized(dim, amp)
+    return StateVector(dim, amp / norm)
 
 
 def _complex_pairs(mat: np.ndarray) -> list:

@@ -224,13 +224,13 @@ def wigner_pure(psi: StateVector) -> PhaseGrid:
 
 def metaplectic_image_grid(grid: PhaseGrid, S: SymplecticMatrix) -> PhaseGrid:
     """Wigner grid of mu(S) rho mu(S)^dagger, given the grid of rho: the grid
-    pulled back through S^-1, new[p][q] = old[S^-1 (p, q)]."""
+    pulled back through S^-1 = [[e, -b], [-c, a]], new[p][q] = old[S^-1 (p, q)]."""
     if grid.kind != KIND_WIGNER:
         raise ValueError("covariance acts on Wigner grids")
     if S.dim != grid.dim:
         raise ValueError("grid dimensions differ")
     d = grid.dim.d
-    a, b, c, e = S.inverse().as_ints()
+    a, b, c, e = S.as_ints()
     p = np.arange(d)[:, None]
     q = np.arange(d)[None, :]
-    return PhaseGrid(grid.dim, grid.values[(a * p + b * q) % d, (c * p + e * q) % d], KIND_WIGNER)
+    return PhaseGrid(grid.dim, grid.values[(e * p - b * q) % d, (a * q - c * p) % d], KIND_WIGNER)

@@ -78,19 +78,13 @@ class SymplecticMatrix:
 def sl2_enumerate(dim: PrimeDim) -> list[SymplecticMatrix]:
     """All d(d^2 - 1) elements of SL(2, Z_d), sorted by (a, b, c, e).
 
-    Parametrized directly: for a != 0 the entry e is a^-1 (1 + b c); for
-    a = 0 the determinant forces c = -b^-1 with b != 0 and e free.
+    Generated in that order, each matrix built as it comes: first a = 0,
+    where the determinant forces b != 0 and c = -b^-1 with e free, rising in
+    (b, e); then each a != 0, where e = a^-1 (1 + b c), rising in (b, c).
     """
     d = dim.d
-    tuples = []
+    mats = [SymplecticMatrix(dim, 0, b, -pow(b, -1, d), e) for b in range(1, d) for e in range(d)]
     for a in range(1, d):
         ai = pow(a, -1, d)
-        for b in range(d):
-            for c in range(d):
-                tuples.append((a, b, c, ai * (1 + b * c) % d))
-    for b in range(1, d):
-        c = -pow(b, -1, d) % d
-        for e in range(d):
-            tuples.append((0, b, c, e))
-    tuples.sort()
-    return [SymplecticMatrix(dim, *t) for t in tuples]
+        mats += [SymplecticMatrix(dim, a, b, c, ai * (1 + b * c)) for b in range(d) for c in range(d)]
+    return mats

@@ -459,6 +459,17 @@ class TestGridMotions:
         once = metaplectic_image_grid(g, compose(t, s))
         assert np.array_equal(twice.values, once.values)
 
+    @pytest.mark.parametrize("d", [3, 5, 11])
+    def test_symplectic_pullback_through_the_inverse(self, d):
+        # new[p][q] = old[S^-1 (p, q)] bit for bit, S^-1 from SymplecticMatrix.inverse
+        dim = PrimeDim(d)
+        g = wigner_pure(haar_sample(dim, 8, 0))
+        p, q = np.indices((d, d))
+        for s in sl2_enumerate(dim):
+            a, b, c, e = s.inverse().as_ints()
+            pulled = g.values[(a * p + b * q) % d, (c * p + e * q) % d]
+            assert metaplectic_image_grid(g, s).values.tobytes() == pulled.tobytes()
+
     def test_symplectic_relabeling(self):
         # new[S v] = old[v], checked entrywise.
         dim = PrimeDim(3)

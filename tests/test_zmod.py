@@ -219,7 +219,9 @@ class TestSl2Enumerate:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_matches_brute_force(self, dim):
-        assert sorted(m.as_ints() for m in sl2_enumerate(dim)) == _brute_force_sl2(dim)
+        # the order too, not only the set: the benchmark's covariance-sweep
+        # workload indexes this list through a fixed permutation
+        assert [m.as_ints() for m in sl2_enumerate(dim)] == _brute_force_sl2(dim)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_no_duplicates_and_closed(self, dim):
