@@ -53,7 +53,7 @@ SEED_ENV_VAR = "PHASESPACE_SEED"
 #   metaplectic  d = 1009: JSON 4.5-4.9 s, 318 MB; CSV 4.3-4.4 s, 95 MB. The
 #                self-check is O(d^3), 0.8 s of it, so the artifact sets the cost.
 #   verify       d = 401: 0.48-0.66 s, 45 MB (BLAS on 1 thread). The
-#                stabilizer pass builds three rows and two base grids, one
+#                stabilizer pass builds two rows and their two grids, one
 #                at a time in the call's one workspace: 0.02 s (0.09-0.1 s
 #                and 66 MB at d = 1009), the point-mass step under 1 ms. The
 #                1100 samples take the rest, a real half-lag Wigner product

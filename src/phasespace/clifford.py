@@ -31,7 +31,7 @@ d(d+1) states in total (an orbit of |0> under the Clifford group; the test
 suite certifies this by brute-force orbit closure). Index i names |i> for
 i < d and otherwise the quadratic state (theta, x) = divmod(i - d, d).
 stabilizer_rows builds just the rows of the indices asked for, so no caller
-holds the whole family: hudson.verify_hudson asks for three.
+holds the whole family: hudson.verify_hudson asks for two, 0 and d + 1.
 
 stabilizer_overlaps never builds that family. The largest overlap of psi
 with a stabilizer state is

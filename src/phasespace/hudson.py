@@ -3,7 +3,7 @@
 verify_hudson runs, for one dimension d, the full battery:
 
   * every enumerated stabilizer state has a nonnegative Wigner function
-    (minimum entry >= -1e-12), certified from three rows of
+    (minimum entry >= -1e-12), certified from two rows of
     clifford.stabilizer_rows as described below;
   * seeded Haar-random states all have a strictly negative minimum
     (below -tol) and are confirmed non-stabilizer;
@@ -188,21 +188,21 @@ quadratic-phase state (theta, x), as
                                  is sheared p -> p + 2 theta q, then moved by x along p
 
 So the whole family is nonnegative with two bases, and verify_hudson asks
-clifford.stabilizer_rows for stabilizers 0, d and d + 1 alone. The bases |0>
-(stabilizer 0, line q = 0) and the uniform state (stabilizer d, line p = 0)
-get a numeric grid: each base's minimum, its largest deviation from its line
-(the report's stabilizer_line_deviation, at most STABILIZER_NONNEG_TOL), a
-negative base's first argmin, and their modulus-inequality counts. Support,
-spread and offset are computed on |0> for the d basis rows and on stabilizer
-d + 1 (theta = 0, x = 1) for the d^2 quadratic rows: every quadratic row
-gathers its entries from omega_table(d) / sqrt(d), and that row holds every
-entry, so its spread and offset are the family's maxima. Each value is kept
-once per base and weighted by the rows it stands for; a failing base writes
-its line failure once and its other failures for every row of its index
-range, a negative row at its base's argmin moved as above. The laws above are
-identities on integer residues, so nothing at run time re-checks them; the
-test suite checks them, and every index of stabilizer_rows against a second
-construction.
+clifford.stabilizer_rows for them alone: |0> (stabilizer 0, on the line
+q = 0) stands for the d basis rows, and stabilizer d + 1 (theta = 0, x = 1,
+on the line p = 1) for the d^2 quadratic rows, whose grids are its grid
+sheared p -> p + 2 theta q, then moved by x - 1 along p. Each base is
+processed once: its grid's minimum, its largest deviation from its line (the
+report's stabilizer_line_deviation, at most STABILIZER_NONNEG_TOL), a negative
+base's first argmin, and, if it is positive, its lemma statistics: modulus
+inequality count, support, spread and offset. Every quadratic row gathers its
+entries from omega_table(d) / sqrt(d), and row d + 1 holds every entry, so
+its spread and offset are the family's maxima. Each value is weighted by the
+rows its base stands for; a failing base writes its line failure once and
+its other failures for every row it stands for, a negative row at its base's
+argmin moved as above. The laws above are identities on integer residues, so
+nothing at run time re-checks them; the test suite checks them, and every
+index of stabilizer_rows against a second construction.
 """
 
 from __future__ import annotations
@@ -756,71 +756,60 @@ def verify_hudson(
     failures = _Failures()
     d = dim.d
 
-    # Three rows stand for the whole family (see the module docstring): the bases
-    # |0> and uniform (stabilizers 0 and d) get a grid, and |0> and stabilizer
-    # d + 1 the O(d) lemma statistics; family counts the rows each base stands for.
-    rows = stabilizer_rows(d, [0, d, d + 1])
-    family = np.array([d, d * d])
-    violations = modulus_violations(np.abs(rows[:2]))
-    m = np.abs(rows[[0, 2]])
+    # Two rows stand for the whole family (see the module docstring). Each base:
+    # its index, the rows it stands for, its line, and where each row's grid
+    # takes the base grid's (p, q)
+    bases = ((0, range(d), (0, slice(None)), lambda idx, p, q: (p, (q + idx) % d)),
+             (d + 1, range(d, d * (d + 1)), (slice(None), 1),
+              lambda idx, p, q: ((p + 2 * (idx // d - 1) * q + idx % d - 1) % d, q)))
+    rows = stabilizer_rows(d, [0, d + 1])
+    m = np.abs(rows)
+    violations = modulus_violations(m)
     inside, stable = support_rows(m)
     size = inside.sum(axis=1)
     spread = m.max(axis=1) - m.min(axis=1)
     offset = np.abs(m - 1.0 / math.sqrt(d)).max(axis=1)
-    full = size == d
     # the one Wigner workspace, once the lemma temporaries are gone: each base grid, then the sample chunks
     work = wigner_workspace(max(1, min(_chunk_rows(d), max(samples, two_point_samples))), d)
-    base_minima, line_deviation, argmins = np.empty(2), np.empty(2), {}
-    for b, line in enumerate(((0, slice(None)), (slice(None), 0))):  # the lines q = 0 and p = 0
+    base_minima, deviations, sizes = [], [], {}
+    lemma4_violations, max_spread, max_offset, guard_stable = 0, 0.0, 0.0, True
+    for b, (index, members, line, where) in enumerate(bases):
         grid = wigner_rows(rows[b:b + 1], 0, d, work)[0]  # [q, p], overwritten by the next call
-        base_minima[b] = grid.min()
-        if not base_minima[b] >= -STABILIZER_NONNEG_TOL:
-            argmins[b] = int(grid.T.argmin())  # first p * d + q
+        minimum = float(grid.min())
+        positive = minimum >= -STABILIZER_NONNEG_TOL
+        if not positive:
+            p, q = divmod(int(grid.T.argmin()), d)  # the first argmin, in (p, q) order
         grid[line] -= 1.0 / d
-        line_deviation[b] = np.abs(grid, out=grid).max()
-    positive = base_minima >= -STABILIZER_NONNEG_TOL
-
-    # the lemma checks apply to states that passed positivity
-    lemma4_violations = int((violations * family)[positive].sum())
-    counts = np.bincount(size[positive], weights=family[positive])
-    sizes = {k: int(counts[k]) for k in np.flatnonzero(counts).tolist()}
-    guard_stable = bool(stable[positive].all())
-    spread_checked = full & positive
-    max_spread = float(spread[spread_checked].max(initial=0.0))
-    max_offset = float(offset[spread_checked].max(initial=0.0))
-
-    # written so that NaN fails too
-    line_failed = ~(line_deviation <= STABILIZER_NONNEG_TOL)
-    lemma_failed = ((violations > 0) | ~stable | ((size != 1) & ~full)
-                    | (full & ((spread > LEMMA_TOL) | (offset > LEMMA_TOL))))
-    for b in np.flatnonzero(line_failed | ~positive | lemma_failed).tolist():
-        members = range(b * d, b * d + int(family[b]))  # the index range of the base's rows
-        if line_failed[b]:
-            failures.add(1, [f"stabilizer {members[0]} is off its exact Wigner line by {float(line_deviation[b])!r}"])
-        if not positive[b]:
-            p, q = divmod(argmins[b], d)
-            minimum = float(base_minima[b])
-
-            def where(idx: int) -> tuple[int, int]:
-                # the row's grid is its base's, moved along q by k for |k>, and
-                # sheared p -> p + 2 theta q, then moved along p by x, for (theta, x)
-                theta, x = divmod(idx - d, d)
-                return (p, (q + idx) % d) if b == 0 else ((p + 2 * theta * q + x) % d, q)
-
-            failures.add(len(members), (f"stabilizer {idx} has Wigner minimum {minimum!r} at {where(idx)}"
-                                       for idx in members))
+        deviation = float(np.abs(grid, out=grid).max())
+        base_minima.append(minimum)
+        deviations.append(deviation)
+        if not deviation <= STABILIZER_NONNEG_TOL:  # written so that NaN fails too
+            failures.add(1, [f"stabilizer {index} is off its exact Wigner line by {deviation!r}"])
+        if not positive:
+            failures.add(len(members), (f"stabilizer {idx} has Wigner minimum {minimum!r} at {where(idx, p, q)}"
+                                        for idx in members))
             continue
+        # the lemma checks apply to states that passed positivity, each count
+        # weighted by the rows the base stands for
+        full = size[b] == d
+        lemma4_violations += len(members) * int(violations[b])
+        sizes[int(size[b])] = sizes.get(int(size[b]), 0) + len(members)
+        guard_stable = guard_stable and bool(stable[b])
+        if full:
+            max_spread, max_offset = max(max_spread, float(spread[b])), max(max_offset, float(offset[b]))
         # each failed lemma check, as a template of the row index {0} and its value {1}
         checks = [(template, value) for failed, template, value in (
             (violations[b] > 0, "stabilizer {0} violates the modulus inequality {1} times", int(violations[b])),
             (not stable[b], "support threshold guard tripped on stabilizer {0}; run inconclusive", None),
-            (not (size[b] == 1 or full[b]), "stabilizer {0} has support size {1}, expected 1 or " + str(d),
+            (not (size[b] == 1 or full), "stabilizer {0} has support size {1}, expected 1 or " + str(d),
              int(size[b])),
-            (full[b] and spread[b] > LEMMA_TOL, "stabilizer {0} has modulus spread {1!r}", float(spread[b])),
-            (full[b] and offset[b] > LEMMA_TOL, "stabilizer {0} modulus is off d^-1/2 by {1!r}", float(offset[b])),
+            (full and spread[b] > LEMMA_TOL, "stabilizer {0} has modulus spread {1!r}", float(spread[b])),
+            (full and offset[b] > LEMMA_TOL, "stabilizer {0} modulus is off d^-1/2 by {1!r}", float(offset[b])),
         ) if failed]
-        failures.add(len(checks) * len(members), (template.format(idx, value)
-                                                   for idx in members for template, value in checks))
+        if checks:  # else the messages would walk every row the base stands for, and yield none
+            failures.add(len(checks) * len(members), (template.format(idx, value)
+                                                       for idx in members for template, value in checks))
+    stabilizer_min = float(np.min(base_minima))  # NaN, if a base's is
 
     beta = _screen_bound(d)
 
@@ -856,9 +845,9 @@ def verify_hudson(
         tol=tol,
         stabilizer_tol=STABILIZER_NONNEG_TOL,
         stabilizer_count=d * (d + 1),
-        stabilizers_all_nonneg=bool(positive.all()),
-        stabilizer_min_wigner=float(base_minima.min()),
-        stabilizer_line_deviation=float(line_deviation.max()),
+        stabilizers_all_nonneg=stabilizer_min >= -STABILIZER_NONNEG_TOL,
+        stabilizer_min_wigner=stabilizer_min,
+        stabilizer_line_deviation=float(np.max(deviations)),
         random_samples=samples,
         random_all_negative=all_negative[0],
         random_all_nonstabilizer=random_all_nonstabilizer,

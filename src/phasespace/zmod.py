@@ -68,9 +68,6 @@ class SymplecticMatrix:
         if (self.a * self.e - self.b * self.c) % self.dim.d != 1:
             raise ValueError("determinant must be 1 mod d")
 
-    def inverse(self) -> SymplecticMatrix:
-        return SymplecticMatrix(self.dim, self.e, -self.b, -self.c, self.a)
-
     def as_ints(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.e)
 

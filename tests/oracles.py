@@ -7,7 +7,7 @@ Fourier predicates never form a circulant matrix; the Wigner kernels use one
 real matrix product over half the lags, not complex arithmetic over all of
 them; the point-mass step pairs one entry of a grid where operator_from_wigner
 inverts the whole grid), or a helper that only the tests need (all_points,
-act, compose, translated_grid, sample_rows, wigner_minima,
+act, compose, inverse, translated_grid, sample_rows, wigner_minima,
 crafted_draws). exact_ki finds numpy's own ziggurat bounds by probing its
 generator, where the package derives lower bounds on them from its wi.
 stabilizer_blocks keeps the construction stabilizer_rows replaced, as the
@@ -44,6 +44,12 @@ def compose(S: SymplecticMatrix, T: SymplecticMatrix) -> SymplecticMatrix:
     """The group product S T, multiplied out on the integer entries."""
     (a, b, c, e), (w, x, y, z) = S.as_ints(), T.as_ints()
     return SymplecticMatrix(S.dim, a * w + b * y, a * x + b * z, c * w + e * y, c * x + e * z)
+
+
+def inverse(S: SymplecticMatrix) -> SymplecticMatrix:
+    """S^-1 = [[e, -b], [-c, a]], exact since det S = 1."""
+    a, b, c, e = S.as_ints()
+    return SymplecticMatrix(S.dim, e, -b, -c, a)
 
 
 def translated_grid(values: np.ndarray, v: tuple[int, int]) -> np.ndarray:

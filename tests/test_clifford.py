@@ -369,7 +369,7 @@ class TestStabilizerMatchAgainstStack:
         assert _matches([amp], tol=1e-4)[0]
 
     # every index against two more constructions, which verify_hudson leaves
-    # to this test: it asks for three rows. The gather of the d + 1 blocks
+    # to this test: it asks for two rows. The gather of the d + 1 blocks
     # stabilizer_rows replaced must give the same bits, compared as uint64
     @pytest.mark.parametrize("dim", [PrimeDim(p) for p in PRIMES_TO_101])
     def test_blocks_follow_the_enumeration(self, dim):

@@ -740,7 +740,7 @@ def _assert_reports_match(got, want):
 
 
 class TestVerifyAgainstPerStateReference:
-    @pytest.mark.parametrize("d", [3, 5, 7, 31, 61])
+    @pytest.mark.parametrize("d", [3, 5, 7, 31, 61, 101])
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_report_matches_reference_loop(self, d, seed):
         got = verify_hudson(PrimeDim(d), samples=100, seed=seed, two_point_samples=40).to_dict()
@@ -1075,9 +1075,9 @@ class TestFloat32Screen:
 
 class TestStabilizerCertificate:
     """The facts verify_hudson rests on when it computes only the grids of
-    its two bases, |0> and the uniform state: every row's grid is its block
-    representative's translated, each representative theta's grid is the
-    uniform state's sheared, and every grid is its exact line."""
+    its two bases, |0> and stabilizer d + 1: every row's grid is its block
+    representative's translated, every quadratic row's grid is that of
+    stabilizer d + 1 sheared and moved, and every grid is its exact line."""
 
     @given(d=st.sampled_from(PRIMES_TO_101))
     @example(d=61)
@@ -1104,25 +1104,26 @@ class TestStabilizerCertificate:
     @example(d=61)
     @example(d=101)
     @settings(max_examples=5, deadline=None)
-    def test_representatives_are_the_uniform_grid_sheared(self, d):
-        # W_theta(p, q) = W_uniform(p - 2 theta q, q), on integer residues
+    def test_quadratic_rows_are_the_base_grid_sheared_and_moved(self, d):
+        # W_(theta, x)(p, q) = W_(d + 1)(p - 2 theta q - (x - 1), q), on integer residues
         k = np.arange(d)
-        reps = stabilizer_rows(d, range(d, d * (d + 1), d))
-        uniform = wigner_rows(reps[:1], 0, d)[0]  # [q, p]
-        sheared = (k - 2 * k[:, None, None] * k[:, None]) % d  # [theta, q, p] -> p - 2 theta q
+        base = wigner_rows(stabilizer_rows(d, [d + 1]), 0, d)[0]  # [q, p]
         step = hudson._chunk_rows(d)
-        for rows in (slice(i, i + step) for i in range(0, d, step)):
-            assert np.abs(wigner_rows(reps[rows], 0, d) - uniform[k[:, None], sheared[rows]]).max() <= 1e-12
+        for theta in range(d):
+            block = stabilizer_rows(d, range(d + theta * d, 2 * d + theta * d))  # x = 0, ..., d - 1
+            moved = (k - 2 * theta * k[:, None] - (k[:, None, None] - 1)) % d  # [x, q, p] -> the base's p
+            for rows in (slice(i, i + step) for i in range(0, d, step)):
+                assert np.abs(wigner_rows(block[rows], 0, d) - base[k[:, None], moved[rows]]).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [3, 61, 257])
     def test_stabilizer_pass_computes_two_grids(self, monkeypatch, d):
-        # one grid per base, |0> then the uniform state, each a one-row call
+        # one grid per base, |0> then stabilizer d + 1, each a one-row call
         # in the one workspace; from d = 257 on a sample chunk is one row too
         calls = _spy_kernel(monkeypatch)
         assert verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0).passed
         blocks = _whole_grids(calls, d)
         assert [len(b) for b in blocks] == [1, 1]
-        assert np.array_equal(np.concatenate(blocks), stabilizer_rows(d, [0, d]))
+        assert np.array_equal(np.concatenate(blocks), stabilizer_rows(d, [0, d + 1]))
 
     @pytest.mark.parametrize("d,samples,two_point", [(5, 1000, 100), (61, 1000, 100), (257, 3, 3), (401, 0, 0)])
     def test_one_workspace_serves_every_grid(self, monkeypatch, d, samples, two_point):
@@ -1169,7 +1170,7 @@ class TestStabilizerCertificate:
         assert report.lemma6_max_modulus_offset == float(np.abs(m - 1.0 / math.sqrt(d)).max())
 
     @pytest.mark.parametrize("d", [3, 7, 61])
-    def test_stabilizer_pass_asks_for_three_rows(self, monkeypatch, d):
+    def test_stabilizer_pass_asks_for_two_rows(self, monkeypatch, d):
         asked = []
 
         def spy(d, indices):
@@ -1177,9 +1178,11 @@ class TestStabilizerCertificate:
             return stabilizer_rows(d, indices)
 
         monkeypatch.setattr(hudson, "stabilizer_rows", spy)
+        # a passing run adds no failure, so no message generator walks its bases' rows
+        monkeypatch.setattr(hudson._Failures, "add", lambda *args: pytest.fail("a passing run added a failure"))
         report = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
         assert report.passed and report.stabilizer_count == d * (d + 1)
-        assert asked == [[0, d, d + 1]]
+        assert asked == [[0, d + 1]]
 
 
 def _perturbed_rows(monkeypatch, index, change):
@@ -1228,54 +1231,53 @@ def _nudge(eps):
 
 
 class TestStabilizerFaultInjection:
-    """verify_hudson reads |0> (stabilizer 0) and the uniform state
-    (stabilizer d) for the grids, and stabilizer d + 1 for the lemma
-    statistics of the quadratic rows; a fault in a base reaches every row
-    of its family."""
+    """verify_hudson reads base 0, |0>, for the d basis rows and base 1,
+    stabilizer d + 1, for the d^2 quadratic rows, each for its grid and its
+    lemma statistics; a fault in a base reaches every row of its family."""
 
-    @pytest.mark.parametrize("block_index,change", [(0, _add), (1, _add), (1, _turn)])
-    def test_perturbed_representative_is_off_its_line(self, monkeypatch, block_index, change):
-        _perturbed_rows(monkeypatch, 7 * block_index, change)
+    @pytest.mark.parametrize("base,change", [(0, _add), (1, _add), (1, _turn)])
+    def test_perturbed_representative_is_off_its_line(self, monkeypatch, base, change):
+        _perturbed_rows(monkeypatch, (0, 8)[base], change)
         # at the default message cap too, the fault reaches every row its base
         # stands for, 7 basis rows or 49 quadratic ones, and its line
         total = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0).failures_total
-        assert total == (8, 50)[block_index]
+        assert total == (8, 50)[base]
         report = _verify_keeping_every_message(monkeypatch)
         assert report.passed is False and report.failures_total == total
         assert report.stabilizer_line_deviation > 1e-12
-        assert report.failures[0].startswith(f"stabilizer {7 * block_index} is off its exact Wigner line by ")
+        assert report.failures[0].startswith(f"stabilizer {(0, 8)[base]} is off its exact Wigner line by ")
 
-    @pytest.mark.parametrize("block_index", [0, 1])
-    def test_nan_in_a_base_fails_the_run(self, monkeypatch, block_index):
-        _perturbed_rows(monkeypatch, 7 * block_index, _nan)
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_nan_in_a_base_fails_the_run(self, monkeypatch, base):
+        _perturbed_rows(monkeypatch, (0, 8)[base], _nan)
         report = verify_hudson(PrimeDim(7), samples=0, seed=1, two_point_samples=0)
         assert report.passed is False and not report.stabilizers_all_nonneg
-        assert report.failures_total == (8, 50)[block_index]
+        assert report.failures_total == (8, 50)[base]
         assert math.isnan(report.stabilizer_min_wigner) and math.isnan(report.stabilizer_line_deviation)
-        assert report.failures[0] == f"stabilizer {7 * block_index} is off its exact Wigner line by nan"
+        assert report.failures[0] == f"stabilizer {(0, 8)[base]} is off its exact Wigner line by nan"
+        doc = report.to_dict()  # either base's NaN reaches both fields, as null
+        assert doc["stabilizer_min_wigner"] is doc["stabilizer_line_deviation"] is None and doc["passed"] is False
 
-    @pytest.mark.parametrize("block_index", [0, 3])
-    def test_negative_block_reports_each_row_where_its_own_grid_dips(self, monkeypatch, block_index):
-        # the family rebuilt from a perturbed base by the Clifford orbit:
-        # block 0 from |0> by shifts; block 3, with the whole quadratic
-        # family, from the uniform state by chirps and boosts. Each row carries
-        # its base's minimum at the base's argmin moved along q, or sheared and
-        # moved along p, which must be the row's own FFT argmin.
-        d = 7
+    @pytest.mark.parametrize("d,base", [(7, 0), (5, 1), (7, 1)])
+    def test_negative_block_reports_each_row_where_its_own_grid_dips(self, monkeypatch, d, base):
+        # the family rebuilt from a perturbed base by the Clifford orbit: the
+        # basis rows from |0> by shifts; the quadratic rows from stabilizer
+        # d + 1 by chirps and boosts. Each row carries its base's minimum at
+        # the base's first argmin moved along q, or sheared and moved along p,
+        # which must be the row's own FFT first argmin.
         q = np.arange(d)
         rows = stabilizer_rows(d, range(d * (d + 1)))
-        base = min(block_index, 1)
-        rng = np.random.default_rng(block_index)
-        amp = rows[base * d] + 1e-3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        rng = np.random.default_rng(base)
+        amp = rows[(0, d + 1)[base]] + 1e-3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         if base == 0:
             rows[:d] = [np.roll(amp, k) for k in q]
         else:
-            for theta in q:
+            for theta in q:  # the rows x = 0, ..., d - 1 of theta: omega^(theta q^2 + (x - 1) q) amp
                 start = d + theta * d
-                rows[start:start + d] = np.exp(2j * np.pi * (q[:, None] * q + theta * q * q) / d) * amp
+                rows[start:start + d] = np.exp(2j * np.pi * (q[:, None] * q - q + theta * q * q) / d) * amp
         monkeypatch.setattr(hudson, "stabilizer_rows", lambda d, indices: rows[list(indices)])
         total = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0).failures_total
-        assert total == (8, 50)[base]  # every rebuilt row dips, and the base is off its line
+        assert total == 1 + (d, d * d)[base]  # every rebuilt row dips, and the base is off its line
         report = _verify_keeping_every_message(monkeypatch, d)
         assert report.failures_total == total
         rebuilt = range(d) if base == 0 else range(d, d * (d + 1))
@@ -1291,7 +1293,7 @@ class TestStabilizerFaultInjection:
     def test_base_minimum_just_below_the_tolerance_fails_positivity(self, monkeypatch, base, eps):
         # a minimum in (-1e-11, -1e-12) is negative at STABILIZER_NONNEG_TOL
         d = 7
-        _perturbed_rows(monkeypatch, base * d, _nudge(eps))
+        _perturbed_rows(monkeypatch, (0, d + 1)[base], _nudge(eps))
         report = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
         assert -10 * STABILIZER_NONNEG_TOL < report.stabilizer_min_wigner < -STABILIZER_NONNEG_TOL
         assert report.stabilizers_all_nonneg is False and report.passed is False
@@ -1300,34 +1302,34 @@ class TestStabilizerFaultInjection:
 
     @pytest.mark.parametrize("base,eps,count", [(0, 2e-12, 2), (1, 8e-12, 12)])
     def test_modulus_violations_on_a_positive_base_count_its_family(self, monkeypatch, base, eps, count):
-        # a nudge that leaves the base's grid within STABILIZER_NONNEG_TOL of
-        # its line but breaks the modulus inequality by more than LEMMA_TOL:
-        # the base's count stands for the d or d^2 rows of its family
+        # a nudge that keeps the base's grid within STABILIZER_NONNEG_TOL of its
+        # line but breaks the modulus inequality by more than LEMMA_TOL, counted
+        # for the d or d^2 rows of its family; on stabilizer d + 1 it also moves
+        # the modulus off d^-1/2, so each quadratic row fails lemma 6's two checks
         d = 7
-        _perturbed_rows(monkeypatch, base * d, _nudge(eps))
+        _perturbed_rows(monkeypatch, (0, d + 1)[base], _nudge(eps))
         report = _verify_keeping_every_message(monkeypatch, d)
+        members = (range(d), range(d, d * (d + 1)))[base]
         assert report.stabilizers_all_nonneg is True
         assert -STABILIZER_NONNEG_TOL <= report.stabilizer_min_wigner < 0
         assert report.stabilizer_line_deviation <= STABILIZER_NONNEG_TOL
-        assert report.lemma4_violations == count * (d, d * d)[base]
-        assert report.failures_total == (d, d * d)[base]
-        assert report.failures == [f"stabilizer {base * d + k} violates the modulus inequality {count} times"
-                                   for k in range((d, d * d)[base])]
+        assert report.lemma4_violations == count * len(members)
+        spread, offset = report.lemma6_max_modulus_spread, report.lemma6_max_modulus_offset
+        checks = [f"violates the modulus inequality {count} times"] + (
+            [f"has modulus spread {spread!r}", f"modulus is off d^-1/2 by {offset!r}"] if base else [])
+        assert report.failures == [f"stabilizer {k} {check}" for k in members for check in checks]
+        assert report.failures_total == len(checks) * len(members)
 
     def test_support_guard_on_a_positive_base_is_reported(self, monkeypatch):
-        # a modulus at the support threshold in stabilizer d + 1, whose base,
-        # the uniform state, stays positive: the guard trips for every
-        # quadratic row, and the report says the run is inconclusive
+        # a threshold within a factor 10 of d^-1/2, but not of 0 or 1: the guard
+        # trips on stabilizer d + 1, which stays positive, for every quadratic
+        # row, and the report says the run is inconclusive
         d = 7
-
-        def at_threshold(amp):
-            amp[1] = SUPPORT_THRESHOLD
-            return amp
-
-        _perturbed_rows(monkeypatch, d + 1, at_threshold)
+        monkeypatch.setattr(hudson, "SUPPORT_THRESHOLD", 0.05)
         report = verify_hudson(PrimeDim(d), samples=0, seed=1, two_point_samples=0)
-        assert report.stabilizers_all_nonneg is True
+        assert report.stabilizers_all_nonneg is True and report.lemma5_support_sizes == {1: d, d: d * d}
         assert report.support_guard_stable is False and report.passed is False
+        assert report.failures_total == d * d
         assert report.failures[0] == f"support threshold guard tripped on stabilizer {d}; run inconclusive"
 
 
@@ -1355,22 +1357,26 @@ class TestFailingBaseAtScale:
         assert max(pulled) <= MAX_FAILURE_MESSAGES
         return report
 
+    # an all-NaN base grid's first argmin is (0, 0), moved for each row
     @pytest.mark.parametrize("base,total,where", [
         (0, 402, lambda k: (0, k)),
-        (1, 160802, lambda k: (k, 0)),
+        (1, 160802, lambda k: ((k - 1) % 401, 0)),
     ])
     def test_nan_base_counts_every_row(self, monkeypatch, base, total, where):
         d = 401
-        _perturbed_rows(monkeypatch, base * d, _nan)
+        _perturbed_rows(monkeypatch, (0, d + 1)[base], _nan)
         report = self._verify_counting_pulls(monkeypatch, d)
         assert report.failures_total == total == 1 + (d, d * d)[base]
-        assert report.failures == [f"stabilizer {base * d} is off its exact Wigner line by nan"] + [
+        assert report.failures == [f"stabilizer {(0, d + 1)[base]} is off its exact Wigner line by nan"] + [
             f"stabilizer {base * d + k} has Wigner minimum nan at {where(k)}" for k in range(19)]
 
     def test_lemma_failure_counts_every_check_of_every_row(self, monkeypatch):
+        # stabilizer d + 1 stays positive and on its line, and within LEMMA_TOL
+        # of the modulus inequality, but its modulus leaves d^-1/2: two checks fail
         d = 401
-        _perturbed_rows(monkeypatch, d + 1, _add)
+        _perturbed_rows(monkeypatch, d + 1, _nudge(1e-11))
         report = self._verify_counting_pulls(monkeypatch, d)
+        assert report.stabilizers_all_nonneg is True and report.lemma4_violations == 0
         assert report.failures_total == 321602 == 2 * d * d
         spread, offset = report.lemma6_max_modulus_spread, report.lemma6_max_modulus_offset
         assert spread > LEMMA_TOL and offset > LEMMA_TOL

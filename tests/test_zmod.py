@@ -14,7 +14,7 @@ from phasespace import (
     sl2_enumerate,
 )
 
-from oracles import DIMS, act, all_points, compose, symplectic_form
+from oracles import DIMS, act, all_points, compose, inverse, symplectic_form
 
 
 class TestPrimeDim:
@@ -125,7 +125,7 @@ class TestSymplecticMatrix:
         S = SymplecticMatrix(PrimeDim(7), np.int64(2), np.int32(3), np.int64(-6), 2)
         assert S.as_ints() == (2, 3, 1, 2)
         assert all(type(x) is int for x in S.as_ints())
-        assert all(type(x) is int for x in compose(S, S.inverse()).as_ints())
+        assert all(type(x) is int for x in compose(S, inverse(S)).as_ints())
 
     @pytest.mark.parametrize("bad", [2.0, 2.7, np.float64(1.0)])
     def test_float_entry_raises(self, bad):
@@ -140,8 +140,8 @@ class TestSymplecticMatrix:
     @pytest.mark.parametrize("dim", [PrimeDim(3), PrimeDim(5)])
     def test_inverse(self, dim):
         for mat in sl2_enumerate(dim):
-            assert compose(mat, mat.inverse()).as_ints() == (1, 0, 0, 1)
-            assert compose(mat.inverse(), mat).as_ints() == (1, 0, 0, 1)
+            assert compose(mat, inverse(mat)).as_ints() == (1, 0, 0, 1)
+            assert compose(inverse(mat), mat).as_ints() == (1, 0, 0, 1)
 
     def test_matmul_matches_integer_matrices(self):
         dim = PrimeDim(7)
@@ -193,7 +193,7 @@ class TestSl2Apply:
     def test_inverse_round_trip(self):
         dim = PrimeDim(5)
         for s in sl2_enumerate(dim):
-            sinv = s.inverse()
+            sinv = inverse(s)
             for v in all_points(dim):
                 assert act(sinv, act(s, v)) == v
 
