@@ -138,7 +138,7 @@ def cli_verify(src: Path, d: int):
 def sampler(hudson, d: int, stream: int, n: int):
     """A call of hudson._sample_rows drawing indices range(n) of SEED, seeding
     included: the unit rows and their per-row fast mask."""
-    return lambda: hudson._sample_rows(d, stream, hudson._seed_words(SEED, stream, range(n)))
+    return lambda: hudson._sample_rows(d, stream, hudson._seed_words(SEED, stream, 0, n))
 
 
 def per_row_share(hudson, d: int, stream: int, n: int) -> float:

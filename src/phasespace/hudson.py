@@ -40,14 +40,15 @@ The substream of (seed, stream, i) is numpy's PCG64 seeded as
 np.random.SeedSequence([seed, stream, i]) would seed it, and a sample's
 draws are those of np.random.Generator on it, bit for bit, which the tests
 use as the oracle; but neither the SeedSequence hash nor a Generator runs
-once per sample. _seed_words computes the generate_state(4, np.uint64) words
-(w0, w1, w2, w3) for a whole block in one pass of uint32 array arithmetic:
-the entropy is the little-endian 32-bit words of seed and stream, of any
-size, then i as one word, hashed into a pool of four words and read out with
-numpy's published constants. Indices lie in [0, 2^32): verify_hudson rejects
-a sample count above 2^32, and haar_sample and two_point_sample raise
-ValueError past it, as they do for a negative seed or index, and TypeError
-for a bool one.
+once per sample. _seed_words(seed, stream, start, stop), the one index
+form, computes the generate_state(4, np.uint64) words (w0, w1, w2, w3) of
+the indices [start, stop) in one pass of uint32 array arithmetic: the
+entropy is the little-endian 32-bit words of seed and stream, of any size,
+then np.arange(start, stop) as one uint32 column, hashed into a pool of four
+words and read out with numpy's published constants; a replay hashes
+[i, i + 1). Indices lie in [0, 2^32): verify_hudson rejects a sample count
+above 2^32, and haar_sample and two_point_sample raise ValueError past it,
+as they do for a negative seed or index, and TypeError for a bool one.
 
 A block of rows of at most _VECTOR_DRAWS draws each (Haar rows at d <= 13,
 two-point rows at every d) takes the vector path, on uint64 arrays over the
@@ -131,9 +132,8 @@ At d <= 7 each stream is one chunk, so no bound runs. At d = 61 (seeds 1, 7
 and 42) the first range takes the 1,066 rows after the two first chunks, 110
 to 141 rows reach the last range, the float32 work is a third of the full
 grids, and 3 to 6 single rows run in float64 besides the two first chunks
-(37 to 40 rows in all, against 85 to 133 when each open row's whole chunk
-ran). At d = 401, where a chunk is one row, 102 to 128 of the 1,100 rows
-reach the last range and 8 or 9 rows run in float64.
+(37 to 40 rows in all). At d = 401, where a chunk is one row, 102 to 128 of
+the 1,100 rows reach the last range and 8 or 9 rows run in float64.
 
 beta(d) (_screen_bound) bounds |W32 - W64| on every grid entry of a sample
 row, so |min W32 - min W64| <= beta(d) too. It is derived with Higham's model
@@ -376,11 +376,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 
 
-def _int_words(n) -> list[int]:
-    """The little-endian 32-bit words of a nonnegative integer, [0] for 0."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"seeds must be nonnegative, got {n}")
+def _int_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of a nonnegative int, [0] for 0."""
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -424,25 +421,21 @@ def _pool_state(entropy: list[np.ndarray], n: int) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _seed_words(seed: int, stream: int, indices) -> np.ndarray:
-    """Row k is SeedSequence([seed, stream, indices[k]]).generate_state(4,
-    np.uint64), computed for the whole block in one pass. The entropy is the
-    32-bit words of seed, then stream, then the index as one uint32 column;
-    a bool seed or index raises TypeError, an index outside [0, 2^32) ValueError."""
-    if isinstance(seed, bool) or not isinstance(indices, range) and bool in map(type, indices):
+def _seed_words(seed: int, stream: int, start: int, stop: int) -> np.ndarray:
+    """Row k is SeedSequence([seed, stream, start + k]).generate_state(4,
+    np.uint64) for the indices [start, stop), computed in one pass. The entropy
+    is the 32-bit words of seed, then stream, then the index as one uint32
+    column. A bool seed or start raises TypeError; a negative seed, or indices
+    outside 0 <= start <= stop <= 2^32, ValueError."""
+    if isinstance(seed, bool) or isinstance(start, bool):
         raise TypeError("seeds and sample indices must be integers, not bool")
-    prefix = [np.array([w], dtype=np.uint32) for w in _int_words(seed) + _int_words(stream)]
-    if isinstance(indices, range):  # bounded by its ends, and built without a Python int per index
-        ends = [indices[0], indices[-1]] if indices else []
-    else:
-        indices = ends = [operator.index(i) for i in indices]
-    if ends and not (min(ends) >= 0 and max(ends) <= _MASK32):
+    seed, start, stop = map(operator.index, (seed, start, stop))
+    if seed < 0:
+        raise ValueError(f"seeds must be nonnegative, got {seed}")
+    if not 0 <= start <= stop <= _MASK32 + 1:
         raise ValueError("sample indices must lie in [0, 2^32)")
-    if isinstance(indices, range):
-        column = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint32)
-    else:
-        column = np.array(indices, dtype=np.uint32)
-    return _pool_state(prefix + [column], len(column))
+    prefix = [np.array([w], dtype=np.uint32) for w in _int_words(seed) + _int_words(stream)]
+    return _pool_state(prefix + [np.arange(start, stop, dtype=np.uint32)], stop - start)
 
 
 @functools.cache
@@ -606,7 +599,7 @@ def _normal_table() -> tuple[np.ndarray, np.ndarray] | None:
     ratios = np.concatenate(([wi[255] / wi[0], 0.0], wi[1:-1] / wi[2:]))
     table = wi, np.maximum(np.floor(ratios * 2.0**52) - _KI_MARGIN, 0).astype(np.uint64)
     # the self-check block: every row of it on both paths
-    words = _seed_words(0, _HAAR_STREAM, range(16))
+    words = _seed_words(0, _HAAR_STREAM, 0, 16)
     same = all(np.array_equal(a, b) for d, stream in ((_VECTOR_DRAWS // 2, _HAAR_STREAM), (5, _TWO_POINT_STREAM))
                for a, b in zip(_sample_draws(d, stream, words, table)[:2], _sample_draws(d, stream, words, None)[:2]))
     return table if same else None
@@ -638,20 +631,21 @@ def _seeded_blocks(n: int, d: int, seed: int, stream: int) -> Iterator[tuple[ran
     run = max(1, CHUNK_ELEMENTS // step) * step
     for start in range(0, n, run):
         indices = range(start, min(start + run, n))
-        words = _seed_words(seed, stream, indices)
+        words = _seed_words(seed, stream, indices.start, indices.stop)
         for i in range(0, len(indices), step):
             yield indices[i : i + step], _sample_rows(d, stream, words[i : i + step])[0]
 
 
 def haar_sample(dim: PrimeDim, seed: int, index: int) -> StateVector:
     """Haar-random state i of the run; depends only on (seed, index)."""
-    return StateVector(dim, _sample_rows(dim.d, _HAAR_STREAM, _seed_words(seed, _HAAR_STREAM, [index]))[0][0])
+    words = _seed_words(seed, _HAAR_STREAM, index, operator.index(index) + 1)
+    return StateVector(dim, _sample_rows(dim.d, _HAAR_STREAM, words)[0][0])
 
 
 def two_point_sample(dim: PrimeDim, seed: int, index: int) -> StateVector:
     """State supported on two uniformly chosen positions, amplitudes uniform
     on the unit sphere of the two-dimensional subspace."""
-    words = _seed_words(seed, _TWO_POINT_STREAM, [index])
+    words = _seed_words(seed, _TWO_POINT_STREAM, index, operator.index(index) + 1)
     return StateVector(dim, _sample_rows(dim.d, _TWO_POINT_STREAM, words)[0][0])
 
 
@@ -785,8 +779,9 @@ def verify_hudson(
         deviations.append(deviation)
         if not deviation <= STABILIZER_NONNEG_TOL:  # written so that NaN fails too
             failures.add(1, [f"stabilizer {index} is off its exact Wigner line by {deviation!r}"])
-        if not positive:
-            failures.add(len(members), (f"stabilizer {idx} has Wigner minimum {minimum!r} at {where(idx, p, q)}"
+        if not positive:  # a NaN minimum is at no position of the grid, so it names none
+            failures.add(len(members), (f"stabilizer {idx} has no finite Wigner minimum" if math.isnan(minimum)
+                                        else f"stabilizer {idx} has Wigner minimum {minimum!r} at {where(idx, p, q)}"
                                         for idx in members))
             continue
         # the lemma checks apply to states that passed positivity, each count

@@ -135,8 +135,7 @@ def normalize_rows(amps: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=2)
 def dft_matrix(d: int) -> np.ndarray:
     """F[x, p] = omega^(-p x) / d, gathered from the root table on exact
-    residues. Symmetric and read-only: one gather per d, the last two d kept,
-    as wigner._real_dft keeps its factor."""
+    residues. Symmetric and read-only: one gather per d, the last two d kept."""
     k = np.arange(d)
     factor = omega_table(d)[np.outer(k, -k) % d] / d
     factor.setflags(write=False)

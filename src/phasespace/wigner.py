@@ -143,7 +143,7 @@ def lag_products(amps: np.ndarray) -> np.ndarray:
     return ahead * behind
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=4)
 def _real_dft(d: int, dtype: type) -> np.ndarray:
     """The real right factor of wigner_rows, (d + 1) x d, in dtype (float64,
     or float32 for a complex64 block): row 2u holds c_u cos(4 pi p u / d) / d
@@ -151,8 +151,9 @@ def _real_dft(d: int, dtype: type) -> np.ndarray:
     above. Each row pair is gathered from the (cos, sin) pairs of omega_table
     on the residues 2 u p mod d and scaled in float64, then written in dtype,
     so the float32 factor is the float64 one rounded; no temporary exceeds
-    one row pair. Two are kept, both dtypes at one d: at d = 2003 the float64
-    factor is 32 MB.
+    one row pair. Four are kept, so that the float64 factors of a d = 3, 5, 7
+    cycle of verify calls stay, as do both dtypes at one d: at d = 2003 the
+    float64 factor is 32 MB, and four of that size 128 MB.
     """
     p = np.arange(d)
     pairs = omega_table(d).view(np.float64).reshape(d, 2)  # [k] -> cos, sin of 2 pi k / d

@@ -27,7 +27,7 @@ def _is_odd_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeDim:
     """An odd prime dimension d >= 3 of any integer type, validated by trial division."""
 
@@ -51,7 +51,7 @@ def half(dim: PrimeDim) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymplecticMatrix:
     """A matrix [[a, b], [c, e]] over Z_d with determinant 1, acting on
     column vectors: (p, q) -> (a p + b q, c p + e q)."""

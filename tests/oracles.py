@@ -85,10 +85,10 @@ def projective_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(abs(abs(np.trace(u.conj().T @ v)) - len(u)) <= tol)
 
 
-def sample_rows(d: int, seed: int, stream: int, indices) -> np.ndarray:
+def sample_rows(d: int, seed: int, stream: int, start: int, stop: int) -> np.ndarray:
     """verify_hudson's unit rows of stream (hudson._HAAR_STREAM or
-    hudson._TWO_POINT_STREAM) for the given indices of seed."""
-    return hudson._sample_rows(d, stream, hudson._seed_words(seed, stream, indices))[0]
+    hudson._TWO_POINT_STREAM) for the indices [start, stop) of seed."""
+    return hudson._sample_rows(d, stream, hudson._seed_words(seed, stream, start, stop))[0]
 
 
 def crafted_draws(rng: np.random.Generator, first: int, second: int | None = None) -> np.random.Generator:
@@ -257,7 +257,7 @@ def chunked_minima(d: int, samples: int, two_point: int, seed: int) -> tuple[np.
     for n, stream in ((samples, hudson._HAAR_STREAM), (two_point, hudson._TWO_POINT_STREAM)):
         chunks = []
         for i in range(0, n, step):
-            rows = sample_rows(d, seed, stream, range(i, min(i + step, n)))
+            rows = sample_rows(d, seed, stream, i, min(i + step, n))
             finite = any((chunk > -np.inf).any() for chunk in chunks)
             chunks += [wigner_rows(part, 0, d, work).min(axis=(1, 2))
                        for part in (np.split(rows, len(rows)) if finite else [rows])]

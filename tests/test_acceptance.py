@@ -90,7 +90,7 @@ def test_criterion_02_random_states_negative_and_nonstabilizer():
     details = []
     for dim in DIMS:
         start = time.perf_counter()
-        amps = sample_rows(dim.d, 42, _HAAR_STREAM, range(1000))
+        amps = sample_rows(dim.d, 42, _HAAR_STREAM, 0, 1000)
         minima = wigner_minima(amps)
         max_min = float(minima.max())
         all_negative = bool(np.all(minima < -1e-9))
@@ -308,7 +308,7 @@ def test_criterion_10_two_point_states_are_negative():
     ok = True
     details = []
     for dim in DIMS:
-        amps = sample_rows(dim.d, 42, _TWO_POINT_STREAM, range(100))
+        amps = sample_rows(dim.d, 42, _TWO_POINT_STREAM, 0, 100)
         inside, _ = support_rows(np.abs(amps))
         assert inside.sum(axis=1).tolist() == [2] * 100
         minima = wigner_minima(amps)

@@ -290,7 +290,7 @@ class TestWignerMinima:
         # (d // 2, 0) and (d // 2, d - 1)
         chirp = d + d // 2 * d
         stabilizers = stabilizer_rows(d, [0, d // 2, d - 1, d, d + 1, chirp, chirp + d - 1])
-        samples = [sample_rows(d, d, stream, range(4)) for stream in (_HAAR_STREAM, _TWO_POINT_STREAM)]
+        samples = [sample_rows(d, d, stream, 0, 4) for stream in (_HAAR_STREAM, _TWO_POINT_STREAM)]
         amps = np.concatenate([*samples, stabilizers])
         grids = wigner_rows(amps, 0, d)
         oracle = complex_wigner_block(amps)
@@ -305,8 +305,8 @@ class TestWignerWorkspace:
 
     @pytest.mark.parametrize("d", [3, 7, 61])
     def test_out_equals_fresh_grids_bitwise(self, d):
-        amps = np.concatenate([sample_rows(d, 2, _HAAR_STREAM, range(5)),
-                               sample_rows(d, 2, _TWO_POINT_STREAM, range(3)), stabilizer_rows(d, [d, d + 1])])
+        amps = np.concatenate([sample_rows(d, 2, _HAAR_STREAM, 0, 5),
+                               sample_rows(d, 2, _TWO_POINT_STREAM, 0, 3), stabilizer_rows(d, [d, d + 1])])
         # stale NaN in a workspace made for more rows than any block below
         work = wigner_workspace(len(amps) + 4, d)
         work.fill(np.nan)
@@ -320,8 +320,8 @@ class TestWignerWorkspace:
 
     @pytest.mark.parametrize("d", [3, 7, 61])
     def test_complex64_block_reads_the_workspace_as_float32(self, d):
-        amps = np.concatenate([sample_rows(d, 2, _HAAR_STREAM, range(5)),
-                               sample_rows(d, 2, _TWO_POINT_STREAM, range(3))])
+        amps = np.concatenate([sample_rows(d, 2, _HAAR_STREAM, 0, 5),
+                               sample_rows(d, 2, _TWO_POINT_STREAM, 0, 3)])
         work = wigner_workspace(len(amps), d)
         double = wigner_rows(amps, 0, d, work).copy()
         single = wigner_rows(amps.astype(np.complex64), 0, d, work)
@@ -342,13 +342,22 @@ class TestWignerWorkspace:
             assert factor.dtype == dtype and factor.shape == (d + 1, d)
             assert factor.tobytes() == gathered_real_dft(d, dtype).tobytes()
 
+    def test_a_verify_cycle_over_small_d_keeps_its_factors(self):
+        # verify at d <= 7 reads only float64 factors, and the three fit the cache
+        for d in (3, 5, 7):
+            hudson.verify_hudson(PrimeDim(d), 1000, 7)
+        misses = _real_dft.cache_info().misses
+        for d in (3, 5, 7):
+            hudson.verify_hudson(PrimeDim(d), 1000, 7)
+        assert _real_dft.cache_info().misses == misses
+
     @pytest.mark.parametrize("d", [3, 7, 11, 61])
     def test_q_ranges_write_the_lag_products_of_their_rows(self, d):
         # lag_products is the gathered definition bit for bit, in both
         # precisions; the rows [start, stop) write exactly its slice into the
         # workspace, and their grids are those rows of the whole grids
-        amps = np.concatenate([sample_rows(d, 4, _HAAR_STREAM, range(5)),
-                               sample_rows(d, 4, _TWO_POINT_STREAM, range(3))])
+        amps = np.concatenate([sample_rows(d, 4, _HAAR_STREAM, 0, 5),
+                               sample_rows(d, 4, _TWO_POINT_STREAM, 0, 3)])
         q, u = np.arange(d)[:, None], np.arange((d + 1) // 2)
         ranges = [(0, d), (0, d // 8 + 1), (d // 8, d // 4 + 1), (d // 4, d // 2), (d // 2, d), (d - 1, d)]
         for block, tol in ((amps, 1e-15), (amps.astype(np.complex64), hudson._screen_bound(d))):
@@ -365,7 +374,7 @@ class TestWignerWorkspace:
                 assert np.abs(grids - whole[:, start:stop]).max() <= tol
 
     def test_calls_without_out_share_no_memory(self):
-        amps = sample_rows(7, 2, _HAAR_STREAM, range(3))
+        amps = sample_rows(7, 2, _HAAR_STREAM, 0, 3)
         first = wigner_rows(amps, 0, 7)
         kept = first.copy()
         second = wigner_rows(amps[::-1], 0, 7)
@@ -377,7 +386,7 @@ class TestWignerWorkspace:
         # the point-mass step reads one q row of its witness's grid: its
         # buffer is that row's 2d + 1 floats, not a whole grid's workspace
         d = 61
-        amps = sample_rows(d, 2, _HAAR_STREAM, range(3))
+        amps = sample_rows(d, 2, _HAAR_STREAM, 0, 3)
         grids = wigner_rows(amps, start, stop)
         buffer = grids
         while buffer.base is not None:
@@ -386,7 +395,7 @@ class TestWignerWorkspace:
         assert np.array_equal(grids, wigner_rows(amps, start, stop, wigner_workspace(len(amps), d)))
 
     def test_out_too_small_raises(self):
-        amps = sample_rows(7, 2, _HAAR_STREAM, range(3))
+        amps = sample_rows(7, 2, _HAAR_STREAM, 0, 3)
         with pytest.raises(ValueError):
             wigner_rows(amps, 0, 7, wigner_workspace(2, 7))
 
