@@ -211,15 +211,15 @@ def cases(ps) -> dict[tuple[str, ...], object]:
     for d in COVARIANCE_DIMS:
         dim = ps.PrimeDim(d)
         psi, S = ps.haar_sample(dim, SEED, 0), ps.SymplecticMatrix(dim, 2, 1, 1, 1)
-        xi, grid = ps.characteristic(ps.projector(psi)), ps.wigner_pure(psi)
-        rows = [ps.CyclicFunction(dim, row) for row in ps.self_correlation(psi).values]
+        xi, grid = ps.wigner.characteristic(ps.qudit.projector(psi)), ps.wigner_pure(psi)
+        rows = [ps.bochner.CyclicFunction(dim, row) for row in ps.wigner.self_correlation(psi).values]
         covariance = {
             "metaplectic": lambda S=S: ps.metaplectic(S),
-            "characteristic": lambda psi=psi: ps.characteristic(ps.projector(psi)),
-            "wigner_from_char": lambda xi=xi: ps.wigner_from_char(xi),
-            "metaplectic_image_grid": lambda grid=grid, S=S: ps.metaplectic_image_grid(grid, S),
-            f"has_nonneg_fourier_{d}_rows": lambda rows=rows: [ps.has_nonneg_fourier(f) for f in rows],
-            "sl2_enumerate": lambda dim=dim: ps.sl2_enumerate(dim),
+            "characteristic": lambda psi=psi: ps.wigner.characteristic(ps.qudit.projector(psi)),
+            "wigner_from_char": lambda xi=xi: ps.wigner.wigner_from_char(xi),
+            "metaplectic_image_grid": lambda grid=grid, S=S: ps.wigner.metaplectic_image_grid(grid, S),
+            f"has_nonneg_fourier_{d}_rows": lambda rows=rows: [ps.bochner.has_nonneg_fourier(f) for f in rows],
+            "sl2_enumerate": lambda dim=dim: ps.zmod.sl2_enumerate(dim),
         }
         for name, call in covariance.items():
             loops = COVARIANCE_LOOPS if d == 11 and name != "sl2_enumerate" else 1

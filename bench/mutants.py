@@ -1,12 +1,15 @@
-"""Mutation gate for the stabilizer pass of verify_hudson: every listed mutant must be killed.
+"""Mutation gate for the stabilizer pass and the float32 sample screen of
+verify_hudson: every listed mutant must be killed.
 
 Usage:
 
     python bench/mutants.py
 
 MUTANTS lists string mutations (file, old, new, reason) of the stabilizer
-pass in src/phasespace/hudson.py. Each old string must occur exactly once in
-its file, so that a mutation lands only where its reason says; the script
+pass and of the float32 sample screen (_block_minima and the stream loop
+that reads its minima) in src/phasespace/hudson.py. Each old string must
+occur exactly once in its file, so that a mutation lands only where its
+reason says; the script
 checks this for every mutant before it runs any. For each mutant it copies
 src/, tests/ and pyproject.toml of this checkout into a temporary directory,
 applies the mutation to the copy, and there, with PYTHONPATH set to the
@@ -14,21 +17,20 @@ copy's src/, runs
 
     python -m pytest -x -q -p no:cacheprovider tests/test_hudson.py::<class> ...
 
-on the STABILIZER_CLASSES, the stabilizer pass's tests with its fault
-injections first, and then, if they pass, the same command on the rest of
-tests/test_hudson.py (those classes deselected). A mutant is killed when
-either run fails: together the two runs are the whole file, so the verdict
-is the whole file's, reached sooner for a mutant that the stabilizer tests
-kill. The
-same runs on the unmutated copy come first and must pass, so that a broken
-environment does not read as every mutant killed. The script prints one
-line per mutant and exits 1 if an old string does not occur exactly once,
-the unmutated copy fails, or a mutant survives that is not marked
-equivalent; an equivalent mutant gives, as its reason, why no test can kill
-it. The checkout itself is never edited. On a 2-core machine a mutant that
-the stabilizer classes kill takes about 2 s, a survivor runs both, about
-30 s, and the list takes about 1.5 minutes (6.7 minutes when every mutant
-ran the whole file first).
+on the FIRST_CLASSES (the stabilizer pass's fault injections, then the
+screen's tests, then the slower stabilizer certificate), and then, if they
+pass, the same command on the rest of tests/test_hudson.py (those classes
+deselected). A mutant is killed when either run fails: together the two
+runs are the whole file, so the verdict is the whole file's, reached sooner
+for a mutant that the first classes kill. The same runs on the unmutated
+copy come first and must pass, so that a broken environment does not read
+as every mutant killed. The script prints one line per mutant and exits 1
+if an old string does not occur exactly once, the unmutated copy fails, or
+a mutant survives that is not marked equivalent; an equivalent mutant
+gives, as its reason, why no test can kill it. The checkout itself is never
+edited. On a 2-core machine a stabilizer mutant takes about 2 s, a screen
+mutant 3-5 s, a survivor runs both, about 25 s, and the list takes about 2
+minutes (6.7 minutes when every mutant ran the whole file first).
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ ROOT = Path(__file__).resolve().parents[1]
 HUDSON = "src/phasespace/hudson.py"
 COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 TESTS = "tests/test_hudson.py"
-STABILIZER_CLASSES = ("TestStabilizerFaultInjection", "TestFailingBaseAtScale", "TestStabilizerCertificate")
+FIRST_CLASSES = (
+    "TestStabilizerFaultInjection", "TestFailingBaseAtScale", "TestFloat32Screen", "TestStabilizerCertificate",
+)
 
 
 class Mutant(NamedTuple):
@@ -96,6 +100,20 @@ MUTANTS = [
     Mutant(HUDSON, "(not (size[b] == 1 or full),", "(not (size[b] == 1 or full or size[b] == d),",
            "equivalent: full is size[b] == d, so the added test never changes the condition",
            equivalent=True),
+    # the float32 sample screen: _block_minima, _screen_bound's use, verify's stream loop
+    Mutant(HUDSON, "np.flatnonzero(~certified & ~(minima < min(best, -tol)))",
+           "np.flatnonzero(~certified & ~(minima < best))",
+           "the screen's ceiling min(best, -tol) raised to best: a failing row below best is dropped"),
+    Mutant(HUDSON, ".astype(np.float64) + beta)", ".astype(np.float64))",
+           "the float32 minimum taken as a bound without beta(d)"),
+    Mutant(HUDSON, "np.fmax.reduce", "np.maximum.reduce",
+           "a NaN minimum becomes the stream's best"),
+    Mutant(HUDSON, "rows[np.argmax(minima[rows])]", "rows[np.argmin(minima[rows])]",
+           "the certify step takes the row of the smallest open bound, not the largest"),
+    Mutant(HUDSON, "(0, 1, 2, 4, 8)", "(0, 8)",
+           "the bound runs over one q range, the whole grid, not four"),
+    Mutant(HUDSON, "nonneg = ~(minima < -tol)", "nonneg = minima >= -tol",
+           "a NaN sample minimum passes"),
 ]
 
 
@@ -111,7 +129,7 @@ def _check_sites() -> list[str]:
 
 def _fails(m: Mutant | None) -> bool:
     """Whether tests/test_hudson.py fails on a copy of the tree, with m applied
-    unless it is None: its stabilizer classes first, then the rest of it."""
+    unless it is None: its first classes, then the rest of it."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
         for name in ("src", "tests"):
@@ -121,7 +139,7 @@ def _fails(m: Mutant | None) -> bool:
             target = tree / m.file
             target.write_text(target.read_text().replace(m.old, m.new))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-        classes = [f"{TESTS}::{name}" for name in STABILIZER_CLASSES]
+        classes = [f"{TESTS}::{name}" for name in FIRST_CLASSES]
         return any(subprocess.run(COMMAND + targets, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL).returncode != 0
                    for targets in (classes, [TESTS] + [f"--deselect={c}" for c in classes]))

@@ -4,6 +4,10 @@ Weyl operators, discrete Wigner functions, the metaplectic action of
 SL(2, Z_d), stabilizer states, Fourier positivity tests on Z_d, and a
 certification battery for the fact that, in odd prime dimension, the pure
 states with nonnegative Wigner function are exactly the stabilizer states.
+
+The root exports the certificate, its sample replays and the types they
+are stated in. Every other name, such as `wigner.characteristic` or
+`bochner.has_nonneg_fourier`, is read at its module; all but `cli` load here.
 """
 
 __version__ = "0.1.0"
@@ -12,24 +16,16 @@ from .zmod import (
     PrimeDim,
     SymplecticMatrix,
     half,
-    sl2_enumerate,
 )
 from .qudit import (
     DenseOperator,
     StateVector,
     omega_table,
-    projector,
     weyl,
 )
 from .wigner import (
-    CorrelationTable,
-    KIND_CHARACTERISTIC,
     KIND_WIGNER,
     PhaseGrid,
-    characteristic,
-    metaplectic_image_grid,
-    self_correlation,
-    wigner_from_char,
     wigner_pure,
 )
 from .clifford import (
@@ -37,10 +33,7 @@ from .clifford import (
     stabilizer_overlaps,
     stabilizer_rows,
 )
-from .bochner import (
-    CyclicFunction,
-    has_nonneg_fourier,
-)
+from . import bochner
 from .hudson import (
     VerificationReport,
     haar_sample,

@@ -20,9 +20,8 @@ screen. Phase-space points are (p, q) tuples of ints.
 
 import numpy as np
 
-from phasespace import (KIND_WIGNER, CyclicFunction, DenseOperator, PhaseGrid, PrimeDim, SymplecticMatrix, half,
-                        hudson, omega_table)
-from phasespace.bochner import PREDICATE_TOL
+from phasespace import KIND_WIGNER, DenseOperator, PhaseGrid, PrimeDim, SymplecticMatrix, half, hudson, omega_table
+from phasespace.bochner import PREDICATE_TOL, CyclicFunction
 from phasespace.qudit import dft_matrix
 from phasespace.wigner import wigner_rows, wigner_workspace
 
@@ -187,16 +186,20 @@ def stabilizer_blocks(d: int) -> list[np.ndarray]:
     return [np.eye(d, dtype=complex)] + [omega_table(d)[(theta * q * q + xq) % d] / np.sqrt(d) for theta in range(d)]
 
 
-def fft_wigner(amp: np.ndarray) -> np.ndarray:
-    """W[p, q] = (1/d) sum_x omega^(-p x) psi(q + x/2) conj(psi(q - x/2)), by FFT;
-    asserts that the imaginary residue is at most 1e-12 and returns the real grid."""
-    d = len(amp)
+def fft_wigner(amps: np.ndarray) -> np.ndarray:
+    """W[p, q] = (1/d) sum_x omega^(-p x) psi(q + x/2) conj(psi(q - x/2)), by FFT,
+    of one row psi or of each row of a stack; asserts that the imaginary
+    residue is at most 1e-12 and returns the real grid, or stack of grids."""
+    d = amps.shape[-1]
     h = (d + 1) // 2
     q = np.arange(d)[:, None]
     x = np.arange(d)[None, :]
-    grid = np.fft.fft(amp[(q + h * x) % d] * np.conj(amp[(q - h * x) % d]), axis=1).T / d
+    lagged = np.take(amps, (q + h * x) % d, axis=-1)
+    lagged *= np.take(np.conj(amps), (q - h * x) % d, axis=-1)
+    grid = np.fft.fft(lagged, axis=-1)  # [..., q, p]
+    grid /= d
     assert np.abs(grid.imag).max() <= 1e-12
-    return grid.real
+    return grid.real.swapaxes(-1, -2)
 
 
 def operator_from_wigner(grid: PhaseGrid) -> DenseOperator:

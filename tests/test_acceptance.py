@@ -17,27 +17,24 @@ import time
 import numpy as np
 
 from phasespace import (
-    CyclicFunction,
     PrimeDim,
     StateVector,
-    characteristic,
     haar_sample,
-    has_nonneg_fourier,
     metaplectic,
-    metaplectic_image_grid,
     omega_table,
-    projector,
     single_point_infeasibility,
-    sl2_enumerate,
     stabilizer_overlaps,
     stabilizer_rows,
     verify_hudson,
     weyl,
-    wigner_from_char,
     wigner_pure,
     half,
 )
+from phasespace.bochner import CyclicFunction, has_nonneg_fourier
 from phasespace.hudson import _HAAR_STREAM, _TWO_POINT_STREAM, modulus_violations, support_rows
+from phasespace.qudit import projector
+from phasespace.wigner import characteristic, metaplectic_image_grid, wigner_from_char
+from phasespace.zmod import sl2_enumerate
 
 from oracles import (
     DIMS,

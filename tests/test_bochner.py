@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from phasespace import (
-    CyclicFunction,
-    PrimeDim,
-    has_nonneg_fourier,
-    omega_table,
-)
+from phasespace import PrimeDim, omega_table
+from phasespace.bochner import CyclicFunction, has_nonneg_fourier
 
 from oracles import DIMS, autocorrelation, circulant, fourier, has_constant_modulus_fourier, inverse_fourier
 

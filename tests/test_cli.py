@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from phasespace import DenseOperator, SymplecticMatrix, cli, hudson, metaplectic, stabilizer_rows
-from phasespace import PrimeDim, sl2_enumerate, weyl
+from phasespace import PrimeDim, weyl
+from phasespace.zmod import sl2_enumerate
 
 from oracles import act, all_points, compose
 
@@ -537,3 +538,39 @@ class TestUsage:
         section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
         module, name = re.fullmatch(r'phasespace = "([\w.]+):(\w+)"', section.strip()).groups()
         assert getattr(importlib.import_module(module), name) is cli.main
+
+
+class TestPackageSurface:
+    # names that neither verify_hudson nor the CLI uses: each is read at its
+    # module only, where the benchmark's covariance sweep reads it too
+    MODULE_ONLY = {
+        "zmod": ["sl2_enumerate"],
+        "qudit": ["projector"],
+        "wigner": ["characteristic", "wigner_from_char", "metaplectic_image_grid", "self_correlation",
+                   "CorrelationTable", "KIND_CHARACTERISTIC"],
+        "bochner": ["CyclicFunction", "has_nonneg_fourier"],
+    }
+    MODULES = ["zmod", "qudit", "wigner", "clifford", "bochner", "hudson"]
+
+    def test_fresh_import_loads_every_module_and_exports_none_of_the_module_only_names(self):
+        # a fresh process sees only what importing phasespace and phasespace.cli
+        # loads, as the benchmark does, not what this test session has imported
+        script = """if True:
+            import json, sys
+            import phasespace, phasespace.cli
+            modules, module_only = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+            print(json.dumps({
+                "file": phasespace.__file__,
+                "missing modules": [m for m in modules if not hasattr(phasespace, m)],
+                "unresolved": [f"{m}.{n}" for m, names in module_only.items() for n in names
+                               if not hasattr(getattr(phasespace, m, None), n)],
+                "at the root": [n for names in module_only.values() for n in names if hasattr(phasespace, n)],
+            }))
+        """
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(self.MODULES), json.dumps(self.MODULE_ONLY)],
+                              capture_output=True, text=True, env=env, check=True)
+        found = json.loads(proc.stdout)
+        assert Path(found.pop("file")).resolve().parent == src / "phasespace"
+        assert found == {"missing modules": [], "unresolved": [], "at the root": []}

@@ -16,12 +16,12 @@ from phasespace import (
     half,
     metaplectic,
     omega_table,
-    sl2_enumerate,
     stabilizer_overlaps,
     stabilizer_rows,
     weyl,
 )
 from phasespace.hudson import STABILIZER_MATCH_TOL
+from phasespace.zmod import sl2_enumerate
 
 from oracles import (DIMS, PRIMES_TO_101, act, all_points, compose, projective_equal, stabilizer_blocks,
                      stabilizer_stack)

@@ -613,50 +613,64 @@ def _fft_minimum(amp):
     return float(flat.min()), divmod(int(flat.argmin()), len(amp))
 
 
-def _exact_line(d, idx):
-    """W[p, q] of stabilizer idx: (1/d) 1[q = k] for |k>, (1/d) 1[p = 2 theta q + x] for (theta, x)."""
-    p, q = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    if idx < d:
-        return (q == idx) / d
+def _exact_lines(d, idx):
+    """W[p, q] of the stabilizers idx (a 1-d array): (1/d) 1[q = k] for |k>,
+    (1/d) 1[p = 2 theta q + x] for (theta, x)."""
+    idx = idx[:, None, None]
+    p, q = np.arange(d)[:, None], np.arange(d)[None, :]
     theta, x = divmod(idx - d, d)
-    return ((p - 2 * theta * q - x) % d == 0) / d
+    return np.where(idx < d, q == idx, p == (2 * theta * q + x) % d) / d
 
 
 @functools.lru_cache(maxsize=None)
 def _reference_stabilizer_part(d):
-    """The seed-independent half of the reference loop: the stabilizers and the point mass."""
+    """The seed-independent half of the reference loop: the stabilizers and the point mass.
+    The grids and lemma figures of each chunk of 8 states are computed at once,
+    then read state by state in index order; 8 grids at d = 101 (1.3 MB) stay
+    in cache, where a chunk of d states ran about 1.3 times slower."""
     q = np.arange(d)
+    lag = q[None, :]
     failures = []
     stab_min, sizes, lemma4, spread_max, offset_max, stable_all = math.inf, {}, 0, 0.0, 0.0, True
     line_deviation = 0.0
-    for idx, amp in enumerate(stabilizer_stack(d)):
-        grid = fft_wigner(amp)
-        line_deviation = max(line_deviation, float(np.abs(grid - _exact_line(d, idx)).max()))
-        value, where = float(grid.min()), divmod(int(grid.argmin()), d)
-        stab_min = min(stab_min, value)
-        if value < -1e-12:
-            failures.append(f"stabilizer {idx} has Wigner minimum {value!r} at {where}")
-            continue
-        m = np.abs(amp)
-        lhs, lag = m[q, None] ** 2, q[None, :]
-        violations = int(np.count_nonzero(lhs < m[(q[:, None] - lag) % d] * m[(q[:, None] + lag) % d] - 1e-12))
-        if violations:
-            failures.append(f"stabilizer {idx} violates the modulus inequality {violations} times")
-        lemma4 += violations
-        size = int(np.sum(m > 1e-8))
-        if np.any((m >= 1e-9) & (m <= 1e-7)):
-            stable_all = False
-            failures.append(f"support threshold guard tripped on stabilizer {idx}; run inconclusive")
-        sizes[size] = sizes.get(size, 0) + 1
-        if size not in (1, d):
-            failures.append(f"stabilizer {idx} has support size {size}, expected 1 or {d}")
-        elif size == d:
-            spread, offset = float(m.max() - m.min()), float(np.abs(m - 1 / math.sqrt(d)).max())
-            spread_max, offset_max = max(spread_max, spread), max(offset_max, offset)
-            if spread > 1e-12:
-                failures.append(f"stabilizer {idx} has modulus spread {spread!r}")
-            if offset > 1e-12:
-                failures.append(f"stabilizer {idx} modulus is off d^-1/2 by {offset!r}")
+    stack = stabilizer_stack(d)
+    for start in range(0, len(stack), 8):
+        block = stack[start:start + 8]
+        idx = np.arange(start, start + len(block))
+        grids = fft_wigner(block)
+        line_deviation = max(line_deviation, float(np.abs(grids - _exact_lines(d, idx)).max()))
+        values = grids.min(axis=(1, 2))
+        m = np.abs(block)
+        rhs = np.take(m, (q[:, None] - lag) % d, axis=1) * np.take(m, (q[:, None] + lag) % d, axis=1)
+        block_violations = np.count_nonzero(m[:, :, None] ** 2 < rhs - 1e-12, axis=(1, 2))
+        block_sizes = np.sum(m > 1e-8, axis=1)
+        guards = np.any((m >= 1e-9) & (m <= 1e-7), axis=1)
+        spreads, offsets = m.max(axis=1) - m.min(axis=1), np.abs(m - 1 / math.sqrt(d)).max(axis=1)
+        for k in range(len(block)):
+            value = float(values[k])
+            stab_min = min(stab_min, value)
+            if value < -1e-12:
+                where = divmod(int(grids[k].argmin()), d)
+                failures.append(f"stabilizer {start + k} has Wigner minimum {value!r} at {where}")
+                continue
+            violations = int(block_violations[k])
+            if violations:
+                failures.append(f"stabilizer {start + k} violates the modulus inequality {violations} times")
+            lemma4 += violations
+            size = int(block_sizes[k])
+            if guards[k]:
+                stable_all = False
+                failures.append(f"support threshold guard tripped on stabilizer {start + k}; run inconclusive")
+            sizes[size] = sizes.get(size, 0) + 1
+            if size not in (1, d):
+                failures.append(f"stabilizer {start + k} has support size {size}, expected 1 or {d}")
+            elif size == d:
+                spread, offset = float(spreads[k]), float(offsets[k])
+                spread_max, offset_max = max(spread_max, spread), max(offset_max, offset)
+                if spread > 1e-12:
+                    failures.append(f"stabilizer {start + k} has modulus spread {spread!r}")
+                if offset > 1e-12:
+                    failures.append(f"stabilizer {start + k} modulus is off d^-1/2 by {offset!r}")
     # the point mass at the origin is the operator (1/d) sum_v w(v), which is
     # a density operator only if no eigenvalue is negative
     dim = PrimeDim(d)

@@ -15,10 +15,9 @@ from phasespace import (
     haar_sample,
     half,
     omega_table,
-    projector,
     weyl,
 )
-from phasespace.qudit import dft_matrix
+from phasespace.qudit import dft_matrix, projector
 
 from oracles import DIMS, all_points, boost_op, shift_op, symplectic_form
 

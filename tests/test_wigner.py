@@ -9,29 +9,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasespace import (
-    KIND_CHARACTERISTIC,
     KIND_WIGNER,
     DenseOperator,
     PhaseGrid,
     PrimeDim,
     StateVector,
     SymplecticMatrix,
-    characteristic,
     cli,
     haar_sample,
     metaplectic,
-    projector,
-    self_correlation,
-    sl2_enumerate,
     weyl,
-    metaplectic_image_grid,
-    wigner_from_char,
     wigner_pure,
 )
 from phasespace.clifford import stabilizer_rows
 from phasespace import hudson
 from phasespace.hudson import _HAAR_STREAM, _TWO_POINT_STREAM
-from phasespace.wigner import _real_dft, lag_products, wigner_rows, wigner_workspace
+from phasespace.qudit import projector
+from phasespace.wigner import (KIND_CHARACTERISTIC, _real_dft, characteristic, lag_products, metaplectic_image_grid,
+                               self_correlation, wigner_from_char, wigner_rows, wigner_workspace)
+from phasespace.zmod import sl2_enumerate
 
 from oracles import (
     DIMS,
