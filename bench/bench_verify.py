@@ -210,11 +210,11 @@ def cases(ps) -> dict[tuple[str, ...], object]:
 
     for d in COVARIANCE_DIMS:
         dim = ps.PrimeDim(d)
-        psi, S = ps.haar_sample(dim, SEED, 0), ps.SymplecticMatrix(dim, 2, 1, 1, 1)
-        xi, grid = ps.wigner.characteristic(ps.qudit.projector(psi)), ps.wigner_pure(psi)
+        psi, S = ps.haar_sample(dim, SEED, 0), ps.zmod.SymplecticMatrix(dim, 2, 1, 1, 1)
+        xi, grid = ps.wigner.characteristic(ps.qudit.projector(psi)), ps.wigner.wigner_pure(psi)
         rows = [ps.bochner.CyclicFunction(dim, row) for row in ps.wigner.self_correlation(psi).values]
         covariance = {
-            "metaplectic": lambda S=S: ps.metaplectic(S),
+            "metaplectic": lambda S=S: ps.clifford.metaplectic(S),
             "characteristic": lambda psi=psi: ps.wigner.characteristic(ps.qudit.projector(psi)),
             "wigner_from_char": lambda xi=xi: ps.wigner.wigner_from_char(xi),
             "metaplectic_image_grid": lambda grid=grid, S=S: ps.wigner.metaplectic_image_grid(grid, S),

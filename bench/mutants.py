@@ -1,15 +1,19 @@
-"""Mutation gate for the stabilizer pass and the float32 sample screen of
-verify_hudson: every listed mutant must be killed.
+"""Mutation gate for verify_hudson's stabilizer pass, its float32 sample
+screen, its point-mass step, its report's bookkeeping and its vector
+sampler: every listed mutant must be killed.
 
 Usage:
 
     python bench/mutants.py
 
-MUTANTS lists string mutations (file, old, new, reason) of the stabilizer
-pass and of the float32 sample screen (_block_minima and the stream loop
-that reads its minima) in src/phasespace/hudson.py. Each old string must
-occur exactly once in its file, so that a mutation lands only where its
-reason says; the script
+MUTANTS lists string mutations (file, old, new, reason) in
+src/phasespace/hudson.py: of the stabilizer pass, of the float32 sample
+screen (_block_minima and the stream loop that reads its minima), of the
+point-mass step (single_point_infeasibility and verify's use of it), of the
+report's bookkeeping (the message cap, to_dict's nulls, an empty stream's
+max-minimum) and of the vector sampler (_fast_pairs and _pcg64). Each old
+string must occur exactly once in its file, so that a mutation lands only
+where its reason says; the script
 checks this for every mutant before it runs any. For each mutant it copies
 src/, tests/ and pyproject.toml of this checkout into a temporary directory,
 applies the mutation to the copy, and there, with PYTHONPATH set to the
@@ -17,8 +21,9 @@ copy's src/, runs
 
     python -m pytest -x -q -p no:cacheprovider tests/test_hudson.py::<class> ...
 
-on the FIRST_CLASSES (the stabilizer pass's fault injections, then the
-screen's tests, then the slower stabilizer certificate), and then, if they
+on the FIRST_CLASSES (the stabilizer pass's fault injections, the point-mass,
+report and vector-sampler tests, then the screen's tests, then the slower
+stabilizer certificate), and then, if they
 pass, the same command on the rest of tests/test_hudson.py (those classes
 deselected). A mutant is killed when either run fails: together the two
 runs are the whole file, so the verdict is the whole file's, reached sooner
@@ -28,9 +33,10 @@ as every mutant killed. The script prints one line per mutant and exits 1
 if an old string does not occur exactly once, the unmutated copy fails, or
 a mutant survives that is not marked equivalent; an equivalent mutant
 gives, as its reason, why no test can kill it. The checkout itself is never
-edited. On a 2-core machine a stabilizer mutant takes about 2 s, a screen
-mutant 3-5 s, a survivor runs both, about 25 s, and the list takes about 2
-minutes (6.7 minutes when every mutant ran the whole file first).
+edited. On a 2-core machine a killed mutant takes 1.3-5.3 s (about 14 s for
+the one that only the stabilizer certificate kills), a survivor runs both,
+about 23 s, and the list takes about 2 minutes (6.7 minutes when every
+mutant ran the whole file first).
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ HUDSON = "src/phasespace/hudson.py"
 COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 TESTS = "tests/test_hudson.py"
 FIRST_CLASSES = (
-    "TestStabilizerFaultInjection", "TestFailingBaseAtScale", "TestFloat32Screen", "TestStabilizerCertificate",
+    "TestStabilizerFaultInjection", "TestFailingBaseAtScale", "TestSinglePointInfeasibility", "TestVerifyHudson",
+    "TestVectorSamplers", "TestFloat32Screen", "TestStabilizerCertificate",
 )
 
 
@@ -114,6 +121,32 @@ MUTANTS = [
            "the bound runs over one q range, the whole grid, not four"),
     Mutant(HUDSON, "nonneg = ~(minima < -tol)", "nonneg = minima >= -tol",
            "a NaN sample minimum passes"),
+    # the point-mass step: single_point_infeasibility and verify's use of it
+    Mutant(HUDSON, "d * row[0, 0, 0] < -POINT_MASS_TOL", "d * row[0, 0, 0] < POINT_MASS_TOL",
+           "the minus dropped: a pairing below +POINT_MASS_TOL, not -POINT_MASS_TOL, certifies"),
+    Mutant(HUDSON, "v[0, 1], v[0, -1] = 1 / math.sqrt(2), -1 / math.sqrt(2)",
+           "v[0, 1], v[0, -1] = 1 / math.sqrt(2), 1 / math.sqrt(2)",
+           "the witness (|1> + |-1>)/sqrt(2), which the parity fixes, so its pairing is +1"),
+    Mutant(HUDSON, "row = wigner_rows(v, 0, 1)", "row = wigner_rows(v, 1, 2)",
+           "the pairing read off the witness's row q = 1, not q = 0"),
+    Mutant(HUDSON, "if not point_mass:", "if False:",
+           "a point mass not certified infeasible adds no failure"),
+    # the report's bookkeeping: the message cap, to_dict's nulls, an empty stream
+    Mutant(HUDSON, "max(0, MAX_FAILURE_MESSAGES - len(self.messages))", "max(0, MAX_FAILURE_MESSAGES)",
+           "each add keeps up to the cap afresh, so the kept messages are unbounded"),
+    Mutant(HUDSON, "not math.isfinite(v)", "math.isnan(v)",
+           "to_dict writes only NaN as null, so an all-NaN stream's -inf breaks strict JSON"),
+    Mutant(HUDSON, "best if n else 0.0", "best",
+           "a stream with no samples reports a max-minimum of -inf, not 0.0"),
+    # the vector sampler: Floyd's pair, its rejection flags, PCG64's output and increment
+    Mutant(HUDSON, "b = np.where(b == a, d - 1, b)", "b = np.where(b == a, d - 2, b)",
+           "Floyd's step replaces a repeated b by d - 2, not d - 1"),
+    Mutant(HUDSON, "~(ra | rb | rs)", "~(ra | rb)",
+           "a pair whose shuffle draw reached Lemire's rejection test stays on the vector path"),
+    Mutant(HUDSON, "64 - rot & 63", "63 - rot & 63",
+           "XSL-RR rotates its left half by one bit too few"),
+    Mutant(HUDSON, "inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)", "inc = (w2 << 1, w3 << 1 | 1)",
+           "the increment (w2:w3) 2 + 1 drops the carry from the low word into the high"),
 ]
 
 

@@ -6,33 +6,14 @@ certification battery for the fact that, in odd prime dimension, the pure
 states with nonnegative Wigner function are exactly the stabilizer states.
 
 The root exports the certificate, its sample replays and the types they
-are stated in. Every other name, such as `wigner.characteristic` or
-`bochner.has_nonneg_fourier`, is read at its module; all but `cli` load here.
+are stated in. Every other name, such as `wigner.wigner_pure` or
+`clifford.stabilizer_rows`, is read at its module; all but `cli` load here.
 """
 
 __version__ = "0.1.0"
 
-from .zmod import (
-    PrimeDim,
-    SymplecticMatrix,
-    half,
-)
-from .qudit import (
-    DenseOperator,
-    StateVector,
-    omega_table,
-    weyl,
-)
-from .wigner import (
-    KIND_WIGNER,
-    PhaseGrid,
-    wigner_pure,
-)
-from .clifford import (
-    metaplectic,
-    stabilizer_overlaps,
-    stabilizer_rows,
-)
+from .zmod import PrimeDim
+from .qudit import StateVector
 from . import bochner
 from .hudson import (
     VerificationReport,

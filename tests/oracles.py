@@ -20,10 +20,11 @@ screen. Phase-space points are (p, q) tuples of ints.
 
 import numpy as np
 
-from phasespace import KIND_WIGNER, DenseOperator, PhaseGrid, PrimeDim, SymplecticMatrix, half, hudson, omega_table
+from phasespace import PrimeDim, hudson
 from phasespace.bochner import PREDICATE_TOL, CyclicFunction
-from phasespace.qudit import dft_matrix
-from phasespace.wigner import wigner_rows, wigner_workspace
+from phasespace.qudit import DenseOperator, dft_matrix, omega_table
+from phasespace.wigner import KIND_WIGNER, PhaseGrid, wigner_rows, wigner_workspace
+from phasespace.zmod import SymplecticMatrix, half
 
 DIMS = [PrimeDim(3), PrimeDim(5), PrimeDim(7)]
 PRIMES_TO_101 = [p for p in range(3, 102) if all(p % f for f in range(2, p))]

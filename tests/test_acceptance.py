@@ -16,25 +16,13 @@ import time
 
 import numpy as np
 
-from phasespace import (
-    PrimeDim,
-    StateVector,
-    haar_sample,
-    metaplectic,
-    omega_table,
-    single_point_infeasibility,
-    stabilizer_overlaps,
-    stabilizer_rows,
-    verify_hudson,
-    weyl,
-    wigner_pure,
-    half,
-)
+from phasespace import PrimeDim, StateVector, haar_sample, single_point_infeasibility, verify_hudson
 from phasespace.bochner import CyclicFunction, has_nonneg_fourier
+from phasespace.clifford import metaplectic, stabilizer_overlaps, stabilizer_rows
 from phasespace.hudson import _HAAR_STREAM, _TWO_POINT_STREAM, modulus_violations, support_rows
-from phasespace.qudit import projector
-from phasespace.wigner import characteristic, metaplectic_image_grid, wigner_from_char
-from phasespace.zmod import sl2_enumerate
+from phasespace.qudit import omega_table, projector, weyl
+from phasespace.wigner import characteristic, metaplectic_image_grid, wigner_from_char, wigner_pure
+from phasespace.zmod import half, sl2_enumerate
 
 from oracles import (
     DIMS,

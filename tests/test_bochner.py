@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from phasespace import PrimeDim, omega_table
+from phasespace import PrimeDim
 from phasespace.bochner import CyclicFunction, has_nonneg_fourier
+from phasespace.qudit import omega_table
 
 from oracles import DIMS, autocorrelation, circulant, fourier, has_constant_modulus_fourier, inverse_fourier
 

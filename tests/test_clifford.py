@@ -7,21 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasespace import (
-    PrimeDim,
-    StateVector,
-    SymplecticMatrix,
-    cli,
-    haar_sample,
-    half,
-    metaplectic,
-    omega_table,
-    stabilizer_overlaps,
-    stabilizer_rows,
-    weyl,
-)
+from phasespace import PrimeDim, StateVector, cli, haar_sample
+from phasespace.clifford import metaplectic, stabilizer_overlaps, stabilizer_rows
 from phasespace.hudson import STABILIZER_MATCH_TOL
-from phasespace.zmod import sl2_enumerate
+from phasespace.qudit import omega_table, weyl
+from phasespace.zmod import SymplecticMatrix, half, sl2_enumerate
 
 from oracles import (DIMS, PRIMES_TO_101, act, all_points, compose, projective_equal, stabilizer_blocks,
                      stabilizer_stack)

@@ -12,20 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasespace import (
-    KIND_WIGNER,
-    PhaseGrid,
     PrimeDim,
     StateVector,
     haar_sample,
+    hudson,
     single_point_infeasibility,
-    stabilizer_rows,
     two_point_sample,
     verify_hudson,
-    weyl,
 )
-from phasespace import hudson
 from phasespace.cli import MAX_D
-from phasespace.clifford import stabilizer_overlaps
+from phasespace.clifford import stabilizer_overlaps, stabilizer_rows
 from phasespace.hudson import (
     LEMMA_TOL,
     MAX_FAILURE_MESSAGES,
@@ -38,8 +34,8 @@ from phasespace.hudson import (
     modulus_violations,
     support_rows,
 )
-from phasespace.qudit import normalize_rows
-from phasespace.wigner import wigner_rows, wigner_workspace
+from phasespace.qudit import normalize_rows, weyl
+from phasespace.wigner import KIND_WIGNER, PhaseGrid, wigner_rows, wigner_workspace
 
 from oracles import (
     DIMS,

@@ -8,18 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasespace import (
-    DenseOperator,
-    PrimeDim,
-    StateVector,
-    haar_sample,
-    half,
-    omega_table,
-    weyl,
-)
-from phasespace.qudit import dft_matrix, projector
+from phasespace import PrimeDim, StateVector, haar_sample
+from phasespace.hudson import _HAAR_STREAM
+from phasespace.qudit import DenseOperator, dft_matrix, omega_table, projector, weyl
+from phasespace.zmod import half
 
-from oracles import DIMS, all_points, boost_op, shift_op, symplectic_form
+from oracles import DIMS, all_points, boost_op, shift_op, sample_rows, symplectic_form
 
 
 class TestOmegaTable:
@@ -287,7 +281,8 @@ class TestProjector:
 
 
 class TestHaarRandomState:
-    """Seeded Haar states as hudson.haar_sample draws them: haar_sample(dim, s, 0)."""
+    """Seeded Haar states as hudson draws them: haar_sample(dim, s, i), or a
+    block of indices of one seed as verify_hudson draws it."""
 
     def test_deterministic(self):
         dim = PrimeDim(7)
@@ -303,9 +298,10 @@ class TestHaarRandomState:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_first_component_mean(self, dim):
-        # E|amp_0|^2 = 1/d with Var = (d-1)/(d^2 (d+1)); check within 5 SE.
+        # E|amp_0|^2 = 1/d with Var = (d-1)/(d^2 (d+1)); check within 5 SE,
+        # on the samples 0..n-1 of one seed, drawn as one block
         d = dim.d
         n = 4000
-        vals = [abs(haar_sample(dim, s, 0).amp[0]) ** 2 for s in range(n)]
+        vals = np.abs(sample_rows(d, 42, _HAAR_STREAM, 0, n)[:, 0]) ** 2
         se = np.sqrt((d - 1) / (d * d * (d + 1)) / n)
         assert abs(np.mean(vals) - 1.0 / d) < 5 * se

@@ -8,26 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasespace import (
-    KIND_WIGNER,
-    DenseOperator,
-    PhaseGrid,
-    PrimeDim,
-    StateVector,
-    SymplecticMatrix,
-    cli,
-    haar_sample,
-    metaplectic,
-    weyl,
-    wigner_pure,
-)
-from phasespace.clifford import stabilizer_rows
-from phasespace import hudson
+from phasespace import PrimeDim, StateVector, cli, haar_sample, hudson
+from phasespace.clifford import metaplectic, stabilizer_rows
 from phasespace.hudson import _HAAR_STREAM, _TWO_POINT_STREAM
-from phasespace.qudit import projector
-from phasespace.wigner import (KIND_CHARACTERISTIC, _real_dft, characteristic, lag_products, metaplectic_image_grid,
-                               self_correlation, wigner_from_char, wigner_rows, wigner_workspace)
-from phasespace.zmod import sl2_enumerate
+from phasespace.qudit import DenseOperator, projector, weyl
+from phasespace.wigner import (KIND_CHARACTERISTIC, KIND_WIGNER, PhaseGrid, _real_dft, characteristic, lag_products,
+                               metaplectic_image_grid, self_correlation, wigner_from_char, wigner_pure, wigner_rows,
+                               wigner_workspace)
+from phasespace.zmod import SymplecticMatrix, sl2_enumerate
 
 from oracles import (
     DIMS,

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasespace import PrimeDim, SymplecticMatrix, half
-from phasespace.zmod import sl2_enumerate
+from phasespace import PrimeDim
+from phasespace.zmod import SymplecticMatrix, half, sl2_enumerate
 
 from oracles import DIMS, act, all_points, compose, inverse, symplectic_form
 
